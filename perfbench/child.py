@@ -28,9 +28,9 @@ class HostProbe:
 
     The shared host's speed drifts by up to ±25% over tens of seconds,
     for this program and for the probe alike.  Timing the probe right
-    before and right after every operation lets ``run.py`` express
-    operation times at a reference host speed.  The probe uses no code of the program, so no
-    change to the program moves it.
+    before and right after every operation and every set-up lets
+    ``run.py`` express those times at a reference host speed.  The probe
+    uses no code of the program, so no change to the program moves it.
     """
 
     def __init__(self) -> None:
@@ -54,12 +54,17 @@ class HostProbe:
                 total += value
         return time.perf_counter() - start
 
+    def median(self, runs: int = 3) -> float:
+        """The median of *runs* probes: the host's speed at one moment."""
+        return statistics.median(self() for _ in range(runs))
+
 
 def _rss_mb(who) -> float:
     return resource.getrusage(who).ru_maxrss / 1024.0  # KiB on Linux
 
 
-def measure(workload, seconds: float, traced_run: bool) -> dict:
+def measure(workload, seconds: float, traced_run: bool,
+            probe: HostProbe) -> dict:
     """Closed loop over whole passes until *seconds* are (about) used.
 
     A new pass starts only while at least half a pass fits in the
@@ -71,7 +76,6 @@ def measure(workload, seconds: float, traced_run: bool) -> dict:
     if traced_run and workload.in_process:
         tracer = Tracer()
         register_spans(tracer)
-    probe = HostProbe()
     samples: list[dict] = []
     pass_s: list[float] = []
     traced_passes = 0
@@ -124,6 +128,7 @@ def measure(workload, seconds: float, traced_run: bool) -> dict:
         "store": {
             "entries_added": store_after[0] - store_before[0],
             "bytes_written": store_after[1] - store_before[1],
+            "hits": store_after[2] - store_before[2],
         },
         "layers": {
             name: {
@@ -220,14 +225,21 @@ def main(argv: list[str] | None = None) -> int:
         workload.setup(phases)
         report["setup_s"] = time.monotonic() - args.spawned_at
         report["phases"] = phases
+        # the host's speed as set-up ended; run.py probed it before spawning
+        probe = HostProbe()
+        report["setup_probe_s"] = probe.median()
         if not args.setup_only:
-            report.update(measure(workload, args.seconds, bool(args.trace)))
+            report.update(
+                measure(workload, args.seconds, bool(args.trace), probe)
+            )
             rss = _rss_mb(resource.RUSAGE_SELF)
             workload.teardown()
             report["peak_rss_mb"] = rss + workload.server_rss_mb
             # the largest of the server and its job workers, once waited for
             report["children_rss_mb"] = _rss_mb(resource.RUSAGE_CHILDREN)
-            report["failures"] = check(report["samples"])
+            report["failures"] = (
+                check(report["samples"]) + workload.check_window(report)
+            )
             report["info"] = engine_info(workload)
     except Exception:
         report["crash"] = traceback.format_exc()

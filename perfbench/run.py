@@ -2,7 +2,7 @@
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-Runs from the root of a checkout.  Each run sets the workload up three
+Runs from the root of a checkout.  Each run sets the workload up five
 times, each in a fresh process with its own empty work directory, and
 measures the last of them for about ``--seconds`` seconds of whole
 passes.  Every operation is checked (see ``workloads.py``).  The last
@@ -23,14 +23,17 @@ import sys
 import time
 from pathlib import Path
 
+from child import HostProbe
 from workloads import WORKLOADS
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 #: set-ups per run; ``setup_s`` is their median
-SETUPS = 3
-#: the run must end within this many seconds
-RUN_LIMIT_S = 170.0
+SETUPS = 5
+#: time one set-up may take, and time for the checks after the window;
+#: with the window they bound a run
+SETUP_LIMIT_S = 15.0
+CHECK_LIMIT_S = 60.0
 #: each knob changes which program is measured, so a run refuses them
 KNOBS = (
     "REPRO_ENGINE", "REPRO_WORKERS", "REPRO_BATCH_SIZE", "REPRO_NO_CACHE",
@@ -107,8 +110,13 @@ def _p90(values: list[float]) -> float:
 
 
 def run_child(args, run_dir: Path, number: int, setup_only: bool,
-              deadline: float) -> dict:
-    """Start ``child.py`` in a fresh work directory; return its report."""
+              deadline: float, probe: HostProbe) -> dict:
+    """Start ``child.py`` in a fresh work directory; return its report.
+
+    The report's ``setup_norm_s`` is its set-up time at the reference
+    host speed: the host probe runs right before the spawn here and
+    right after the set-up in the child.
+    """
     workdir = run_dir / f"p{number}"
     workdir.mkdir(parents=True)
     out = run_dir / f"p{number}.json"
@@ -124,6 +132,7 @@ def run_child(args, run_dir: Path, number: int, setup_only: bool,
     ]
     if setup_only:
         command.append("--setup-only")
+    probe_before = probe.median()
     spawned_at = time.monotonic()
     child = subprocess.Popen(
         command + ["--spawned-at", repr(spawned_at)],
@@ -144,6 +153,9 @@ def run_child(args, run_dir: Path, number: int, setup_only: bool,
     if "crash" in report:
         raise RuntimeError(f"workload process {number} crashed:\n"
                            f"{report['crash']}")
+    report["setup_norm_s"] = PROBE_REF_S * report["setup_s"] / (
+        (probe_before + report["setup_probe_s"]) / 2
+    )
     return report
 
 
@@ -151,7 +163,7 @@ def end_to_end(report: dict, setups: list[dict]) -> dict[str, float]:
     # whole passes only, so every program of the mix has the same weight
     ok = [s for s in report["samples"] if "error" not in s]
     return {
-        "setup_s": statistics.median(r["setup_s"] for r in setups),
+        "setup_s": statistics.median(r["setup_norm_s"] for r in setups),
         "op_norm_s": normalized_s(ok) if ok else 0.0,
         "peak_rss_mb": report["peak_rss_mb"],
     }
@@ -171,6 +183,7 @@ def per_layer(
                   "service.warmup_s"):
         values = [r["phases"][phase] for r in setups if phase in r["phases"]]
         metrics[phase] = _p50(values)
+    metrics["setup.wall_s"] = _p50([r["setup_s"] for r in setups])
 
     samples = [s for s in report["samples"] if "error" not in s]
     untraced = [s for s in samples if not s["traced"]]
@@ -228,10 +241,12 @@ def per_layer(
                 metrics["activity.memo_hit_ratio"] = (
                     metrics["activity.memo_hits"] * passes / edges
                 )
-        if traced and untraced:
-            metrics["trace.overhead_s"] = (
-                normalized_s(traced) - normalized_s(untraced)
-            )
+        # raw wall-clock p50 of the workload's main operation kind
+        kind = workload.main_kind
+        metrics["trace.overhead_s"] = (
+            _p50([s["s"] for s in traced if s["kind"] == kind])
+            - _p50(by_kind.get(kind, []))
+        )
         root = layers.get("analyze")
         if root and root["total_ns"]:
             metrics["trace.coverage"] = (
@@ -269,9 +284,8 @@ def per_layer(
             metrics[f"service.{key}_s"] = _p50(values)
         store = report["store"]
         if samples:
-            metrics["service.store_hit_ratio"] = (
-                1.0 - store["entries_added"] / len(samples)
-            )
+            # one store lookup per request: warm reads hit, uploads miss
+            metrics["service.store_hit_ratio"] = store["hits"] / len(samples)
         metrics["service.worker_peak_rss_mb"] = report["children_rss_mb"]
         metrics["store.entries_added"] = (
             store["entries_added"] / report["passes"]
@@ -310,13 +324,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     run_dir = ROOT / ".perfbench_work" / f"{args.workload}-{os.getpid()}"
-    deadline = started + RUN_LIMIT_S
+    deadline = started + SETUPS * SETUP_LIMIT_S + args.seconds + CHECK_LIMIT_S
+    probe = HostProbe()
     try:
         setups = [
-            run_child(args, run_dir, number, True, deadline)
+            run_child(args, run_dir, number, True, deadline, probe)
             for number in range(SETUPS - 1)
         ]
-        report = run_child(args, run_dir, SETUPS - 1, False, deadline)
+        report = run_child(args, run_dir, SETUPS - 1, False, deadline, probe)
         setups.append(report)
     except RuntimeError as err:
         print(f"perfbench: {err}", file=sys.stderr)
@@ -348,6 +363,8 @@ def main(argv: list[str] | None = None) -> int:
           f"{len(samples)} operations ({', '.join(kinds)}) in "
           f"{report['passes']} passes over {report['window_s']:.1f} s")
     print("# host " + " ".join(f"{k}={v}" for k, v in report["info"].items()))
+    print("# set-ups (wall s / reference s): " + ", ".join(
+        f"{r['setup_s']:.3f}/{r['setup_norm_s']:.3f}" for r in setups))
     for name, value in metrics.items():
         print(f"# {name} = {value:.6g} {units[name]}")
     for failure in failures:

@@ -137,6 +137,8 @@ class Workload:
     required: tuple[str, ...] = ()
     #: in-process workloads alternate traced and untraced passes
     in_process = True
+    #: the operation kind whose p50 the tracing overhead compares
+    main_kind = "analyze"
 
     def __init__(self, root: Path, workdir: Path, seed: int) -> None:
         self.root = root
@@ -155,9 +157,13 @@ class Workload:
     def teardown(self) -> None:
         pass
 
-    def store_counts(self) -> tuple[int, int]:
-        """(entries, bytes) in this workload's artifact store."""
-        return 0, 0
+    def store_counts(self) -> tuple[int, int, int]:
+        """(entries, bytes, hits) of this workload's artifact store."""
+        return 0, 0, 0
+
+    def check_window(self, report: dict) -> list[str]:
+        """Failures visible only over the whole timed window."""
+        return []
 
     #: peak resident memory of a long-lived server process, if any
     server_rss_mb = 0.0
@@ -289,6 +295,7 @@ class Straightline(_Engine):
 
 class Baselines(_Engine):
     name = "baselines"
+    main_kind = "profile"
     required = (
         "baselines.profile", "stressmark", "batch.run_to_halt",
         "sim.settle", "batch.step", "machine.bus_io", "cpu.probe",
@@ -425,13 +432,29 @@ class Service(Workload):
         if log is not None:
             log.join(timeout=5)
 
-    def store_counts(self) -> tuple[int, int]:
-        entries = size = 0
+    def store_counts(self) -> tuple[int, int, int]:
+        """Counted on disk: the counters the store keeps live in workers.
+
+        Hits are the per-artifact read counters of the ``.meta.json``
+        sidecars; a publish resets its entry's counter to 0.
+        """
+        entries = size = hits = 0
         for path in self.store.rglob("*"):
-            if path.is_file():
-                size += path.stat().st_size
-                entries += path.suffix == ".pkl"
-        return entries, size
+            if not path.is_file():
+                continue
+            size += path.stat().st_size
+            entries += path.suffix == ".pkl"
+            if path.name.endswith(".meta.json"):
+                hits += json.loads(path.read_text()).get("hits", 0)
+        return entries, size, hits
+
+    def check_window(self, report: dict) -> list[str]:
+        """Every warm read must have been served from the store."""
+        warm = sum(s["kind"] == "warm" for s in report["samples"])
+        hits = report["store"]["hits"]
+        if hits == warm:
+            return []
+        return [f"store: {hits} artifact hits for {warm} warm reads"]
 
     def _request(self, submit) -> dict:
         client = self.client
@@ -472,7 +495,9 @@ class Service(Workload):
     @staticmethod
     def service_summary(request: dict) -> dict:
         result = request["result"]
-        summary = {k: result.get(k) for k in UPLOAD_FIELDS + ("cached",)}
+        summary = {k: result.get(k) for k in UPLOAD_FIELDS}
+        if "cached" in result:  # uploads only
+            summary["cached"] = result["cached"]
         summary["_cycles"] = result.get("n_cycles", 0) or 0
         summary["_request"] = {
             k: request[k] for k in ("job_id", "began", "posted", "delivered")
