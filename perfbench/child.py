@@ -14,6 +14,7 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 import time
 import traceback
@@ -28,9 +29,9 @@ class HostProbe:
 
     The shared host's speed drifts by up to ±25% over tens of seconds,
     for this program and for the probe alike.  Timing the probe right
-    before and right after every operation and every set-up lets
-    ``run.py`` express those times at a reference host speed.  The probe
-    uses no code of the program, so no change to the program moves it.
+    before and right after every operation lets ``run.py`` express
+    operation times at a reference host speed.  The probe uses no code
+    of the program, so no change to the program moves it.
     """
 
     def __init__(self) -> None:
@@ -54,17 +55,25 @@ class HostProbe:
                 total += value
         return time.perf_counter() - start
 
-    def median(self, runs: int = 3) -> float:
-        """The median of *runs* probes: the host's speed at one moment."""
-        return statistics.median(self() for _ in range(runs))
+
+def spawn_probe_s() -> float:
+    """Seconds to start a fresh interpreter that imports numpy.
+
+    A set-up is mostly process start and imports, which ``HostProbe``
+    tracks only partly.  This probe does the same kind of work and uses
+    no code of the program; ``run.py`` times it right before it spawns a
+    workload process, and the process right after its set-up.
+    """
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", "import numpy"], check=True)
+    return time.perf_counter() - start
 
 
 def _rss_mb(who) -> float:
     return resource.getrusage(who).ru_maxrss / 1024.0  # KiB on Linux
 
 
-def measure(workload, seconds: float, traced_run: bool,
-            probe: HostProbe) -> dict:
+def measure(workload, seconds: float, traced_run: bool) -> dict:
     """Closed loop over whole passes until *seconds* are (about) used.
 
     A new pass starts only while at least half a pass fits in the
@@ -76,6 +85,7 @@ def measure(workload, seconds: float, traced_run: bool,
     if traced_run and workload.in_process:
         tracer = Tracer()
         register_spans(tracer)
+    probe = HostProbe()
     samples: list[dict] = []
     pass_s: list[float] = []
     traced_passes = 0
@@ -226,12 +236,9 @@ def main(argv: list[str] | None = None) -> int:
         report["setup_s"] = time.monotonic() - args.spawned_at
         report["phases"] = phases
         # the host's speed as set-up ended; run.py probed it before spawning
-        probe = HostProbe()
-        report["setup_probe_s"] = probe.median()
+        report["setup_probe_s"] = spawn_probe_s()
         if not args.setup_only:
-            report.update(
-                measure(workload, args.seconds, bool(args.trace), probe)
-            )
+            report.update(measure(workload, args.seconds, bool(args.trace)))
             rss = _rss_mb(resource.RUSAGE_SELF)
             workload.teardown()
             report["peak_rss_mb"] = rss + workload.server_rss_mb

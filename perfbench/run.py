@@ -23,7 +23,7 @@ import sys
 import time
 from pathlib import Path
 
-from child import HostProbe
+from child import spawn_probe_s
 from workloads import WORKLOADS
 
 HERE = Path(__file__).resolve().parent
@@ -74,6 +74,9 @@ SPAN_METRICS = {
 #: normalized times are seconds on a host that runs the host probe
 #: (``child.HostProbe``) in exactly this long
 PROBE_REF_S = 0.008
+#: normalized set-up times are seconds on a host that runs
+#: ``child.spawn_probe_s`` in exactly this long
+SPAWN_REF_S = 0.15
 
 #: the coverage of traced ``analyze()`` time by layer self times that a
 #: traced multipath run must reach
@@ -110,11 +113,11 @@ def _p90(values: list[float]) -> float:
 
 
 def run_child(args, run_dir: Path, number: int, setup_only: bool,
-              deadline: float, probe: HostProbe) -> dict:
+              deadline: float) -> dict:
     """Start ``child.py`` in a fresh work directory; return its report.
 
     The report's ``setup_norm_s`` is its set-up time at the reference
-    host speed: the host probe runs right before the spawn here and
+    host speed: the spawn probe runs right before the spawn here and
     right after the set-up in the child.
     """
     workdir = run_dir / f"p{number}"
@@ -132,7 +135,7 @@ def run_child(args, run_dir: Path, number: int, setup_only: bool,
     ]
     if setup_only:
         command.append("--setup-only")
-    probe_before = probe.median()
+    probe_before = spawn_probe_s()
     spawned_at = time.monotonic()
     child = subprocess.Popen(
         command + ["--spawned-at", repr(spawned_at)],
@@ -153,7 +156,7 @@ def run_child(args, run_dir: Path, number: int, setup_only: bool,
     if "crash" in report:
         raise RuntimeError(f"workload process {number} crashed:\n"
                            f"{report['crash']}")
-    report["setup_norm_s"] = PROBE_REF_S * report["setup_s"] / (
+    report["setup_norm_s"] = SPAWN_REF_S * report["setup_s"] / (
         (probe_before + report["setup_probe_s"]) / 2
     )
     return report
@@ -325,13 +328,12 @@ def main(argv: list[str] | None = None) -> int:
 
     run_dir = ROOT / ".perfbench_work" / f"{args.workload}-{os.getpid()}"
     deadline = started + SETUPS * SETUP_LIMIT_S + args.seconds + CHECK_LIMIT_S
-    probe = HostProbe()
     try:
         setups = [
-            run_child(args, run_dir, number, True, deadline, probe)
+            run_child(args, run_dir, number, True, deadline)
             for number in range(SETUPS - 1)
         ]
-        report = run_child(args, run_dir, SETUPS - 1, False, deadline, probe)
+        report = run_child(args, run_dir, SETUPS - 1, False, deadline)
         setups.append(report)
     except RuntimeError as err:
         print(f"perfbench: {err}", file=sys.stderr)
