@@ -16,11 +16,11 @@ kernel (the one-foreign-call-per-settle C engine, skipped with its keys
 absent when no C compiler is available) — ``bitplane_speedup`` is the
 bit-plane gain over the PR 2 baseline and ``native_speedup`` the native
 gain over bit-plane, all at equal results.  The kernel's one-time
-compile cost is reported as ``engine.native_build_s`` (0.0 when it came
-from the artifact-store cache).  Every comparison also cross-checks the
-engines against each other (tree shape, bit-identical value/activity
-matrices, bit-identical peak traces, identical profiling measurements),
-so a bench run doubles as a coarse differential test.
+compile cost is reported as ``engine.native_build_s`` (0.0 when the
+shared object was already cached or loaded).  Every comparison also
+cross-checks the engines against each other (tree shape, bit-identical
+value/activity matrices, bit-identical peak traces, identical profiling
+measurements), so a bench run doubles as a coarse differential test.
 """
 
 from __future__ import annotations
@@ -346,8 +346,8 @@ def run_perf_suite(
         "migration_interval": migration_interval,
     }
     if native_build_s is not None:
-        # one-time C compile of the per-netlist kernel (0.0 = loaded
-        # from the artifact-store cache); absent = no C compiler
+        # one-time C compile of the settle kernel (0.0 = already cached
+        # or loaded in this process); absent = no C compiler
         engine_block["native_build_s"] = native_build_s
     return {
         "schema": 3,

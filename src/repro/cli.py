@@ -39,15 +39,16 @@ administers the API-key keyring file ``serve --keyring`` reads
 stored); ``cache`` inspects (``stats``) or trims (``gc --max-mb N``)
 the artifact store, including seed-era legacy pickles.
 
-Engine knobs shared by the analysis commands: ``--engine bitplane``
-(default) simulates on packed dual-rail uint64 bit planes, ``--engine
-native`` on a per-netlist C kernel compiled and cached at first use
+Engine knobs shared by the analysis commands: ``--engine native``
+(default) settles on a fixed C kernel compiled once per host and cached
 (one foreign call per settle; falls back to bitplane with a warning when
-no C compiler is available), ``--engine reference`` on the original
+no C compiler is available), ``--engine bitplane`` on packed dual-rail
+uint64 bit planes in numpy, ``--engine reference`` on the original
 uint8 evaluator — bit-identical results every way (also settable via
 ``REPRO_ENGINE``).  ``--batch-size N`` settles N
 execution paths in lock-step (1 = one path at a time; default 32 for the
-bitplane engine, 8 for the reference engine, or ``REPRO_BATCH_SIZE``).
+native and bitplane engines, 8 for the reference engine, or
+``REPRO_BATCH_SIZE``).
 ``--workers N`` spreads one analysis over N cores — sharded path-queue
 exploration, threaded Algorithm 2 kernel, island-parallel GA — with
 bit-identical results at any count (``0`` = one per core, also
@@ -597,14 +598,15 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument(
             "--batch-size", type=int, default=None, metavar="N",
             help="settle N execution paths in lock-step (1 = one path at "
-                 "a time; default 32 bitplane / 8 reference, or "
+                 "a time; default 32 native/bitplane / 8 reference, or "
                  "$REPRO_BATCH_SIZE)",
         )
         sub_parser.add_argument(
             "--engine", choices=ENGINES, default=None,
-            help="simulation representation: packed dual-rail bit planes "
-                 "(default), a compiled per-netlist C kernel, or the uint8 "
-                 "reference evaluator; results are bit-identical (also "
+            help="simulation representation: the compiled C settle "
+                 "kernel (default; bitplane when no C compiler), packed "
+                 "dual-rail bit planes in numpy, or the uint8 reference "
+                 "evaluator; results are bit-identical (also "
                  "$REPRO_ENGINE)",
         )
         sub_parser.add_argument(

@@ -189,11 +189,13 @@ def explore(
     *batch_size* selects the scheduling: ``1`` runs one pending path at a
     time, anything larger settles that many paths in lock-step, and
     ``None`` (the default) uses :func:`default_batch_size`.  *engine*
-    selects the simulation representation: ``"bitplane"`` (packed dual
-    rail, the default) or ``"reference"`` (the uint8 oracle); ``None``
-    honors ``REPRO_ENGINE``.  *workers* shards the pending-path queue
-    across that many fork-start worker processes (``None`` honors
-    ``REPRO_WORKERS``, ``0`` means one per core, 1 stays in-process).
+    selects the simulation representation: ``"native"`` (the compiled C
+    settle kernel, the default), ``"bitplane"`` (packed dual rail in
+    numpy, native's no-compiler fallback) or ``"reference"`` (the uint8
+    oracle); ``None`` honors ``REPRO_ENGINE``.  *workers* shards the
+    pending-path queue across that many fork-start worker processes
+    (``None`` honors ``REPRO_WORKERS``, ``0`` means one per core, 1 stays
+    in-process).
     Every combination returns the identical tree, bit for bit.  *cancel*
     is an optional :class:`repro.parallel.cancel.CancelToken` checked
     between path-queue batches; a set token aborts the exploration with

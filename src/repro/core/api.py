@@ -87,9 +87,9 @@ def analyze(
     *batch_size* selects the exploration scheduling (see
     :func:`repro.core.activity.explore`): ``1`` forces one path at a
     time, larger values settle that many execution paths in lock-step.
-    *engine* selects the simulation representation — ``"bitplane"``
-    (packed dual-rail, the default), ``"native"`` (the compiled
-    per-netlist C kernel, bitplane fallback when no compiler), or
+    *engine* selects the simulation representation — ``"native"``
+    (the compiled C settle kernel, the default; bitplane fallback when
+    no compiler), ``"bitplane"`` (packed dual-rail in numpy), or
     ``"reference"`` (the uint8 oracle); ``None`` honors
     ``REPRO_ENGINE``.  *workers* spreads one
     benchmark's analysis over that many cores: exploration shards its

@@ -32,6 +32,7 @@ from repro.netlist.core import Netlist
 from repro.sim.evaluator import LevelizedEvaluator
 from repro.sim.machine import Machine, MemoryPorts
 from repro.sim.memory import TernaryMemory
+from repro.sim.native import evaluator_or_fallback, prefetch
 from repro.cpu.datapath import (
     and_or_select,
     build_alu,
@@ -92,6 +93,9 @@ def _declare_register(
 
 def build_ulp430() -> "Ulp430":
     """Elaborate the processor and return its wrapper."""
+    # the default engine's settle kernel does not depend on the netlist:
+    # compile it in the background while the CPU elaborates
+    prefetch()
     nb = NetlistBuilder("ulp430")
 
     # ------------------------------------------------------------------
@@ -622,8 +626,8 @@ class Ulp430(object):
         self.netlist = netlist
         self.ports = ports
         self.nets = nets
-        #: the uint8 reference evaluator (kept eagerly: it is the oracle)
-        self.evaluator = LevelizedEvaluator(netlist)
+        #: the uint8 reference evaluator (the oracle), built on first use
+        self._reference_evaluator = None
         #: the packed dual-rail evaluator, compiled on first use and then
         #: shared by every machine/batch built from this CPU
         self._bitplane_evaluator = None
@@ -634,6 +638,13 @@ class Ulp430(object):
     # ------------------------------------------------------------------
     # Machine construction
     # ------------------------------------------------------------------
+    @property
+    def evaluator(self) -> LevelizedEvaluator:
+        """The uint8 reference evaluator (the oracle)."""
+        if self._reference_evaluator is None:
+            self._reference_evaluator = LevelizedEvaluator(self.netlist)
+        return self._reference_evaluator
+
     def evaluator_for(self, engine: str | None = None):
         """The shared evaluator for *engine* (``None``: ``REPRO_ENGINE``)."""
         from repro.sim.bitplane import (
@@ -653,20 +664,9 @@ class Ulp430(object):
             if self._native_evaluator is None:
                 # share the compiled program with the bitplane evaluator
                 # (one schedule compile per CPU, whatever engines run)
-                base = self.evaluator_for("bitplane")
-                from repro.sim.native import (
-                    NativeEvaluator,
-                    NativeKernelError,
-                    warn_fallback,
+                self._native_evaluator = evaluator_or_fallback(
+                    self.netlist, lambda: self.evaluator_for("bitplane")
                 )
-
-                try:
-                    self._native_evaluator = NativeEvaluator(
-                        self.netlist, base.program
-                    )
-                except NativeKernelError as exc:
-                    warn_fallback(exc)
-                    self._native_evaluator = base
             return self._native_evaluator
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"

@@ -20,8 +20,9 @@ for the encoding and the compile step).  One simulation cycle is:
 
 Everything is dimension-agnostic: a ``(3, n_words)`` state (one machine)
 or a ``(B, 3, n_words)`` batch evaluates through the same code; scratch
-buffers and the per-level views into them are cached per leading shape so
-the steady-state cost is the ufunc dispatches themselves.
+buffers and the per-level views into them are cached per thread and
+leading shape, so the steady-state cost is the ufunc dispatches
+themselves and threads exploring on one CPU never share a buffer.
 
 Bit identity with the reference engine is a hard contract: for every
 input state, unpacking after ``settle_and_mark`` must equal
@@ -33,6 +34,7 @@ domain) and per benchmark (whole execution trees).
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -41,14 +43,14 @@ from repro.netlist.program import A_PLANE, N_PLANE, P_PLANE, NetlistProgram
 
 _ONE = np.uint64(1)
 
-#: the simulation engines; ``bitplane`` is the default, ``native`` is the
-#: generated-C settle kernel (falls back to bitplane without a C
-#: compiler), ``reference`` the original uint8 LevelizedEvaluator
+#: the simulation engines; ``native`` (the default) is the compiled C
+#: settle kernel, ``bitplane`` the numpy one it falls back to without a C
+#: compiler, ``reference`` the original uint8 LevelizedEvaluator
 #: retained as the oracle
 ENGINES = ("bitplane", "native", "reference")
 
 #: engine used when nothing is specified; override with ``REPRO_ENGINE``
-DEFAULT_ENGINE = "bitplane"
+DEFAULT_ENGINE = "native"
 
 
 def default_engine() -> str:
@@ -272,7 +274,7 @@ class BitplaneEvaluator:
         self._fresh_p = fresh_p
         self._fresh_n = fresh_n
 
-        self._bufs: dict[tuple[int, ...], _LeadBuffers] = {}
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # State construction and conversion
@@ -375,10 +377,19 @@ class BitplaneEvaluator:
     # ------------------------------------------------------------------
     # The fused settle + activity sweep
     # ------------------------------------------------------------------
+    def _thread_scratch(self) -> dict:
+        """This thread's per-lead scratch buffers."""
+        try:
+            return self._local.scratch
+        except AttributeError:
+            scratch = self._local.scratch = {}
+            return scratch
+
     def _lead_bufs(self, lead: tuple[int, ...]) -> _LeadBuffers:
-        bufs = self._bufs.get(lead)
+        scratch = self._thread_scratch()
+        bufs = scratch.get(lead)
         if bufs is None:
-            bufs = self._bufs[lead] = _LeadBuffers(self.program, lead)
+            bufs = scratch[lead] = _LeadBuffers(self.program, lead)
         return bufs
 
     def stash_prev(self, planes: np.ndarray) -> None:

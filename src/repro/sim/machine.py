@@ -306,7 +306,7 @@ class Machine:
     ):
         self.netlist = netlist
         self.ports = ports
-        #: ``evaluator=None`` honors ``REPRO_ENGINE`` (default: bitplane);
+        #: ``evaluator=None`` honors ``REPRO_ENGINE`` (default: native);
         #: pass a LevelizedEvaluator for the uint8 reference engine.
         self.evaluator = evaluator or make_evaluator(netlist)
         #: True when state lives in packed dual-rail bit planes

@@ -1,49 +1,47 @@
-"""Generated-C native settle kernel: one foreign call per cycle.
+"""Native settle kernel: one foreign call per cycle.
 
 The bitplane engine executes the compiled level schedule as ~25 numpy
 ufunc dispatches per level plus a fancy-indexed gather — fast per *bit*,
 but the per-dispatch overhead dominates once the planes fit in cache.
-This module removes the interpreter entirely: at first use the
-:class:`~repro.netlist.program.NetlistProgram` is lowered to a small C
-translation unit (the fused gather + word-op tape as straight-line loops
-over the packed uint64 planes, including the source-block activity rule
-and the per-level A-plane writes), compiled once with the system C
-compiler into a per-netlist shared object, and called through cffi's ABI
-mode (ctypes when cffi is unavailable) as::
+This module replaces that interpreter loop with :data:`SOURCE`, one fixed
+C translation unit that walks the tables a
+:class:`~repro.netlist.program.NetlistProgram` already compiles (the
+per-level gathers, the opcode runs, the activity blocks, the source-block
+rule and the DFF activity gather).  It is called through ctypes, which
+releases the GIL for the call, as::
 
-    void repro_settle(uint64_t *state, const uint64_t *prev, long rows);
+    void repro_settle(const struct program *p, uint64_t *state,
+                      const uint64_t *prev, long rows);
 
 ``state`` is the C-contiguous ``(rows, 3, n_words)`` plane array settled
 in place; ``prev`` the stashed previous-cycle planes of the activity
 rule.  Any leading batch shape flattens to ``rows``, so one call settles
-a scalar machine or a 64-lane batch alike, and both cffi and ctypes
-release the GIL for the duration of the call.
+a scalar machine or a 64-lane batch alike.
 
-Build products are cached twice: the ELF bytes live in a content-
-addressed :class:`~repro.service.store.ArtifactStore` under
-``<cache>/native`` keyed ``nativekernel_<fingerprint>`` (the fingerprint
-digests the *compiled schedule* — gather tables, run layout, DFF
-tables — plus :data:`KERNEL_VERSION`, so any netlist or codegen change
-rebuilds), and the dlopen-able file materializes next to it as
-``<fingerprint>.so``.  A warm process pays one ``dlopen``; a warm cache
-pays zero compiles.
+Because the source never depends on the netlist, it compiles once per
+(source, flags, compiler) digest into ``<cache>/native/<digest>.so``
+(about 0.1 s) and one loaded library serves every netlist in the
+process; the tables are handed over when an evaluator is built.
+:func:`start_build` compiles in the background; ``build_ulp430`` calls
+it (through :func:`prefetch`) before elaborating the CPU, so a cold build
+overlaps elaboration and the schedule compile.
 
 Bit identity with ``bitplane``/``reference`` is a hard contract — the
-kernel is generated from the *same* schedule the numpy tape executes,
-and the differential suite pins values, A plane and memo ``state_bytes``
-on every benchmark.  When no C compiler is present (or the build fails)
+kernel executes the *same* schedule the numpy tape does, and the
+differential suite pins values, A plane and memo ``state_bytes`` on every
+benchmark.  When no C compiler is present (or the build fails)
 :func:`evaluator_or_fallback` degrades to the bitplane engine with a
 single process-wide warning, never an error.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import shlex
 import shutil
 import subprocess
-import tempfile
 import threading
 import time
 import warnings
@@ -53,15 +51,92 @@ import numpy as np
 
 from repro.netlist.core import Netlist
 from repro.netlist.program import NetlistProgram
+from repro.sim.bitplane import BitplaneEvaluator, default_engine
 
-#: bump on any change to :func:`generate_c` or the call ABI — it is part
-#: of the kernel fingerprint, so stale cached objects are never reused
-KERNEL_VERSION = 2
+#: the settle kernel.  A gather word is the OR of single bits of a source
+#: row (``code`` = source bit << 6 | destination bit) plus the reads of
+#: the reserved zero bit, which are most of them (every pad slot) and
+#: come from its three rails through the ``zero`` masks.
+SOURCE = r"""
+#include <stdint.h>
+typedef uint64_t u64;
+typedef int32_t i32;
+
+struct program {
+    i32 nw, sw, dff0, dffw, nlev, scratch, dff_gather;
+    const u64 *input_mask;  /* sw words */
+    const i32 *lev;         /* word0 words gather0 gathers run0 run1 act0 act1 act2 muxw */
+    const i32 *run;         /* res_word words p-slots[4] n-slots[4] */
+    const i32 *start;       /* gather word g: code[start[g] .. start[g+1]) */
+    const i32 *code;
+    const u64 *zero;        /* gather word g: zero-bit masks of the P, N, A rails */
+};
+
+static void gather(u64 *S, const u64 *src, const struct program *p, i32 g0, i32 n)
+{
+    u64 zp = -(src[0] & 1), zn = -(src[p->nw] & 1), za = -(src[2 * p->nw] & 1);
+    for (i32 g = g0; g < g0 + n; ++g) {
+        const u64 *z = p->zero + 3 * g;
+        u64 acc = (zp & z[0]) | (zn & z[1]) | (za & z[2]);
+        for (i32 t = p->start[g]; t < p->start[g + 1]; ++t) {
+            i32 c = p->code[t];
+            acc |= ((src[c >> 12] >> ((c >> 6) & 63)) & 1) << (c & 63);
+        }
+        S[g - g0] = acc;
+    }
+}
+
+void repro_settle(const struct program *p, u64 *state, const u64 *prev, long rows)
+{
+    const i32 nw = p->nw;
+    u64 S[p->scratch];
+    for (long r = 0; r < rows; ++r, state += 3 * nw, prev += 3 * nw) {
+        u64 *P = state, *N = state + nw, *A = state + 2 * nw;
+        const u64 *pP = prev, *pN = prev + nw;
+        for (i32 k = 0; k < p->sw; ++k)
+            A[k] = (P[k] ^ pP[k]) | (N[k] ^ pN[k]) | (P[k] & N[k] & p->input_mask[k]);
+        gather(S, prev, p, p->dff_gather, p->dffw);
+        for (i32 k = 0, d = p->dff0; k < p->dffw; ++k, ++d)
+            A[d] |= P[d] & N[d] & S[k];
+        for (const i32 *L = p->lev; L < p->lev + 10 * p->nlev; L += 10) {
+            gather(S, state, p, L[2], L[3]);
+            /* every run class: p = (x0 & x1) | (x2 & x3), n = (y0 & y1) | (y2 & y3) */
+            for (const i32 *R = p->run + 10 * L[4]; R < p->run + 10 * L[5]; R += 10) {
+                for (i32 k = 0, w = L[0] + R[0]; k < R[1]; ++k, ++w) {
+                    P[w] = (S[R[2] + k] & S[R[3] + k]) | (S[R[4] + k] & S[R[5] + k]);
+                    N[w] = (S[R[6] + k] & S[R[7] + k]) | (S[R[8] + k] & S[R[9] + k]);
+                }
+            }
+            /* A = changed | (is_x & (act0 | act1 [| act2 on the mux tail])) */
+            const i32 w0 = L[0], plain = L[1] - L[9];
+            for (i32 k = 0; k < L[1]; ++k) {
+                u64 pv = P[w0 + k], nv = N[w0 + k];
+                u64 act = S[L[6] + k] | S[L[7] + k] | (k < plain ? 0 : S[L[8] + k - plain]);
+                A[w0 + k] = (pv ^ pP[w0 + k]) | (nv ^ pN[w0 + k]) | (pv & nv & act);
+            }
+        }
+    }
+}
+"""
+
+#: per run class, the input blocks (indices into ``Run.slot_words``) of
+#: its two output rails as ``(x0 & x1) | (x2 & x3)``: blocks are PA, NA,
+#: PB, NB (``copy``: P, N; ``mux``: SN, SP, PA, PB, NA, NB)
+_PRODUCTS = {
+    "copy": ((0, 0, 0, 0), (1, 1, 1, 1)),
+    "and": ((0, 2, 0, 2), (1, 1, 3, 3)),  # p = pa & pb, n = na | nb
+    "and_swap": ((1, 1, 3, 3), (0, 2, 0, 2)),
+    "xor": ((0, 3, 1, 2), (0, 2, 1, 3)),  # p = pa&nb | na&pb
+    "xor_swap": ((0, 2, 1, 3), (0, 3, 1, 2)),
+    "mux": ((0, 2, 1, 3), (0, 4, 1, 5)),  # p = sn&pa | sp&pb
+}
 
 #: compilers probed (after ``$CC``) when building the shared object
 _COMPILERS = ("cc", "gcc", "clang")
 
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-fno-math-errno")
+#: -O1 compiles in about 2/3 of -O2's time; aligning the loops recovers
+#: -O2's settle speed (gcc 12, x86-64)
+_CFLAGS = ("-O1", "-falign-loops=16", "-shared", "-fPIC", "-nostdlib")
 
 
 class NativeKernelError(RuntimeError):
@@ -69,270 +144,7 @@ class NativeKernelError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Fingerprinting
-# ----------------------------------------------------------------------
-def program_fingerprint(program: NetlistProgram) -> str:
-    """Digest of everything the generated C depends on.
-
-    Hashes the compiled schedule itself — per-level gather tables, run
-    layout, activity block offsets, DFF tables, masks and sizes — rather
-    than the netlist, so the fingerprint changes exactly when the
-    emitted kernel would.
-    """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(f"nativekernel-v{KERNEL_VERSION}".encode())
-    h.update(
-        np.array(
-            [program.n_words, program.src_words, program.dff_word0,
-             program.dff_words, program.n_bits, program.depth],
-            dtype=np.int64,
-        ).tobytes()
-    )
-    h.update(program.input_mask.tobytes())
-    h.update(program.valid_mask.tobytes())
-    for plan in program.levels:
-        h.update(
-            repr(
-                (
-                    plan.word0, plan.words, plan.act0_word, plan.act1_word,
-                    plan.act2_word, plan.mux_words, plan.scratch_words,
-                    [
-                        (r.cls, r.n_gates, r.res_word, r.words, r.slot_words)
-                        for r in plan.runs
-                    ],
-                )
-            ).encode()
-        )
-        h.update(np.ascontiguousarray(plan.gather_bytes).tobytes())
-        h.update(np.ascontiguousarray(plan.gather_masks).tobytes())
-    h.update(np.ascontiguousarray(program.dff_act_bytes).tobytes())
-    h.update(np.ascontiguousarray(program.dff_act_masks).tobytes())
-    h.update(program.dff_reset_words.tobytes())
-    return h.hexdigest()
-
-
-# ----------------------------------------------------------------------
-# C code generation
-# ----------------------------------------------------------------------
-def _slot_words_shifts(
-    gather_bytes: np.ndarray, gather_masks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gather table -> (uint64-word index into the 3*n_words row, shift)."""
-    bit = np.asarray(gather_bytes, dtype=np.int64) * 8 + np.log2(
-        np.asarray(gather_masks, dtype=np.int64)
-    ).astype(np.int64)
-    return (bit >> 6).astype(np.int64), (bit & 63).astype(np.int64)
-
-
-def _emit_table(name: str, ctype: str, values: np.ndarray) -> str:
-    body = ",".join(str(int(v)) for v in values) or "0"
-    return f"static const {ctype} {name}[] = {{{body}}};\n"
-
-
-def _emit_gather(
-    out: list[str],
-    dst: str,
-    sources: list[tuple[int, int]],
-    row: str = "row",
-) -> None:
-    """Emit ``dst = <shift-merged gather of sources>;``.
-
-    *sources* lists the (source word, source shift) of each of the 64
-    destination bits.  Bits are grouped by ``(word, shift - bit)``: a
-    whole run of bus-aligned slots (bit *i* of a result word reading bit
-    *i + d* of one source word — the common case by construction, since
-    runs hold gates in elaboration order and buses elaborate
-    sequentially) collapses into a single ``(row[w] >> d) & mask`` term
-    with immediate constants.  Worst case degenerates to one term per
-    bit, which still beats a table-driven loop.
-    """
-    groups: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    for bit, (word, shift) in enumerate(sources):
-        key = (word, shift - bit)
-        if key not in groups:
-            groups[key] = 0
-            order.append(key)
-        groups[key] |= 1 << bit
-    terms = []
-    for word, delta in order:
-        mask = groups[(word, delta)]
-        if delta > 0:
-            expr = f"({row}[{word}] >> {delta})"
-        elif delta < 0:
-            expr = f"({row}[{word}] << {-delta})"
-        else:
-            expr = f"{row}[{word}]"
-        if mask == (1 << 64) - 1:
-            terms.append(expr)
-        else:
-            terms.append(f"({expr} & {mask:#x}ULL)")
-    joined = "\n        | ".join(terms)
-    out.append(f"    {dst} = {joined};\n")
-
-
-def generate_c(program: NetlistProgram) -> str:
-    """Lower the compiled schedule to a self-contained C translation unit."""
-    nw = program.n_words
-    out = [
-        "#include <stddef.h>\n",
-        "#include <stdint.h>\n",
-        f"#define NW {nw}\n",
-        f"#define SW {program.src_words}\n",
-    ]
-
-    # int64 two's-complement view: large uint64 decimal literals have no
-    # portable unsuffixed spelling in C, negative int64 ones do
-    out.append(
-        _emit_table("INPUT_MASK_I", "int64_t", program.input_mask.view(np.int64))
-    )
-    out.append("#define INPUT_MASK ((const uint64_t *)INPUT_MASK_I)\n")
-
-    # One function per level: the optimizer's cost on straight-line code
-    # grows superlinearly with function size, so a split TU compiles far
-    # faster than one settle-sized function at the same -O2 output.
-    scratch = max(program.max_scratch_words, 1)
-    out.append(
-        "\nstatic void source_block(uint64_t *restrict row,"
-        " const uint64_t *restrict prev)\n{\n"
-    )
-
-    # --- source block: changed | X-input rule | DFF rule ---
-    out.append(
-        "    for (int k = 0; k < SW; ++k) {\n"
-        "        uint64_t chg = (row[k] ^ prev[k]) | (row[NW+k] ^ prev[NW+k]);\n"
-        "        row[2*NW+k] = chg | ((row[k] & row[NW+k]) & INPUT_MASK[k]);\n"
-        "    }\n"
-    )
-    if program.dff_words:
-        dff_words, dff_shifts = _slot_words_shifts(
-            program.dff_act_bytes, program.dff_act_masks
-        )
-        for w in range(program.dff_words):
-            sources = list(
-                zip(dff_words[w * 64 : w * 64 + 64],
-                    dff_shifts[w * 64 : w * 64 + 64])
-            )
-            out.append("    {\n    uint64_t driven;\n")
-            _emit_gather(out, "driven", sources, row="prev")
-            k = program.dff_word0 + w
-            out.append(
-                f"    row[2*NW+{k}] |= (row[{k}] & row[NW+{k}]) & driven;\n"
-                "    }\n"
-            )
-
-    out.append("}\n")
-
-    # --- levels ---
-    for li, plan in enumerate(program.levels):
-        w0, wl = plan.word0, plan.words
-        out.append(
-            f"\nstatic void level_{li}(uint64_t *restrict row,"
-            " const uint64_t *restrict prev,"
-            " uint64_t *restrict S)\n{\n"
-            f"    /* words [{w0},{w0 + wl}) */\n"
-        )
-        g_words, g_shifts = _slot_words_shifts(
-            plan.gather_bytes, plan.gather_masks
-        )
-        for w in range(plan.scratch_words):
-            sources = list(
-                zip(g_words[w * 64 : w * 64 + 64],
-                    g_shifts[w * 64 : w * 64 + 64])
-            )
-            _emit_gather(out, f"S[{w}]", sources)
-        for run in plan.runs:
-            p0 = w0 + run.res_word
-            n0 = nw + p0
-            o = run.slot_words
-            out.append(f"    for (int k = 0; k < {run.words}; ++k) {{\n")
-            if run.cls == "copy":
-                out.append(
-                    f"        row[{p0}+k] = S[{o[0]}+k];\n"
-                    f"        row[{n0}+k] = S[{o[1]}+k];\n"
-                )
-            elif run.cls == "and":
-                out.append(
-                    f"        row[{p0}+k] = S[{o[0]}+k] & S[{o[2]}+k];\n"
-                    f"        row[{n0}+k] = S[{o[1]}+k] | S[{o[3]}+k];\n"
-                )
-            elif run.cls == "and_swap":
-                out.append(
-                    f"        row[{p0}+k] = S[{o[1]}+k] | S[{o[3]}+k];\n"
-                    f"        row[{n0}+k] = S[{o[0]}+k] & S[{o[2]}+k];\n"
-                )
-            elif run.cls in ("xor", "xor_swap"):
-                out.append(
-                    f"        uint64_t pa = S[{o[0]}+k], na = S[{o[1]}+k];\n"
-                    f"        uint64_t pb = S[{o[2]}+k], nb = S[{o[3]}+k];\n"
-                )
-                straight = "(pa & nb) | (na & pb)"
-                inverted = "(pa & pb) | (na & nb)"
-                if run.cls == "xor":
-                    out.append(
-                        f"        row[{p0}+k] = {straight};\n"
-                        f"        row[{n0}+k] = {inverted};\n"
-                    )
-                else:
-                    out.append(
-                        f"        row[{p0}+k] = {inverted};\n"
-                        f"        row[{n0}+k] = {straight};\n"
-                    )
-            else:  # mux: blocks SN, SP, PA, PB, NA, NB
-                out.append(
-                    f"        uint64_t sn = S[{o[0]}+k], sp = S[{o[1]}+k];\n"
-                    f"        row[{p0}+k] = (sn & S[{o[2]}+k]) | (sp & S[{o[3]}+k]);\n"
-                    f"        row[{n0}+k] = (sn & S[{o[4]}+k]) | (sp & S[{o[5]}+k]);\n"
-                )
-            out.append("    }\n")
-        # activity: A = changed | (is_x & (act0 | act1 [| act2 mux tail]))
-        mw = plan.mux_words
-        plain = wl - mw
-        body = (
-            "        uint64_t p = row[{p0}+k], n = row[NW+{p0}+k];\n"
-            "        uint64_t chg = (p ^ prev[{p0}+k]) | (n ^ prev[NW+{p0}+k]);\n"
-        ).format(p0=w0)
-        if plain:
-            out.append(f"    for (int k = 0; k < {plain}; ++k) {{\n")
-            out.append(body)
-            out.append(
-                f"        uint64_t act = S[{plan.act0_word}+k] | S[{plan.act1_word}+k];\n"
-                f"        row[2*NW+{w0}+k] = chg | ((p & n) & act);\n"
-                "    }\n"
-            )
-        if mw:
-            out.append(f"    for (int k = {plain}; k < {wl}; ++k) {{\n")
-            out.append(body)
-            out.append(
-                f"        uint64_t act = S[{plan.act0_word}+k] | S[{plan.act1_word}+k]"
-                f" | S[{plan.act2_word}+k-{plain}];\n"
-                f"        row[2*NW+{w0}+k] = chg | ((p & n) & act);\n"
-                "    }\n"
-            )
-        out.append("}\n")
-
-    out.append(
-        "\nstatic void settle_row(uint64_t *restrict row,"
-        " const uint64_t *restrict prev)\n{\n"
-        f"    uint64_t S[{scratch}];\n"
-        "    source_block(row, prev);\n"
-    )
-    for li in range(len(program.levels)):
-        out.append(f"    level_{li}(row, prev, S);\n")
-    out.append("}\n")
-
-    out.append(
-        "\nvoid repro_settle(uint64_t *state, const uint64_t *prev, long rows)\n"
-        "{\n"
-        "    for (long r = 0; r < rows; ++r)\n"
-        "        settle_row(state + (size_t)r*3*NW, prev + (size_t)r*3*NW);\n"
-        "}\n"
-    )
-    return "".join(out)
-
-
-# ----------------------------------------------------------------------
-# Build + cache
+# Build + load
 # ----------------------------------------------------------------------
 def find_compiler() -> list[str] | None:
     """The C compiler command to use, or ``None`` when none is present.
@@ -349,33 +161,12 @@ def find_compiler() -> list[str] | None:
     return None
 
 
-def compile_so(source: str) -> tuple[bytes, float]:
-    """Compile *source* to shared-object bytes; returns (bytes, seconds)."""
-    argv = find_compiler()
-    if argv is None:
-        raise NativeKernelError(
-            "no C compiler found (tried $CC, " + ", ".join(_COMPILERS) + ")"
-        )
-    started = time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="repro-native-") as tmp:
-        c_path = Path(tmp) / "kernel.c"
-        so_path = Path(tmp) / "kernel.so"
-        c_path.write_text(source)
-        proc = subprocess.run(
-            argv + list(_CFLAGS) + ["-o", str(so_path), str(c_path)],
-            capture_output=True,
-            text=True,
-        )
-        if proc.returncode != 0:
-            raise NativeKernelError(
-                f"C compile failed ({' '.join(argv)}): "
-                f"{proc.stderr.strip()[:500] or proc.stdout.strip()[:500]}"
-            )
-        try:
-            so_bytes = so_path.read_bytes()
-        except OSError as exc:
-            raise NativeKernelError(f"compiler produced no object: {exc}")
-    return so_bytes, time.perf_counter() - started
+def kernel_digest(argv: list[str]) -> str:
+    """Digest of what the shared object depends on: source, flags, compiler."""
+    h = hashlib.blake2b(digest_size=8)
+    for part in (SOURCE, *_CFLAGS, *argv):
+        h.update(part.encode() + b"\0")
+    return h.hexdigest()
 
 
 def _native_cache_dir() -> Path:
@@ -386,146 +177,199 @@ def _native_cache_dir() -> Path:
     return Path(runner.CACHE_DIR) / "native"
 
 
-def kernel_store():
-    """The artifact store holding compiled kernel bytes.
+class _Build:
+    """The shared object on disk, or the background compile that makes it.
 
-    A dedicated subdirectory (its entries are keyed by the *program*
-    fingerprint + :data:`KERNEL_VERSION`, not the runner's model
-    fingerprint) so the bench store's gc never mistakes live kernels for
-    stale results.
+    The compile runs on a daemon thread, so it finishes (and atomically
+    publishes the ``.so``) even when nobody waits for it.
     """
-    from repro.service.store import ArtifactStore
 
-    return ArtifactStore(_native_cache_dir(), fingerprint=None)
+    def __init__(self):
+        argv = find_compiler()
+        if argv is None:
+            raise NativeKernelError(
+                "no C compiler found (tried $CC, " + ", ".join(_COMPILERS) + ")"
+            )
+        self.path = _native_cache_dir() / f"{kernel_digest(argv)}.so"
+        self.build_s = 0.0
+        self.error: str | None = None
+        self.thread = None
+        if not self.path.is_file():
+            self.thread = threading.Thread(
+                target=self._compile, args=(argv,), daemon=True
+            )
+            self.thread.start()
 
-
-def build_kernel(program: NetlistProgram) -> tuple[Path, float, str]:
-    """Materialize the shared object for *program*.
-
-    Returns ``(path to .so, build seconds, fingerprint)``; build seconds
-    is 0.0 when the artifact store already held the bytes.
-    """
-    fingerprint = program_fingerprint(program)
-    directory = _native_cache_dir()
-    so_path = directory / f"{fingerprint}.so"
-    if so_path.is_file():
-        return so_path, 0.0, fingerprint
-    store = kernel_store()
-    key = f"nativekernel_{fingerprint}"
-    build_s = 0.0
-    try:
-        blob = store.get(key)
-        so_bytes = blob["so"]
-    except (KeyError, TypeError):
-        so_bytes, build_s = compile_so(generate_c(program))
-        store.put(
-            key,
-            {
-                "so": so_bytes,
-                "build_s": build_s,
-                "kernel_version": KERNEL_VERSION,
-            },
+    def _compile(self, argv: list[str]) -> None:
+        started = time.perf_counter()
+        scratch = self.path.with_name(
+            f"{self.path.stem}.tmp{os.getpid()}-{threading.get_ident()}.so"
         )
-    directory.mkdir(parents=True, exist_ok=True)
-    scratch = so_path.with_name(
-        f"{so_path.name}.tmp{os.getpid()}-{threading.get_ident()}"
-    )
-    try:
-        scratch.write_bytes(so_bytes)
-        os.replace(scratch, so_path)
-    except BaseException:
         try:
-            scratch.unlink()
-        except OSError:
-            pass
-        raise
-    return so_path, build_s, fingerprint
-
-
-def _load_so(so_path: Path):
-    """dlopen the kernel; returns ``call(state, prev, rows)``.
-
-    cffi ABI mode when available (releases the GIL, zero-copy buffer
-    casts); plain ctypes otherwise.  Both paths raise
-    :class:`NativeKernelError` on a load failure.
-    """
-    try:
-        import cffi
-    except ImportError:
-        cffi = None
-    if cffi is not None:
-        try:
-            ffi = cffi.FFI()
-            ffi.cdef(
-                "void repro_settle(uint64_t *state, const uint64_t *prev,"
-                " long rows);"
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            proc = subprocess.run(
+                argv + list(_CFLAGS) + ["-o", str(scratch), "-x", "c", "-"],
+                input=SOURCE,
+                capture_output=True,
+                text=True,
             )
-            lib = ffi.dlopen(str(so_path))
-        except Exception as exc:
-            raise NativeKernelError(f"cffi dlopen failed: {exc}")
+            if proc.returncode != 0:
+                self.error = (
+                    f"C compile failed ({argv[0]}): "
+                    f"{(proc.stderr or proc.stdout).strip()[:500]}"
+                )
+            else:
+                os.replace(scratch, self.path)
+        except OSError as exc:
+            self.error = f"C compile failed ({argv[0]}): {exc}"
+        finally:
+            scratch.unlink(missing_ok=True)
+        self.build_s = time.perf_counter() - started
 
-        def call(state, prev, rows, _lib=lib, _ffi=ffi):
-            _lib.repro_settle(
-                _ffi.cast("uint64_t *", _ffi.from_buffer(state)),
-                _ffi.cast("uint64_t *", _ffi.from_buffer(prev)),
-                rows,
-            )
+    def wait(self) -> tuple[Path, float]:
+        """(path to the .so, compile seconds: 0.0 when it was cached)."""
+        if self.thread is not None:
+            self.thread.join()
+        if self.error:
+            raise NativeKernelError(self.error)
+        return self.path, self.build_s
 
-        return call
-    import ctypes
 
-    try:
-        lib = ctypes.CDLL(str(so_path))
-        fn = lib.repro_settle
-    except (OSError, AttributeError) as exc:
-        raise NativeKernelError(f"ctypes dlopen failed: {exc}")
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long]
-    fn.restype = None
+class _Program(ctypes.Structure):
+    """``struct program`` of :data:`SOURCE`."""
 
-    def call(state, prev, rows, _fn=fn):
-        _fn(state.ctypes.data, prev.ctypes.data, rows)
-
-    return call
+    _fields_ = [
+        (name, ctypes.c_int32)
+        for name in ("nw", "sw", "dff0", "dffw", "nlev", "scratch", "dff_gather")
+    ] + [
+        (name, ctypes.c_void_p)
+        for name in ("input_mask", "lev", "run", "start", "code", "zero")
+    ]
 
 
 class NativeKernel:
-    """A loaded per-netlist settle kernel."""
+    """The loaded settle kernel (one per process, shared by all netlists)."""
 
-    def __init__(self, fingerprint: str, call, build_s: float, so_path: Path):
-        self.fingerprint = fingerprint
-        self.call = call
-        #: compile seconds actually spent in this process (0.0 on a
-        #: cache hit) — surfaced by the perf harness
+    def __init__(self, path: Path, build_s: float):
+        try:
+            self.fn = ctypes.CDLL(str(path)).repro_settle
+        except (OSError, AttributeError) as exc:
+            raise NativeKernelError(f"cannot load {path}: {exc}") from None
+        self.fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long]
+        self.fn.restype = None
+        self.path = path
+        self.digest = path.stem
+        #: compile seconds actually spent in this process (0.0 when the
+        #: .so was already cached) — surfaced by the perf harness
         self.build_s = build_s
-        self.so_path = so_path
 
 
-#: loaded kernels by fingerprint — dlopen once per process, and the lib
-#: object must outlive every evaluator bound to it
-_KERNELS: dict[str, NativeKernel] = {}
-_KERNEL_LOCK = threading.Lock()
+_LOCK = threading.Lock()
+_KERNEL: NativeKernel | None = None
+_BUILD: _Build | None = None
 
 
-def kernel_for(program: NetlistProgram) -> NativeKernel:
-    """Build/load (and memoize) the kernel for *program*."""
-    fingerprint = program_fingerprint(program)
-    with _KERNEL_LOCK:
-        kernel = _KERNELS.get(fingerprint)
-        if kernel is None:
-            so_path, build_s, fingerprint = build_kernel(program)
-            kernel = NativeKernel(
-                fingerprint, _load_so(so_path), build_s, so_path
-            )
-            _KERNELS[fingerprint] = kernel
-        return kernel
+def start_build() -> None:
+    """Launch the compiler in the background unless the kernel is loaded,
+    cached, already compiling, or cannot be built (:func:`load_kernel`
+    then raises the reason)."""
+    global _BUILD
+    with _LOCK:
+        if _KERNEL is None and _BUILD is None:
+            try:
+                _BUILD = _Build()
+            except NativeKernelError:
+                pass
+
+
+def prefetch() -> None:
+    """:func:`start_build` if ``REPRO_ENGINE`` selects native (the default).
+
+    The kernel does not depend on the netlist, so callers start it before
+    elaborating one; a bad ``REPRO_ENGINE`` is left for whoever selects
+    the engine to report.
+    """
+    try:
+        if default_engine() == "native":
+            start_build()
+    except ValueError:
+        pass
+
+
+def load_kernel() -> NativeKernel:
+    """The process's kernel: loaded once, compiled first if not cached."""
+    global _KERNEL, _BUILD
+    with _LOCK:
+        if _KERNEL is None:
+            build, _BUILD = _BUILD or _Build(), None
+            _KERNEL = NativeKernel(*build.wait())
+        return _KERNEL
+
+
+#: uint8 single-bit mask -> its bit index
+_BIT_OF_MASK = np.zeros(256, dtype=np.int64)
+_BIT_OF_MASK[1 << np.arange(8)] = np.arange(8)
+
+
+def program_tables(program: NetlistProgram) -> tuple[_Program, list[np.ndarray]]:
+    """The ``struct program`` for *program*, plus the arrays it points to
+    (the caller keeps them alive)."""
+    nw = program.n_words
+    # every level's gather, then the DFF activity gather, as bit indices
+    # into a (3 * n_words)-word row
+    byte = np.concatenate(
+        [plan.gather_bytes for plan in program.levels] + [program.dff_act_bytes]
+    )
+    mask = np.concatenate(
+        [plan.gather_masks for plan in program.levels] + [program.dff_act_masks]
+    )
+    bits = byte.astype(np.int64) * 8 + _BIT_OF_MASK[mask]
+    if bits.size and bits.max() >= 1 << 25:
+        raise NativeKernelError("netlist too large for the kernel's gather codes")
+    n_gather = bits.size // 64
+    word = np.arange(bits.size) // 64
+    rail, offset = np.divmod(bits, nw * 64)
+    zero_bit = offset == 0
+    zero = np.zeros((3, n_gather * 64), dtype=np.uint8)
+    zero[rail[zero_bit], np.flatnonzero(zero_bit)] = 1
+    zero = np.packbits(zero, axis=-1, bitorder="little").view(np.uint64)
+    code = (bits << 6) | (np.arange(bits.size) & 63)
+    start = np.zeros(n_gather + 1, dtype=np.int32)
+    np.cumsum(np.bincount(word[~zero_bit], minlength=n_gather), out=start[1:])
+
+    lev, run = [], []
+    g0 = 0
+    for plan in program.levels:
+        lev += [
+            plan.word0, plan.words, g0, plan.scratch_words, len(run) // 10,
+            len(run) // 10 + len(plan.runs), plan.act0_word, plan.act1_word,
+            plan.act2_word or 0, plan.mux_words,
+        ]
+        g0 += plan.scratch_words
+        for r in plan.runs:
+            run += [r.res_word, r.words]
+            for blocks in _PRODUCTS[r.cls]:
+                run += [r.slot_words[block] for block in blocks]
+    arrays = [
+        np.ascontiguousarray(program.input_mask, dtype=np.uint64),
+        np.array(lev or [0], dtype=np.int32),
+        np.array(run or [0], dtype=np.int32),
+        start,
+        code[~zero_bit].astype(np.int32),
+        np.ascontiguousarray(zero.T),
+    ]
+    table = _Program(
+        nw, program.src_words, program.dff_word0, program.dff_words,
+        len(program.levels),
+        max(program.max_scratch_words, program.dff_words, 1), g0,
+        *(a.ctypes.data for a in arrays),
+    )
+    return table, arrays
 
 
 # ----------------------------------------------------------------------
 # Evaluator + fallback
 # ----------------------------------------------------------------------
-from repro.sim.bitplane import BitplaneEvaluator  # noqa: E402  (cycle-free)
-
-
 class NativeEvaluator(BitplaneEvaluator):
     """BitplaneEvaluator whose settle sweep is one native call.
 
@@ -545,13 +389,15 @@ class NativeEvaluator(BitplaneEvaluator):
         kernel: NativeKernel | None = None,
     ):
         super().__init__(netlist, program)
-        self.kernel = kernel or kernel_for(self.program)
-        self._native_prev: dict[tuple[int, ...], np.ndarray] = {}
+        self.kernel = kernel or load_kernel()
+        self._table, self._arrays = program_tables(self.program)
+        self._table_ptr = ctypes.addressof(self._table)
 
     def _prev_planes(self, lead: tuple[int, ...]) -> np.ndarray:
-        prev = self._native_prev.get(lead)
+        scratch = self._thread_scratch()
+        prev = scratch.get(lead)
         if prev is None:
-            prev = self._native_prev[lead] = np.zeros(
+            prev = scratch[lead] = np.zeros(
                 lead + (3, self.n_words), dtype=np.uint64
             )
         return prev
@@ -560,14 +406,19 @@ class NativeEvaluator(BitplaneEvaluator):
         np.copyto(self._prev_planes(planes.shape[:-2]), planes)
 
     def settle_and_mark(self, planes: np.ndarray) -> None:
+        if planes.dtype != np.uint64 or planes.shape[-2:] != (3, self.n_words):
+            raise ValueError(
+                f"expected (..., 3, {self.n_words}) uint64 planes, got "
+                f"{planes.shape} {planes.dtype}"
+            )
         lead = planes.shape[:-2]
         prev = self._prev_planes(lead)
-        rows = 1
-        for dim in lead:
-            rows *= dim
         contiguous = planes.flags["C_CONTIGUOUS"]
         state = planes if contiguous else np.ascontiguousarray(planes)
-        self.kernel.call(state, prev, rows)
+        self.kernel.fn(
+            self._table_ptr, state.ctypes.data, prev.ctypes.data,
+            prev.size // (3 * self.n_words),
+        )
         if not contiguous:
             planes[...] = state
 
@@ -595,18 +446,19 @@ def _reset_fallback_warning() -> None:
     _fallback_warned = False
 
 
-def evaluator_or_fallback(
-    netlist: Netlist, program: NetlistProgram | None = None
-):
+def evaluator_or_fallback(netlist: Netlist, bitplane=None):
     """A :class:`NativeEvaluator`, or a bitplane one when builds fail.
 
-    The compiled program is shared between the attempt and the fallback,
-    so a degraded environment pays no extra compile.  Never raises for
-    missing toolchains — the paper pipeline must run anywhere.
+    *bitplane* returns the :class:`BitplaneEvaluator` whose compiled
+    program is shared and which is the fallback (default: a new one).  It
+    runs while the compiler does, so a cold build overlaps the schedule
+    compile.  Never raises for missing toolchains — the paper pipeline
+    must run anywhere.
     """
-    program = program or NetlistProgram(netlist)
+    start_build()
+    base = bitplane() if bitplane else BitplaneEvaluator(netlist)
     try:
-        return NativeEvaluator(netlist, program)
+        return NativeEvaluator(netlist, base.program)
     except NativeKernelError as exc:
         warn_fallback(exc)
-        return BitplaneEvaluator(netlist, program)
+        return base

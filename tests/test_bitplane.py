@@ -343,7 +343,7 @@ class TestPackedTraceReductions:
 class TestEngineSelection:
     def test_default_engine_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert default_engine() == "bitplane"
+        assert default_engine() == "native"
         monkeypatch.setenv("REPRO_ENGINE", "reference")
         assert default_engine() == "reference"
         monkeypatch.setenv("REPRO_ENGINE", "tables")

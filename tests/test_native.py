@@ -1,31 +1,35 @@
-"""Native C kernel engine: codegen identity, surgery pins, fallback.
+"""Native C kernel engine: gate identity, surgery pins, fallback, cache.
 
 Four tiers, mirroring the engine's soundness argument:
 
 1. **Gate kernels, exhaustively**: every kind over every 3-valued input
-   combination through the *generated C* must match the scalar truth
-   functions — the emitted formulas (and the copy-class rail folding of
-   BUF/NOT) are proven by enumeration, independent of the numpy tape.
+   combination through the *compiled C kernel* must match the scalar
+   truth functions — the kernel's run formulas (and the copy-class rail
+   folding of BUF/NOT) are proven by enumeration, independent of the
+   numpy tape.
 2. **Schedule-surgery pins**: BUF/NOT chains collapse to a rail
    permutation of their root; the collapsed schedule must still produce
    reference values/activity for every input, on both packed engines.
 3. **Randomized + whole-tree equivalence**: random DAGs settle
-   bit-identically to the bitplane tape (scalar and batched shapes), and
-   on all 14 benchmarks the native engine reproduces the bitplane
-   execution tree — values, A plane, memo ``state_bytes`` (fork targets
-   *are* the memo keys) — plus the golden analysis floats.  Together
-   with ``test_differential``'s bitplane ≡ reference pins this closes
-   native ≡ bitplane ≡ reference; one direct native ≡ reference probe
-   guards the transitivity argument itself.
+   bit-identically to the bitplane tape (scalar and batched shapes, valid
+   encodings and raw random planes), and on all 14 benchmarks the native
+   engine reproduces the bitplane execution tree — values, A plane, memo
+   ``state_bytes`` (fork targets *are* the memo keys) — plus the golden
+   analysis floats.  Together with ``test_differential``'s bitplane ≡
+   reference pins this closes native ≡ bitplane ≡ reference; one direct
+   native ≡ reference probe guards the transitivity argument itself.
 4. **Degradation**: a monkeypatched compiler-less host falls back to the
    bitplane engine with exactly one warning and identical results.
 
-Toy-netlist kernels build into a per-test temp cache; the real CPU
-kernel builds once into the shared store (`.repro_cache/native`) and is
-reused by every later session.
+The kernel source never depends on the netlist, so one shared object,
+built once per process (about 0.1 s), serves the toy netlists and the
+CPU alike.
 """
 
+import hashlib
 import itertools
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -43,26 +47,31 @@ from repro.power.model import PowerModel
 from repro.sim import native
 from repro.sim.bitplane import ENGINES, BitplaneEvaluator, make_evaluator
 from repro.sim.evaluator import LevelizedEvaluator
-from repro.sim.native import (
-    NativeEvaluator,
-    NativeKernelError,
-    program_fingerprint,
-)
+from repro.sim.native import NativeEvaluator, NativeKernelError
 from test_bitplane import TWO_INPUT_FUNCS, random_netlist, settle_sources
 from test_differential import GOLDEN, REL, assert_trees_identical
 
 
 @pytest.fixture()
 def toy_cache(tmp_path, monkeypatch):
-    """Route toy-netlist kernels to a throwaway store (the in-process
-    kernel registry still dedupes fingerprints across tests)."""
+    """Route kernel builds to a throwaway cache (a kernel already loaded
+    in this process is still reused)."""
     from repro.bench import runner
 
     monkeypatch.setattr(runner, "CACHE_DIR", tmp_path / "cache")
+    return tmp_path / "cache"
+
+
+@pytest.fixture()
+def unloaded(toy_cache, monkeypatch):
+    """No kernel loaded or compiling in this process (restored after)."""
+    monkeypatch.setattr(native, "_KERNEL", None)
+    monkeypatch.setattr(native, "_BUILD", None)
+    return toy_cache
 
 
 # ----------------------------------------------------------------------
-# Tier 1: generated C per gate kind, exhaustively
+# Tier 1: the C kernel per gate kind, exhaustively
 # ----------------------------------------------------------------------
 class TestGeneratedGateKernelsExhaustive:
     def test_two_input_kinds(self, toy_cache):
@@ -227,6 +236,34 @@ class TestRandomizedNativeEquivalence:
                     results[0]
                 ) == evaluator.state_bytes(results[1])
 
+    def test_rejects_planes_of_another_shape(self, cpu):
+        evaluator = cpu.evaluator_for("native")
+        with pytest.raises(ValueError, match="uint64 planes"):
+            evaluator.settle_and_mark(
+                np.zeros((2, 3, evaluator.n_words - 1), dtype=np.uint64)
+            )
+        with pytest.raises(ValueError, match="uint64 planes"):
+            evaluator.settle_and_mark(evaluator.fresh_planes().view(np.int64))
+
+    @pytest.mark.parametrize("lead", [(), (1,), (8,), (32,)])
+    def test_raw_random_planes_match_bitplane(self, lead, toy_cache, cpu):
+        """Arbitrary P/N/A words (pads and the zero bit included) settle
+        identically on the CPU's schedule: the kernel's zero-bit shortcut
+        reads the rails it replaces, it does not assume them."""
+        rng = np.random.default_rng(70 + sum(lead))
+        bitplane = cpu.evaluator_for("bitplane")
+        evaluator = NativeEvaluator(cpu.netlist, bitplane.program)
+        shape = lead + (3, bitplane.n_words)
+        prev = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+        state = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+        results = []
+        for engine in (bitplane, evaluator):
+            engine.stash_prev(prev)
+            planes = state.copy()
+            engine.settle_and_mark(planes)
+            results.append(planes)
+        assert np.array_equal(results[0], results[1])
+
 
 @pytest.fixture(scope="module", params=sorted(ALL_BENCHMARKS))
 def native_trees(request, cpu):
@@ -304,7 +341,7 @@ class TestBenchmarkTreesIdentical:
 # ----------------------------------------------------------------------
 class TestFallback:
     def test_no_compiler_falls_back_with_one_warning(
-        self, toy_cache, monkeypatch
+        self, unloaded, monkeypatch
     ):
         monkeypatch.setattr(native, "find_compiler", lambda: None)
         native._reset_fallback_warning()
@@ -334,14 +371,12 @@ class TestFallback:
         expected, got = settle_sources(evaluator, reference, values)
         assert np.array_equal(got, expected)
 
-    def test_build_failure_raises_kernel_error(self, toy_cache, monkeypatch):
-        def broken(_source):
-            raise NativeKernelError("simulated compile explosion")
-
-        monkeypatch.setattr(native, "compile_so", broken)
+    def test_build_failure_raises_kernel_error(self, unloaded, monkeypatch):
+        monkeypatch.setattr(native, "SOURCE", "#error simulated breakage\n")
         netlist = random_netlist(160, seed=62)
-        with pytest.raises(NativeKernelError):
+        with pytest.raises(NativeKernelError, match="simulated breakage"):
             NativeEvaluator(netlist)
+        assert not list(unloaded.glob("native/*")), "scratch files left"
         native._reset_fallback_warning()
         with pytest.warns(RuntimeWarning, match="falling back"):
             evaluator = native.evaluator_or_fallback(netlist)
@@ -416,24 +451,95 @@ class TestEnginePlumbing:
 # Kernel cache behavior
 # ----------------------------------------------------------------------
 class TestKernelCache:
-    def test_fingerprint_tracks_schedule(self):
-        n1 = random_netlist(150, seed=64)
-        n2 = random_netlist(150, seed=65)
-        p1 = BitplaneEvaluator(n1).program
-        p2 = BitplaneEvaluator(n2).program
-        assert program_fingerprint(p1) == program_fingerprint(p1)
-        assert program_fingerprint(p1) != program_fingerprint(p2)
+    def test_one_library_serves_every_netlist(self, toy_cache, cpu):
+        """One build per process: a toy netlist and the CPU settle
+        through the same loaded library, each with its own tables."""
+        toy = NativeEvaluator(random_netlist(150, seed=64))
+        real = cpu.evaluator_for("native")
+        assert toy.kernel is real.kernel is native.load_kernel()
+        assert real.kernel.digest == native.kernel_digest(
+            native.find_compiler()
+        )
+        assert toy._table.nw != real._table.nw
 
-    def test_kernel_reloaded_from_store_bytes(self, toy_cache):
-        """Second build of the same program pays no compile: the bytes
-        come back from the artifact store and load to a working kernel."""
-        netlist = random_netlist(130, seed=66)
-        program = BitplaneEvaluator(netlist).program
-        path1, build1, fp = native.build_kernel(program)
-        assert path1.is_file()
-        # drop the materialized .so but keep the store blob
-        path1.unlink()
-        path2, build2, fp2 = native.build_kernel(program)
-        assert fp2 == fp and path2.is_file()
-        assert build2 == 0.0  # store hit, no recompile
-        assert native._load_so(path2) is not None
+    def test_default_engine_is_native(self, cpu, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert isinstance(cpu.evaluator_for(None), NativeEvaluator)
+
+    def test_cold_build_then_cached_load(self, unloaded):
+        native.start_build()  # the compiler runs in the background
+        assert native._BUILD is not None and native._BUILD.thread is not None
+        kernel = native.load_kernel()
+        assert kernel.build_s > 0.0
+        assert kernel.path.parent == unloaded / "native"
+        assert [p.name for p in kernel.path.parent.iterdir()] == [
+            kernel.path.name
+        ]
+        # a new process (simulated) dlopens the cached object, no compile
+        native._KERNEL = None
+        again = native.load_kernel()
+        assert again.path == kernel.path and again.build_s == 0.0
+
+    def test_digest_tracks_source_flags_and_compiler(self, monkeypatch):
+        base = native.kernel_digest(["cc"])
+        assert native.kernel_digest(["cc"]) == base
+        assert native.kernel_digest(["clang"]) != base
+        monkeypatch.setattr(native, "_CFLAGS", native._CFLAGS + ("-g",))
+        assert native.kernel_digest(["cc"]) != base
+        monkeypatch.undo()
+        monkeypatch.setattr(native, "SOURCE", native.SOURCE + "\n")
+        assert native.kernel_digest(["cc"]) != base
+
+
+# ----------------------------------------------------------------------
+# Threads sharing one CPU (repro serve --backend thread, suite jobs)
+# ----------------------------------------------------------------------
+THREADED = ("mult", "FFT", "intAVG", "tea8")
+
+
+def _tree_digest(tree) -> bytes:
+    h = hashlib.blake2b(digest_size=16)
+    h.update(tree.flat_trace.values_matrix().tobytes())
+    h.update(tree.flat_trace.active_matrix().tobytes())
+    return h.digest()
+
+
+@pytest.mark.parametrize("engine", ["bitplane", "native"])
+def test_threads_exploring_on_one_cpu_match_serial(engine, cpu):
+    def run(name):
+        benchmark = get_benchmark(name)
+        return _tree_digest(
+            explore(
+                cpu,
+                benchmark.program(),
+                max_cycles=benchmark.max_cycles,
+                max_segments=benchmark.max_segments,
+                engine=engine,
+            )
+        )
+
+    serial = {name: run(name) for name in THREADED}
+    barrier = threading.Barrier(len(THREADED))
+    threaded: dict[str, object] = {}
+
+    def worker(name):
+        barrier.wait()
+        try:
+            threaded[name] = run(name)
+        except Exception as exc:  # surfaced by the assert below
+            threaded[name] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(name,)) for name in THREADED
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert threaded == serial
