@@ -15,20 +15,21 @@ need an explicit predecessor row per segment.
 
 Two engines implement the algorithm:
 
-* the **stacked** engine (the default) lays every segment out in one
-  2-D tensor — a context row holding the predecessor values followed by
-  the segment's cycles — so X-assignment covers *all* segments and *all*
-  same-parity cycles in one pass per parity, walked in cache-sized
-  blocks: each :attr:`~repro.power.model.PowerModel.TRACE_CHUNK_ROWS`
-  span of target rows is gathered, X-assigned, and priced before the
-  next (targets of one parity are independent, so blocking never changes
-  a float).  Context rows act as the segment-validity mask: their power
-  values are simply never gathered back.  (The padded
-  ``(n_segments, max_len, n_nets)`` formulation would waste
-  ``max_len/mean_len`` of the tensor on padding; interleaving context
-  rows keeps the stack dense with identical semantics.)
-* the **scalar** engine walks segments one at a time with a per-cycle
-  Python loop — the original reference, retained for differential tests.
+* the **stacked** engine (the default) works on the dual-rail uint64 P/N
+  planes the explorer records (:meth:`Trace.values_matrix` with
+  ``packed=True``; unpacked traces are packed once in plain net order).
+  Every segment is laid out as a context row holding its predecessor
+  followed by its cycles; the stack is an index over the flat packed
+  trace (each cycle's predecessor row), never a copy.  One parity's
+  targets are independent, so all of them — across all segments — are
+  X-assigned with word-wise bit ops (:func:`assign_planes`, 64 nets per
+  op) and priced per :attr:`~repro.power.model.PowerModel.TRACE_CHUNK_ROWS`
+  block: only the rising and falling edge words are unpacked, one at a
+  time, into the shared einsum kernel.  The witness profiles are
+  assigned on the same planes and unpacked once per parity.
+* the **scalar** engine walks segments one at a time over uint8 trit
+  rows with a per-cycle Python loop — the original reference, retained
+  as the slow oracle for differential tests.
 
 Both produce bit-identical results: same even/odd profiles, same peak
 trace, same per-module breakdowns.
@@ -121,7 +122,7 @@ def maximize_parity(
     other (targets of one parity are two rows apart, and each touches only
     itself and its predecessor row), which is what lets the stacked engine
     process every target of every segment in one shot — see
-    :func:`_assign_parity_pairs`.
+    :func:`assign_planes`.
     """
     assigned = values.copy()
     n_cycles = values.shape[0]
@@ -142,39 +143,41 @@ def maximize_parity(
     return assigned
 
 
-def _assign_parity_pairs(
-    stacked: np.ndarray,
+def assign_planes(
+    prev: np.ndarray,
+    cur: np.ndarray,
     active: np.ndarray,
-    target_rows: np.ndarray,
     max_prev: np.ndarray,
     max_cur: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """X-assign one parity's (predecessor, target) row pairs in bulk.
+    """X-assign (predecessor, target) row pairs on dual-rail planes.
 
-    Returns the assigned ``(prev, cur)`` pair matrices for
-    ``target_rows - 1`` / ``target_rows``.  Every target touches only
-    itself and its predecessor, and targets of one parity are two rows
-    apart, so all pairs — across all segments — resolve in four masked
-    in-place copies, no per-cycle Python loop.  ``np.copyto`` rather than
-    ``np.where`` chains: the selections are sparse in real traces, and
-    copyto streams the mask once instead of materializing blended
-    intermediates.
+    :func:`maximize_parity`'s rules as word-wise bit ops over rail-major
+    ``(2, rows, n_words)`` P/N planes, with the targets' ``(rows,
+    n_words)`` activity words and the packed P words of the model's
+    ``max_prev``/``max_cur`` (1 where the max-power transition starts or
+    ends at 1).  X is ``P & N``.  In an active bit, X on both sides takes
+    the max-power transition; X on one side becomes the rail swap of the
+    known other side, completing a toggle.  Assigning only resolves an X
+    (1, 1) to 0 (0, 1) or 1 (1, 0), so every rule just clears a rail.
+    Returns the assigned ``(prev, cur)`` copies.
     """
-    cur = stacked[target_rows]
-    prv = stacked[target_rows - 1]
-    act = active[target_rows]
-    cur_x = cur == X
-    prev_x = prv == X
-    both = act & cur_x & prev_x
-    only_cur = act & cur_x & ~prev_x
-    only_prev = act & prev_x & ~cur_x
-    # 1 - v is only selected where v is known 0/1; X lanes wrap harmlessly.
-    np.copyto(cur, 1 - prv, where=only_cur)
-    np.copyto(prv, 1 - cur, where=only_prev)  # only_prev excludes cur_x, so
-    # cur is original there despite the line above (only_cur needs cur_x).
-    np.copyto(cur, np.broadcast_to(max_cur, cur.shape), where=both)
-    np.copyto(prv, np.broadcast_to(max_prev, prv.shape), where=both)
-    return prv, cur
+    prev_p, prev_n = prev
+    cur_p, cur_n = cur
+    prev_x = prev_p & prev_n
+    cur_x = cur_p & cur_n
+    both = active & prev_x & cur_x
+    only_cur = active & cur_x & ~prev_x
+    only_prev = active & prev_x & ~cur_x
+    new_prev = np.stack([
+        prev_p & ~((only_prev & ~cur_n) | (both & ~max_prev)),
+        prev_n & ~((only_prev & ~cur_p) | (both & max_prev)),
+    ])
+    new_cur = np.stack([
+        cur_p & ~((only_cur & ~prev_n) | (both & ~max_cur)),
+        cur_n & ~((only_cur & ~prev_p) | (both & max_cur)),
+    ])
+    return new_prev, new_cur
 
 
 def compute_peak_power(
@@ -221,7 +224,6 @@ def _finish(
     module_mw: dict[str, np.ndarray],
     witness_builder,
     vcd_dir: str | Path | None,
-    witnesses: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PeakPowerResult:
     """Shared tail of both engines: segment sums, VCDs, result object."""
     segment_energy = np.zeros(len(tree.segments))
@@ -243,11 +245,6 @@ def _finish(
         segment_energy_pj=segment_energy,
         witness_builder=witness_builder,
     )
-    if witnesses is not None:
-        # the engine already assembled the profiles as a byproduct —
-        # pre-seed the cache so a VCD request does not recompute them
-        result._witness_cache = witnesses
-
     if vcd_dir is not None:  # the VCD dump is a witness request
         directory = Path(vcd_dir)
         directory.mkdir(parents=True, exist_ok=True)
@@ -263,68 +260,71 @@ def _finish(
 
 
 # ----------------------------------------------------------------------
-# Stacked engine: all segments, one tensor, one power evaluation per parity.
+# Stacked engine: all segments on the packed planes, one pass per parity.
 # ----------------------------------------------------------------------
-def _stack_layout(tree: ExecutionTree):
-    """Context-interleaved segment stack shared by pricing and witnesses.
+def _plane_stack(tree: ExecutionTree):
+    """The context-interleaved segment stack over the packed flat trace.
 
-    Lays every non-empty segment out as [context row, cycle rows...]; the
-    context row carries the predecessor values (the parent's last cycle)
-    so the transition into a segment's first cycle is priced correctly.
-    Returns ``(stacked, stacked_active, stacked_mem, data_rows,
-    local_index)`` where *data_rows* maps flat cycles to stack rows and
-    *local_index* is the 1-based row within each segment.
+    Returns ``(order, values, active, pred, local)``: the trace's
+    :attr:`~repro.netlist.program.BitOrder.live_bytes` order, its
+    rail-major ``(2, n_cycles, n_words)`` P/N planes and ``(n_cycles,
+    n_words)`` activity words in that order, the flat row holding each
+    cycle's predecessor (the context row: the parent's last cycle for a
+    segment's first cycle, the cycle itself for the root's), and each
+    cycle's 1-based row within its segment.
     """
     flat = tree.flat_trace
-    values = flat.values_matrix()
-    active = flat.active_matrix()
-    mem_accesses = flat.mem_accesses()
     n_cycles = len(flat)
-    n_nets = values.shape[1]
-    live = [s for s in tree.segments if s.n_cycles]
-    total_rows = n_cycles + len(live)
-    stacked = np.empty((total_rows, n_nets), dtype=values.dtype)
-    stacked_active = np.zeros((total_rows, n_nets), dtype=bool)
-    stacked_mem = np.zeros((total_rows, 2))
-    data_rows = np.empty(n_cycles, dtype=np.int64)  # flat cycle -> stack row
-    local_index = np.empty(n_cycles, dtype=np.int64)  # 1-based row in segment
-    row = 0
-    for segment in live:
-        sl = tree.segment_slice(segment)
+    pred = np.arange(-1, n_cycles - 1)
+    local = np.empty(n_cycles, dtype=np.int64)
+    for segment in tree.segments:
+        if not segment.n_cycles:
+            continue
+        start = segment.flat_start
         if segment.parent is None:
-            context = values[sl.start]  # root: no predecessor transition
+            pred[start] = start  # root: no predecessor transition
         else:
             parent = tree.segments[segment.parent[0]]
-            context = values[parent.flat_start + parent.n_cycles - 1]
-        stacked[row] = context
-        block = slice(row + 1, row + 1 + segment.n_cycles)
-        stacked[block] = values[sl]
-        stacked_active[block] = active[sl]
-        stacked_mem[block] = mem_accesses[sl]
-        data_rows[sl] = np.arange(block.start, block.stop)
-        local_index[sl] = np.arange(1, segment.n_cycles + 1)
-        row += 1 + segment.n_cycles
-    return stacked, stacked_active, stacked_mem, data_rows, local_index
+            pred[start] = parent.flat_start + parent.n_cycles - 1
+        local[start : start + segment.n_cycles] = np.arange(
+            1, segment.n_cycles + 1
+        )
+    order = flat.bit_order.live_bytes
+    planes = order.compact(flat.values_matrix(packed=True))
+    values = np.ascontiguousarray(planes.transpose(1, 0, 2))
+    active = order.compact(flat.active_matrix(packed=True))
+    return order, values, active, pred, local
+
+
+def _max_planes(model: PowerModel, order) -> tuple[np.ndarray, np.ndarray]:
+    """P words of the max-power transition's start and end values."""
+    return (
+        order.pack_values(model.max_prev)[0],
+        order.pack_values(model.max_cur)[0],
+    )
 
 
 def _stacked_witnesses(
     tree: ExecutionTree, model: PowerModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(even, odd) witness profiles, rebuilt from the tree on demand."""
-    stacked, stacked_active, _mem, data_rows, local_index = _stack_layout(tree)
-    odd_local = local_index % 2 == 1
+    """(even, odd) witness profiles: each parity X-assigned in full on
+    the planes, then unpacked once."""
+    order, values, active, pred, local = _plane_stack(tree)
+    max_prev, max_cur = _max_planes(model, order)
     profiles: list[np.ndarray] = []
-    for parity_mask in (odd_local, ~odd_local):
-        target_rows = data_rows[parity_mask]
-        new_prv, new_cur = _assign_parity_pairs(
-            stacked, stacked_active, target_rows, model.max_prev, model.max_cur
+    for parity_mask in (local % 2 == 1, local % 2 == 0):
+        targets = np.flatnonzero(parity_mask)
+        new_prev, new_cur = assign_planes(
+            values.take(pred[targets], axis=1), values.take(targets, axis=1),
+            active[targets], max_prev, max_cur,
         )
-        # Unmodified rows + this parity's assigned pairs, gathered back to
-        # the flat layout.
-        assigned = stacked.copy()
-        assigned[target_rows] = new_cur
-        assigned[target_rows - 1] = new_prv
-        profiles.append(assigned[data_rows])
+        assigned = values.copy()
+        assigned[:, targets] = new_cur
+        # a segment's first target takes its predecessor from the context
+        # row, which belongs to no profile row
+        inner = local[targets] > 1
+        assigned[:, targets[inner] - 1] = new_prev[:, inner]
+        profiles.append(order.unpack_trits(assigned[0], assigned[1]))
     odd_full, even_full = profiles
     return even_full, odd_full
 
@@ -347,72 +347,53 @@ def _compute_stacked(
             {name: np.zeros(0) for name in module_names},
             lambda: (empty.copy(), empty.copy()), vcd_dir,
         )
-    stacked, stacked_active, stacked_mem, data_rows, local_index = (
-        _stack_layout(tree)
-    )
+    order, values, active, pred, local = _plane_stack(tree)
+    max_prev, max_cur = _max_planes(model, order)
+    mem_accesses = flat.mem_accesses()
 
     # One maximization + one power evaluation per parity, walked in
     # cache-sized blocks.  Parity 1 targets local rows 1,3,5..., parity 0
     # rows 2,4,...  The peak trace takes cycle c from the profile that
     # targeted c's parity, so each profile is priced only at its own
     # target rows — a parity-indexed scatter replaces the per-cycle
-    # choice loop.  Each block gathers, X-assigns, and prices one
-    # TRACE_CHUNK_ROWS span of target rows before moving on
-    # (:meth:`PowerModel.pair_power` pulls the pairs per chunk): every
-    # target touches only itself and its own predecessor row and the
-    # assignment writes only into the gathered copies, so blocks are
-    # independent — the big Viterbi/PI stacks never materialize the
-    # full-parity (targets, n_nets) pair/mask temporaries that made the
-    # sweep bandwidth-bound, and the floats are bit-identical because
-    # the pricing kernel sees the same rows in the same chunk spans.
-    # The full witness profiles are *not* assembled here; the witness
-    # builder recomputes them from the tree if anyone asks.
-    odd_local = local_index % 2 == 1
+    # choice loop.  :meth:`PowerModel.pair_power` pulls one
+    # TRACE_CHUNK_ROWS block of target pairs at a time, gathered and
+    # X-assigned on the planes; every target touches only itself and its
+    # own predecessor and the assignment writes only into the gathered
+    # copies, so blocks are independent and the floats are bit-identical
+    # at any block size.  The full witness profiles are *not* assembled
+    # here; the witness builder recomputes them if anyone asks.
+    odd_local = local % 2 == 1
     peak_trace = np.empty(n_cycles)
     module_mw = {name: np.empty(n_cycles) for name in module_names}
-    profiles: list[np.ndarray] = []
     for parity_mask in (odd_local, ~odd_local):
         if cancel is not None:
             cancel.check()
         faults.hit("peakpower.segment")
-        target_rows = data_rows[parity_mask]
+        targets = np.flatnonzero(parity_mask)
 
         def pairs(start: int, stop: int):
-            return _assign_parity_pairs(
-                stacked, stacked_active, target_rows[start:stop],
-                model.max_prev, model.max_cur,
+            rows = targets[start:stop]
+            return assign_planes(
+                values.take(pred[rows], axis=1), values.take(rows, axis=1),
+                active[rows], max_prev, max_cur,
             )
 
         power = model.pair_power(
             pairs,
-            len(target_rows),
-            stacked_mem[target_rows],
+            len(targets),
+            mem_accesses[targets],
             per_module=per_module,
             workers=workers,
+            bit_order=order,
         )
         peak_trace[parity_mask] = power.total_mw
         for name in module_names:
             module_mw[name][parity_mask] = power.module_mw[name]
-        if vcd_dir is not None:
-            # a VCD dump will need the witnesses immediately: assemble
-            # them from freshly computed full-parity pairs instead of
-            # re-deriving the whole layout later
-            new_prv, new_cur = _assign_parity_pairs(
-                stacked, stacked_active, target_rows,
-                model.max_prev, model.max_cur,
-            )
-            assigned = stacked.copy()
-            assigned[target_rows] = new_cur
-            assigned[target_rows - 1] = new_prv
-            profiles.append(assigned[data_rows])
 
-    witnesses = None
-    if vcd_dir is not None:
-        odd_full, even_full = profiles
-        witnesses = (even_full, odd_full)
     return _finish(
         tree, model, peak_trace, module_mw,
-        lambda: _stacked_witnesses(tree, model), vcd_dir, witnesses,
+        lambda: _stacked_witnesses(tree, model), vcd_dir,
     )
 
 

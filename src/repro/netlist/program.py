@@ -37,6 +37,7 @@ deterministic known 0 and never contribute activity.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -114,7 +115,122 @@ class LevelPlan:
     mux_words: int = 0
 
 
-class NetlistProgram:
+class BitOrder:
+    """Where each net's bit sits in a packed uint64 row.
+
+    The conversions between net-order rows (uint8 trits, bool flags) and
+    packed words.  A subclass sets ``n_nets`` and calls :meth:`_place`.
+    Bits that hold no net are pads: they pack as a known 0 (P=0, N=1)
+    and never as active, and unpacking drops them.
+    """
+
+    n_nets: int
+
+    def _place(self, pos_of: np.ndarray, n_bits: int) -> None:
+        self.n_bits = n_bits
+        self.n_words = n_bits // 64
+        self.pos_of = pos_of
+        self._byte_of = pos_of >> 3
+        self._shift_of = (pos_of & 7).astype(np.uint8)
+        #: uint64 mask words with 1s at real-net bit positions (pads and
+        #: the zero bit excluded) — for popcounts over whole planes
+        valid = np.zeros(n_bits, dtype=np.uint8)
+        valid[pos_of] = 1
+        self.valid_mask = np.packbits(valid, bitorder="little").view(np.uint64)
+
+    def pack_values(self, values: np.ndarray) -> np.ndarray:
+        """uint8 trit rows -> (..., 2, n_words) P/N planes."""
+        lead = values.shape[:-1]
+        trits = np.zeros(lead + (self.n_bits,), dtype=np.uint8)
+        trits[..., self.pos_of] = values
+        p = np.packbits(trits != 0, axis=-1, bitorder="little")
+        n = np.packbits(trits != 1, axis=-1, bitorder="little")
+        planes = np.stack([p.view(np.uint64), n.view(np.uint64)], axis=-2)
+        # pads (and the zero bit) must read as known 0: P=0, N=1
+        pad_n = ~self.valid_mask
+        planes[..., N_PLANE, :] |= pad_n
+        planes[..., P_PLANE, :] &= self.valid_mask
+        return planes
+
+    def pack_active(self, active: np.ndarray) -> np.ndarray:
+        """bool activity rows -> (..., n_words) A-plane words."""
+        lead = active.shape[:-1]
+        bits = np.zeros(lead + (self.n_bits,), dtype=np.uint8)
+        bits[..., self.pos_of] = active
+        return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+    @functools.cached_property
+    def live_bytes(self) -> "LiveBytes":
+        """This order with its all-pad bytes dropped (built once)."""
+        return LiveBytes(self)
+
+    def _net_bits(self, words: np.ndarray) -> np.ndarray:
+        """Word rows -> uint8 0/1 rows in net order: one byte gather per
+        net, then a shift, so pad bits are never expanded."""
+        raw = np.ascontiguousarray(words).view(np.uint8)
+        # np.take, not fancy indexing: the result must stay C-ordered, as
+        # einsum's row sums depend on the layout of its operand
+        bits = np.take(raw, self._byte_of, axis=-1)
+        bits >>= self._shift_of
+        bits &= 1
+        return bits
+
+    def unpack_trits(self, p_words: np.ndarray, n_words: np.ndarray) -> np.ndarray:
+        """P/N word rows -> uint8 trit rows in netlist net order."""
+        trits = self._net_bits(p_words)
+        trits += trits & self._net_bits(n_words)  # (0,1)->0, (1,0)->1, (1,1)->2
+        return trits
+
+    def unpack_bits(self, words: np.ndarray, dtype=bool) -> np.ndarray:
+        """A-plane (or any mask) word rows -> 0/1 rows in net order."""
+        bits = self._net_bits(words)
+        return bits.view(bool) if dtype is bool else bits.astype(dtype)
+
+
+class LiveBytes(BitOrder):
+    """*source*'s bit order with every byte that holds no net dropped.
+
+    The simulator's order pads each opcode run to whole words — about
+    three quarters of the ULP430's bits are pads — so whole-trace word
+    analyses (Algorithm 2) gather the live bytes once with
+    :meth:`compact` and run on words a third as wide.  Bytes keep their
+    order and their bits; the tail is filled with pad bytes.
+    """
+
+    def __init__(self, source: BitOrder):
+        self.n_nets = source.n_nets
+        live = source.valid_mask.view(np.uint8) != 0
+        keep = np.flatnonzero(live)
+        rank = np.searchsorted(keep, source.pos_of >> 3)
+        fill = np.flatnonzero(~live)[: -len(keep) % 8]
+        self.keep = np.concatenate([keep, fill])
+        self._place(rank * 8 + (source.pos_of & 7), len(self.keep) * 8)
+
+    def compact(self, words: np.ndarray) -> np.ndarray:
+        """``(..., n_words)`` rows in the source order -> this order."""
+        raw = np.ascontiguousarray(words).view(np.uint8)
+        return np.take(raw, self.keep, axis=-1).view(np.uint64)
+
+
+class NetOrder(BitOrder):
+    """The plain packing: net *i* at bit *i*, pads after the last net.
+
+    Traces recorded unpacked (the reference engine, hand-built traces)
+    pack in this order, so word-level analyses serve every trace.
+    """
+
+    def __init__(self, n_nets: int):
+        self.n_nets = n_nets
+        self._place(np.arange(n_nets, dtype=np.int64), _pad64(max(n_nets, 1)))
+
+
+@functools.cache
+def net_order(n_nets: int) -> NetOrder:
+    """The shared :class:`NetOrder` for *n_nets* nets."""
+    return NetOrder(n_nets)
+
+
+class NetlistProgram(BitOrder):
     """A netlist compiled into packed bit positions + a fused schedule.
 
     One program instance is immutable and shared by every
@@ -214,16 +330,8 @@ class NetlistProgram:
             plan.words = cursor // 64 - word0
             self.levels.append(plan)
 
-        self.n_bits = cursor
-        self.n_words = cursor // 64
-        self.pos_of = pos_of
         assert (pos_of >= 0).all(), "every net must receive a bit position"
-
-        #: uint64 mask words with 1s at real-net bit positions (pads and
-        #: the zero bit excluded) — for popcounts over whole planes
-        valid = np.zeros(self.n_bits, dtype=np.uint8)
-        valid[pos_of] = 1
-        self.valid_mask = np.packbits(valid, bitorder="little").view(np.uint64)
+        self._place(pos_of, cursor)
 
         #: INPUT-positions mask over the source words (the paper's
         #: "external inputs are active whenever X" rule)
@@ -458,48 +566,3 @@ class NetlistProgram:
             )
         plan.gather_bytes, plan.gather_masks = self._slot_table(slots)
         plan.scratch_words = len(slots) // 64
-
-    # ------------------------------------------------------------------
-    # Pack / unpack between netlist order (uint8 trits) and bit planes
-    # ------------------------------------------------------------------
-    def pack_values(self, values: np.ndarray) -> np.ndarray:
-        """uint8 trit rows -> (..., 2, n_words) P/N planes."""
-        lead = values.shape[:-1]
-        trits = np.zeros(lead + (self.n_bits,), dtype=np.uint8)
-        trits[..., self.pos_of] = values
-        p = np.packbits(trits != 0, axis=-1, bitorder="little")
-        n = np.packbits(trits != 1, axis=-1, bitorder="little")
-        planes = np.stack([p.view(np.uint64), n.view(np.uint64)], axis=-2)
-        # pads (and the zero bit) must read as known 0: P=0, N=1
-        pad_n = ~self.valid_mask
-        planes[..., N_PLANE, :] |= pad_n
-        planes[..., P_PLANE, :] &= self.valid_mask
-        return planes
-
-    def pack_active(self, active: np.ndarray) -> np.ndarray:
-        """bool activity rows -> (..., n_words) A-plane words."""
-        lead = active.shape[:-1]
-        bits = np.zeros(lead + (self.n_bits,), dtype=np.uint8)
-        bits[..., self.pos_of] = active
-        return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
-
-    def unpack_trits(self, p_words: np.ndarray, n_words: np.ndarray) -> np.ndarray:
-        """P/N word rows -> uint8 trit rows in netlist net order."""
-        pu = np.unpackbits(
-            np.ascontiguousarray(p_words).view(np.uint8),
-            axis=-1, bitorder="little",
-        )
-        nu = np.unpackbits(
-            np.ascontiguousarray(n_words).view(np.uint8),
-            axis=-1, bitorder="little",
-        )
-        trits = pu + (pu & nu)  # (0,1)->0, (1,0)->1, (1,1)->2
-        return np.take(trits, self.pos_of, axis=-1)
-
-    def unpack_bits(self, words: np.ndarray) -> np.ndarray:
-        """A-plane (or any mask) word rows -> bool rows in net order."""
-        bits = np.unpackbits(
-            np.ascontiguousarray(words).view(np.uint8),
-            axis=-1, bitorder="little",
-        )
-        return np.take(bits, self.pos_of, axis=-1).astype(bool)

@@ -157,11 +157,11 @@ class PowerModel:
     def activity_profile(self, trace) -> dict:
         """Per-cycle activity statistics of a simulation trace.
 
-        On bitplane-engine traces the counts come straight from the packed
-        activity words (``np.bitwise_count`` over uint64 planes, 64 nets
-        per word) without unpacking; reference traces fall back to bool
-        sums.  Both count the same paper-defined active set, so the stats
-        are engine-independent — the perf harness records them per
+        The counts come straight from the packed activity words
+        (``np.bitwise_count`` over uint64 planes, 64 nets per word;
+        reference traces are packed once in net order).  Every engine
+        counts the same paper-defined active set, so the stats are
+        engine-independent — the perf harness records them per
         benchmark as a cheap cross-engine consistency signal.
         """
         counts = trace.activity_counts()
@@ -186,43 +186,47 @@ class PowerModel:
             + mem_accesses[:, 1] * self.library.mem_write_energy_fj
         )
 
-    #: rows per transition-energy chunk in :meth:`trace_power`.  Bounds
-    #: the (chunk, n_nets) float64 working set to a few MB so evaluating a
-    #: whole stacked trace in one call stays cache-resident instead of
-    #: streaming hundreds of MB of temporaries; chunking is row-wise, so
-    #: results are bit-identical regardless of the chunk size.
-    TRACE_CHUNK_ROWS = 256
+    #: rows per transition-energy chunk in :meth:`trace_power` and
+    #: :meth:`pair_power`.  Bounds the (chunk, n_nets) float64 edge
+    #: matrix to about 3 MB on the ULP430, so it is still cache-resident
+    #: when the einsums read it back (Algorithm 2 on the multipath trees
+    #: ran ~15% faster than at 256 rows, 12 MB, on a 2-core x86-64 host);
+    #: chunking is row-wise, so results are bit-identical regardless of
+    #: the chunk size.
+    TRACE_CHUNK_ROWS = 64
 
-    def _transition_chunk(
-        self,
-        prev: np.ndarray,
-        cur: np.ndarray,
-        module_names: list[str],
+    def _price_chunk(
+        self, edges, module_names: list[str]
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Transition energies for paired value rows: totals + per-module.
+        """Transition energies of one chunk: totals + per-module.
 
-        The kernel behind both :meth:`trace_power` and
-        :meth:`transition_power`.  einsum, not ``@``: BLAS matvec blocks
-        by matrix shape, so its row sums would depend on how the trace was
-        chunked; einsum reduces each row identically whatever the chunk
-        height, keeping results bit-identical across engines, chunk sizes,
-        and row subsets.
+        The one pricing kernel.  *edges* yields the chunk's rising, then
+        its falling, edge matrix — ``(rows, n_nets)`` float64 0/1 in net
+        order; each is priced and dropped before the next is made, so
+        only one float chunk is alive at a time (the additions keep
+        their order: rising first).  einsum, not ``@``: BLAS matvec
+        blocks by matrix shape, so its row sums would depend on how the
+        trace was chunked; einsum reduces each row identically whatever
+        the chunk height, keeping results bit-identical across engines,
+        chunk sizes, and row subsets.
         """
-        toggled = prev != cur
-        rising = (toggled & (cur != 0)).astype(np.float64)
-        falling = (toggled & (cur == 0)).astype(np.float64)
+        rising = next(edges)
         totals = np.einsum("cn,n->c", rising, self.e_rise)
+        module_fj = {
+            name: np.einsum(
+                "ck,k->c", rising[:, self._module_cols[name]],
+                self._module_rise_w[name],
+            )
+            for name in module_names
+        }
+        del rising
+        falling = next(edges)
         totals += np.einsum("cn,n->c", falling, self.e_fall)
-        module_fj: dict[str, np.ndarray] = {}
         for name in module_names:
-            cols = self._module_cols[name]
-            series = np.einsum(
-                "ck,k->c", rising[:, cols], self._module_rise_w[name]
+            module_fj[name] += np.einsum(
+                "ck,k->c", falling[:, self._module_cols[name]],
+                self._module_fall_w[name],
             )
-            series += np.einsum(
-                "ck,k->c", falling[:, cols], self._module_fall_w[name]
-            )
-            module_fj[name] = series
         return totals, module_fj
 
     def _assemble_power(
@@ -275,24 +279,14 @@ class PowerModel:
         (einsum releases the GIL; every chunk writes a disjoint row
         range, so results are bit-identical at any worker count).
         """
-        n_rows = len(values_matrix)
-        totals = np.zeros(n_rows)
-        module_names = list(self.module_masks) if per_module else []
-        module_fj = {name: np.zeros(n_rows) for name in module_names}
 
-        def price(start: int, stop: int) -> None:
+        def pairs(start: int, stop: int):
             # Row start-1 supplies each chunk row's previous values.
-            chunk_totals, chunk_modules = self._transition_chunk(
-                values_matrix[start - 1 : stop - 1],
-                values_matrix[start:stop],
-                module_names,
-            )
-            totals[start:stop] = chunk_totals
-            for name in module_names:
-                module_fj[name][start:stop] = chunk_modules[name]
+            return values_matrix[start - 1 : stop - 1], values_matrix[start:stop]
 
-        self._map_chunks(price, 1, n_rows, workers)
-        return self._assemble_power(totals, module_fj, mem_accesses, per_module)
+        return self._price(
+            pairs, 1, len(values_matrix), mem_accesses, per_module, workers
+        )
 
     def transition_power(
         self,
@@ -307,10 +301,8 @@ class PowerModel:
         Row *i* prices the transition ``prev_rows[i] -> cur_rows[i]`` —
         same kernel, constants, and bit-exact results as
         :meth:`trace_power`, but over an arbitrary subset of a trace's
-        rows.  The stacked Algorithm 2 engine uses this to evaluate each
-        parity profile only at the rows the peak trace actually takes
-        from it, halving the energy-kernel work.  ``workers`` threads the
-        chunk loop exactly like :meth:`trace_power`.
+        rows.  ``workers`` threads the chunk loop exactly like
+        :meth:`trace_power`.
         """
 
         def pairs(start: int, stop: int):
@@ -327,37 +319,54 @@ class PowerModel:
         mem_accesses: np.ndarray | None = None,
         per_module: bool = False,
         workers: int = 1,
+        bit_order=None,
     ) -> PowerTrace:
         """Like :meth:`transition_power`, but *pulls* each chunk's
         ``(prev, cur)`` row pairs from ``pairs(start, stop)`` instead of
         receiving the full matrices up front.
 
-        This inverts the dataflow so a producer whose pairs are
-        *derived* (gathered, X-assigned) can do that work per chunk too:
-        the whole gather → assign → price pipeline then runs inside one
-        :attr:`TRACE_CHUNK_ROWS` working set instead of streaming
-        full-trace temporaries through memory — the blocked Algorithm 2
-        walk in :mod:`repro.core.peakpower` is the customer.  Chunks
-        cover disjoint row spans and each is priced by the same kernel
-        on the same rows whatever the chunk size, so results are
+        The pairs are uint8 trit rows in net order, or — when
+        *bit_order* (a :class:`~repro.netlist.program.BitOrder`) is
+        given — rail-major ``(2, rows, n_words)`` dual-rail P/N planes
+        in that order, whose edges are taken word-wise
+        (:func:`edge_planes`) and unpacked one edge matrix at a time.
+        Pulling lets a producer
+        whose pairs are *derived* (gathered, X-assigned) do that work
+        per chunk too: the whole gather → assign → price pipeline then
+        runs inside one :attr:`TRACE_CHUNK_ROWS` working set — the
+        Algorithm 2 walk in :mod:`repro.core.peakpower` is the customer.
+        Chunks cover disjoint row spans and each is priced by the same
+        kernel on the same rows whatever the chunk size, so results are
         bit-identical to the eager path at any worker count (``pairs``
         must therefore be pure per span, which a gather/assign of
         disjoint target rows is).
         """
+        return self._price(
+            pairs, 0, n_rows, mem_accesses, per_module, workers, bit_order
+        )
+
+    def _price(
+        self, pairs, first_row, n_rows, mem_accesses, per_module, workers,
+        bit_order=None,
+    ) -> PowerTrace:
+        """Price rows ``first_row..n_rows`` chunk by chunk (rows before
+        *first_row* stay 0) and fold in memory, clock and leakage."""
         totals = np.zeros(n_rows)
         module_names = list(self.module_masks) if per_module else []
         module_fj = {name: np.zeros(n_rows) for name in module_names}
 
         def price(start: int, stop: int) -> None:
-            prev_chunk, cur_chunk = pairs(start, stop)
-            chunk_totals, chunk_modules = self._transition_chunk(
-                prev_chunk, cur_chunk, module_names
-            )
+            prev, cur = pairs(start, stop)
+            if bit_order is None:
+                edges = _trit_edges(prev, cur)
+            else:
+                edges = _plane_edges(bit_order, prev, cur)
+            chunk_totals, chunk_modules = self._price_chunk(edges, module_names)
             totals[start:stop] = chunk_totals
             for name in module_names:
                 module_fj[name][start:stop] = chunk_modules[name]
 
-        self._map_chunks(price, 0, n_rows, workers)
+        self._map_chunks(price, first_row, n_rows, workers)
         return self._assemble_power(totals, module_fj, mem_accesses, per_module)
 
     def _map_chunks(self, price, first_row: int, n_rows: int, workers: int) -> None:
@@ -371,6 +380,37 @@ class PowerModel:
             for start in range(first_row, n_rows, chunk)
         ]
         map_spans(workers, spans, price)
+
+
+def edge_planes(
+    prev: np.ndarray, cur: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rising and falling edge words of rail-major ``(2, ..., n_words)``
+    dual-rail P/N plane rows.
+
+    ``tog = (Pp ^ Pc) | (Np ^ Nc)`` marks the bits whose trit differs
+    (X included); an edge rises where the current trit can be 1 (P set:
+    1 or X) and falls where it is 0 — exactly the trit rules
+    ``prev != cur``, ``cur != 0`` and ``cur == 0``.  Pads are known 0 in
+    both rows and never toggle.
+    """
+    tog = (prev[0] ^ cur[0]) | (prev[1] ^ cur[1])
+    return tog & cur[0], tog & ~cur[0]
+
+
+def _trit_edges(prev: np.ndarray, cur: np.ndarray):
+    """Rising, then falling, edges of uint8 trit rows, as float64."""
+    toggled = prev != cur
+    yield (toggled & (cur != 0)).astype(np.float64)
+    yield (toggled & (cur == 0)).astype(np.float64)
+
+
+def _plane_edges(bit_order, prev: np.ndarray, cur: np.ndarray):
+    """Rising, then falling, edges of P/N plane rows, unpacked to
+    net-order float64 one at a time."""
+    rise, fall = edge_planes(prev, cur)
+    yield bit_order.unpack_bits(rise, np.float64)
+    yield bit_order.unpack_bits(fall, np.float64)
 
 
 def design_tool_rating(

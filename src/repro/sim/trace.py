@@ -9,16 +9,22 @@ state) are attached by the CPU wrapper for the COI analysis of §3.5.
 Records come in two layouts:
 
 * **unpacked** — ``values`` (uint8 trits) and ``active`` (bool) rows in
-  netlist net order, as the scalar machine produces them, and
+  netlist net order, as the reference machine produces them, and
 * **packed** — dual-rail ``value_words`` (``(2, n_words)`` uint64 P/N
-  planes) plus ``active_words``, as the bit-plane engine's concrete
-  batches and the sharded explorer produce them.  Packed records unpack
-  **lazily** (per record on attribute access, or in one bulk
-  ``unpack_trits`` call for whole-trace matrices), so a concrete run to
-  halt never pays a per-cycle unpack for rows nobody reads per cycle.
+  planes) plus ``active_words``, as the bit-plane engines' explore and
+  concrete batches record them.  Packed records unpack **lazily** (per
+  record on attribute access, or in one bulk call for whole-trace
+  matrices), so a run never pays a per-cycle unpack for rows nobody
+  reads per cycle.
 
 Both layouts expose the same ``values``/``active`` attributes and produce
 bit-identical matrices; consumers never need to know which one they got.
+Whole-trace consumers can also stay packed: ``values_matrix(packed=True)``
+and ``active_matrix(packed=True)`` hand out the words in
+:attr:`Trace.bit_order` — the recording engine's order, or plain net
+order for unpacked traces, which are packed once at this boundary.
+Algorithm 2 (:mod:`repro.core.peakpower`) and the activity reductions
+work on those words.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
+
+from repro.netlist.program import net_order
 
 
 class CycleRecord:
@@ -97,7 +105,13 @@ class CycleRecord:
 
 
 class Trace:
-    """An ordered list of cycle records with matrix views for analysis."""
+    """An ordered list of cycle records with matrix views for analysis.
+
+    The matrix views come unpacked (net-order rows) or packed (words in
+    :attr:`bit_order`).  Either way a trace whose records all carry
+    packed words is converted in one vectorized call over the stacked
+    words; otherwise the rows are stacked (and packed once if asked).
+    """
 
     def __init__(self, n_nets: int):
         self.n_nets = n_nets
@@ -118,31 +132,63 @@ class Trace:
     def extend(self, other: "Trace") -> None:
         self.records.extend(other.records)
 
-    def values_matrix(self) -> np.ndarray:
-        """(n_cycles, n_nets) uint8 matrix of settled values (0/1/X).
+    @property
+    def bit_order(self):
+        """The bit order of :meth:`values_matrix`/:meth:`active_matrix`
+        with ``packed=True``: the recording engine's
+        :class:`~repro.netlist.program.NetlistProgram`, or plain net order
+        (:func:`~repro.netlist.program.net_order`) for unpacked traces."""
+        if self.packing is not None:
+            return self.packing
+        return net_order(self.n_nets)
 
-        Packed traces unpack in **one** vectorized call over the stacked
-        plane words instead of once per cycle — this is what lets packed
-        concrete runs defer all unpacking to the power-model boundary.
+    def values_matrix(self, packed: bool = False) -> np.ndarray:
+        """Settled values (0/1/X) of every cycle.
+
+        ``(n_cycles, n_nets)`` uint8 trits in net order, or with *packed*
+        ``(n_cycles, 2, n_words)`` uint64 P/N planes in :attr:`bit_order`.
+        When every record carries its plane words they are stacked as
+        they are — and unpacked in **one** vectorized call when rows are
+        asked for — whether or not some record already cached its row.
+        Otherwise the rows are stacked and, for *packed*, packed once.
         """
-        if self.packing is not None and self.records and all(
-            r._values is None and r.value_words is not None
-            for r in self.records
-        ):
-            words = np.stack([r.value_words for r in self.records])
-            return self.packing.unpack_trits(words[:, 0], words[:, 1])
-        return np.stack([r.values for r in self.records])
+        words = self._stacked_words("value_words")
+        if words is None:
+            rows = self._stacked_rows("values", np.uint8)
+            return self.bit_order.pack_values(rows) if packed else rows
+        if packed:
+            return words
+        return self.packing.unpack_trits(words[:, 0], words[:, 1])
 
-    def active_matrix(self) -> np.ndarray:
-        """(n_cycles, n_nets) bool matrix of the activity flags."""
-        if self.packing is not None and self.records and all(
-            r._active is None and r.active_words is not None
-            for r in self.records
-        ):
-            return self.packing.unpack_bits(
-                np.stack([r.active_words for r in self.records])
-            )
-        return np.stack([r.active for r in self.records])
+    def active_matrix(self, packed: bool = False) -> np.ndarray:
+        """Activity flags of every cycle.
+
+        ``(n_cycles, n_nets)`` bool in net order, or with *packed*
+        ``(n_cycles, n_words)`` uint64 A-plane words in :attr:`bit_order`;
+        same word-first rule as :meth:`values_matrix`.
+        """
+        words = self._stacked_words("active_words")
+        if words is None:
+            rows = self._stacked_rows("active", bool)
+            return self.bit_order.pack_active(rows) if packed else rows
+        if packed:
+            return words
+        return self.packing.unpack_bits(words)
+
+    def _stacked_words(self, attr: str) -> np.ndarray | None:
+        """Every record's packed *attr* words, stacked — or ``None``
+        unless the trace has a packing and every record has them."""
+        if self.packing is None or not self.records:
+            return None
+        words = [getattr(record, attr) for record in self.records]
+        if any(w is None for w in words):
+            return None
+        return np.stack(words)
+
+    def _stacked_rows(self, attr: str, dtype) -> np.ndarray:
+        if not self.records:
+            return np.zeros((0, self.n_nets), dtype=dtype)
+        return np.stack([getattr(record, attr) for record in self.records])
 
     def mem_accesses(self) -> np.ndarray:
         """(n_cycles, 2) array of [reads, writes] per cycle."""
@@ -153,44 +199,22 @@ class Trace:
     def annotation(self, key: str, default: Any = None) -> list[Any]:
         return [r.annotations.get(key, default) for r in self.records]
 
-    def _packed_active(self) -> np.ndarray | None:
-        """(n_cycles, n_words) packed activity, when every record has it."""
-        if self.packing is None or not self.records:
-            return None
-        if any(r.active_words is None for r in self.records):
-            return None
-        return np.stack([r.active_words for r in self.records])
-
     def toggled_any(self) -> np.ndarray:
         """Per-net flag: was the net active in *any* cycle of the trace?
 
-        This is the "potentially-toggled" gate set of Figure 3.4.  On
-        bitplane traces the union is taken over the packed activity words
-        (64 nets per OR) and unpacked once at the end.
+        This is the "potentially-toggled" gate set of Figure 3.4.  The
+        union is taken over the packed activity words (64 nets per OR)
+        and unpacked once at the end.
         """
-        packed = self._packed_active()
-        if packed is not None:
-            return self.packing.unpack_bits(
-                np.bitwise_or.reduce(packed, axis=0)
-            )
-        flags = np.zeros(self.n_nets, dtype=bool)
-        for record in self.records:
-            flags |= record.active
-        return flags
+        packed = self.active_matrix(packed=True)
+        return self.bit_order.unpack_bits(np.bitwise_or.reduce(packed, axis=0))
 
     def activity_counts(self) -> np.ndarray:
         """Number of active nets per cycle (the paper's activity rate).
 
-        Computed with ``np.bitwise_count`` over the packed activity words
-        when the trace came from the bitplane engine; falls back to
-        summing the bool rows otherwise.  Both paths count the same set.
+        Computed with ``np.bitwise_count`` over the packed activity
+        words; pads are never active, so this counts the net-order set.
         """
-        packed = self._packed_active()
-        if packed is not None:
-            from repro.sim.bitplane import popcount
+        from repro.sim.bitplane import popcount
 
-            return popcount(packed).astype(np.int64)
-        return np.array(
-            [int(record.active.sum()) for record in self.records],
-            dtype=np.int64,
-        )
+        return popcount(self.active_matrix(packed=True)).astype(np.int64)

@@ -327,7 +327,7 @@ class TestPackedTraceReductions:
         assert trace.packing is not None
         packed_toggled = trace.toggled_any()
         packed_counts = trace.activity_counts()
-        # strip the packed words: forces the bool fallback
+        # strip the packed words: the rows are packed in plain net order
         plain = Trace(machine.netlist.n_nets)
         plain.records = [
             CycleRecord(
@@ -338,6 +338,73 @@ class TestPackedTraceReductions:
         ]
         assert np.array_equal(packed_toggled, plain.toggled_any())
         assert np.array_equal(packed_counts, plain.activity_counts())
+
+
+class TestTraceMatrices:
+    @staticmethod
+    def packed_trace(n_cycles: int = 6):
+        netlist = random_netlist(120, seed=11)
+        program = BitplaneEvaluator(netlist).program
+        rng = np.random.default_rng(12)
+        values = rng.integers(0, 3, size=(n_cycles, netlist.n_nets), dtype=np.uint8)
+        active = rng.integers(0, 2, size=(n_cycles, netlist.n_nets)).astype(bool)
+        planes = program.pack_values(values)
+        words = program.pack_active(active)
+        trace = Trace(netlist.n_nets)
+        trace.packing = program
+        for cycle in range(n_cycles):
+            trace.append(CycleRecord(
+                cycle, value_words=planes[cycle], active_words=words[cycle],
+                packing=program,
+            ))
+        return trace, values, active
+
+    def test_bulk_unpack_survives_a_cached_row(self, monkeypatch):
+        """One record unpacked on its own (its row now cached) must not
+        push the whole trace onto the record-by-record path."""
+        trace, values, active = self.packed_trace()
+        program = trace.packing
+        assert np.array_equal(trace.records[2].values, values[2])
+        assert np.array_equal(trace.records[2].active, active[2])
+        calls = {"unpack_trits": 0, "unpack_bits": 0}
+        for name in calls:
+            def spy(*args, _name=name, _method=getattr(program, name)):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(program, name, spy)
+        assert np.array_equal(trace.values_matrix(), values)
+        assert np.array_equal(trace.active_matrix(), active)
+        assert calls == {"unpack_trits": 1, "unpack_bits": 1}
+
+    def test_packed_matrices_are_the_records_words(self):
+        trace, values, active = self.packed_trace()
+        planes = trace.values_matrix(packed=True)
+        words = trace.active_matrix(packed=True)
+        assert trace.bit_order is trace.packing
+        assert planes.shape == (len(values), 2, trace.packing.n_words)
+        assert np.array_equal(planes, trace.packing.pack_values(values))
+        assert np.array_equal(words, trace.packing.pack_active(active))
+
+    def test_unpacked_trace_packs_in_net_order(self):
+        trace, values, active = self.packed_trace()
+        plain = Trace(trace.n_nets)
+        for cycle, (row, flags) in enumerate(zip(values, active)):
+            plain.append(CycleRecord(cycle, row, flags))
+        order = plain.bit_order
+        assert np.array_equal(order.pos_of, np.arange(trace.n_nets))
+        planes = plain.values_matrix(packed=True)
+        words = plain.active_matrix(packed=True)
+        assert np.array_equal(order.unpack_trits(planes[:, 0], planes[:, 1]), values)
+        assert np.array_equal(order.unpack_bits(words), active)
+
+    def test_empty_trace_matrices(self):
+        trace = Trace(9)
+        assert trace.values_matrix().shape == (0, 9)
+        assert trace.values_matrix(packed=True).shape == (0, 2, 1)
+        assert trace.active_matrix(packed=True).shape == (0, 1)
+        assert not trace.toggled_any().any()
+        assert trace.activity_counts().shape == (0,)
 
 
 class TestEngineSelection:

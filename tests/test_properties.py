@@ -10,12 +10,16 @@ The X-based analysis is sound because of a refinement chain:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.peakpower import maximize_parity
+from repro.core.peakpower import assign_planes, maximize_parity
 from repro.logic import ONE, X, ZERO, refines
 from repro.netlist import NetlistBuilder
+from repro.netlist.core import Netlist
+from repro.netlist.program import NetlistProgram, net_order
+from repro.power.model import edge_planes
 from repro.sim import LevelizedEvaluator
 
 
@@ -90,6 +94,72 @@ class TestEvaluationMonotonicity:
             evaluator.eval_comb(concrete)
             for net in range(netlist.n_nets):
                 assert refines(int(concrete[net]), int(symbolic[net]))
+
+
+def toy_program() -> NetlistProgram:
+    """A small compiled netlist: every source block and opcode run is
+    padded to whole words, so its bit order has pad words and is far
+    from the identity."""
+    netlist = Netlist()
+    a = netlist.add_gate("INPUT")
+    b = netlist.add_gate("INPUT")
+    netlist.add_gate("CONST1")
+    q = netlist.add_gate("DFF", (a,))
+    x = netlist.add_gate("AND", (a, b))
+    y = netlist.add_gate("XOR", (x, q))
+    m = netlist.add_gate("MUX", (a, x, y))
+    netlist.add_gate("NOR", (m, b))
+    netlist.add_gate("NOT", (y,))
+    return NetlistProgram(netlist)
+
+
+class TestPackedXAssignment:
+    """Algorithm 2 on packed planes ≡ the trit reference, rule for rule:
+    :func:`assign_planes` then :func:`edge_planes` must give exactly
+    :func:`maximize_parity` followed by the uint8 edge rules
+    ``prev != cur`` / ``cur != 0`` (rising) / ``cur == 0`` (falling)."""
+
+    ORDERS = {"program": toy_program(), "net_order": net_order(13)}
+
+    def test_toy_program_has_pads(self):
+        program = self.ORDERS["program"]
+        assert program.n_bits >= 4 * 64
+        assert not np.array_equal(program.pos_of, np.arange(program.n_nets))
+
+    @pytest.mark.parametrize("name", sorted(ORDERS))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        n_cycles=st.integers(min_value=3, max_value=10),
+        parity=st.integers(min_value=0, max_value=1),
+    )
+    def test_word_rules_equal_trit_rules(self, name, seed, n_cycles, parity):
+        order = self.ORDERS[name]
+        rng = np.random.default_rng(seed)
+        n_nets = order.n_nets
+        values = rng.integers(0, 3, size=(n_cycles, n_nets), dtype=np.uint8)
+        active = rng.integers(0, 2, size=(n_cycles, n_nets)).astype(bool)
+        max_prev = rng.integers(0, 2, size=n_nets, dtype=np.uint8)
+        max_cur = rng.integers(0, 2, size=n_nets, dtype=np.uint8)
+
+        assigned = maximize_parity(values, active, parity, max_prev, max_cur)
+        targets = np.arange(parity if parity else 2, n_cycles, 2)
+        prev, cur = assigned[targets - 1], assigned[targets]
+        toggled = prev != cur
+
+        planes = order.pack_values(values).transpose(1, 0, 2)
+        new_prev, new_cur = assign_planes(
+            planes[:, targets - 1], planes[:, targets],
+            order.pack_active(active)[targets],
+            order.pack_values(max_prev)[0], order.pack_values(max_cur)[0],
+        )
+        assert np.array_equal(order.unpack_trits(*new_prev), prev)
+        assert np.array_equal(order.unpack_trits(*new_cur), cur)
+        rise, fall = edge_planes(new_prev, new_cur)
+        assert np.array_equal(order.unpack_bits(rise), toggled & (cur != 0))
+        assert np.array_equal(order.unpack_bits(fall), toggled & (cur == 0))
+        # pads (and the program's constant-zero bit) never produce an edge
+        assert not ((rise | fall) & ~order.valid_mask).any()
 
 
 class TestXAssignmentProperties:
