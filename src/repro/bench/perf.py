@@ -87,20 +87,17 @@ def run_perf_suite(
 ) -> dict:
     """Time every pipeline phase, scalar vs batched; return the report.
 
-    With *workers* > 1 (or ``REPRO_WORKERS``) the explore phase is also
-    timed under the sharded multi-process engine and cross-checked bit
-    for bit against the single-process trace; ``explore.sharded_s`` /
-    ``sharded_speedup`` (vs the single-process bitplane run) land in the
-    artifact so worker-count scaling is tracked per benchmark.
-
-    *islands*/*migration_interval* select the GA island schedule for the
-    stressmark phase (``None`` honors ``REPRO_ISLANDS``/
-    ``REPRO_MIGRATION_INTERVAL``); both timed GA runs use the same
-    schedule, so the scalar-vs-batched comparison stays apples to
-    apples, and the resolved knobs land in the artifact's engine block.
+    *workers* is the GA island process count for the stressmark phase
+    (``None`` honors ``REPRO_WORKERS``); every other phase runs in this
+    process.  *islands*/*migration_interval* select the GA island
+    schedule for the stressmark phase (``None`` honors
+    ``REPRO_ISLANDS``/``REPRO_MIGRATION_INTERVAL``); both timed GA runs
+    use the same schedule, so the scalar-vs-batched comparison stays
+    apples to apples, and the resolved knobs land in the artifact's
+    engine block.
     """
     from repro.core.stressmark import resolve_island_knobs
-    from repro.parallel.pool import fork_available, resolve_workers
+    from repro.parallel.pool import resolve_workers
 
     names = names if names is not None else list(DEFAULT_PERF_BENCHMARKS)
     if batch_size is None:
@@ -111,9 +108,8 @@ def run_perf_suite(
     )
     ga_kwargs = dict(
         STRESSMARK_KWARGS, islands=islands,
-        migration_interval=migration_interval,
+        migration_interval=migration_interval, workers=workers,
     )
-    time_sharded = workers > 1 and fork_available()
     cpu = cpu or build_ulp430()
     model = PowerModel(cpu.netlist, SG65, clock_ns=10.0)
     # Build (or cache-load) the native kernel once up front so the timed
@@ -134,9 +130,7 @@ def run_perf_suite(
         benchmark = get_benchmark(name)
         program = benchmark.program()
 
-        def run_explore(
-            engine_batch: int | None, engine: str, n_workers: int = 1
-        ):
+        def run_explore(engine_batch: int | None, engine: str):
             return explore(
                 cpu,
                 program,
@@ -144,7 +138,6 @@ def run_perf_suite(
                 max_segments=benchmark.max_segments,
                 batch_size=engine_batch,
                 engine=engine,
-                workers=n_workers,
             )
 
         def trace_digest(some_tree) -> bytes:
@@ -201,31 +194,15 @@ def run_perf_suite(
                     f"{name}: native and reference traces disagree"
                 )
             del native_tree
-        explore_sharded_s = None
-        if time_sharded:
-            explore_sharded_s, sharded_tree = _best(
-                lambda: run_explore(None, "bitplane", workers), repeats
-            )
-            if trace_digest(sharded_tree) != reference_digest:
-                raise AssertionError(
-                    f"{name}: sharded explore trace drifted"
-                )
-            del sharded_tree
         activity_stats = model.activity_profile(tree.flat_trace)
 
-        # workers=1 pins the timed engines single-threaded regardless of
-        # REPRO_WORKERS (exported by `bench --workers`), so stacked_s
-        # measures the stacked layout, not kernel threading, and stays
-        # comparable across artifacts (the regression gate diffs it).
         power_scalar_s, power_scalar = _best(
             lambda: compute_peak_power(tree, model, engine="scalar"), repeats
         )
         scalar_trace = power_scalar.trace_mw
         del power_scalar  # keep only the trace for the cross-check
         power_stacked_s, power = _best(
-            lambda: compute_peak_power(
-                tree, model, engine="stacked", workers=1
-            ),
+            lambda: compute_peak_power(tree, model, engine="stacked"),
             repeats,
         )
         if not np.array_equal(scalar_trace, power.trace_mw):
@@ -288,14 +265,6 @@ def run_perf_suite(
             explore_row["native_cycles_per_s"] = round(
                 tree.n_cycles / explore_native_s, 1
             )
-        if explore_sharded_s is not None:
-            explore_row["sharded_s"] = round(explore_sharded_s, 3)
-            explore_row["sharded_workers"] = workers
-            # gain of the multi-process shard over the single-process
-            # bitplane run at identical results
-            explore_row["sharded_speedup"] = round(
-                explore_bitplane_s / explore_sharded_s, 2
-            ) if explore_sharded_s else 0.0
         rows.append(
             {
                 "name": name,

@@ -183,23 +183,18 @@ class BenchmarkResults:
 
 
 def x_based(
-    name: str, workers: int | None = None, cancel=None,
-    engine: str | None = None,
+    name: str, cancel=None, engine: str | None = None,
 ) -> BenchmarkResults:
     """Cached X-based (our-technique) results for one benchmark.
 
-    *workers* only parallelizes a cold compute (the service's per-job
-    budget); results — and hence the cache key — are identical at any
-    worker count, so it never fragments the store.  The same holds for
-    *engine* (all engines are bit-identical), so neither knob is part of
-    the cache key.  *cancel* aborts a cold compute at the next engine
-    checkpoint (cache hits return immediately either way); cancellation
-    never publishes an artifact.
+    All engines are bit-identical, so *engine* is not part of the cache
+    key and never fragments the store.  *cancel* aborts a cold compute
+    at the next engine checkpoint (cache hits return immediately either
+    way); cancellation never publishes an artifact.
     """
 
     def compute() -> BenchmarkResults:
-        report = full_report(name, workers=workers, cancel=cancel,
-                             engine=engine)
+        report = full_report(name, cancel=cancel, engine=engine)
         return BenchmarkResults(
             name=name,
             peak_power_mw=report.peak_power_mw,
@@ -216,15 +211,13 @@ def x_based(
 
 
 def full_report(
-    name: str, workers: int | None = None, cancel=None,
-    engine: str | None = None,
+    name: str, cancel=None, engine: str | None = None,
 ) -> AnalysisReport:
     """Uncached full analysis (tree included) — for COI/validation flows.
 
-    *workers* spreads a cold analysis over that many cores and *engine*
-    picks the simulation representation (bit-identical either way, see
-    :func:`repro.core.api.analyze`); *cancel* threads into the analysis
-    checkpoints.
+    *engine* picks the simulation representation (bit-identical either
+    way, see :func:`repro.core.api.analyze`); *cancel* threads into the
+    analysis checkpoints.
     """
     key = f"report_{name}"
     if key in _memory_cache:
@@ -234,7 +227,6 @@ def full_report(
         shared_cpu(),
         benchmark.program(),
         shared_model(),
-        workers=workers,
         cancel=cancel,
         engine=engine,
         **benchmark.analysis_kwargs(),
@@ -280,8 +272,8 @@ def stressmark(
     then ``REPRO_ISLANDS``/``REPRO_MIGRATION_INTERVAL``, then the
     classic single-population defaults) and feed the cache key, since
     different island schedules evolve different winners.  *workers*
-    only changes wall-clock (the evolution is worker-count
-    deterministic) and stays out of the key.
+    is the island process count: it only changes wall-clock (the
+    evolution is worker-count deterministic) and stays out of the key.
     """
     from repro.core.stressmark import resolve_island_knobs
 
@@ -316,7 +308,7 @@ def all_names() -> list[str]:
 # Process-parallel suite runner
 # ----------------------------------------------------------------------
 _KNOB_VARS = (
-    "REPRO_NO_CACHE", "REPRO_BATCH_SIZE", "REPRO_ENGINE", "REPRO_WORKERS",
+    "REPRO_NO_CACHE", "REPRO_BATCH_SIZE", "REPRO_ENGINE",
     "REPRO_ISLANDS", "REPRO_MIGRATION_INTERVAL",
 )
 
@@ -325,7 +317,6 @@ def _apply_knobs(
     batch_size: int | None,
     no_cache: bool,
     engine: str | None = None,
-    workers: int | None = None,
     islands: int | None = None,
     migration_interval: int | None = None,
 ) -> None:
@@ -336,8 +327,6 @@ def _apply_knobs(
         os.environ["REPRO_BATCH_SIZE"] = str(batch_size)
     if engine is not None:
         os.environ["REPRO_ENGINE"] = engine
-    if workers is not None:
-        os.environ["REPRO_WORKERS"] = str(workers)
     if islands is not None:
         os.environ["REPRO_ISLANDS"] = str(islands)
     if migration_interval is not None:
@@ -346,7 +335,7 @@ def _apply_knobs(
 
 def _suite_worker(
     name: str, batch_size: int | None, no_cache: bool,
-    engine: str | None = None, workers: int | None = None,
+    engine: str | None = None,
     islands: int | None = None, migration_interval: int | None = None,
 ) -> BenchmarkResults:
     """Compute one benchmark's X-based results in a worker process.
@@ -354,8 +343,7 @@ def _suite_worker(
     Explicit knobs override the (fork- or spawn-) inherited environment;
     unset knobs fall through to whatever the caller exported.
     """
-    _apply_knobs(batch_size, no_cache, engine, workers,
-                 islands, migration_interval)
+    _apply_knobs(batch_size, no_cache, engine, islands, migration_interval)
     return x_based(name)
 
 
@@ -365,7 +353,6 @@ def run_suite(
     batch_size: int | None = None,
     no_cache: bool = False,
     engine: str | None = None,
-    workers: int | None = None,
     islands: int | None = None,
     migration_interval: int | None = None,
 ) -> list[BenchmarkResults]:
@@ -376,15 +363,8 @@ def run_suite(
     sequentially in-process (the caller's environment is restored after).
     Each worker fills the shared disk cache, so repeated runs are warm
     regardless of the original fan-out.  Results come back in input
-    order; duplicate names are computed once.
-
-    *workers* turns on intra-benchmark parallelism (sharded exploration,
-    threaded Algorithm 2 kernel) **inside** each suite worker.  The two
-    levels compose without oversubscription: the per-benchmark worker
-    count is clamped so ``jobs * workers`` never exceeds the core count
-    (see :func:`repro.parallel.pool.inner_workers`) — with a benchmark-
-    wide fan-out the inner level collapses to serial, and with few jobs
-    on a big host the spare cores go to path-level sharding.
+    order; duplicate names are computed once.  Each benchmark's analysis
+    runs in one process: the benchmark fan-out is the only parallelism.
 
     *islands*/*migration_interval* export the GA island knobs
     (``REPRO_ISLANDS``/``REPRO_MIGRATION_INTERVAL``) to the suite's
@@ -392,8 +372,6 @@ def run_suite(
     run — figure harnesses, service jobs — inherit the requested island
     schedule (see :func:`stressmark`).
     """
-    from repro.parallel.pool import inner_workers
-
     names = list(names) if names is not None else all_names()
     for name in names:
         get_benchmark(name)  # fail fast on typos before forking workers
@@ -401,14 +379,10 @@ def run_suite(
     if jobs is None:
         jobs = max(1, min(len(unique), os.cpu_count() or 1))
     if jobs <= 1 or len(unique) <= 1:
-        # same core-budget clamp as the fan-out branch: jobs * inner
-        # never exceeds the host (explicit --workers on a small host
-        # degrades to serial rather than oversubscribing)
-        inner = inner_workers(1, workers) if workers is not None else None
         saved = {var: os.environ.get(var) for var in _KNOB_VARS}
         try:
-            _apply_knobs(batch_size, no_cache, engine, inner,
-                         islands, migration_interval)
+            _apply_knobs(batch_size, no_cache, engine, islands,
+                         migration_interval)
             by_name = {
                 name: x_based(name) for name in unique
             }
@@ -419,11 +393,10 @@ def run_suite(
                 else:
                     os.environ[var] = value
     else:
-        inner = inner_workers(jobs, workers) if workers is not None else None
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
                 name: pool.submit(
-                    _suite_worker, name, batch_size, no_cache, engine, inner,
+                    _suite_worker, name, batch_size, no_cache, engine,
                     islands, migration_interval,
                 )
                 for name in unique

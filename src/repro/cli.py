@@ -49,13 +49,14 @@ uint8 evaluator — bit-identical results every way (also settable via
 execution paths in lock-step (1 = one path at a time; default 32 for the
 native and bitplane engines, 8 for the reference engine, or
 ``REPRO_BATCH_SIZE``).
-``--workers N`` spreads one analysis over N cores — sharded path-queue
-exploration, threaded Algorithm 2 kernel, island-parallel GA — with
-bit-identical results at any count (``0`` = one per core, also
-``REPRO_WORKERS``).  ``suite --no-cache`` (or ``REPRO_NO_CACHE=1``)
-bypasses the versioned disk cache; ``suite`` composes ``--jobs``
-(benchmark fan-out) with ``--workers`` (per-benchmark sharding) without
-oversubscribing the host.
+One analysis runs in one process.  Cores are used across analyses —
+``suite --jobs N`` fans the benchmarks out over N processes and
+``serve`` runs several jobs at once in its job slots — and across GA
+islands: ``bench --workers N`` and ``serve --workers N`` set the island
+process count of the stressmark GA, with a bit-identical stressmark at
+any count (``0`` = one per core, also ``REPRO_WORKERS``).
+``suite --no-cache`` (or ``REPRO_NO_CACHE=1``) bypasses the versioned
+disk cache.
 """
 
 from __future__ import annotations
@@ -136,7 +137,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         cpu, program, model,
         loop_bound=args.loop_bound, vcd_dir=args.vcd_dir,
         batch_size=args.batch_size, engine=args.engine,
-        workers=args.workers,
     )
     if args.json:
         import json
@@ -179,7 +179,7 @@ def cmd_coi(args: argparse.Namespace) -> int:
     report = analyze(
         cpu, program, model,
         loop_bound=args.loop_bound, batch_size=args.batch_size,
-        engine=args.engine, workers=args.workers,
+        engine=args.engine,
     )
     reports = cycles_of_interest(
         report.tree, report.peak_power, program, count=args.count
@@ -202,7 +202,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         no_cache=args.no_cache,
         engine=args.engine,
-        workers=args.workers,
         islands=args.islands,
         migration_interval=args.migration_interval,
     )
@@ -609,13 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "evaluator; results are bit-identical (also "
                  "$REPRO_ENGINE)",
         )
-        sub_parser.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="cores per analysis: shard the pending-path queue over N "
-                 "worker processes and thread the Algorithm 2 kernel; "
-                 "bit-identical at any count (0 = one per core, also "
-                 "$REPRO_WORKERS)",
-        )
 
     p_analyze = sub.add_parser("analyze", help="X-based analysis of a program")
     p_analyze.add_argument("program", help="assembly source file")
@@ -678,6 +670,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeats", type=int, default=1)
     add_batch_size(p_bench)
     add_island_knobs(p_bench)
+    p_bench.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="GA island process count for the stressmark leg; the "
+             "stressmark is identical at any count (0 = one per core, "
+             "also $REPRO_WORKERS)",
+    )
     p_bench.set_defaults(func=cmd_bench)
 
     p_conf = sub.add_parser(
@@ -728,10 +726,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: .repro_cache)")
     p_serve.add_argument("--max-jobs", type=int, default=None, metavar="N",
                          help="concurrent job slots (default: cores // "
-                              "workers-per-job; never oversubscribes)")
+                              "--workers; never oversubscribes)")
     p_serve.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="engine workers per job (0 = one per core, "
-                              "also $REPRO_WORKERS)")
+                         help="GA island processes per stressmark job; "
+                              "job slots are budgeted so slots x N never "
+                              "exceeds the cores (0 = one per core, also "
+                              "$REPRO_WORKERS)")
     p_serve.add_argument("--backend", choices=("process", "thread"),
                          default="process",
                          help="job execution backend: 'process' (default) "

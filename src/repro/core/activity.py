@@ -181,7 +181,6 @@ def explore(
     max_cycles_per_path: int = 50_000,
     batch_size: int | None = None,
     engine: str | None = None,
-    workers: int | None = None,
     cancel=None,
 ) -> ExecutionTree:
     """Run Algorithm 1 for *program* on the gate-level *cpu*.
@@ -192,10 +191,9 @@ def explore(
     selects the simulation representation: ``"native"`` (the compiled C
     settle kernel, the default), ``"bitplane"`` (packed dual rail in
     numpy, native's no-compiler fallback) or ``"reference"`` (the uint8
-    oracle); ``None`` honors ``REPRO_ENGINE``.  *workers* shards the
-    pending-path queue across that many fork-start worker processes
-    (``None`` honors ``REPRO_WORKERS``, ``0`` means one per core, 1 stays
-    in-process).
+    oracle); ``None`` honors ``REPRO_ENGINE``.  The exploration runs in
+    the calling process; cores are spent across analyses (``suite
+    --jobs``, service job slots), not inside one.
     Every combination returns the identical tree, bit for bit.  *cancel*
     is an optional :class:`repro.parallel.cancel.CancelToken` checked
     between path-queue batches; a set token aborts the exploration with
@@ -211,16 +209,6 @@ def explore(
         from repro.sim.bitplane import default_engine
 
         batch_size = default_batch_size(engine or default_engine())
-    from repro.parallel.pool import fork_available, resolve_workers
-
-    workers = resolve_workers(workers)
-    if workers > 1 and fork_available():
-        from repro.parallel.explore import explore_sharded
-
-        return explore_sharded(
-            cpu, program, max_cycles, max_segments, max_cycles_per_path,
-            max(batch_size, 1), engine, workers, cancel=cancel,
-        )
     if batch_size <= 1:
         return _explore_scalar(
             cpu, program, max_cycles, max_segments, max_cycles_per_path,
@@ -342,11 +330,10 @@ def _explore_scalar(
 # ----------------------------------------------------------------------
 # Batched engine: drain the pending-path queue B lanes at a time.
 #
-# NOTE: repro.parallel.explore._simulate_chunk mirrors this drain loop
-# (minus the refill/memoization, which stay with the sharding master).
-# Any change to the fork semantics here — the pre-step snapshot, the
-# dispatch-record pop, the memo-key enumeration — must be applied there
-# too; tests/test_parallel.py pins the workers=1 ≡ workers=N equivalence.
+# NOTE: _explore_scalar is the oracle for this drain loop.  Any change to
+# the fork semantics — the pre-step snapshot, the dispatch-record pop,
+# the memo-key enumeration — must be applied to both; the differential
+# tests pin batched ≡ scalar, tree for tree.
 # ----------------------------------------------------------------------
 @dataclass
 class _Node:
@@ -373,8 +360,7 @@ def _explore_batched(
     # record_packed defers unpacking to the trace boundary (lazy per
     # record, bulk for values_matrix/active_matrix): on the packed
     # engines the explore loop then never unpacks a row it only forks
-    # from.  The parallel explorer has always run this way; the replay
-    # in _assemble_tree is representation-agnostic either way.
+    # from.  The replay in _assemble_tree is representation-agnostic.
     batch = BatchMachine(
         machine.netlist,
         machine.ports,

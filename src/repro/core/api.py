@@ -79,7 +79,6 @@ def analyze(
     vcd_dir=None,
     batch_size: int | None = None,
     engine: str | None = None,
-    workers: int | None = None,
     cancel=None,
 ) -> AnalysisReport:
     """Full input-independent peak power and energy analysis.
@@ -91,19 +90,14 @@ def analyze(
     (the compiled C settle kernel, the default; bitplane fallback when
     no compiler), ``"bitplane"`` (packed dual-rail in numpy), or
     ``"reference"`` (the uint8 oracle); ``None`` honors
-    ``REPRO_ENGINE``.  *workers* spreads one
-    benchmark's analysis over that many cores: exploration shards its
-    pending-path queue across worker processes and the Algorithm 2
-    kernel threads its row chunks (``None`` honors ``REPRO_WORKERS``,
-    ``0`` means one per core).  All combinations are bit-identical.
+    ``REPRO_ENGINE``.  All combinations are bit-identical.  One
+    analysis runs in one process; to use several cores, run several
+    analyses at once (``suite --jobs``, service job slots).
     *cancel* (a :class:`repro.parallel.cancel.CancelToken`) threads
     through both algorithms' inner loops; a set token aborts with
     :class:`repro.parallel.cancel.JobCancelled` without changing any
     result that would have been produced.
     """
-    from repro.parallel.pool import resolve_workers
-
-    workers = resolve_workers(workers)
     tree = explore(
         cpu,
         program,
@@ -111,12 +105,9 @@ def analyze(
         max_segments=max_segments,
         batch_size=batch_size,
         engine=engine,
-        workers=workers,
         cancel=cancel,
     )
-    peak_power = compute_peak_power(
-        tree, model, vcd_dir=vcd_dir, workers=workers, cancel=cancel
-    )
+    peak_power = compute_peak_power(tree, model, vcd_dir=vcd_dir, cancel=cancel)
     peak_energy = compute_peak_energy(tree, peak_power, loop_bound=loop_bound)
     return AnalysisReport(
         program_name=program.name,

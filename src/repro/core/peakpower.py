@@ -186,17 +186,13 @@ def compute_peak_power(
     per_module: bool = True,
     vcd_dir: str | Path | None = None,
     engine: str = "stacked",
-    workers: int | None = None,
     cancel=None,
 ) -> PeakPowerResult:
     """Run Algorithm 2 over an activity-annotated execution tree.
 
     *engine* selects ``"stacked"`` (vectorized across segments, the
     default) or ``"scalar"`` (the per-segment reference); both produce
-    bit-identical results.  *workers* threads the stacked engine's
-    transition-energy kernel over row chunks (``None`` honors
-    ``REPRO_WORKERS``); chunk results are bit-stable by design, so the
-    thread count never changes a float.  *cancel* is an optional
+    bit-identical results.  *cancel* is an optional
     :class:`repro.parallel.cancel.CancelToken` checked between segment
     chunks (per parity pass in the stacked engine, per segment in the
     scalar one); a set token aborts with
@@ -205,13 +201,8 @@ def compute_peak_power(
     ``even.vcd`` / ``odd.vcd``, mirroring the paper's flow of handing
     two VCD files to the power tool.
     """
-    from repro.parallel.pool import resolve_workers
-
-    workers = resolve_workers(workers)
     if engine == "stacked":
-        return _compute_stacked(
-            tree, model, per_module, vcd_dir, workers, cancel=cancel
-        )
+        return _compute_stacked(tree, model, per_module, vcd_dir, cancel=cancel)
     if engine == "scalar":
         return _compute_scalar(tree, model, per_module, vcd_dir, cancel=cancel)
     raise ValueError(f"unknown peak-power engine {engine!r}")
@@ -334,7 +325,6 @@ def _compute_stacked(
     model: PowerModel,
     per_module: bool,
     vcd_dir: str | Path | None,
-    workers: int = 1,
     cancel=None,
 ) -> PeakPowerResult:
     flat = tree.flat_trace
@@ -384,7 +374,6 @@ def _compute_stacked(
             len(targets),
             mem_accesses[targets],
             per_module=per_module,
-            workers=workers,
             bit_order=order,
         )
         peak_trace[parity_mask] = power.total_mw

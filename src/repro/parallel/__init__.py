@@ -1,18 +1,19 @@
 """Multi-core execution layer.
 
-Three independent levels of the pipeline parallelize without changing a
-single result bit:
+One analysis runs in one process.  Cores are spent only where the work
+is embarrassingly parallel:
 
-* :mod:`repro.parallel.explore` — shards one execution tree's
-  pending-path queue across worker processes (Algorithm 1),
-* :mod:`repro.parallel.kernel` — a shared thread pool for chunk-sliced
-  numpy kernels such as the Algorithm 2 transition-energy einsum,
-* :mod:`repro.parallel.islands` — island-model scheduling for the GA
-  stressmark (N populations across processes, deterministic migration).
+* across analyses — ``bench.runner.run_suite(jobs=)`` fans benchmarks out
+  over a process pool, and the service runs several jobs at once in its
+  job slots;
+* across GA islands — :mod:`repro.parallel.islands` evolves the island
+  populations of the stressmark GA in worker processes, with
+  deterministic migration, so the stressmark is identical at any worker
+  count.
 
-:mod:`repro.parallel.pool` holds the shared knob resolution
-(``workers=`` / ``REPRO_WORKERS``) and the oversubscription composition
-used when benchmark-level fan-out and path-level sharding are both on.
+:mod:`repro.parallel.pool` holds the island worker-count resolution
+(``workers=`` / ``REPRO_WORKERS``) and the service's core budget, which
+splits the host between job slots and each job's island workers.
 """
 
 from repro.parallel.pool import (

@@ -1,15 +1,15 @@
 """Worker-count resolution and process-pool plumbing.
 
-One knob drives every parallel component: ``workers``, resolved from the
-explicit argument, then the ``REPRO_WORKERS`` environment variable, then
-the serial default of 1.  ``workers=0`` (or ``REPRO_WORKERS=0``) means
-"one per core".
+``workers`` is the GA island process count, resolved from the explicit
+argument, then the ``REPRO_WORKERS`` environment variable, then the
+serial default of 1.  ``workers=0`` (or ``REPRO_WORKERS=0``) means "one
+per core".  The service budgets its job slots against it.
 
-Process pools use the **fork** start method so workers inherit the
-elaborated CPU, the compiled evaluators, and the loaded program from the
-parent for free — no per-worker elaboration, no pickling of netlists.
-On hosts without fork (or inside a daemonic worker), every consumer
-degrades to its serial path; results are identical either way.
+The island pool uses the **fork** start method so workers inherit the
+elaborated CPU and power model from the parent for free — no per-worker
+elaboration, no pickling of netlists.  On hosts without fork (or inside
+a daemonic worker), the GA evolves its islands serially; the stressmark
+is identical either way.
 """
 
 from __future__ import annotations
@@ -44,13 +44,13 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def inner_workers(outer_jobs: int, workers: int | None = None) -> int:
-    """Per-task worker count under an *outer_jobs*-wide process fan-out.
+    """Per-job island worker count under *outer_jobs* concurrent jobs.
 
-    Composes benchmark-level parallelism (``bench.runner.run_suite
-    --jobs``) with path-level sharding without oversubscribing: the
-    product ``outer_jobs * inner`` never exceeds the core count.  With
-    more outer jobs than cores this resolves to 1 (serial inner), which
-    is also what keeps nested pools off single-core hosts.
+    Composes job-level parallelism (service job slots) with GA island
+    processes without oversubscribing: the product ``outer_jobs * inner``
+    never exceeds the core count.  With more outer jobs than cores this
+    resolves to 1 (serial inner), which is also what keeps nested pools
+    off single-core hosts.
     """
     requested = resolve_workers(workers)
     cores = os.cpu_count() or 1
@@ -63,11 +63,10 @@ def service_slots(
     """Core budget for the analysis service: ``(job slots, inner workers)``.
 
     Splits the host between concurrently running jobs and each job's
-    inner engine workers so ``slots * inner`` never exceeds the core
-    count — the same non-oversubscription rule :func:`inner_workers`
-    enforces for ``run_suite(jobs=, workers=)``, applied from the other
-    side: the per-job worker request is fixed and the job fan-out is
-    derived.  *workers_per_job* resolves like every other worker knob
+    GA island workers so ``slots * inner`` never exceeds the core
+    count — the same non-oversubscription rule as :func:`inner_workers`,
+    applied from the other side: the per-job worker request is fixed and
+    the job fan-out is derived.  *workers_per_job* resolves like every other worker knob
     (``None`` honors ``REPRO_WORKERS``, ``0`` means one per core — which
     yields a single job slot using the whole host).  An explicit
     *max_jobs* lowers, never raises, the derived slot count.
@@ -100,7 +99,7 @@ def spawn_context():
 
     Unlike fork, spawn is safe to use from a multithreaded process (the
     HTTP server + scheduler threads), which is exactly where job workers
-    are launched from.  The engine's fork-start pools are then created
+    are launched from.  The GA's fork-start island pools are then created
     *inside* the single-threaded worker process, clearing the Python
     3.12+ fork-in-threads hazard.  Spawn is available on every platform.
     """

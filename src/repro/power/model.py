@@ -266,7 +266,6 @@ class PowerModel:
         values_matrix: np.ndarray,
         mem_accesses: np.ndarray | None = None,
         per_module: bool = False,
-        workers: int = 1,
     ) -> PowerTrace:
         """Power trace for a fully (or partially) resolved value matrix.
 
@@ -274,19 +273,14 @@ class PowerModel:
         energy — conservative for the few never-initialized nets of a
         concrete run; the symbolic flows resolve Xs before calling this.
         Accepts arbitrarily long traces: the transition-energy matrix is
-        reduced in bounded row chunks, never materialized whole.  With
-        ``workers > 1`` the chunks run on the shared kernel thread pool
-        (einsum releases the GIL; every chunk writes a disjoint row
-        range, so results are bit-identical at any worker count).
+        reduced in bounded row chunks, never materialized whole.
         """
 
         def pairs(start: int, stop: int):
             # Row start-1 supplies each chunk row's previous values.
             return values_matrix[start - 1 : stop - 1], values_matrix[start:stop]
 
-        return self._price(
-            pairs, 1, len(values_matrix), mem_accesses, per_module, workers
-        )
+        return self._price(pairs, 1, len(values_matrix), mem_accesses, per_module)
 
     def transition_power(
         self,
@@ -294,23 +288,19 @@ class PowerModel:
         cur_rows: np.ndarray,
         mem_accesses: np.ndarray | None = None,
         per_module: bool = False,
-        workers: int = 1,
     ) -> PowerTrace:
         """Power of explicit ``(previous, current)`` value-row pairs.
 
         Row *i* prices the transition ``prev_rows[i] -> cur_rows[i]`` —
         same kernel, constants, and bit-exact results as
         :meth:`trace_power`, but over an arbitrary subset of a trace's
-        rows.  ``workers`` threads the chunk loop exactly like
-        :meth:`trace_power`.
+        rows.
         """
 
         def pairs(start: int, stop: int):
             return prev_rows[start:stop], cur_rows[start:stop]
 
-        return self.pair_power(
-            pairs, len(cur_rows), mem_accesses, per_module, workers
-        )
+        return self.pair_power(pairs, len(cur_rows), mem_accesses, per_module)
 
     def pair_power(
         self,
@@ -318,7 +308,6 @@ class PowerModel:
         n_rows: int,
         mem_accesses: np.ndarray | None = None,
         per_module: bool = False,
-        workers: int = 1,
         bit_order=None,
     ) -> PowerTrace:
         """Like :meth:`transition_power`, but *pulls* each chunk's
@@ -337,25 +326,25 @@ class PowerModel:
         Algorithm 2 walk in :mod:`repro.core.peakpower` is the customer.
         Chunks cover disjoint row spans and each is priced by the same
         kernel on the same rows whatever the chunk size, so results are
-        bit-identical to the eager path at any worker count (``pairs``
-        must therefore be pure per span, which a gather/assign of
-        disjoint target rows is).
+        bit-identical to the eager path (``pairs`` must therefore be
+        pure per span, which a gather/assign of disjoint target rows is).
         """
-        return self._price(
-            pairs, 0, n_rows, mem_accesses, per_module, workers, bit_order
-        )
+        return self._price(pairs, 0, n_rows, mem_accesses, per_module, bit_order)
 
     def _price(
-        self, pairs, first_row, n_rows, mem_accesses, per_module, workers,
+        self, pairs, first_row, n_rows, mem_accesses, per_module,
         bit_order=None,
     ) -> PowerTrace:
-        """Price rows ``first_row..n_rows`` chunk by chunk (rows before
-        *first_row* stay 0) and fold in memory, clock and leakage."""
+        """Price rows ``first_row..n_rows`` in TRACE_CHUNK_ROWS-sized
+        spans (rows before *first_row* stay 0) and fold in memory, clock
+        and leakage.  Chunking is row-wise, so the split never changes
+        a result."""
         totals = np.zeros(n_rows)
         module_names = list(self.module_masks) if per_module else []
         module_fj = {name: np.zeros(n_rows) for name in module_names}
-
-        def price(start: int, stop: int) -> None:
+        chunk = self.TRACE_CHUNK_ROWS
+        for start in range(first_row, n_rows, chunk):
+            stop = min(start + chunk, n_rows)
             prev, cur = pairs(start, stop)
             if bit_order is None:
                 edges = _trit_edges(prev, cur)
@@ -365,21 +354,7 @@ class PowerModel:
             totals[start:stop] = chunk_totals
             for name in module_names:
                 module_fj[name][start:stop] = chunk_modules[name]
-
-        self._map_chunks(price, first_row, n_rows, workers)
         return self._assemble_power(totals, module_fj, mem_accesses, per_module)
-
-    def _map_chunks(self, price, first_row: int, n_rows: int, workers: int) -> None:
-        """Run *price* over TRACE_CHUNK_ROWS-sized spans, threaded when
-        asked; chunking is row-wise so the split never changes results."""
-        from repro.parallel.kernel import map_spans
-
-        chunk = self.TRACE_CHUNK_ROWS
-        spans = [
-            (start, min(start + chunk, n_rows))
-            for start in range(first_row, n_rows, chunk)
-        ]
-        map_spans(workers, spans, price)
 
 
 def edge_planes(

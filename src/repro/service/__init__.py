@@ -12,8 +12,8 @@ PRs 1-4 into a long-lived query service with three layers:
 * :mod:`repro.service.scheduler` — an async job scheduler that accepts
   many concurrent analysis requests, dedupes identical in-flight jobs,
   orders them by priority, and multiplexes them over the host's core
-  budget (jobs x inner workers <= cores, PR 4's non-oversubscription
-  rule) with cancellation and per-job progress events.
+  budget (job slots x GA island workers <= cores) with cancellation and
+  per-job progress events.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a
   stdlib-only HTTP/JSON API (``repro serve``) and client (``repro
   submit``) exposing submit/status/result/events/store endpoints, so

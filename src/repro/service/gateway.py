@@ -300,7 +300,6 @@ def run_upload_job(params: dict, ctx) -> dict:
             loop_bound=params.get("loop_bound"),
             max_cycles=params["max_cycles"],
             max_segments=params["max_segments"],
-            workers=getattr(ctx, "workers", None),
             cancel=getattr(ctx, "cancel", None),
         )
     except PathExplosionError as err:

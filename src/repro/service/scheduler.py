@@ -10,10 +10,11 @@ whole workload, so the scheduler is built around three rules:
   new job that resolves instantly through the artifact store.
 * **Priority queue** — jobs wait in a max-priority heap (FIFO within a
   priority); a freed slot always goes to the highest-priority request.
-* **Core budget** — at most ``max_concurrent`` jobs run at once, each
-  with ``inner`` engine workers, such that ``max_concurrent * inner``
-  never exceeds the host's cores (PR 4's non-oversubscription rule,
-  via :func:`repro.parallel.pool.service_slots` /
+* **Core budget** — at most ``max_concurrent`` jobs run at once.  An
+  analysis runs in its job's process; a stressmark job may also use
+  ``inner`` GA island processes, so ``max_concurrent * inner`` never
+  exceeds the host's cores (via
+  :func:`repro.parallel.pool.service_slots` /
   :func:`repro.parallel.pool.inner_workers`).
 
 Jobs emit progress events (``queued``/``deduped``/``started``/
@@ -34,12 +35,12 @@ Two execution backends share the same state machine:
   job in a **spawn-start worker process**
   (:class:`repro.service.workers.ProcessBackend`): an engine crash
   fails one job instead of the server, cancellation has a worker-kill
-  backstop, and the engine's fork-start pools are created from the
+  backstop, and the GA's fork-start island pools are created from the
   single-threaded worker instead of this multithreaded process — which
   retires the Python 3.12+ fork-in-threads hazard this docstring used
   to have to admit.
 
-Progress events, the jobs × inner-workers core budget, in-flight
+Progress events, the jobs × island-workers core budget, in-flight
 dedupe, and bit-identical results are backend-independent.
 """
 
@@ -241,7 +242,7 @@ class JobContext:
 
     scheduler: "JobScheduler"
     job: Job
-    workers: int  # inner engine workers this job may use
+    workers: int  # GA island processes a stressmark job may use
 
     def emit(self, stage: str, detail: str = "") -> None:
         self.scheduler._emit(self.job, stage, detail)
@@ -267,8 +268,7 @@ class JobScheduler:
     *max_concurrent* ``None`` derives the slot count from the core
     budget (``cores // inner``); an explicit value is honored verbatim
     (the caller owns the trade-off) with the inner worker count clamped
-    so ``slots * inner`` still fits the host, exactly like
-    ``run_suite(jobs=, workers=)``.  *executors* maps job kinds to
+    so ``slots * inner`` still fits the host.  *executors* maps job kinds to
     callables ``(params, ctx) -> result dict``; the default set runs
     the store-backed benchmark pipeline (see :func:`default_executors`).
 
@@ -824,13 +824,9 @@ def run_analyze_job(params: dict, ctx: JobContext) -> dict:
 
     name = _require_benchmark(params)
     engine = params.get("engine")
-    ctx.emit(
-        "resolve",
-        f"x_based({name!r}), workers={ctx.workers}, engine={engine}",
-    )
+    ctx.emit("resolve", f"x_based({name!r}), engine={engine}")
     result = runner.x_based(
-        name, workers=ctx.workers, cancel=getattr(ctx, "cancel", None),
-        engine=engine,
+        name, cancel=getattr(ctx, "cancel", None), engine=engine
     )
     return _analysis_payload(result)
 

@@ -14,15 +14,16 @@ scheduler thread inside the server:
   worker's whole process group as the backstop.  Either way a DELETE on
   a RUNNING job reaches a terminal state and frees its slot.
 * **No fork-in-threads** — spawn is safe from the multithreaded server
-  process, and the engine's fork-start pools (sharded exploration, GA
-  islands) are then created inside the single-threaded worker, clearing
-  the Python 3.12+ hazard the scheduler previously had to live with.
+  process, and the only fork-start pool a job creates (the stressmark
+  GA's island processes) is then created inside the single-threaded
+  worker, clearing the Python 3.12+ hazard the scheduler previously had
+  to live with.  An analysis job runs entirely in its worker process.
 
-The worker is **non-daemonic** so it may fork those inner engine pools
-(daemonic processes cannot have children — the jobs × inner-workers
+The worker is **non-daemonic** so it may fork that island pool
+(daemonic processes cannot have children — the jobs × island-workers
 core budget would silently collapse to serial).  The worker calls
 ``os.setsid()`` on entry, so the backstop ``killpg`` also reaps any
-fork-start grandchildren the engine had in flight.
+fork-start grandchildren the GA had in flight.
 
 Protocol over the one-way pipe, worker → monitor::
 

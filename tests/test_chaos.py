@@ -11,8 +11,10 @@ Three layers, increasingly end-to-end:
   *permanently* on both backends;
 * subprocess — ``repro serve`` is SIGKILLed mid-job and restarted on
   the same store: the journal requeues the job under its original id
-  and the recomputed result is bit-identical to a direct engine run.
-  SIGTERM takes the graceful path and exits 0.
+  and the recomputed result is bit-identical to a direct, in-process
+  analysis.  SIGTERM takes the graceful path and exits 0.  These
+  servers run one job slot (``--max-jobs 1 --workers 1``); an analysis
+  job runs entirely in its worker process.
 
 Executors are **module-level** so the spawn-start worker can re-import
 them; this module deliberately avoids heavyweight imports (numpy, the
@@ -506,7 +508,7 @@ class TestServeRecovery:
 
         monkeypatch.setattr(runner, "CACHE_DIR", tmp_path / "ref_store")
         monkeypatch.setattr(runner, "_store", None, raising=False)
-        direct = runner.x_based("mult", workers=1)
+        direct = runner.x_based("mult")
         assert served["peak_power_mw"] == direct.peak_power_mw
         assert served["peak_energy_pj"] == direct.peak_energy_pj
         assert served["npe_pj_per_cycle"] == direct.npe_pj_per_cycle

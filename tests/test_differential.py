@@ -92,20 +92,21 @@ class TestBatchedEqualsScalar:
         _name, scalar, batched = engines
         assert_trees_identical(scalar, batched)
 
-    def test_reference_batched_spot_check(self, engines, cpu):
+    def test_reference_batched_spot_check(self, cpu):
         """The uint8 reference engine's lock-step mode stays identical too
-        (one benchmark-sized probe; the bitplane fixture covers all 14)."""
-        name, scalar, _bitplane = engines
-        if name != "mult":
-            pytest.skip("reference-batched probe runs on mult only")
-        benchmark = get_benchmark(name)
-        batched = explore(
-            cpu,
-            benchmark.program(),
-            max_cycles=benchmark.max_cycles,
-            max_segments=benchmark.max_segments,
-            batch_size=8,
-            engine="reference",
+        (one benchmark-sized probe on mult; the bitplane fixture covers
+        all 14)."""
+        benchmark = get_benchmark("mult")
+        scalar, batched = (
+            explore(
+                cpu,
+                benchmark.program(),
+                max_cycles=benchmark.max_cycles,
+                max_segments=benchmark.max_segments,
+                batch_size=batch_size,
+                engine="reference",
+            )
+            for batch_size in (1, 8)
         )
         assert_trees_identical(scalar, batched)
 

@@ -319,19 +319,20 @@ class TestBenchmarkTreesIdentical:
             golden["peak_energy_pj"], rel=REL
         )
 
-    def test_native_equals_reference_directly(self, native_trees, cpu):
-        """One scalar-reference probe pins the transitivity argument."""
-        name, _bitplane_tree, native_tree = native_trees
-        if name != "mult":
-            pytest.skip("direct reference probe runs on mult only")
-        benchmark = get_benchmark(name)
-        scalar = explore(
-            cpu,
-            benchmark.program(),
-            max_cycles=benchmark.max_cycles,
-            max_segments=benchmark.max_segments,
-            batch_size=1,
-            engine="reference",
+    def test_native_equals_reference_directly(self, cpu):
+        """One scalar-reference probe on mult pins the transitivity
+        argument."""
+        benchmark = get_benchmark("mult")
+        scalar, native_tree = (
+            explore(
+                cpu,
+                benchmark.program(),
+                max_cycles=benchmark.max_cycles,
+                max_segments=benchmark.max_segments,
+                batch_size=batch_size,
+                engine=engine,
+            )
+            for batch_size, engine in ((1, "reference"), (None, "native"))
         )
         assert_trees_identical(scalar, native_tree)
 

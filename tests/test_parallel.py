@@ -1,21 +1,16 @@
-"""Worker-count invariance: N cores must never change a bit.
+"""Parallelism and replay invariants of the single-process engine.
 
-Pins the multi-core execution layer to the serial engines:
+Pins what remains of the multi-core layer, and the replay it used to
+lean on:
 
-* sharded exploration (``workers>1``) produces the identical
-  :class:`ExecutionTree` — and identical golden analysis numbers — as
-  the in-process engine on several multi-segment benchmarks,
-* the canonical replay merge is order-independent (the work-stealing
-  property: whatever order segments complete in, the assembled tree is
-  the same),
+* the batched explorer's canonical replay merge is order-independent
+  (whatever order the lock-step lanes finish segments in, the assembled
+  tree is the same),
 * the island-model GA is deterministic across worker counts,
-* the threaded Algorithm 2 kernel is bit-stable at any thread count,
 * concrete packed batches (``run_batch_to_halt``) skip per-cycle
-  unpacking yet stay record-for-record identical.
+  unpacking yet stay record-for-record identical,
+* the worker-count knobs resolve and never oversubscribe the host.
 """
-
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +18,6 @@ import pytest
 from repro.bench.suite import get_benchmark
 from repro.cells import SG65
 from repro.core.activity import _ROOT_KEY, _assemble_tree, _Node, explore
-from repro.core.peakenergy import compute_peak_energy
-from repro.core.peakpower import compute_peak_power
 from repro.core.stressmark import generate_stressmark
 from repro.parallel.pool import (
     fork_available,
@@ -32,15 +25,6 @@ from repro.parallel.pool import (
     resolve_workers,
 )
 from repro.power.model import PowerModel
-
-GOLDEN = json.loads(
-    (Path(__file__).parent / "golden_suite.json").read_text()
-)
-
-REL = 1e-9
-
-#: multi-segment kernels small enough to explore twice per test run
-INVARIANCE_BENCHMARKS = ("mult", "binSearch", "div", "rle", "PI")
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -95,55 +79,12 @@ def _explore(cpu, name, **kwargs):
     )
 
 
-@needs_fork
-class TestShardedExploreInvariance:
-    @pytest.fixture(scope="class", params=INVARIANCE_BENCHMARKS)
-    def trees(self, request, cpu):
-        name = request.param
-        serial = _explore(cpu, name, workers=1)
-        sharded = _explore(cpu, name, workers=4)
-        return name, serial, sharded
-
-    def test_tree_bit_identical(self, trees):
-        _name, serial, sharded = trees
-        assert_trees_identical(serial, sharded)
-
-    def test_golden_numbers(self, trees, model):
-        """Sharded-tree analysis reproduces the pinned seed numbers."""
-        name, _serial, sharded = trees
-        benchmark = get_benchmark(name)
-        peak_power = compute_peak_power(sharded, model, workers=4)
-        peak_energy = compute_peak_energy(
-            sharded, peak_power, loop_bound=benchmark.loop_bound
-        )
-        golden = GOLDEN[name]
-        assert peak_power.peak_power_mw == pytest.approx(
-            golden["peak_power_mw"], rel=REL
-        )
-        assert peak_energy.peak_energy_pj == pytest.approx(
-            golden["peak_energy_pj"], rel=REL
-        )
-
-    def test_worker_two_matches_worker_four(self, cpu, trees):
-        """Any worker count, same tree (spot-probe a second count)."""
-        name, serial, _sharded = trees
-        if name != "binSearch":
-            pytest.skip("second worker count probed on binSearch only")
-        assert_trees_identical(serial, _explore(cpu, name, workers=2))
-
-    def test_reference_engine_sharded(self, cpu):
-        serial = _explore(
-            cpu, "div", engine="reference", batch_size=1, workers=1
-        )
-        sharded = _explore(cpu, "div", engine="reference", workers=3)
-        assert_trees_identical(serial, sharded)
-
-
 class TestMergeOrderProperty:
-    """The canonical replay is independent of segment completion order."""
+    """The batched engine's canonical replay is independent of the order
+    in which its lanes complete segments."""
 
     def _nodes_from_tree(self, tree):
-        """Reconstruct the {key: node} graph the sharded master merges."""
+        """Reconstruct the {key: node} graph the batched engine replays."""
         keys = {
             segment.index: segment.index.to_bytes(4, "little")
             for segment in tree.segments
@@ -205,42 +146,6 @@ class TestIslandGADeterminism:
         )
         assert classic.source == single.source
         assert classic.peak_power_mw == single.peak_power_mw
-
-
-class TestThreadedKernel:
-    def test_trace_power_thread_invariant(self, cpu, model):
-        rng = np.random.default_rng(11)
-        values = rng.integers(
-            0, 2, size=(900, cpu.netlist.n_nets)
-        ).astype(np.uint8)
-        mem = rng.random((900, 2))
-        serial = model.trace_power(values, mem, per_module=True, workers=1)
-        threaded = model.trace_power(values, mem, per_module=True, workers=4)
-        assert np.array_equal(serial.total_mw, threaded.total_mw)
-        for name in serial.module_mw:
-            assert np.array_equal(
-                serial.module_mw[name], threaded.module_mw[name]
-            )
-
-    def test_transition_power_thread_invariant(self, cpu, model):
-        rng = np.random.default_rng(12)
-        values = rng.integers(
-            0, 2, size=(700, cpu.netlist.n_nets)
-        ).astype(np.uint8)
-        serial = model.transition_power(values[:-1], values[1:], workers=1)
-        threaded = model.transition_power(values[:-1], values[1:], workers=3)
-        assert np.array_equal(serial.total_mw, threaded.total_mw)
-
-    def test_peak_power_workers_invariant(self, cpu, model):
-        tree = _explore(cpu, "mult")
-        serial = compute_peak_power(tree, model, workers=1)
-        threaded = compute_peak_power(tree, model, workers=4)
-        assert serial.peak_power_mw == threaded.peak_power_mw
-        assert np.array_equal(serial.trace_mw, threaded.trace_mw)
-        for name in serial.module_mw:
-            assert np.array_equal(
-                serial.module_mw[name], threaded.module_mw[name]
-            )
 
 
 class TestPackedConcreteRecords:

@@ -166,8 +166,18 @@ class TestRecoverJobs:
                 ),
             ]
         )
+        # the fresh job holds on a gate until the replay below has read
+        # the journal, so it cannot reach its terminal record first
+        gate = threading.Event()
+
+        def gated(params, ctx):
+            while not gate.wait(0.02):
+                ctx.check_cancelled()
+            return {"echo": dict(params)}
+
         scheduler = JobScheduler(
-            max_concurrent=1, executors={"echo": _echo}, journal=journal
+            max_concurrent=1, executors={"echo": _echo, "gated": gated},
+            journal=journal,
         )
         try:
             summary = recover_jobs(scheduler, report)
@@ -181,12 +191,16 @@ class TestRecoverJobs:
             assert scheduler.wait(job.id, 10)
             assert job.state == DONE
             # the id counter seeds past the recovered tail: no collisions
-            fresh, _ = scheduler.submit("echo", {"x": 2})
+            fresh, _ = scheduler.submit("gated", {"x": 2})
             assert int(fresh.id.split("-")[1]) > 7
             # the requeued job re-journaled itself: a second crash right
             # now would still recover it (nothing terminal yet for fresh)
             assert [p.job_id for p in journal.replay().pending] == [fresh.id]
+            gate.set()
+            assert scheduler.wait(fresh.id, 10)
+            assert fresh.state == DONE
         finally:
+            gate.set()
             scheduler.shutdown()
 
     def test_unknown_kind_is_skipped_not_fatal(self, journal):
