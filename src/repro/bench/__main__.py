@@ -1,4 +1,4 @@
-"""``python -m repro.bench`` — scalar vs batched perf trajectory."""
+"""``python -m repro.bench`` — per-phase, per-engine perf trajectory."""
 
 import sys
 

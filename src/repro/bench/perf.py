@@ -4,23 +4,22 @@
 of the analyze pipeline — Algorithm 1 exploration, Algorithm 2 peak power,
 §3.3 peak energy, and the input-profiling baseline — on the same
 benchmarks, always cold (no disk cache involved), and writes a
-``BENCH_suite.json`` artifact (schema 3) with per-phase wall-clock so
+``BENCH_suite.json`` artifact (schema 4) with per-phase wall-clock so
 future PRs can attribute speedups and catch regressions of each hot path
 separately.  The GA stressmark baseline is program-independent and timed
 once per report.
 
-The explore phase is timed under **four** engines: the scalar uint8
-reference (one path at a time), the batched uint8 reference (the PR 2
-baseline engine), the batched bit-plane engine, and the compiled native
-kernel (the one-foreign-call-per-settle C engine, skipped with its keys
-absent when no C compiler is available) — ``bitplane_speedup`` is the
-bit-plane gain over the PR 2 baseline and ``native_speedup`` the native
-gain over bit-plane, all at equal results.  The kernel's one-time
-compile cost is reported as ``engine.native_build_s`` (0.0 when the
-shared object was already cached or loaded).  Every comparison also
-cross-checks the engines against each other (tree shape, bit-identical
-value/activity matrices, bit-identical peak traces, identical profiling
-measurements), so a bench run doubles as a coarse differential test.
+The explore phase is timed under all three simulation engines: the
+batched uint8 reference (the oracle), the batched bit-plane engine, and
+the compiled native kernel (the default; skipped with its keys absent
+when no C compiler is available) — ``bitplane_speedup`` is the bit-plane
+gain over the reference and ``native_speedup`` the native gain over
+bit-plane, all at equal results: every engine's tree must have the same
+:meth:`~repro.core.activity.ExecutionTree.digest`, so a bench run doubles
+as a coarse differential test.  The kernel's one-time compile cost is
+reported as ``engine.native_build_s`` (0.0 when the shared object was
+already cached or loaded).  Every other phase runs once, on the default
+engine's tree.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ import os
 import platform
 import time
 from pathlib import Path
-
-import numpy as np
 
 from repro.bench.suite import ALL_BENCHMARKS, get_benchmark
 from repro.cells import SG65
@@ -68,14 +65,6 @@ def _best(fn, repeats: int):
     return best, result
 
 
-def _phase(scalar_s: float, fast_s: float, fast_key: str) -> dict:
-    return {
-        "scalar_s": round(scalar_s, 3),
-        fast_key: round(fast_s, 3),
-        "speedup": round(scalar_s / fast_s, 2) if fast_s else 0.0,
-    }
-
-
 def run_perf_suite(
     names: list[str] | None = None,
     batch_size: int | None = None,
@@ -85,16 +74,14 @@ def run_perf_suite(
     islands: int | None = None,
     migration_interval: int | None = None,
 ) -> dict:
-    """Time every pipeline phase, scalar vs batched; return the report.
+    """Time every pipeline phase under the default engine; return the report.
 
     *workers* is the GA island process count for the stressmark phase
     (``None`` honors ``REPRO_WORKERS``); every other phase runs in this
     process.  *islands*/*migration_interval* select the GA island
     schedule for the stressmark phase (``None`` honors
-    ``REPRO_ISLANDS``/``REPRO_MIGRATION_INTERVAL``); both timed GA runs
-    use the same schedule, so the scalar-vs-batched comparison stays
-    apples to apples, and the resolved knobs land in the artifact's
-    engine block.
+    ``REPRO_ISLANDS``/``REPRO_MIGRATION_INTERVAL``), and the resolved
+    knobs land in the artifact's engine block.
     """
     from repro.core.stressmark import resolve_island_knobs
     from repro.parallel.pool import resolve_workers
@@ -140,114 +127,56 @@ def run_perf_suite(
                 engine=engine,
             )
 
-        def trace_digest(some_tree) -> bytes:
-            """Bit-exact fingerprint of a tree's value/activity matrices —
-            lets the ~40 MB reference tree be freed before the next timed
-            run while keeping the cross-check exact."""
-            import hashlib
-
-            h = hashlib.blake2b(digest_size=16)
-            h.update(some_tree.flat_trace.values_matrix().tobytes())
-            h.update(some_tree.flat_trace.active_matrix().tobytes())
-            return h.digest()
-
-        explore_scalar_s, scalar_tree = _best(
-            lambda: run_explore(1, "reference"), repeats
-        )
-        scalar_shape = (scalar_tree.n_cycles, len(scalar_tree.segments))
-        reference_digest = trace_digest(scalar_tree)
-        # Drop each reference tree before the next timed run: the real
-        # pipeline has one tree alive, and ~40 MB of stale record arrays
-        # measurably slows the streaming phases on small-cache hosts.
-        del scalar_tree
         explore_batched_s, reference_tree = _best(
             lambda: run_explore(batch_size, "reference"), repeats
         )
-        if trace_digest(reference_tree) != reference_digest:
-            raise AssertionError(f"{name}: batched reference trace drifted")
+        reference_digest = reference_tree.digest()
+        # Drop each tree before the next timed run: the real pipeline has
+        # one tree alive, and ~40 MB of stale record arrays measurably
+        # slows the streaming phases on small-cache hosts.
         del reference_tree
         explore_bitplane_s, tree = _best(
             lambda: run_explore(None, "bitplane"), repeats
         )
-        if (tree.n_cycles, len(tree.segments)) != scalar_shape:
+        if tree.digest() != reference_digest:
             raise AssertionError(
-                f"{name}: explore engines disagree "
-                f"({scalar_shape} vs {(tree.n_cycles, len(tree.segments))})"
-            )
-        if trace_digest(tree) != reference_digest:
-            raise AssertionError(
-                f"{name}: bitplane and reference traces disagree"
+                f"{name}: bitplane and reference trees disagree"
             )
         explore_native_s = None
         if native_available:
-            explore_native_s, native_tree = _best(
+            del tree
+            explore_native_s, tree = _best(
                 lambda: run_explore(None, "native"), repeats
             )
-            if (
-                native_tree.n_cycles, len(native_tree.segments)
-            ) != scalar_shape:
+            if tree.digest() != reference_digest:
                 raise AssertionError(
-                    f"{name}: native explore changed the tree shape"
+                    f"{name}: native and reference trees disagree"
                 )
-            if trace_digest(native_tree) != reference_digest:
-                raise AssertionError(
-                    f"{name}: native and reference traces disagree"
-                )
-            del native_tree
         activity_stats = model.activity_profile(tree.flat_trace)
 
-        power_scalar_s, power_scalar = _best(
-            lambda: compute_peak_power(tree, model, engine="scalar"), repeats
+        power_s, power = _best(
+            lambda: compute_peak_power(tree, model), repeats
         )
-        scalar_trace = power_scalar.trace_mw
-        del power_scalar  # keep only the trace for the cross-check
-        power_stacked_s, power = _best(
-            lambda: compute_peak_power(tree, model, engine="stacked"),
-            repeats,
-        )
-        if not np.array_equal(scalar_trace, power.trace_mw):
-            raise AssertionError(f"{name}: peak-power engines disagree")
-
         energy_s, _energy = _best(
             lambda: compute_peak_energy(
                 tree, power, loop_bound=benchmark.loop_bound
             ),
             repeats,
         )
-
         input_sets = benchmark.input_sets(N_PROFILING_INPUTS)
-        profiling_scalar_s, profile_scalar = _best(
-            lambda: input_profiling(
-                cpu, program, input_sets, model, batch_size=1
-            ),
-            repeats,
-        )
-        profiling_batched_s, profile = _best(
+        profiling_s, _profile = _best(
             lambda: input_profiling(
                 cpu, program, input_sets, model, batch_size=batch_size
             ),
             repeats,
         )
-        if [run.peak_power_mw for run in profile.runs] != [
-            run.peak_power_mw for run in profile_scalar.runs
-        ]:
-            raise AssertionError(f"{name}: profiling engines disagree")
 
-        total_s = (
-            explore_bitplane_s + power_stacked_s + energy_s
-            + profiling_batched_s
-        )
         explore_row = {
-            # schema-2 fields keep their PR 2 semantics (speedup =
-            # scalar/batched reference); bitplane_* are additive
-            **_phase(explore_scalar_s, explore_batched_s, "batched_s"),
+            "batched_s": round(explore_batched_s, 3),
             "bitplane_s": round(explore_bitplane_s, 3),
             "bitplane_speedup": round(
                 explore_batched_s / explore_bitplane_s, 2
-            ) if explore_bitplane_s else 0.0,  # vs the PR 2 baseline
-            "scalar_cycles_per_s": round(
-                tree.n_cycles / explore_scalar_s, 1
-            ),
+            ) if explore_bitplane_s else 0.0,
             "batched_cycles_per_s": round(
                 tree.n_cycles / explore_batched_s, 1
             ),
@@ -272,41 +201,25 @@ def run_perf_suite(
                 "n_cycles": tree.n_cycles,
                 "explore": explore_row,
                 "activity": activity_stats,
-                "peakpower": _phase(
-                    power_scalar_s, power_stacked_s, "stacked_s"
-                ),
+                "peakpower": {"stacked_s": round(power_s, 3)},
                 "peakenergy": {"s": round(energy_s, 3)},
-                "baselines": _phase(
-                    profiling_scalar_s, profiling_batched_s, "batched_s"
-                ),
-                "total_s": round(total_s, 3),
+                "baselines": {"batched_s": round(profiling_s, 3)},
             }
         )
+        del tree, power
 
-    stressmark_scalar_s, stressmark_scalar = _best(
-        lambda: generate_stressmark(
-            cpu, model, batch_size=1, **ga_kwargs
-        ),
-        repeats,
-    )
-    stressmark_batched_s, stressmark_batched = _best(
+    stressmark_s, _stressmark = _best(
         lambda: generate_stressmark(
             cpu, model, batch_size=batch_size, **ga_kwargs
         ),
         repeats,
     )
-    if (
-        stressmark_scalar.source != stressmark_batched.source
-        or stressmark_scalar.peak_power_mw != stressmark_batched.peak_power_mw
-        or stressmark_scalar.avg_power_mw != stressmark_batched.avg_power_mw
-    ):
-        raise AssertionError("stressmark: GA engines disagree")
     from repro.sim.bitplane import default_engine
 
     engine_block = {
         "batch_size": batch_size,
         # the engine the non-explore phases actually ran under (the
-        # explore phase always times every engine configuration)
+        # explore phase always times every engine)
         "sim_engine": default_engine(),
         "bitplane_batch_size": default_batch_size("bitplane"),
         "repeats": repeats,
@@ -319,7 +232,7 @@ def run_perf_suite(
         # or loaded in this process); absent = no C compiler
         engine_block["native_build_s"] = native_build_s
     return {
-        "schema": 3,
+        "schema": 4,
         "engine": engine_block,
         "host": {
             "python": platform.python_version(),
@@ -328,9 +241,7 @@ def run_perf_suite(
         },
         "generated": time.strftime("%Y-%m-%d"),
         "benchmarks": rows,
-        "stressmark": _phase(
-            stressmark_scalar_s, stressmark_batched_s, "batched_s"
-        ),
+        "stressmark": {"batched_s": round(stressmark_s, 3)},
     }
 
 

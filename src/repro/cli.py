@@ -22,11 +22,11 @@ for an assembly program whose ``.input`` regions are symbolic; ``profile``
 measures concrete input sets and applies the 4/3 guardband; ``coi`` shows
 the cycles of interest with culprit instructions; ``suite`` runs the
 Table 4.1 benchmarks end to end (process-parallel, store-cached);
-``bench`` times the scalar vs batched engines and writes a perf-trajectory
-JSON artifact; ``conformance`` co-executes benchmarks and/or seeded fuzz
-programs lock-step on the behavioral ISS and the gate-level engines,
-exits 1 with a written reproducer on any architectural divergence (infra
-errors exit 2).
+``bench`` times every pipeline phase (explore under all three engines)
+and writes a perf-trajectory JSON artifact; ``conformance`` co-executes
+benchmarks and/or seeded fuzz programs lock-step on the behavioral ISS
+and the gate-level engines, exits 1 with a written reproducer on any
+architectural divergence (infra errors exit 2).
 
 The service verbs turn sizing questions into repeatable queries:
 ``serve`` runs the HTTP analysis service (async job scheduler +
@@ -46,7 +46,7 @@ no C compiler is available), ``--engine bitplane`` on packed dual-rail
 uint64 bit planes in numpy, ``--engine reference`` on the original
 uint8 evaluator — bit-identical results every way (also settable via
 ``REPRO_ENGINE``).  ``--batch-size N`` settles N
-execution paths in lock-step (1 = one path at a time; default 32 for the
+execution paths in lock-step (1 = a one-lane batch; default 32 for the
 native and bitplane engines, 8 for the reference engine, or
 ``REPRO_BATCH_SIZE``).
 One analysis runs in one process.  Cores are used across analyses —
@@ -227,22 +227,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for row in report["benchmarks"]:
         ex = row["explore"]
         native = (
-            f"native {ex['native_speedup']:.2f}x vs bitplane "
-            f"({ex['native_s']:.2f}s), " if "native_s" in ex else ""
+            f"native {ex['native_s']:.2f}s "
+            f"({ex['native_speedup']:.2f}x vs bitplane), "
+            if "native_s" in ex else ""
         )
         print(f"{row['name']:>10}: "
               f"explore {native}"
-              f"bitplane {ex['bitplane_speedup']:.2f}x vs batched "
-              f"ref ({ex['batched_s']:.2f}s -> {ex['bitplane_s']:.2f}s; "
-              f"scalar ref {ex['scalar_s']:.2f}s), "
-              f"peakpower {row['peakpower']['speedup']:.2f}x "
-              f"({row['peakpower']['scalar_s']:.2f}s -> "
-              f"{row['peakpower']['stacked_s']:.2f}s), "
-              f"baselines {row['baselines']['speedup']:.2f}x, "
-              f"total {row['total_s']:.2f}s")
-    sm = report["stressmark"]
-    print(f"stressmark: {sm['speedup']:.2f}x "
-          f"({sm['scalar_s']:.2f}s -> {sm['batched_s']:.2f}s)")
+              f"bitplane {ex['bitplane_s']:.2f}s "
+              f"({ex['bitplane_speedup']:.2f}x vs batched ref "
+              f"{ex['batched_s']:.2f}s), "
+              f"peakpower {row['peakpower']['stacked_s']:.2f}s, "
+              f"peakenergy {row['peakenergy']['s']:.3f}s, "
+              f"baselines {row['baselines']['batched_s']:.2f}s")
+    print(f"stressmark: {report['stressmark']['batched_s']:.2f}s")
     print(f"wrote {args.output}")
     return 0
 
@@ -596,8 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_batch_size(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
             "--batch-size", type=int, default=None, metavar="N",
-            help="settle N execution paths in lock-step (1 = one path at "
-                 "a time; default 32 native/bitplane / 8 reference, or "
+            help="settle N execution paths in lock-step (1 = a one-lane "
+                 "batch; default 32 native/bitplane / 8 reference, or "
                  "$REPRO_BATCH_SIZE)",
         )
         sub_parser.add_argument(
@@ -661,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.set_defaults(func=cmd_suite)
 
     p_bench = sub.add_parser(
-        "bench", help="time each pipeline phase scalar vs batched, "
+        "bench", help="time each pipeline phase (explore per engine), "
                       "write perf JSON"
     )
     p_bench.add_argument("--benchmarks", default=None,

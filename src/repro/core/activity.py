@@ -8,22 +8,20 @@ reads, a pending path is pushed, keyed by the (state, assignment) pair so
 already-simulated paths are never re-simulated (this is what lets
 input-dependent loops terminate).
 
-Two engines implement the exploration:
+One drain loop implements the exploration: it pops pending paths up to
+``batch_size`` at a time onto the lanes of a
+:class:`~repro.sim.batch.BatchMachine`, settles all of them per cycle in
+lock-step, and refills retired lanes from the queue mid-flight so the
+batch stays full (``batch_size=1`` is a one-lane batch).
 
-* the **scalar** engine simulates one pending path at a time on a
-  :class:`~repro.sim.machine.Machine` (the original reference), and
-* the **batched** engine (the default) drains the pending-path queue up to
-  ``batch_size`` paths at a time on a
-  :class:`~repro.sim.batch.BatchMachine`, settling all of them per cycle
-  with one set of matrix operations.  Retired lanes are refilled from the
-  queue mid-flight so the batch stays full.
-
-Both produce the *same* :class:`ExecutionTree`, bit for bit: a pending
-path's entire future is determined by its memoization key, so the batched
-engine simulates the same set of path segments (in whatever order the
-batch schedule visits them) and then replays the scalar engine's exact
-stack discipline over the discovered segment graph to assign segment
-indices, parents, fork targets and the flat-trace layout.
+The lanes finish segments in whatever order the schedule happens to
+visit them, but a pending path's entire future is determined by its
+memoization key, so the *set* of segments does not depend on the
+schedule.  A replay then walks the discovered segment graph with a
+depth-first stack, and that replay *defines* the canonical tree:
+segment indices, parents, fork targets and the flat-trace layout.  Every
+engine and every batch width yields the same tree, bit for bit;
+``tests/golden_trees.json`` pins its digest for every benchmark.
 
 The output is an :class:`ExecutionTree`: a set of trace *segments* linked
 by fork edges (including memoized back/cross edges), plus the flattened
@@ -32,6 +30,8 @@ concatenated trace that Algorithm 2 consumes.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from dataclasses import dataclass, field
 
@@ -43,7 +43,7 @@ from repro.sim.batch import BatchMachine
 from repro.sim.trace import CycleRecord, Trace
 
 #: batch width used when ``explore(..., batch_size=None)``; override with
-#: the ``REPRO_BATCH_SIZE`` environment variable (1 = scalar engine).
+#: the ``REPRO_BATCH_SIZE`` environment variable (1 = a one-lane batch).
 DEFAULT_BATCH_SIZE = 8
 
 #: wider default for the bitplane/native engines: their per-cycle cost is
@@ -125,41 +125,81 @@ class ExecutionTree:
         return pairs
 
     def is_cyclic(self) -> bool:
-        """True when memoization produced a loop (input-dependent loop)."""
-        color = {}
+        """True when memoization produced a loop (input-dependent loop).
 
-        def visit(node: int) -> bool:
-            color[node] = 1
-            for _src, dst in [
-                (node, f.target) for f in self.segments[node].forks
-            ]:
-                if color.get(dst) == 1:
+        An iterative depth-first walk from the root: a tree is as deep as
+        its longest fork chain, which a counted loop with an early exit
+        makes thousands of segments long.
+        """
+        on_path = {0}
+        done: set[int] = set()
+        stack = [(0, iter(self.segments[0].forks))]
+        while stack:
+            node, forks = stack[-1]
+            for fork in forks:
+                if fork.target in on_path:
                     return True
-                if color.get(dst, 0) == 0 and visit(dst):
-                    return True
-            color[node] = 2
-            return False
+                if fork.target not in done:
+                    on_path.add(fork.target)
+                    stack.append(
+                        (fork.target, iter(self.segments[fork.target].forks))
+                    )
+                    break
+            else:
+                stack.pop()
+                on_path.discard(node)
+                done.add(node)
+        return False
 
-        return visit(0)
+    def digest(self) -> str:
+        """Hex blake2b of everything that makes two trees identical.
+
+        Covers the segment list (index, parent, flat start, length, end),
+        every fork's sorted flag assignment and target, the memo-hit
+        count, the value, activity and memory-access matrices, and each
+        record's cycle number and annotations.  Only exact data goes in,
+        so the digest does not depend on the engine, the batch width or
+        the numpy version; ``tests/golden_trees.json`` pins it for the
+        Table 4.1 benchmarks.
+        """
+        h = hashlib.blake2b(digest_size=16)
+
+        def put(obj) -> None:
+            h.update(json.dumps(obj, sort_keys=True, default=int).encode())
+
+        for segment in self.segments:
+            put([
+                segment.index, segment.parent, segment.flat_start,
+                segment.n_cycles, segment.end,
+                [
+                    [sorted(fork.assignment.items()), fork.target]
+                    for fork in segment.forks
+                ],
+            ])
+        put(self.n_memo_hits)
+        flat = self.flat_trace
+        h.update(flat.values_matrix().tobytes())
+        h.update(flat.active_matrix().tobytes())
+        h.update(flat.mem_accesses().tobytes())
+        for record in flat.records:
+            put([record.cycle, record.annotations])
+        return h.hexdigest()
 
 
 @dataclass
 class _Pending:
     snapshot: dict
     forces: dict[int, int]
-    parent: tuple[int, int] | None
     memo_key: bytes
 
 
 def _memo_key(evaluator, snapshot: dict, forces: dict[int, int]) -> bytes:
     """Key = architectural state at the branch + the flag concretization.
 
-    *evaluator* (either engine) tells the fingerprint how to read the
+    *evaluator* (any engine) tells the fingerprint how to read the
     snapshot's state array; the induced equivalence relation — and hence
     the execution tree — is representation-independent.
     """
-    import hashlib
-
     from repro.sim.machine import Machine
 
     h = hashlib.blake2b(digest_size=16)
@@ -171,6 +211,21 @@ def _memo_key(evaluator, snapshot: dict, forces: dict[int, int]) -> bytes:
 
 
 _ROOT_KEY = b"root"
+
+
+# NOTE: tests/golden_trees.json pins every benchmark's tree by digest.
+# Any change to the fork semantics — the pre-step snapshot, the
+# dispatch-record pop, the memo-key enumeration — or to the replay order
+# in _assemble_tree shows up there, tree for tree.
+@dataclass
+class _Node:
+    """One simulated path segment, keyed by its memoization key."""
+
+    key: bytes
+    records: list[CycleRecord] = field(default_factory=list)
+    end: str = ""
+    #: (flag assignment, child memo key) in branch-enumeration order
+    forks: list[tuple[dict[int, int], bytes]] = field(default_factory=list)
 
 
 def explore(
@@ -185,15 +240,15 @@ def explore(
 ) -> ExecutionTree:
     """Run Algorithm 1 for *program* on the gate-level *cpu*.
 
-    *batch_size* selects the scheduling: ``1`` runs one pending path at a
-    time, anything larger settles that many paths in lock-step, and
-    ``None`` (the default) uses :func:`default_batch_size`.  *engine*
-    selects the simulation representation: ``"native"`` (the compiled C
-    settle kernel, the default), ``"bitplane"`` (packed dual rail in
-    numpy, native's no-compiler fallback) or ``"reference"`` (the uint8
-    oracle); ``None`` honors ``REPRO_ENGINE``.  The exploration runs in
-    the calling process; cores are spent across analyses (``suite
-    --jobs``, service job slots), not inside one.
+    *batch_size* is the number of pending paths settled in lock-step
+    (``1`` = a one-lane batch); ``None`` (the default) uses
+    :func:`default_batch_size`.  *engine* selects the simulation
+    representation: ``"native"`` (the compiled C settle kernel, the
+    default), ``"bitplane"`` (packed dual rail in numpy, native's
+    no-compiler fallback) or ``"reference"`` (the uint8 oracle); ``None``
+    honors ``REPRO_ENGINE``.  The exploration runs in the calling
+    process; cores are spent across analyses (``suite --jobs``, service
+    job slots), not inside one.
     Every combination returns the identical tree, bit for bit.  *cancel*
     is an optional :class:`repro.parallel.cancel.CancelToken` checked
     between path-queue batches; a set token aborts the exploration with
@@ -209,153 +264,7 @@ def explore(
         from repro.sim.bitplane import default_engine
 
         batch_size = default_batch_size(engine or default_engine())
-    if batch_size <= 1:
-        return _explore_scalar(
-            cpu, program, max_cycles, max_segments, max_cycles_per_path,
-            engine, cancel=cancel,
-        )
-    return _explore_batched(
-        cpu, program, max_cycles, max_segments, max_cycles_per_path,
-        batch_size, engine, cancel=cancel,
-    )
-
-
-# ----------------------------------------------------------------------
-# Scalar engine: one pending path at a time (the original reference).
-# ----------------------------------------------------------------------
-def _explore_scalar(
-    cpu,
-    program: Program,
-    max_cycles: int,
-    max_segments: int,
-    max_cycles_per_path: int,
-    engine: str | None = None,
-    cancel=None,
-) -> ExecutionTree:
-    machine = cpu.make_machine(program, symbolic_inputs=True, engine=engine)
-    flat = Trace(machine.netlist.n_nets)
-    segments: list[Segment] = []
-    total_cycles = 0
-
-    root = _Pending(
-        snapshot=machine.snapshot(), forces={}, parent=None, memo_key=_ROOT_KEY
-    )
-    stack: list[_Pending] = [root]
-    #: memo_key -> segment index (future segments get patched when popped)
-    seen: dict[bytes, int] = {root.memo_key: 0}
-    pending_targets: dict[bytes, list[tuple[int, int]]] = {}
-    n_memo_hits = 0
-
-    while stack:
-        if cancel is not None:
-            cancel.check()
-        faults.hit("explore.batch")
-        pending = stack.pop()
-        if len(segments) >= max_segments:
-            raise PathExplosionError(
-                f"{program.name}: more than {max_segments} path segments"
-            )
-        segment = Segment(index=len(segments), parent=pending.parent)
-        segment.flat_start = len(flat)
-        segments.append(segment)
-        seen[pending.memo_key] = segment.index
-        for src, fork_no in pending_targets.pop(pending.memo_key, []):
-            segments[src].forks[fork_no].target = segment.index
-
-        machine.restore(pending.snapshot)
-        machine.next_dff_forces = dict(pending.forces)
-
-        cycles_here = 0
-        while True:
-            snap_before = machine.snapshot()
-            machine.step(trace=flat)
-            cycles_here += 1
-            total_cycles += 1
-            if total_cycles > max_cycles:
-                raise PathExplosionError(
-                    f"{program.name}: exceeded {max_cycles} total cycles"
-                )
-            if cycles_here > max_cycles_per_path:
-                raise PathExplosionError(
-                    f"{program.name}: path exceeded {max_cycles_per_path} cycles"
-                )
-            if cpu.halted(machine):
-                segment.end = "halt"
-                break
-            if cpu.pc_next_unknown(machine):
-                assignments = cpu.branch_fork_assignments(machine)
-                # Drop the X-condition dispatch cycle: each child re-executes
-                # it with concrete flags, keeping flat cycles 1:1 with real
-                # executions (and the peak bound tight).
-                flat.records.pop()
-                cycles_here -= 1
-                total_cycles -= 1
-                segment.end = "fork"
-                for assignment in assignments:
-                    key = _memo_key(
-                        machine.evaluator, snap_before, assignment
-                    )
-                    fork_no = len(segment.forks)
-                    if key in seen:
-                        n_memo_hits += 1
-                        segment.forks.append(Fork(assignment, seen[key]))
-                        if seen[key] == -1:  # queued but not yet simulated
-                            pending_targets.setdefault(key, []).append(
-                                (segment.index, fork_no)
-                            )
-                    else:
-                        seen[key] = -1
-                        segment.forks.append(Fork(assignment, -1))
-                        pending_targets.setdefault(key, []).append(
-                            (segment.index, fork_no)
-                        )
-                        stack.append(
-                            _Pending(
-                                snapshot=snap_before,
-                                forces=assignment,
-                                parent=(segment.index, fork_no),
-                                memo_key=key,
-                            )
-                        )
-                break
-        segment.n_cycles = cycles_here
-
-    tree = ExecutionTree(
-        segments=segments, flat_trace=flat, n_memo_hits=n_memo_hits
-    )
-    _check_resolved(tree)
-    return tree
-
-
-# ----------------------------------------------------------------------
-# Batched engine: drain the pending-path queue B lanes at a time.
-#
-# NOTE: _explore_scalar is the oracle for this drain loop.  Any change to
-# the fork semantics — the pre-step snapshot, the dispatch-record pop,
-# the memo-key enumeration — must be applied to both; the differential
-# tests pin batched ≡ scalar, tree for tree.
-# ----------------------------------------------------------------------
-@dataclass
-class _Node:
-    """One simulated path segment, keyed by its memoization key."""
-
-    key: bytes
-    records: list[CycleRecord] = field(default_factory=list)
-    end: str = ""
-    #: (flag assignment, child memo key) in branch-enumeration order
-    forks: list[tuple[dict[int, int], bytes]] = field(default_factory=list)
-
-
-def _explore_batched(
-    cpu,
-    program: Program,
-    max_cycles: int,
-    max_segments: int,
-    max_cycles_per_path: int,
-    batch_size: int,
-    engine: str | None = None,
-    cancel=None,
-) -> ExecutionTree:
+    batch_size = max(1, batch_size)
     machine = cpu.make_machine(program, symbolic_inputs=True, engine=engine)
     # record_packed defers unpacking to the trace boundary (lazy per
     # record, bulk for values_matrix/active_matrix): on the packed
@@ -371,9 +280,7 @@ def _explore_batched(
     )
     evaluator = machine.evaluator
 
-    root = _Pending(
-        snapshot=machine.snapshot(), forces={}, parent=None, memo_key=_ROOT_KEY
-    )
+    root = _Pending(snapshot=machine.snapshot(), forces={}, memo_key=_ROOT_KEY)
     stack: list[_Pending] = [root]
     seen: set[bytes] = {root.memo_key}
     nodes: dict[bytes, _Node] = {}
@@ -404,7 +311,7 @@ def _explore_batched(
         faults.hit("explore.batch")
         # Pre-step snapshots: a fork restarts its children from the state
         # *before* the X-condition dispatch cycle (they re-execute it with
-        # concrete flags), exactly like the scalar engine's snap_before.
+        # concrete flags).
         snap_before = {id(lane): batch.snapshot(lane) for lane in batch.lanes}
         records = batch.step()
         for lane, record in zip(list(batch.lanes), records):
@@ -439,7 +346,6 @@ def _explore_batched(
                             _Pending(
                                 snapshot=snapshot,
                                 forces=assignment,
-                                parent=None,  # assigned by the replay
                                 memo_key=key,
                             )
                         )
@@ -459,13 +365,14 @@ def _explore_batched(
 def _assemble_tree(
     nodes: dict[bytes, _Node], n_nets: int, packing=None
 ) -> ExecutionTree:
-    """Replay the scalar engine's stack discipline over the segment graph.
+    """Number the discovered segment graph: the canonical tree.
 
     Segment content is order-independent (a memo key determines its whole
-    future), but segment *numbering*, parents, memo-hit bookkeeping and the
-    flat-trace layout all encode the scalar engine's depth-first pop order.
-    Replaying that order over the discovered ``{key: node}`` graph makes the
-    batched tree bit-identical to the scalar one.
+    future), so this replay alone fixes segment *numbering*, parents,
+    memo-hit bookkeeping and the flat-trace layout: a depth-first stack
+    from the root that pops the most recently pushed child first and
+    pushes a fork's unseen children in branch-enumeration order.  The
+    tree digests in ``tests/golden_trees.json`` pin the result.
     """
     flat = Trace(n_nets)
     flat.packing = packing
@@ -499,17 +406,6 @@ def _assemble_tree(
     for seg_index, fork_no, child_key in patches:
         segments[seg_index].forks[fork_no].target = index_of[child_key]
 
-    tree = ExecutionTree(
+    return ExecutionTree(
         segments=segments, flat_trace=flat, n_memo_hits=n_memo_hits
     )
-    _check_resolved(tree)
-    return tree
-
-
-def _check_resolved(tree: ExecutionTree) -> None:
-    for segment in tree.segments:
-        for fork in segment.forks:
-            if fork.target < 0:
-                raise AssertionError(
-                    f"unresolved fork target in segment {segment.index}"
-                )

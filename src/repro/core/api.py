@@ -84,8 +84,8 @@ def analyze(
     """Full input-independent peak power and energy analysis.
 
     *batch_size* selects the exploration scheduling (see
-    :func:`repro.core.activity.explore`): ``1`` forces one path at a
-    time, larger values settle that many execution paths in lock-step.
+    :func:`repro.core.activity.explore`): the number of execution
+    paths settled in lock-step (``1`` = a one-lane batch).
     *engine* selects the simulation representation — ``"native"``
     (the compiled C settle kernel, the default; bitplane fallback when
     no compiler), ``"bitplane"`` (packed dual-rail in numpy), or

@@ -108,32 +108,21 @@ def input_profiling(
 ) -> ProfilingBaseline:
     """The paper's profiling baseline over several input sets.
 
-    The input sets are embarrassingly parallel, so with ``batch_size > 1``
-    (the default, see :func:`repro.core.activity.default_batch_size`) all
-    concrete runs advance in lock-step on a
-    :class:`~repro.sim.batch.BatchMachine`; ``batch_size=1`` runs them one
-    at a time on the scalar :class:`~repro.sim.machine.Machine`.  Both
-    produce bit-identical traces, hence identical measurements.  *cancel*
-    (a :class:`repro.parallel.cancel.CancelToken`) is checked between
-    input sets on the scalar path and before the lock-step run.
+    The input sets are embarrassingly parallel, so all concrete runs
+    advance in lock-step on a :class:`~repro.sim.batch.BatchMachine`,
+    ``batch_size`` lanes at a time (``None``: see
+    :func:`repro.core.activity.default_batch_size`; ``1`` = a one-lane
+    batch).  Lock-step traces are record-for-record identical to
+    :func:`profile_one`'s concrete :class:`~repro.sim.machine.Machine`
+    runs, so the measurements do not depend on the batch size.  *cancel*
+    (a :class:`repro.parallel.cancel.CancelToken`) is checked before the
+    lock-step run.
     """
     from repro.core.activity import default_batch_size
     from repro.sim.batch import run_batch_to_halt
 
     if batch_size is None:
         batch_size = default_batch_size()
-    if batch_size <= 1 or len(input_sets) <= 1:
-        runs = []
-        for inputs in input_sets:
-            if cancel is not None:
-                cancel.check()
-            runs.append(
-                profile_one(
-                    cpu, program, inputs, model, max_cycles=max_cycles,
-                    engine=engine,
-                )
-            )
-        return ProfilingBaseline(runs=runs)
     if cancel is not None:
         cancel.check()
     machines = [

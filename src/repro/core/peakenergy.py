@@ -12,8 +12,6 @@ paper prescribes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
 
 from repro.core.activity import ExecutionTree
 from repro.core.peakpower import PeakPowerResult
@@ -83,21 +81,50 @@ def compute_peak_energy(
 def _acyclic_best(
     tree: ExecutionTree, peak: PeakPowerResult, energies: list[float]
 ) -> PeakEnergyResult:
-    @lru_cache(maxsize=None)
-    def best(index: int) -> tuple[float, int, tuple[int, ...]]:
-        segment = tree.segments[index]
-        own = (energies[index], segment.n_cycles, (index,))
-        if segment.end == "halt" or not segment.forks:
-            return own
-        tails = [best(fork.target) for fork in segment.forks]
-        energy, cycles, path = max(tails, key=lambda t: t[0])
-        return (own[0] + energy, own[1] + cycles, own[2] + path)
+    """Longest-path DP over the acyclic segment graph.
 
-    energy, cycles, path = best(0)
+    Iterative post-order: a counted loop with an early exit makes the
+    graph thousands of segments deep.  Each segment's best tail is its
+    highest-energy fork target's best path (the first fork wins a tie).
+    """
+    segments = tree.segments
+    #: segment -> (path energy, path cycles, next segment or None)
+    best: dict[int, tuple[float, int, int | None]] = {}
+    stack = [0]
+    while stack:
+        index = stack[-1]
+        if index in best:
+            stack.pop()
+            continue
+        segment = segments[index]
+        if segment.end == "halt" or not segment.forks:
+            best[index] = (energies[index], segment.n_cycles, None)
+            stack.pop()
+            continue
+        unsolved = [f.target for f in segment.forks if f.target not in best]
+        if unsolved:
+            stack.extend(unsolved)
+            continue
+        stack.pop()
+        choice = max(
+            (fork.target for fork in segment.forks),
+            key=lambda target: best[target][0],
+        )
+        energy, cycles, _next = best[choice]
+        best[index] = (
+            energies[index] + energy, segment.n_cycles + cycles, choice
+        )
+
+    path = []
+    index: int | None = 0
+    while index is not None:
+        path.append(index)
+        index = best[index][2]
+    energy, cycles, _next = best[0]
     return PeakEnergyResult(
         peak_energy_pj=energy,
         path_cycles=cycles,
-        path_segments=list(path),
+        path_segments=path,
         clock_ns=peak.clock_ns,
     )
 

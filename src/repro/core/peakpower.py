@@ -13,26 +13,23 @@ from its *parent's* last cycle, not from whatever segment happens to
 precede it in the flattened trace, so maximization and power evaluation
 need an explicit predecessor row per segment.
 
-Two engines implement the algorithm:
+The algorithm runs on the dual-rail uint64 P/N planes the explorer
+records (:meth:`Trace.values_matrix` with ``packed=True``; unpacked
+traces are packed once in plain net order).  Every segment is laid out
+as a context row holding its predecessor followed by its cycles; the
+stack is an index over the flat packed trace (each cycle's predecessor
+row), never a copy.  One parity's targets are independent, so all of
+them — across all segments — are X-assigned with word-wise bit ops
+(:func:`assign_planes`, 64 nets per op) and priced per
+:attr:`~repro.power.model.PowerModel.TRACE_CHUNK_ROWS` block: only the
+rising and falling edge words are unpacked, one at a time, into the
+shared einsum kernel.  The witness profiles are assigned on the same
+planes and unpacked once per parity.
 
-* the **stacked** engine (the default) works on the dual-rail uint64 P/N
-  planes the explorer records (:meth:`Trace.values_matrix` with
-  ``packed=True``; unpacked traces are packed once in plain net order).
-  Every segment is laid out as a context row holding its predecessor
-  followed by its cycles; the stack is an index over the flat packed
-  trace (each cycle's predecessor row), never a copy.  One parity's
-  targets are independent, so all of them — across all segments — are
-  X-assigned with word-wise bit ops (:func:`assign_planes`, 64 nets per
-  op) and priced per :attr:`~repro.power.model.PowerModel.TRACE_CHUNK_ROWS`
-  block: only the rising and falling edge words are unpacked, one at a
-  time, into the shared einsum kernel.  The witness profiles are
-  assigned on the same planes and unpacked once per parity.
-* the **scalar** engine walks segments one at a time over uint8 trit
-  rows with a per-cycle Python loop — the original reference, retained
-  as the slow oracle for differential tests.
-
-Both produce bit-identical results: same even/odd profiles, same peak
-trace, same per-module breakdowns.
+:func:`maximize_parity` keeps the trit-level rules as the reference the
+plane ops are tested against: applied to each (predecessor, cycle) pair
+and priced with :meth:`PowerModel.transition_power`, it reproduces the
+peak trace and every per-module series bit for bit.
 """
 
 from __future__ import annotations
@@ -118,11 +115,11 @@ def maximize_parity(
     transition, a single X becomes the value that completes a toggle.  Row
     0 is the predecessor context and is never a target.
 
-    This is the scalar reference; target cycles are independent of each
-    other (targets of one parity are two rows apart, and each touches only
-    itself and its predecessor row), which is what lets the stacked engine
-    process every target of every segment in one shot — see
-    :func:`assign_planes`.
+    This is the trit-level reference; target cycles are independent of
+    each other (targets of one parity are two rows apart, and each
+    touches only itself and its predecessor row), which is what lets
+    :func:`compute_peak_power` process every target of every segment in
+    one shot — see :func:`assign_planes`.
     """
     assigned = values.copy()
     n_cycles = values.shape[0]
@@ -185,27 +182,74 @@ def compute_peak_power(
     model: PowerModel,
     per_module: bool = True,
     vcd_dir: str | Path | None = None,
-    engine: str = "stacked",
     cancel=None,
 ) -> PeakPowerResult:
     """Run Algorithm 2 over an activity-annotated execution tree.
 
-    *engine* selects ``"stacked"`` (vectorized across segments, the
-    default) or ``"scalar"`` (the per-segment reference); both produce
-    bit-identical results.  *cancel* is an optional
-    :class:`repro.parallel.cancel.CancelToken` checked between segment
-    chunks (per parity pass in the stacked engine, per segment in the
-    scalar one); a set token aborts with
+    *cancel* is an optional :class:`repro.parallel.cancel.CancelToken`
+    checked before each parity pass; a set token aborts with
     :class:`repro.parallel.cancel.JobCancelled`.  When *vcd_dir* is
     given, the even- and odd-maximized activity profiles are written as
     ``even.vcd`` / ``odd.vcd``, mirroring the paper's flow of handing
     two VCD files to the power tool.
     """
-    if engine == "stacked":
-        return _compute_stacked(tree, model, per_module, vcd_dir, cancel=cancel)
-    if engine == "scalar":
-        return _compute_scalar(tree, model, per_module, vcd_dir, cancel=cancel)
-    raise ValueError(f"unknown peak-power engine {engine!r}")
+    flat = tree.flat_trace
+    n_cycles = len(flat)
+    module_names = sorted(model.module_masks) if per_module else []
+    if n_cycles == 0:
+        empty = np.zeros((0, 0), np.uint8)
+        return _finish(
+            tree, model, np.zeros(0),
+            {name: np.zeros(0) for name in module_names},
+            lambda: (empty.copy(), empty.copy()), vcd_dir,
+        )
+    order, values, active, pred, local = _plane_stack(tree)
+    max_prev, max_cur = _max_planes(model, order)
+    mem_accesses = flat.mem_accesses()
+
+    # One maximization + one power evaluation per parity, walked in
+    # cache-sized blocks.  Parity 1 targets local rows 1,3,5..., parity 0
+    # rows 2,4,...  The peak trace takes cycle c from the profile that
+    # targeted c's parity, so each profile is priced only at its own
+    # target rows and scattered back by parity.
+    # :meth:`PowerModel.pair_power` pulls one TRACE_CHUNK_ROWS block of
+    # target pairs at a time, gathered and X-assigned on the planes;
+    # every target touches only itself and its own predecessor and the
+    # assignment writes only into the gathered copies, so blocks are
+    # independent and the floats are bit-identical at any block size.
+    # The full witness profiles are *not* assembled here; the witness
+    # builder recomputes them if anyone asks.
+    odd_local = local % 2 == 1
+    peak_trace = np.empty(n_cycles)
+    module_mw = {name: np.empty(n_cycles) for name in module_names}
+    for parity_mask in (odd_local, ~odd_local):
+        if cancel is not None:
+            cancel.check()
+        faults.hit("peakpower.segment")
+        targets = np.flatnonzero(parity_mask)
+
+        def pairs(start: int, stop: int):
+            rows = targets[start:stop]
+            return assign_planes(
+                values.take(pred[rows], axis=1), values.take(rows, axis=1),
+                active[rows], max_prev, max_cur,
+            )
+
+        power = model.pair_power(
+            pairs,
+            len(targets),
+            mem_accesses[targets],
+            per_module=per_module,
+            bit_order=order,
+        )
+        peak_trace[parity_mask] = power.total_mw
+        for name in module_names:
+            module_mw[name][parity_mask] = power.module_mw[name]
+
+    return _finish(
+        tree, model, peak_trace, module_mw,
+        lambda: _witnesses(tree, model), vcd_dir,
+    )
 
 
 def _finish(
@@ -216,7 +260,7 @@ def _finish(
     witness_builder,
     vcd_dir: str | Path | None,
 ) -> PeakPowerResult:
-    """Shared tail of both engines: segment sums, VCDs, result object."""
+    """Segment sums, VCDs and the result object."""
     segment_energy = np.zeros(len(tree.segments))
     for segment in tree.segments:
         if segment.n_cycles:
@@ -250,9 +294,6 @@ def _finish(
     return result
 
 
-# ----------------------------------------------------------------------
-# Stacked engine: all segments on the packed planes, one pass per parity.
-# ----------------------------------------------------------------------
 def _plane_stack(tree: ExecutionTree):
     """The context-interleaved segment stack over the packed flat trace.
 
@@ -295,7 +336,7 @@ def _max_planes(model: PowerModel, order) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _stacked_witnesses(
+def _witnesses(
     tree: ExecutionTree, model: PowerModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """(even, odd) witness profiles: each parity X-assigned in full on
@@ -318,156 +359,3 @@ def _stacked_witnesses(
         profiles.append(order.unpack_trits(assigned[0], assigned[1]))
     odd_full, even_full = profiles
     return even_full, odd_full
-
-
-def _compute_stacked(
-    tree: ExecutionTree,
-    model: PowerModel,
-    per_module: bool,
-    vcd_dir: str | Path | None,
-    cancel=None,
-) -> PeakPowerResult:
-    flat = tree.flat_trace
-    n_cycles = len(flat)
-    module_names = sorted(model.module_masks) if per_module else []
-    if n_cycles == 0:
-        empty = np.zeros((0, 0), np.uint8)
-        return _finish(
-            tree, model, np.zeros(0),
-            {name: np.zeros(0) for name in module_names},
-            lambda: (empty.copy(), empty.copy()), vcd_dir,
-        )
-    order, values, active, pred, local = _plane_stack(tree)
-    max_prev, max_cur = _max_planes(model, order)
-    mem_accesses = flat.mem_accesses()
-
-    # One maximization + one power evaluation per parity, walked in
-    # cache-sized blocks.  Parity 1 targets local rows 1,3,5..., parity 0
-    # rows 2,4,...  The peak trace takes cycle c from the profile that
-    # targeted c's parity, so each profile is priced only at its own
-    # target rows — a parity-indexed scatter replaces the per-cycle
-    # choice loop.  :meth:`PowerModel.pair_power` pulls one
-    # TRACE_CHUNK_ROWS block of target pairs at a time, gathered and
-    # X-assigned on the planes; every target touches only itself and its
-    # own predecessor and the assignment writes only into the gathered
-    # copies, so blocks are independent and the floats are bit-identical
-    # at any block size.  The full witness profiles are *not* assembled
-    # here; the witness builder recomputes them if anyone asks.
-    odd_local = local % 2 == 1
-    peak_trace = np.empty(n_cycles)
-    module_mw = {name: np.empty(n_cycles) for name in module_names}
-    for parity_mask in (odd_local, ~odd_local):
-        if cancel is not None:
-            cancel.check()
-        faults.hit("peakpower.segment")
-        targets = np.flatnonzero(parity_mask)
-
-        def pairs(start: int, stop: int):
-            rows = targets[start:stop]
-            return assign_planes(
-                values.take(pred[rows], axis=1), values.take(rows, axis=1),
-                active[rows], max_prev, max_cur,
-            )
-
-        power = model.pair_power(
-            pairs,
-            len(targets),
-            mem_accesses[targets],
-            per_module=per_module,
-            bit_order=order,
-        )
-        peak_trace[parity_mask] = power.total_mw
-        for name in module_names:
-            module_mw[name][parity_mask] = power.module_mw[name]
-
-    return _finish(
-        tree, model, peak_trace, module_mw,
-        lambda: _stacked_witnesses(tree, model), vcd_dir,
-    )
-
-
-# ----------------------------------------------------------------------
-# Scalar engine: one segment at a time (the original reference).
-# ----------------------------------------------------------------------
-def _segment_profiles(tree, model, segment, values, active):
-    """One segment's [context + cycles] inputs and its two maximized
-    profiles, local parity 1 (odd rows) first.  *values*/*active* are the
-    flat trace matrices, computed once by the caller."""
-    n_nets = values.shape[1]
-    sl = tree.segment_slice(segment)
-    if segment.parent is None:
-        context = values[sl.start]  # root: no predecessor transition
-    else:
-        parent = tree.segments[segment.parent[0]]
-        context = values[parent.flat_start + parent.n_cycles - 1]
-    seg_values = np.vstack([context[None, :], values[sl]])
-    seg_active = np.vstack([np.zeros((1, n_nets), dtype=bool), active[sl]])
-    profiles = [
-        maximize_parity(
-            seg_values, seg_active, parity, model.max_prev, model.max_cur
-        )
-        for parity in (1, 0)  # local rows 1,3,5... and 2,4,6...
-    ]
-    return sl, profiles
-
-
-def _scalar_witnesses(
-    tree: ExecutionTree, model: PowerModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """(even, odd) witness profiles via the per-segment reference path."""
-    flat = tree.flat_trace
-    values = flat.values_matrix() if len(flat) else np.zeros((0, 0), np.uint8)
-    active = flat.active_matrix() if len(flat) else np.zeros((0, 0), bool)
-    even_full = values.copy()
-    odd_full = values.copy()
-    for segment in tree.segments:
-        if segment.n_cycles == 0:
-            continue
-        sl, profiles = _segment_profiles(tree, model, segment, values, active)
-        even_full[sl] = profiles[1][1:]
-        odd_full[sl] = profiles[0][1:]
-    return even_full, odd_full
-
-
-def _compute_scalar(
-    tree: ExecutionTree,
-    model: PowerModel,
-    per_module: bool,
-    vcd_dir: str | Path | None,
-    cancel=None,
-) -> PeakPowerResult:
-    flat = tree.flat_trace
-    values = flat.values_matrix() if len(flat) else np.zeros((0, 0), np.uint8)
-    active = flat.active_matrix() if len(flat) else np.zeros((0, 0), bool)
-    mem_accesses = flat.mem_accesses()
-    n_cycles = len(flat)
-
-    peak_trace = np.zeros(n_cycles)
-    module_names = sorted(model.module_masks) if per_module else []
-    module_mw = {name: np.zeros(n_cycles) for name in module_names}
-
-    for segment in tree.segments:
-        if cancel is not None:
-            cancel.check()
-        faults.hit("peakpower.segment")
-        if segment.n_cycles == 0:
-            continue
-        sl, profiles = _segment_profiles(tree, model, segment, values, active)
-        seg_mem = np.vstack([[0.0, 0.0], mem_accesses[sl]])
-        powers = [
-            model.trace_power(profile, seg_mem, per_module=per_module)
-            for profile in profiles
-        ]
-        # Local row i (1-based data row) was maximized by profiles[(i+1)%2]:
-        # profile 0 targets odd local rows, profile 1 targets even ones.
-        for local in range(1, segment.n_cycles + 1):
-            choice = powers[(local + 1) % 2]
-            flat_index = sl.start + local - 1
-            peak_trace[flat_index] = choice.total_mw[local]
-            for name in module_names:
-                module_mw[name][flat_index] = choice.module_mw[name][local]
-
-    return _finish(
-        tree, model, peak_trace, module_mw,
-        lambda: _scalar_witnesses(tree, model), vcd_dir,
-    )

@@ -1,17 +1,18 @@
 """Batched baselines ≡ scalar baselines.
 
-The input-profiling and GA-stressmark baselines now run their concrete
+The input-profiling and GA-stressmark baselines run their concrete
 simulations in lock-step on a :class:`~repro.sim.batch.BatchMachine`;
 because the batched engine is record-for-record identical to the scalar
-:class:`~repro.sim.machine.Machine`, every measurement — and hence the GA
-evolution — must be exactly the same under any batch size.
+:class:`~repro.sim.machine.Machine` (``profile_one`` and the stressmark's
+per-genome path keep running on it), every measurement — and hence the
+GA evolution — must be exactly the same under any batch size.
 """
 
 import pytest
 
 from repro.bench.suite import get_benchmark
 from repro.cells import SG65
-from repro.core.baselines import input_profiling
+from repro.core.baselines import input_profiling, profile_one
 from repro.core.stressmark import generate_stressmark
 from repro.power.model import PowerModel
 from repro.sim.batch import run_batch_to_halt
@@ -61,23 +62,17 @@ class TestRunBatchToHalt:
 
 class TestBatchedProfiling:
     def test_identical_measurements(self, cpu, model):
+        """Lock-step and one-lane batches both reproduce the concrete
+        ``Machine`` run of every input set."""
         benchmark = get_benchmark("FFT")
+        program = benchmark.program()
         sets = benchmark.input_sets(4)
-        scalar = input_profiling(
-            cpu, benchmark.program(), sets, model, batch_size=1
-        )
-        batched = input_profiling(
-            cpu, benchmark.program(), sets, model, batch_size=4
-        )
-        for a, b in zip(scalar.runs, batched.runs):
-            assert a.inputs == b.inputs
-            assert a.peak_power_mw == b.peak_power_mw
-            assert a.avg_power_mw == b.avg_power_mw
-            assert a.energy_pj == b.energy_pj
-            assert a.cycles == b.cycles
-        assert (
-            scalar.guardbanded_peak_power_mw == batched.guardbanded_peak_power_mw
-        )
+        scalar = [profile_one(cpu, program, inputs, model) for inputs in sets]
+        for batch_size in (1, 4):
+            batched = input_profiling(
+                cpu, program, sets, model, batch_size=batch_size
+            )
+            assert batched.runs == scalar, batch_size
 
 
 class TestBatchedStressmark:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.compare import compare_reports, main
+from repro.bench.compare import PHASES, compare_reports, main
 
 
 def _report(bitplane_s, stacked_s=0.5, stress_s=1.0, name="mult"):
@@ -114,3 +114,37 @@ class TestCli:
 @pytest.mark.parametrize("bad", [{}, {"benchmarks": []}])
 def test_empty_reports_compare_empty(bad):
     assert compare_reports(bad, bad) == ([], 0)
+
+
+def _keys(node):
+    """Every dict key anywhere in a JSON-like report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(node, list):
+        for item in node:
+            yield from _keys(item)
+
+
+class TestPerfHarness:
+    """The real harness on one kernel: the artifact it writes is one the
+    gate can read, phase for phase."""
+
+    @pytest.fixture(scope="class")
+    def report(self, cpu):
+        from repro.bench.perf import run_perf_suite
+
+        return run_perf_suite(["mult"], cpu=cpu)
+
+    def test_no_scalar_legs(self, report):
+        assert report["schema"] == 4
+        keys = set(_keys(report))
+        assert not {key for key in keys if key.startswith("scalar")}
+        assert not keys & {"total_s", "speedup"}
+
+    def test_gate_compares_every_phase(self, report):
+        failures, n_compared = compare_reports(report, report)
+        assert failures == []
+        # every (row, seconds) phase of the one benchmark + the stressmark
+        assert n_compared == len(PHASES) + 1

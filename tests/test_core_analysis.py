@@ -6,12 +6,17 @@ import pytest
 from repro.asm import assemble
 from repro.cells import SG65
 from repro.core import analyze, explore
-from repro.core.activity import PathExplosionError
+from repro.core.activity import ExecutionTree, Fork, PathExplosionError, Segment
 from repro.core.peakenergy import compute_peak_energy
-from repro.core.peakpower import compute_peak_power, maximize_parity
+from repro.core.peakpower import (
+    PeakPowerResult,
+    compute_peak_power,
+    maximize_parity,
+)
 from repro.cpu import UnresolvedPCError
 from repro.logic import X
 from repro.power import PowerModel
+from repro.sim.trace import Trace
 
 
 @pytest.fixture(scope="module")
@@ -204,4 +209,67 @@ class TestPeakEnergy:
         report = analyze(cpu, ONE_BRANCH, model)
         assert report.npe_pj_per_cycle == pytest.approx(
             report.peak_energy_pj / report.peak_energy.path_cycles
+        )
+
+
+def early_exit_chain(n_bodies: int, hot_exit: int):
+    """The tree of a counted loop that may exit early on every pass.
+
+    Body segment ``2k`` (2 cycles) forks to exit ``2k + 1`` (1 cycle,
+    halt) and to the next body; the last body halts.  Every cycle costs
+    1 mW except exit *hot_exit*'s, so the worst path runs the bodies
+    ``0..hot_exit`` and leaves through that exit.  Built by hand: deep
+    trees need no simulation.
+    """
+    segments = []
+    flat_start = 0
+    for k in range(n_bodies):
+        body = Segment(index=2 * k, parent=None, flat_start=flat_start,
+                       n_cycles=2, end="halt")
+        flat_start += 2
+        segments.append(body)
+        if k == n_bodies - 1:
+            break
+        body.end = "fork"
+        body.forks = [Fork({0: 1}, 2 * k + 1), Fork({0: 0}, 2 * k + 2)]
+        segments.append(Segment(index=2 * k + 1, parent=(2 * k, 0),
+                                flat_start=flat_start, n_cycles=1,
+                                end="halt"))
+        flat_start += 1
+    trace_mw = np.ones(flat_start)
+    trace_mw[segments[2 * hot_exit + 1].flat_start] = 1000.0
+    tree = ExecutionTree(segments=segments, flat_trace=Trace(1))
+    peak = PeakPowerResult(
+        peak_power_mw=1000.0, peak_cycle=int(trace_mw.argmax()),
+        trace_mw=trace_mw, module_mw={}, clock_ns=10.0,
+    )
+    return tree, peak
+
+
+class TestDeepTrees:
+    """Tree walks are iterative: depth is bounded by the exploration
+    budget, not by Python's recursion limit."""
+
+    N_BODIES = 1500  # 2,999 segments, twice the default recursion limit
+
+    def test_deep_chain_is_acyclic(self):
+        tree, _peak = early_exit_chain(self.N_BODIES, hot_exit=1000)
+        assert len(tree.segments) == 2 * self.N_BODIES - 1
+        assert not tree.is_cyclic()
+
+    def test_deep_back_edge_is_found(self):
+        tree, _peak = early_exit_chain(self.N_BODIES, hot_exit=1000)
+        last = tree.segments[-1]
+        last.end = "fork"
+        last.forks = [Fork({0: 1}, 0)]
+        assert tree.is_cyclic()
+
+    def test_deep_chain_peak_energy(self):
+        tree, peak = early_exit_chain(self.N_BODIES, hot_exit=1000)
+        energy = compute_peak_energy(tree, peak)
+        bodies = list(range(0, 2 * 1000 + 1, 2))
+        assert energy.path_segments == bodies + [2 * 1000 + 1]
+        assert energy.path_cycles == 2 * len(bodies) + 1
+        assert energy.peak_energy_pj == pytest.approx(
+            (2 * len(bodies) + 1000.0) * 10.0
         )

@@ -1,19 +1,29 @@
-"""Differential regression layer: every engine ≡ the scalar reference.
+"""Differential regression layer: every engine ≡ the frozen scalar trees.
 
-For every Table 4.1 benchmark the batched **bitplane** engine (packed
-dual-rail planes, the default) must produce the *same*
-:class:`ExecutionTree` as the scalar uint8 reference — segment for
-segment, fork for fork, trace record for trace record — and the analysis
-numbers computed from it must match the golden values pinned from the
-seed's scalar run (``tests/golden_suite.json``).  This covers both axes
-at once: the lock-step batching (PR 1) and the packed representation
-(this PR); the batched *reference* engine keeps a spot check.
+The original explorer simulated one pending path at a time on the uint8
+reference engine, and Algorithm 2 had a per-segment scalar copy.  Their
+output on the 14 Table 4.1 benchmarks is frozen in
+``tests/golden_trees.json``: per benchmark, the
+:meth:`~repro.core.activity.ExecutionTree.digest` of the execution tree
+(segments, forks, memo hits, the value/activity/memory-access matrices,
+record cycles and annotations) and a digest of the even/odd witness
+profiles.  Only exact data is digested, so the pins hold under any numpy.
 
-The heavy multi-path kernels make this the most expensive test module in
-the suite; everything per benchmark is computed once in a module-scoped
-fixture and shared across the assertions.
+Both numpy engines must reproduce the tree digest at their default
+batch width: the batched uint8 reference (the oracle) and the bit-plane
+engine (native's no-compiler fallback); ``test_native`` holds the
+compiled native kernel (the default) to the same digests.  The analysis
+numbers computed from the bitplane tree must match
+``tests/golden_suite.json``, and Algorithm 2 must match its trit-level
+reference cycle by cycle: :func:`maximize_parity` on the raw
+(predecessor, cycle) row pair, priced by
+:meth:`~repro.power.model.PowerModel.transition_power`.
+
+Each engine explores each benchmark once, in a module-scoped fixture
+shared by every assertion.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -24,43 +34,91 @@ from repro.bench.suite import ALL_BENCHMARKS, get_benchmark
 from repro.cells import SG65
 from repro.core.activity import explore
 from repro.core.peakenergy import compute_peak_energy
-from repro.core.peakpower import compute_peak_power
+from repro.core.peakpower import (
+    PeakPowerResult,
+    compute_peak_power,
+    maximize_parity,
+)
 from repro.power.model import PowerModel
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_suite.json").read_text()
+)
+GOLDEN_TREES = json.loads(
+    (Path(__file__).parent / "golden_trees.json").read_text()
 )
 
 #: comfortably tighter than any real drift, loose enough for libm/numpy
 #: version skew in the last couple of ulps
 REL = 1e-9
 
+#: the analyze-summary fields ``perfbench`` compares with each
+#: ``golden_suite.json`` entry — it compares *every* key of the entry, so
+#: a digest or any other extra key there would fail every benchmark op;
+#: tree digests live in ``golden_trees.json`` instead
+SUMMARY_FIELDS = {
+    "peak_power_mw", "peak_energy_pj", "npe_pj_per_cycle", "peak_cycle",
+    "path_cycles", "n_segments", "n_cycles", "n_memo_hits",
+}
 
-def assert_trees_identical(scalar, batched):
-    assert len(batched.segments) == len(scalar.segments)
-    assert batched.n_memo_hits == scalar.n_memo_hits
-    for ours, ref in zip(batched.segments, scalar.segments):
-        assert ours.index == ref.index
-        assert ours.parent == ref.parent
-        assert ours.flat_start == ref.flat_start
-        assert ours.n_cycles == ref.n_cycles
-        assert ours.end == ref.end
-        assert [(f.assignment, f.target) for f in ours.forks] == [
-            (f.assignment, f.target) for f in ref.forks
-        ]
-    assert len(batched.flat_trace) == len(scalar.flat_trace)
-    assert np.array_equal(
-        batched.flat_trace.values_matrix(), scalar.flat_trace.values_matrix()
-    ), "settled net values differ"
-    assert np.array_equal(
-        batched.flat_trace.active_matrix(), scalar.flat_trace.active_matrix()
-    ), "activity flags differ"
-    assert np.array_equal(
-        batched.flat_trace.mem_accesses(), scalar.flat_trace.mem_accesses()
-    ), "memory access counts differ"
-    for ours, ref in zip(batched.flat_trace.records, scalar.flat_trace.records):
-        assert ours.cycle == ref.cycle
-        assert ours.annotations == ref.annotations
+#: explored in this order; the last (bitplane's) tree is kept
+ENGINE_ORDER = ("reference", "bitplane")
+
+
+def witness_digest(peak: PeakPowerResult) -> str:
+    """blake2b of the even, then odd, witness profile (uint8 trits)."""
+    h = hashlib.blake2b(digest_size=16)
+    for profile in peak.witnesses():
+        h.update(np.ascontiguousarray(profile, dtype=np.uint8).tobytes())
+    return h.hexdigest()
+
+
+def explore_benchmark(cpu, name: str, **kwargs):
+    benchmark = get_benchmark(name)
+    return explore(
+        cpu,
+        benchmark.program(),
+        max_cycles=benchmark.max_cycles,
+        max_segments=benchmark.max_segments,
+        **kwargs,
+    )
+
+
+def pair_oracle(tree, model: PowerModel):
+    """Algorithm 2 one cycle at a time, on uint8 trits.
+
+    Every cycle is the lone target of :func:`maximize_parity` (parity 1)
+    on two rows: its raw predecessor — the parent's last cycle for a
+    segment's first cycle, the cycle itself for the root's — and itself.
+    Targets of one parity never share a row, so this is exactly what the
+    plane engine computes for the cycle's parity.
+    """
+    flat = tree.flat_trace
+    values = flat.values_matrix()
+    active = flat.active_matrix()
+    pred = np.arange(-1, len(flat) - 1)
+    for segment in tree.segments:
+        if not segment.n_cycles:
+            continue
+        if segment.parent is None:
+            pred[segment.flat_start] = segment.flat_start
+        else:
+            parent = tree.segments[segment.parent[0]]
+            pred[segment.flat_start] = parent.flat_start + parent.n_cycles - 1
+    prev_rows = np.empty_like(values)
+    cur_rows = np.empty_like(values)
+    context = np.zeros_like(active[0])  # row 0 is never a target
+    for cycle in range(len(flat)):
+        prev_rows[cycle], cur_rows[cycle] = maximize_parity(
+            values[[pred[cycle], cycle]],
+            np.stack([context, active[cycle]]),
+            1,
+            model.max_prev,
+            model.max_cur,
+        )
+    return model.transition_power(
+        prev_rows, cur_rows, flat.mem_accesses(), per_module=True
+    )
 
 
 @pytest.fixture(scope="module")
@@ -69,59 +127,57 @@ def model(cpu):
 
 
 @pytest.fixture(scope="module", params=sorted(ALL_BENCHMARKS))
-def engines(request, cpu):
-    """(name, reference scalar tree, bitplane batched tree) per benchmark."""
+def explored(request, cpu):
+    """(name, {engine: tree digest}, bitplane tree) per benchmark."""
     name = request.param
-    benchmark = get_benchmark(name)
-    trees = [
-        explore(
-            cpu,
-            benchmark.program(),
-            max_cycles=benchmark.max_cycles,
-            max_segments=benchmark.max_segments,
-            batch_size=batch_size,
-            engine=engine,
-        )
-        for batch_size, engine in ((1, "reference"), (None, "bitplane"))
-    ]
-    return name, trees[0], trees[1]
+    digests = {}
+    for engine in ENGINE_ORDER:
+        tree = explore_benchmark(cpu, name, engine=engine)
+        digests[engine] = tree.digest()
+    return name, digests, tree
+
+
+@pytest.fixture(scope="module")
+def peak(explored, model):
+    """(name, tree, Algorithm 2 result) on the bitplane tree."""
+    name, _digests, tree = explored
+    return name, tree, compute_peak_power(tree, model)
 
 
 class TestBatchedEqualsScalar:
-    def test_execution_tree_bit_identical(self, engines):
-        _name, scalar, batched = engines
-        assert_trees_identical(scalar, batched)
+    """Every batched engine rebuilds the scalar explorer's trees."""
+
+    def test_execution_tree_bit_identical(self, explored):
+        """The numpy engines: the uint8 reference and bitplane."""
+        name, digests, _tree = explored
+        want = GOLDEN_TREES[name]["tree"]
+        assert digests["reference"] == want
+        assert digests["bitplane"] == want
+
+    @pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS))
+    def test_one_lane_batch_bit_identical(self, cpu, name):
+        """``batch_size=1`` is a one-lane batch, not another loop: lanes
+        retire and refill one path at a time, and the replay still
+        rebuilds the golden tree (native engine)."""
+        tree = explore_benchmark(cpu, name, batch_size=1, engine="native")
+        assert tree.digest() == GOLDEN_TREES[name]["tree"]
 
     def test_reference_batched_spot_check(self, cpu):
-        """The uint8 reference engine's lock-step mode stays identical too
-        (one benchmark-sized probe on mult; the bitplane fixture covers
-        all 14)."""
-        benchmark = get_benchmark("mult")
-        scalar, batched = (
-            explore(
-                cpu,
-                benchmark.program(),
-                max_cycles=benchmark.max_cycles,
-                max_segments=benchmark.max_segments,
-                batch_size=batch_size,
-                engine="reference",
-            )
-            for batch_size in (1, 8)
-        )
-        assert_trees_identical(scalar, batched)
+        """The same one-lane probe on the uint8 reference (mult)."""
+        tree = explore_benchmark(cpu, "mult", batch_size=1, engine="reference")
+        assert tree.digest() == GOLDEN_TREES["mult"]["tree"]
 
-    def test_analysis_matches_golden(self, engines, model):
-        """Batched-engine analysis reproduces the pinned seed numbers."""
-        name, _scalar, batched = engines
+    def test_analysis_matches_golden(self, peak):
+        """Bitplane-engine analysis reproduces the pinned numbers."""
+        name, tree, peak_power = peak
         benchmark = get_benchmark(name)
-        peak_power = compute_peak_power(batched, model)
         peak_energy = compute_peak_energy(
-            batched, peak_power, loop_bound=benchmark.loop_bound
+            tree, peak_power, loop_bound=benchmark.loop_bound
         )
         golden = GOLDEN[name]
-        assert len(batched.segments) == golden["n_segments"]
-        assert batched.n_cycles == golden["n_cycles"]
-        assert batched.n_memo_hits == golden["n_memo_hits"]
+        assert len(tree.segments) == golden["n_segments"]
+        assert tree.n_cycles == golden["n_cycles"]
+        assert tree.n_memo_hits == golden["n_memo_hits"]
         assert peak_power.peak_cycle == golden["peak_cycle"]
         assert peak_energy.path_cycles == golden["path_cycles"]
         assert peak_power.peak_power_mw == pytest.approx(
@@ -136,48 +192,55 @@ class TestBatchedEqualsScalar:
 
 
 class TestStackedPeakPowerEqualsScalar:
-    """Vectorized Algorithm 2 ≡ the retained per-segment reference.
+    """Algorithm 2 on packed planes ≡ its scalar references.
 
-    Bit-identical means bit-identical: the engines share one einsum-based
-    transition kernel whose row results are independent of chunking and
-    row subsetting, so even the float outputs must match exactly.
+    The witness profiles must match the digests the per-segment scalar
+    engine recorded, and every float must match the per-cycle pair
+    oracle bit for bit: both price with the one einsum kernel, whose row
+    results do not depend on chunking or row subsets.
     """
 
     @pytest.fixture(scope="class")
-    def peak_pair(self, engines, model):
-        name, _scalar, batched = engines
-        scalar_peak = compute_peak_power(batched, model, engine="scalar")
-        stacked_peak = compute_peak_power(batched, model, engine="stacked")
-        return name, batched, scalar_peak, stacked_peak
+    def oracle(self, peak, model):
+        name, tree, peak_power = peak
+        return name, tree, peak_power, pair_oracle(tree, model)
 
-    def test_peak_trace_bit_identical(self, peak_pair):
-        _name, _tree, scalar_peak, stacked_peak = peak_pair
-        assert np.array_equal(scalar_peak.trace_mw, stacked_peak.trace_mw)
-        assert scalar_peak.peak_cycle == stacked_peak.peak_cycle
-        assert scalar_peak.peak_power_mw == stacked_peak.peak_power_mw
+    def test_peak_trace_bit_identical(self, oracle):
+        _name, _tree, peak_power, reference = oracle
+        assert np.array_equal(peak_power.trace_mw, reference.total_mw)
+        assert peak_power.peak_cycle == reference.peak_cycle()
+        assert peak_power.peak_power_mw == reference.peak()
 
-    def test_even_odd_profiles_bit_identical(self, peak_pair):
-        _name, _tree, scalar_peak, stacked_peak = peak_pair
-        assert np.array_equal(
-            scalar_peak.even_values, stacked_peak.even_values
+    def test_even_odd_profiles_bit_identical(self, oracle):
+        name, _tree, peak_power, _reference = oracle
+        assert witness_digest(peak_power) == GOLDEN_TREES[name]["witness"]
+
+    def test_module_breakdown_bit_identical(self, oracle):
+        _name, _tree, peak_power, reference = oracle
+        assert set(peak_power.module_mw) == set(reference.module_mw)
+        for module, series in reference.module_mw.items():
+            assert np.array_equal(peak_power.module_mw[module], series), module
+
+    def test_segment_energies_bit_identical(self, oracle):
+        name, tree, peak_power, reference = oracle
+        expected = np.array([
+            reference.total_mw[tree.segment_slice(segment)].sum()
+            * peak_power.clock_ns
+            for segment in tree.segments
+        ])
+        assert np.array_equal(peak_power.segment_energy_pj, expected)
+        # a result without segment sums re-slices the trace instead
+        resliced = PeakPowerResult(
+            peak_power_mw=reference.peak(),
+            peak_cycle=reference.peak_cycle(),
+            trace_mw=reference.total_mw,
+            module_mw=reference.module_mw,
+            clock_ns=peak_power.clock_ns,
         )
-        assert np.array_equal(scalar_peak.odd_values, stacked_peak.odd_values)
-
-    def test_module_breakdown_bit_identical(self, peak_pair):
-        _name, _tree, scalar_peak, stacked_peak = peak_pair
-        assert set(scalar_peak.module_mw) == set(stacked_peak.module_mw)
-        for name, series in scalar_peak.module_mw.items():
-            assert np.array_equal(series, stacked_peak.module_mw[name]), name
-
-    def test_segment_energies_bit_identical(self, peak_pair):
-        name, tree, scalar_peak, stacked_peak = peak_pair
-        assert np.array_equal(
-            scalar_peak.segment_energy_pj, stacked_peak.segment_energy_pj
-        )
-        benchmark = get_benchmark(name)
+        loop_bound = get_benchmark(name).loop_bound
         energies = [
-            compute_peak_energy(tree, peak, loop_bound=benchmark.loop_bound)
-            for peak in (scalar_peak, stacked_peak)
+            compute_peak_energy(tree, result, loop_bound=loop_bound)
+            for result in (peak_power, resliced)
         ]
         assert energies[0].peak_energy_pj == energies[1].peak_energy_pj
         assert energies[0].path_segments == energies[1].path_segments
@@ -186,3 +249,10 @@ class TestStackedPeakPowerEqualsScalar:
 class TestGoldenCoverage:
     def test_all_benchmarks_pinned(self):
         assert set(GOLDEN) == set(ALL_BENCHMARKS)
+        assert set(GOLDEN_TREES) == set(ALL_BENCHMARKS)
+        for name, entry in GOLDEN_TREES.items():
+            assert set(entry) == {"tree", "witness"}, name
+
+    def test_suite_goldens_carry_exactly_the_summary_fields(self):
+        for name, entry in GOLDEN.items():
+            assert set(entry) == SUMMARY_FIELDS, name

@@ -10,14 +10,13 @@ Four tiers, mirroring the engine's soundness argument:
 2. **Schedule-surgery pins**: BUF/NOT chains collapse to a rail
    permutation of their root; the collapsed schedule must still produce
    reference values/activity for every input, on both packed engines.
-3. **Randomized + whole-tree equivalence**: random DAGs settle
-   bit-identically to the bitplane tape (scalar and batched shapes, valid
-   encodings and raw random planes), and on all 14 benchmarks the native
-   engine reproduces the bitplane execution tree — values, A plane, memo
-   ``state_bytes`` (fork targets *are* the memo keys) — plus the golden
-   analysis floats.  Together with ``test_differential``'s bitplane ≡
-   reference pins this closes native ≡ bitplane ≡ reference; one direct
-   native ≡ reference probe guards the transitivity argument itself.
+3. **Randomized equivalence**: random DAGs settle bit-identically to
+   the bitplane tape (scalar and batched shapes, valid encodings and raw
+   random planes).  On all 14 benchmarks the native engine reproduces
+   the golden tree digest that ``test_differential`` holds bitplane and
+   reference to, plus the golden analysis floats, which closes
+   native ≡ bitplane ≡ reference; one direct native ≡ reference probe
+   guards that argument itself.
 4. **Degradation**: a monkeypatched compiler-less host falls back to the
    bitplane engine with exactly one warning and identical results.
 
@@ -26,7 +25,6 @@ built once per process (about 0.1 s), serves the toy netlists and the
 CPU alike.
 """
 
-import hashlib
 import itertools
 import sys
 import threading
@@ -41,7 +39,6 @@ from repro.core.activity import explore
 from repro.core.peakenergy import compute_peak_energy
 from repro.core.peakpower import compute_peak_power
 from repro.logic import X, ternary
-from repro.netlist import NetlistBuilder
 from repro.netlist.core import Netlist
 from repro.power.model import PowerModel
 from repro.sim import native
@@ -49,7 +46,7 @@ from repro.sim.bitplane import ENGINES, BitplaneEvaluator, make_evaluator
 from repro.sim.evaluator import LevelizedEvaluator
 from repro.sim.native import NativeEvaluator, NativeKernelError
 from test_bitplane import TWO_INPUT_FUNCS, random_netlist, settle_sources
-from test_differential import GOLDEN, REL, assert_trees_identical
+from test_differential import GOLDEN, GOLDEN_TREES, REL, explore_benchmark
 
 
 @pytest.fixture()
@@ -266,21 +263,10 @@ class TestRandomizedNativeEquivalence:
 
 
 @pytest.fixture(scope="module", params=sorted(ALL_BENCHMARKS))
-def native_trees(request, cpu):
-    """(name, bitplane tree, native tree) per benchmark, real kernel."""
+def native_tree(request, cpu):
+    """(name, native tree) per benchmark, real kernel."""
     name = request.param
-    benchmark = get_benchmark(name)
-    trees = [
-        explore(
-            cpu,
-            benchmark.program(),
-            max_cycles=benchmark.max_cycles,
-            max_segments=benchmark.max_segments,
-            engine=engine,
-        )
-        for engine in ("bitplane", "native")
-    ]
-    return name, trees[0], trees[1]
+    return name, explore_benchmark(cpu, name, engine="native")
 
 
 @pytest.fixture(scope="module")
@@ -295,13 +281,13 @@ class TestBenchmarkTreesIdentical:
         evaluator = cpu.evaluator_for("native")
         assert getattr(evaluator, "engine_name", None) == "native"
 
-    def test_execution_tree_bit_identical(self, native_trees):
-        _name, bitplane_tree, native_tree = native_trees
-        assert_trees_identical(bitplane_tree, native_tree)
+    def test_execution_tree_bit_identical(self, native_tree):
+        name, tree = native_tree
+        assert tree.digest() == GOLDEN_TREES[name]["tree"]
 
-    def test_analysis_matches_golden(self, native_trees, model):
-        """Native-engine analysis reproduces the pinned seed numbers."""
-        name, _bitplane_tree, tree = native_trees
+    def test_analysis_matches_golden(self, native_tree, model):
+        """Native-engine analysis reproduces the pinned numbers."""
+        name, tree = native_tree
         benchmark = get_benchmark(name)
         peak_power = compute_peak_power(tree, model)
         peak_energy = compute_peak_energy(
@@ -312,29 +298,25 @@ class TestBenchmarkTreesIdentical:
         assert tree.n_cycles == golden["n_cycles"]
         assert tree.n_memo_hits == golden["n_memo_hits"]
         assert peak_power.peak_cycle == golden["peak_cycle"]
+        assert peak_energy.path_cycles == golden["path_cycles"]
         assert peak_power.peak_power_mw == pytest.approx(
             golden["peak_power_mw"], rel=REL
         )
         assert peak_energy.peak_energy_pj == pytest.approx(
             golden["peak_energy_pj"], rel=REL
         )
+        assert peak_energy.normalized_peak_energy_pj_per_cycle == pytest.approx(
+            golden["npe_pj_per_cycle"], rel=REL
+        )
 
     def test_native_equals_reference_directly(self, cpu):
-        """One scalar-reference probe on mult pins the transitivity
-        argument."""
-        benchmark = get_benchmark("mult")
-        scalar, native_tree = (
-            explore(
-                cpu,
-                benchmark.program(),
-                max_cycles=benchmark.max_cycles,
-                max_segments=benchmark.max_segments,
-                batch_size=batch_size,
-                engine=engine,
-            )
+        """One one-lane reference probe on mult pins the transitivity
+        argument without going through the golden file."""
+        reference, native_tree = (
+            explore_benchmark(cpu, "mult", batch_size=batch_size, engine=engine)
             for batch_size, engine in ((1, "reference"), (None, "native"))
         )
-        assert_trees_identical(scalar, native_tree)
+        assert native_tree.digest() == reference.digest()
 
 
 # ----------------------------------------------------------------------
@@ -498,26 +480,17 @@ class TestKernelCache:
 THREADED = ("mult", "FFT", "intAVG", "tea8")
 
 
-def _tree_digest(tree) -> bytes:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(tree.flat_trace.values_matrix().tobytes())
-    h.update(tree.flat_trace.active_matrix().tobytes())
-    return h.digest()
-
-
 @pytest.mark.parametrize("engine", ["bitplane", "native"])
 def test_threads_exploring_on_one_cpu_match_serial(engine, cpu):
     def run(name):
         benchmark = get_benchmark(name)
-        return _tree_digest(
-            explore(
-                cpu,
-                benchmark.program(),
-                max_cycles=benchmark.max_cycles,
-                max_segments=benchmark.max_segments,
-                engine=engine,
-            )
-        )
+        return explore(
+            cpu,
+            benchmark.program(),
+            max_cycles=benchmark.max_cycles,
+            max_segments=benchmark.max_segments,
+            engine=engine,
+        ).digest()
 
     serial = {name: run(name) for name in THREADED}
     barrier = threading.Barrier(len(THREADED))

@@ -31,38 +31,6 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def assert_trees_identical(reference, other):
-    assert len(other.segments) == len(reference.segments)
-    assert other.n_memo_hits == reference.n_memo_hits
-    for ours, ref in zip(other.segments, reference.segments):
-        assert ours.index == ref.index
-        assert ours.parent == ref.parent
-        assert ours.flat_start == ref.flat_start
-        assert ours.n_cycles == ref.n_cycles
-        assert ours.end == ref.end
-        assert [(f.assignment, f.target) for f in ours.forks] == [
-            (f.assignment, f.target) for f in ref.forks
-        ]
-    assert len(other.flat_trace) == len(reference.flat_trace)
-    assert np.array_equal(
-        other.flat_trace.values_matrix(),
-        reference.flat_trace.values_matrix(),
-    )
-    assert np.array_equal(
-        other.flat_trace.active_matrix(),
-        reference.flat_trace.active_matrix(),
-    )
-    assert np.array_equal(
-        other.flat_trace.mem_accesses(),
-        reference.flat_trace.mem_accesses(),
-    )
-    for ours, ref in zip(
-        other.flat_trace.records, reference.flat_trace.records
-    ):
-        assert ours.cycle == ref.cycle
-        assert ours.annotations == ref.annotations
-
-
 @pytest.fixture(scope="module")
 def model(cpu):
     return PowerModel(cpu.netlist, SG65, clock_ns=10.0)
@@ -116,7 +84,7 @@ class TestMergeOrderProperty:
             tree.flat_trace.n_nets,
             packing=tree.flat_trace.packing,
         )
-        assert_trees_identical(tree, reassembled)
+        assert reassembled.digest() == tree.digest()
 
 
 @needs_fork
