@@ -47,10 +47,12 @@ from repro.sim.trace import CycleRecord, Trace
 DEFAULT_BATCH_SIZE = 8
 
 #: wider default for the bitplane/native engines: their per-cycle cost is
-#: dominated by fixed dispatch overhead (numpy op issue for bitplane, the
-#: per-settle foreign call + trace bookkeeping for native) that amortizes
-#: across live lanes, so deep pending-path queues benefit from more lanes
-#: at negligible memory cost (a lane is ~18 KB of packed planes).
+#: dominated by costs that amortize across live lanes (numpy dispatch for
+#: bitplane; for native, the batch step kernel, whose cost is nearly flat
+#: up to 64 lanes), so deep pending-path queues benefit from more lanes at
+#: negligible memory cost (a lane is ~18 KB of packed planes).  On the
+#: multipath benchmarks 16, 32 and 64 measured alike: the trees rarely
+#: hold more than ~8 pending paths at once.
 BITPLANE_DEFAULT_BATCH_SIZE = 32
 
 

@@ -687,8 +687,8 @@ class Ulp430(object):
         X and the GPIO input pins are forced to X (Algorithm 1's setting);
         otherwise the regions must have been filled via
         ``program.with_inputs(...)`` and *port_in* gives the pin values.
-        *engine* picks the simulation representation (bitplane/reference);
-        ``None`` honors ``REPRO_ENGINE``.
+        *engine* picks the simulation engine (native, bitplane or
+        reference); ``None`` honors ``REPRO_ENGINE``.
         """
         memory = TernaryMemory(n_words=1 << 15)
         memory.load_program(program.words)

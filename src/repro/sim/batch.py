@@ -3,17 +3,27 @@
 A :class:`BatchMachine` holds up to B *lanes*, each a complete machine
 state (net values, behavioral memory, memory-port registers) loaded from a
 :meth:`repro.sim.machine.Machine.snapshot` dict.  One :meth:`step` clocks
-every live lane simultaneously: the combinational settle and the activity
-marking run as single ``(K, n_nets)`` matrix operations through the
-dimension-agnostic :class:`~repro.sim.evaluator.LevelizedEvaluator`, while
-the small per-lane parts (behavioral memory, forced inputs, annotations)
-stay ordinary Python.
+every live lane simultaneously; the per-lane parts that stay Python are
+the behavioral memory (serve and commit), annotations and the records.
 
-Live lanes are kept compacted in the leading rows of the value matrix
-(retiring a lane swaps the last live row into the hole), so the matrix
-work always scales with the number of *live* paths: a single-path stretch
-costs the same as the scalar engine, a K-path stretch settles per
-level-group with one fancy-indexing operation instead of K.
+Lane state lives in one row per lane: ``(B, 3, n_words)`` packed P/N/A
+planes on the packed engines (``values`` uint8 rows on the reference
+engine).  How a step settles them depends on the engine:
+
+* **native** (packed-record batches): one foreign call per step
+  (:class:`~repro.sim.native.BatchKernel`) on a lane-sliced copy of the
+  batch — DFF loads, port forcing, settle, activity, the write-back of
+  the live rows and every lane's memory request and probe buses;
+* **bitplane** (and native batches that unpack per step): the fused
+  row-layout settle of the evaluator over the live rows, with the port
+  I/O done per lane on plane words;
+* **reference**: :class:`~repro.sim.evaluator.LevelizedEvaluator` on
+  ``(K, n_nets)`` uint8 matrices.
+
+The rows stay the source of truth between steps: snapshots, memo keys,
+:class:`LaneView` and the records all read them.  Live lanes are kept
+compacted in the leading rows (retiring a lane moves the last live row
+into the hole), so the work scales with the number of *live* paths.
 
 This is the engine behind the batched execution-tree exploration in
 :mod:`repro.core.activity`.  Lanes are snapshot-compatible with
@@ -27,12 +37,14 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.logic import X
 from repro.netlist.core import Netlist
 from repro.sim.evaluator import LevelizedEvaluator
 from repro.sim.machine import (
     MemoryPorts,
     PortSpecs,
     _MemRequest,
+    commit_memory_write,
     compile_bus_spec,
     force_bus,
     force_bus_planes,
@@ -64,6 +76,8 @@ class Lane:
         "next_dff_forces",
         "_forced_src",
         "_forced_masks",
+        "_port_masks",
+        "_probes",
     )
 
     def __init__(self, row: int, snapshot: dict[str, Any], forces: dict[int, int]):
@@ -78,6 +92,10 @@ class Lane:
         #: packed-engine cache of the compiled forced-input masks
         self._forced_src: dict[int, int] | None = None
         self._forced_masks: list[tuple] = []
+        #: native-kernel cache: (forced inputs, their input-bit masks)
+        self._port_masks: tuple | None = None
+        #: the batch kernel's bus results of this lane's last step
+        self._probes: list[int] | None = None
 
 
 class LaneView:
@@ -115,6 +133,15 @@ class LaneView:
     def peek_bus(self, nets: list[int]) -> tuple[int, int]:
         batch = self._batch
         if batch.packed:
+            kernel = batch.kernel
+            if kernel is not None:
+                # answered from the step's probe results; a bus seen for
+                # the first time is read from the row and probed from the
+                # next step on
+                index = 2 * kernel.bus_index(nets)
+                probes = self._lane._probes
+                if probes is not None and 0 <= index < len(probes):
+                    return probes[index], probes[index + 1]
             return read_bus_planes(
                 batch.planes[self._lane.row], batch._peek_spec(nets)
             )
@@ -165,6 +192,14 @@ class BatchMachine:
             self._prev_active = np.zeros(
                 (batch_size, netlist.n_nets), dtype=bool
             )
+        #: the native batch kernel that steps packed-record batches in
+        #: one foreign call (None: the Python steps below)
+        self.kernel = None
+        if self.record_packed and hasattr(evaluator, "batch_kernel"):
+            self.kernel = evaluator.batch_kernel(self.planes, ports)
+            self._valid_mask = evaluator.program.valid_mask
+        #: rows (bit r = row r) rewritten since the kernel last read them
+        self._dirty = 0
         self.lanes: list[Lane] = []
         self._dff_pos = {
             int(net): pos for pos, net in enumerate(evaluator.dff_out)
@@ -199,6 +234,7 @@ class BatchMachine:
         self.lanes.append(lane)
         if self.packed:
             self.planes[lane.row] = snapshot["values"]
+            self._dirty |= 1 << lane.row
             if not self.record_packed:
                 self._values_cache[lane.row] = self.evaluator.unpack_values(
                     snapshot["values"]
@@ -217,6 +253,7 @@ class BatchMachine:
         if last is not lane:
             if self.packed:
                 self.planes[lane.row] = self.planes[last.row]
+                self._dirty |= 1 << lane.row
                 if not self.record_packed:
                     self._values_cache[lane.row] = self._values_cache[last.row]
                     self._active_cache[lane.row] = self._active_cache[last.row]
@@ -271,6 +308,8 @@ class BatchMachine:
         indexing skips the 2-D dispatch overhead, so a single-path stretch
         costs the same as the scalar engine.
         """
+        if self.kernel is not None:
+            return self._step_native()
         if self.packed:
             return self._step_packed()
         n_live = len(self.lanes)
@@ -393,6 +432,73 @@ class BatchMachine:
                         else {}
                     ),
                     active_words=active_words[lane.row].copy(),
+                )
+            )
+            lane.cycle += 1
+        return records
+
+    def _step_native(self) -> list[CycleRecord]:
+        """Advance every live lane one cycle in one native kernel call.
+
+        The kernel loads the DFFs (one-shot forces included), forces
+        ``dout`` and the forced inputs, settles and marks activity for
+        all lanes at once on its lane-sliced state, writes the live rows
+        back and returns every lane's memory request and probe buses.
+        Python serves and commits memory and builds the records, which
+        match :meth:`_step_packed`'s field for field.
+        """
+        kernel = self.kernel
+        lanes = self.lanes
+        if not lanes:
+            return []
+        try:
+            for lane in lanes:
+                cached = lane._port_masks
+                if cached is None or cached[0] != lane.forced_inputs:
+                    lane._port_masks = (
+                        dict(lane.forced_inputs),
+                        kernel.force_masks(lane.forced_inputs),
+                    )
+        except KeyError:  # a forced net that is no INPUT: step in Python
+            self._dirty |= (1 << len(lanes)) - 1
+            return self._step_packed()
+        ports, forces, mem_counts = [], [], []
+        for lane in lanes:
+            mem_counts.append(serve_memory_read(lane))
+            ports.append(
+                (lane.dout_value, lane.dout_xmask, *lane._port_masks[1])
+            )
+            if lane.next_dff_forces:
+                forces += [
+                    (lane.row, self._dff_pos[net], value)
+                    for net, value in lane.next_dff_forces.items()
+                ]
+                lane.next_dff_forces = {}
+        if self._dirty:
+            kernel.mark(self._dirty)
+            self._dirty = 0
+        probes = kernel.step(ports, forces)
+        n_live = len(lanes)
+        value_words = self.planes[:n_live, 0:2].copy()
+        active_words = self.planes[:n_live, 2] & self._valid_mask
+        program = self.evaluator.program
+        annotator = self.annotator
+        records: list[CycleRecord] = []
+        for i, lane in enumerate(lanes):
+            probe = lane._probes = probes[i]
+            addr, addr_x, din, din_x, en, en_x, we, we_x = probe[:8]
+            request = lane._request = _MemRequest(
+                None if addr_x else addr, not addr_x, X if en_x else en,
+                X if we_x else we, din, din_x,
+            )
+            if request.we != 0:
+                commit_memory_write(lane, request)
+            mem_reads, mem_writes = mem_counts[i]
+            records.append(
+                CycleRecord(
+                    lane.cycle, None, None, mem_reads, mem_writes,
+                    annotator(LaneView(self, lane)) if annotator else {},
+                    active_words[i], value_words[i], program,
                 )
             )
             lane.cycle += 1

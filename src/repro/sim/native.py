@@ -1,35 +1,47 @@
-"""Native settle kernel: one foreign call per cycle.
+"""Native kernels: the row-layout settle and the lane-sliced batch step.
 
 The bitplane engine executes the compiled level schedule as ~25 numpy
 ufunc dispatches per level plus a fancy-indexed gather — fast per *bit*,
 but the per-dispatch overhead dominates once the planes fit in cache.
 This module replaces that interpreter loop with :data:`SOURCE`, one fixed
-C translation unit that walks the tables a
-:class:`~repro.netlist.program.NetlistProgram` already compiles (the
-per-level gathers, the opcode runs, the activity blocks, the source-block
-rule and the DFF activity gather).  It is called through ctypes, which
-releases the GIL for the call, as::
+C translation unit with two entry points, called through ctypes (which
+releases the GIL for the call):
 
     void repro_settle(const struct program *p, uint64_t *state,
                       const uint64_t *prev, long rows);
+    void repro_step(const struct lanes *p, struct batch *b, long live,
+                    long n_force);
 
-``state`` is the C-contiguous ``(rows, 3, n_words)`` plane array settled
-in place; ``prev`` the stashed previous-cycle planes of the activity
-rule.  Any leading batch shape flattens to ``rows``, so one call settles
-a scalar machine or a 64-lane batch alike.
+``repro_settle`` walks the tables a
+:class:`~repro.netlist.program.NetlistProgram` already compiles (the
+per-level gathers, the opcode runs, the activity blocks, the source-block
+rule and the DFF activity gather) over C-contiguous ``(rows, 3,
+n_words)`` planes in place, ``prev`` holding the stashed previous-cycle
+planes of the activity rule.  Its cost grows with the rows; a single
+:class:`~repro.sim.machine.Machine` (reset, concrete runs) uses it.
+
+``repro_step`` advances a whole :class:`~repro.sim.batch.BatchMachine`
+one cycle in one call.  It keeps the batch lane-sliced — one ``u64`` per
+net and rail, one bit per lane (:class:`LaneTables`) — so the 5,641
+gates of the ULP430 cost the same for 1 lane as for 64.  Per lane it
+loads the DFFs (one-shot forces included), forces ``dout`` and the
+forced inputs, settles, marks activity, writes the changed bytes of the
+live rows back and returns the memory request and every registered probe
+bus (:class:`BatchKernel`).
 
 Because the source never depends on the netlist, it compiles once per
 (source, flags, compiler) digest into ``<cache>/native/<digest>.so``
 (about 0.1 s) and one loaded library serves every netlist in the
-process; the tables are handed over when an evaluator is built.
-:func:`start_build` compiles in the background; ``build_ulp430`` calls
-it (through :func:`prefetch`) before elaborating the CPU, so a cold build
-overlaps elaboration and the schedule compile.
+process; the tables are handed over when an evaluator or a batch is
+built.  :func:`start_build` compiles in the background; ``build_ulp430``
+calls it (through :func:`prefetch`) before elaborating the CPU, so a cold
+build overlaps elaboration and the schedule compile.
 
-Bit identity with ``bitplane``/``reference`` is a hard contract — the
-kernel executes the *same* schedule the numpy tape does, and the
+Bit identity with ``bitplane``/``reference`` is a hard contract — both
+kernels execute the *same* schedule the numpy tape does, and the
 differential suite pins values, A plane and memo ``state_bytes`` on every
-benchmark.  When no C compiler is present (or the build fails)
+benchmark and the batch step against the Python packed step record for
+record.  When no C compiler is present (or the build fails)
 :func:`evaluator_or_fallback` degrades to the bitplane engine with a
 single process-wide warning, never an error.
 """
@@ -50,13 +62,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.netlist.core import Netlist
-from repro.netlist.program import NetlistProgram
+from repro.netlist.program import RUN_ORDER, NetlistProgram
 from repro.sim.bitplane import BitplaneEvaluator, default_engine
 
-#: the settle kernel.  A gather word is the OR of single bits of a source
-#: row (``code`` = source bit << 6 | destination bit) plus the reads of
-#: the reserved zero bit, which are most of them (every pad slot) and
-#: come from its three rails through the ``zero`` masks.
+#: the kernels.  In the settle, a gather word is the OR of single bits of
+#: a source row (``code`` = source bit << 6 | destination bit) plus the
+#: reads of the reserved zero bit, which are most of them (every pad slot)
+#: and come from its three rails through the ``zero`` masks.
 SOURCE = r"""
 #include <stdint.h>
 typedef uint64_t u64;
@@ -117,6 +129,188 @@ void repro_settle(const struct program *p, u64 *state, const u64 *prev, long row
         }
     }
 }
+
+/* ---- the batch step: lane-sliced state, one u64 per slot and rail ---- */
+struct lanes {
+    i32 nw, n_chunks, in0, n_in, n_const, dff0, n_dff, n_runs;
+    const i32 *chunk;   /* row byte of slots [8q, 8q + 8) */
+    const i32 *dff_d;   /* slot of DFF k's D net */
+    const i32 *run;     /* class first-slot gates first-ref */
+    const i32 *ref;     /* per gate: value rails, then activity (rail * slots + slot) */
+};
+
+struct batch {
+    u64 *state;             /* per 64-lane group: 2 buffers of 3 rails x slots */
+    u64 *dirty;             /* per group: lanes whose rows Python rewrote */
+    u64 *planes;            /* the (rows, 3, nw) row-packed planes */
+    const u64 *port;        /* per lane: dout value, dout xmask, forced mask, P, N */
+    const i32 *dff_force;   /* (row, DFF, value) triples */
+    const i32 *dout;        /* input of dout bit b */
+    const i32 *bus;         /* n_bus + 1 offsets into the slots that follow */
+    u64 *probe;             /* per lane and bus: value, xmask */
+    i32 n_dout, n_bus, cur;
+};
+
+/* 8x8 bit transpose: bit i of byte k <-> bit k of byte i */
+static u64 t8(u64 x)
+{
+    u64 t;
+    t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL; x ^= t ^ (t << 7);
+    t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL; x ^= t ^ (t << 14);
+    t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL; x ^= t ^ (t << 28);
+    return x;
+}
+
+/* advance the first `live` rows of the batch one cycle */
+void repro_step(const struct lanes *p, struct batch *b, long live, long n_force)
+{
+    const long ns = 8L * p->n_chunks, row = 24L * p->nw, nb = 2L * b->n_bus;
+    for (long g = 0; 64 * g < live; ++g) {
+        const long n = live - 64 * g < 64 ? live - 64 * g : 64;
+        u64 *S = b->state + (2 * g + b->cur) * 3 * ns;      /* last cycle */
+        u64 *T = b->state + (2 * g + !b->cur) * 3 * ns;     /* this cycle */
+        unsigned char *rows = (unsigned char *)b->planes + 64 * g * row;
+        /* re-read the rows Python rewrote: a chunk is one byte of a row.
+           Both buffers take them, so the pads inside live bytes, which no
+           step computes, read back unchanged whichever buffer holds T */
+        for (i32 g8 = 0; g8 < 8; ++g8) {
+            const u64 d8 = (b->dirty[g] >> (8 * g8)) & 0xFF, keep = ~(d8 << (8 * g8));
+            for (i32 rail = 0; d8 && rail < 3; ++rail)
+                for (i32 c = 0; c < p->n_chunks; ++c) {
+                    const unsigned char *src = rows + 8 * g8 * row + 8 * rail * p->nw + p->chunk[c];
+                    u64 x = 0, *s = S + rail * ns + 8 * c, *t = T + rail * ns + 8 * c;
+                    for (i32 i = 0; i < 8; ++i)
+                        x |= (d8 >> i & 1) ? (u64)src[i * row] << (8 * i) : 0;
+                    x = t8(x);
+                    for (i32 k = 0; k < 8; ++k) {
+                        s[k] = (s[k] & keep) | (((x >> (8 * k)) & 0xFF) << (8 * g8));
+                        t[k] = (t[k] & keep) | (((x >> (8 * k)) & 0xFF) << (8 * g8));
+                    }
+                }
+        }
+        b->dirty[g] = 0;
+        /* sources: inputs and constants hold, DFFs load their D nets */
+        for (i32 rail = 0; rail < 2; ++rail) {
+            const long o = rail * ns;
+            for (i32 j = p->in0; j < p->in0 + p->n_in + p->n_const; ++j)
+                T[o + j] = S[o + j];
+            for (i32 k = 0; k < p->n_dff; ++k)
+                T[o + p->dff0 + k] = S[o + p->dff_d[k]];
+        }
+        for (const i32 *f = b->dff_force; f < b->dff_force + 3 * n_force; f += 3)
+            if (f[0] >= 64 * g && f[0] < 64 * g + 64) {
+                const u64 bit = 1ULL << (f[0] - 64 * g);
+                u64 *t = T + p->dff0 + f[1];
+                t[0] = f[2] ? t[0] | bit : t[0] & ~bit;
+                t[ns] = f[2] ? t[ns] & ~bit : t[ns] | bit;
+            }
+        /* ports, per lane: the dout bus, then the forced inputs */
+        for (long r = 0; r < n; ++r) {
+            const u64 *io = b->port + 5 * (64 * g + r);
+            u64 m = 0, pv = 0, nv = 0;
+            for (i32 k = 0; k < b->n_dout; ++k) {
+                const u64 bit = 1ULL << b->dout[k], x = (io[1] >> k) & 1, v = (io[0] >> k) & 1;
+                m |= bit;
+                pv |= (x | v) ? bit : 0;
+                nv |= (x | !v) ? bit : 0;
+            }
+            pv = (pv & ~io[2]) | io[3];
+            nv = (nv & ~io[2]) | io[4];
+            m |= io[2];
+            for (i32 i = 0; i < p->n_in; ++i)
+                if ((m >> i) & 1) {
+                    u64 *t = T + p->in0 + i;
+                    t[0] = (t[0] & ~(1ULL << r)) | (((pv >> i) & 1) << r);
+                    t[ns] = (t[ns] & ~(1ULL << r)) | (((nv >> i) & 1) << r);
+                }
+        }
+        /* source activity: changed, or X on an input, or X on a DFF whose D was active */
+        for (i32 j = p->in0; j < p->in0 + p->n_in + p->n_const; ++j) {
+            const u64 pv = T[j], nv = T[ns + j];
+            T[2 * ns + j] = (pv ^ S[j]) | (nv ^ S[ns + j]) | (j < p->in0 + p->n_in ? pv & nv : 0);
+        }
+        for (i32 k = 0, j = p->dff0; k < p->n_dff; ++k, ++j) {
+            const u64 pv = T[j], nv = T[ns + j];
+            T[2 * ns + j] = (pv ^ S[j]) | (nv ^ S[ns + j]) | (pv & nv & S[2 * ns + p->dff_d[k]]);
+        }
+        /* gates, one run per (level, class): values and A in one pass */
+        for (const i32 *R = p->run; R < p->run + 4 * p->n_runs; R += 4) {
+            const i32 *f = p->ref + R[3];
+            u64 *o = T + R[1];
+            const u64 *q = S + R[1];
+            for (i32 k = 0; k < R[2]; ++k) {
+                u64 pv, nv, act;
+                switch (R[0]) {
+                case 0: /* copy: P, N */
+                    pv = T[f[0]], nv = T[f[1]], act = T[f[2]], f += 3;
+                    break;
+                case 1: /* and: PA NA PB NB */
+                    pv = T[f[0]] & T[f[2]], nv = T[f[1]] | T[f[3]];
+                    act = T[f[4]] | T[f[5]], f += 6;
+                    break;
+                case 2: /* and_swap */
+                    pv = T[f[1]] | T[f[3]], nv = T[f[0]] & T[f[2]];
+                    act = T[f[4]] | T[f[5]], f += 6;
+                    break;
+                case 3: /* xor */
+                    pv = (T[f[0]] & T[f[3]]) | (T[f[1]] & T[f[2]]);
+                    nv = (T[f[0]] & T[f[2]]) | (T[f[1]] & T[f[3]]);
+                    act = T[f[4]] | T[f[5]], f += 6;
+                    break;
+                case 4: /* xor_swap */
+                    pv = (T[f[0]] & T[f[2]]) | (T[f[1]] & T[f[3]]);
+                    nv = (T[f[0]] & T[f[3]]) | (T[f[1]] & T[f[2]]);
+                    act = T[f[4]] | T[f[5]], f += 6;
+                    break;
+                default: /* mux: SN SP PA PB NA NB */
+                    pv = (T[f[0]] & T[f[2]]) | (T[f[1]] & T[f[3]]);
+                    nv = (T[f[0]] & T[f[4]]) | (T[f[1]] & T[f[5]]);
+                    act = T[f[6]] | T[f[7]] | T[f[8]], f += 9;
+                }
+                o[k] = pv;
+                o[ns + k] = nv;
+                o[2 * ns + k] = (pv ^ q[k]) | (nv ^ q[ns + k]) | (pv & nv & act);
+            }
+        }
+        /* probes: (value, xmask) of every registered bus, per lane */
+        u64 *out = b->probe + 64 * g * nb;
+        for (long k = 0; k < n * nb; ++k)
+            out[k] = 0;
+        for (i32 bus = 0; bus < b->n_bus; ++bus)
+            for (i32 t = b->bus[bus]; t < b->bus[bus + 1]; ++t) {
+                const i32 j = b->bus[b->n_bus + 1 + t], bit = t - b->bus[bus];
+                const u64 v = T[j] & ~T[ns + j], x = T[j] & T[ns + j];
+                for (long r = 0; r < n; ++r) {
+                    out[r * nb + 2 * bus] |= ((v >> r) & 1) << bit;
+                    out[r * nb + 2 * bus + 1] |= ((x >> r) & 1) << bit;
+                }
+            }
+        /* write back the chunks that changed in some live row (the rows
+           still hold S) */
+        const u64 lanes = n < 64 ? (1ULL << n) - 1 : ~0ULL;
+        for (i32 rail = 0; rail < 3; ++rail)
+            for (i32 c = 0; c < p->n_chunks; ++c) {
+                const u64 *t = T + rail * ns + 8 * c, *s = S + rail * ns + 8 * c;
+                const u64 changed = lanes & (((t[0] ^ s[0]) | (t[1] ^ s[1]))
+                    | ((t[2] ^ s[2]) | (t[3] ^ s[3])) | ((t[4] ^ s[4]) | (t[5] ^ s[5]))
+                    | ((t[6] ^ s[6]) | (t[7] ^ s[7])));
+                for (i32 g8 = 0; g8 < 8 && changed >> (8 * g8); ++g8) {
+                    if (!((changed >> (8 * g8)) & 0xFF))
+                        continue;
+                    const i32 sh = 8 * g8;
+                    u64 x = (((t[0] >> sh) & 0xFF) | (((t[1] >> sh) & 0xFF) << 8))
+                        | ((((t[2] >> sh) & 0xFF) << 16) | (((t[3] >> sh) & 0xFF) << 24))
+                        | ((((t[4] >> sh) & 0xFF) << 32) | (((t[5] >> sh) & 0xFF) << 40))
+                        | ((((t[6] >> sh) & 0xFF) << 48) | (((t[7] >> sh) & 0xFF) << 56));
+                    x = t8(x);
+                    unsigned char *dst = rows + 8 * g8 * row + 8 * rail * p->nw + p->chunk[c];
+                    for (long i = 0; i < 8 && 8 * g8 + i < n; ++i)
+                        dst[i * row] = (unsigned char)(x >> (8 * i));
+                }
+            }
+    }
+    b->cur = !b->cur;
+}
 """
 
 #: per run class, the input blocks (indices into ``Run.slot_words``) of
@@ -134,9 +328,9 @@ _PRODUCTS = {
 #: compilers probed (after ``$CC``) when building the shared object
 _COMPILERS = ("cc", "gcc", "clang")
 
-#: -O1 compiles in about 2/3 of -O2's time; aligning the loops recovers
-#: -O2's settle speed (gcc 12, x86-64)
-_CFLAGS = ("-O1", "-falign-loops=16", "-shared", "-fPIC", "-nostdlib")
+#: -Og compiles in about half of -O1's time and runs the batch step as
+#: fast; aligning the loops recovers -O2's settle speed (gcc 12, x86-64)
+_CFLAGS = ("-Og", "-falign-loops=16", "-shared", "-fPIC", "-nostdlib")
 
 
 class NativeKernelError(RuntimeError):
@@ -248,15 +442,19 @@ class _Program(ctypes.Structure):
 
 
 class NativeKernel:
-    """The loaded settle kernel (one per process, shared by all netlists)."""
+    """The loaded kernels (one library per process, shared by all
+    netlists): ``fn`` is ``repro_settle``, ``step`` ``repro_step``."""
 
     def __init__(self, path: Path, build_s: float):
         try:
-            self.fn = ctypes.CDLL(str(path)).repro_settle
+            library = ctypes.CDLL(str(path))
+            self.fn, self.step = library.repro_settle, library.repro_step
         except (OSError, AttributeError) as exc:
             raise NativeKernelError(f"cannot load {path}: {exc}") from None
         self.fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long]
-        self.fn.restype = None
+        self.step.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_long] * 2
+        for fn in (self.fn, self.step):
+            fn.restype = None
         self.path = path
         self.digest = path.stem
         #: compile seconds actually spent in this process (0.0 when the
@@ -367,11 +565,242 @@ def program_tables(program: NetlistProgram) -> tuple[_Program, list[np.ndarray]]
     return table, arrays
 
 
+class _Lanes(ctypes.Structure):
+    """``struct lanes`` of :data:`SOURCE`."""
+
+    _fields_ = [
+        (name, ctypes.c_int32)
+        for name in (
+            "nw", "n_chunks", "in0", "n_in", "n_const", "dff0", "n_dff",
+            "n_runs",
+        )
+    ] + [(name, ctypes.c_void_p) for name in ("chunk", "dff_d", "run", "ref")]
+
+
+class LaneTables:
+    """The lane-sliced schedule of a program: ``struct lanes`` + its arrays.
+
+    A *slot* is a bit of :attr:`NetlistProgram.live_bytes`: the packed
+    bit order with its all-pad bytes dropped, so eight slots are one
+    byte of a row plane (a *chunk*) and a step moves lanes in and out of
+    the rows a byte at a time.  The pads inside live bytes ride along
+    untouched.  Each gate reads its input rails and activity through
+    ``rail * n_slots + slot`` references decoded from the row schedule's
+    gather tables, so the BUF/NOT chain collapse and the rail folding
+    carry over unchanged.
+    """
+
+    def __init__(self, program: NetlistProgram):
+        live = program.live_bytes
+        #: net -> slot, and the row byte of each chunk
+        self.slot_of = live.pos_of
+        self.chunk = live.keep
+        n_slots = 8 * self.chunk.size
+        rank = np.full(program.n_words * 8, -1, dtype=np.int64)
+        rank[self.chunk] = np.arange(self.chunk.size)
+
+        def slot(pos):
+            return 8 * rank[pos >> 3] + (pos & 7)
+
+        # the sources are two contiguous slot ranges: inputs then
+        # constants, and the DFFs
+        n_in, n_const = program.input_nets.size, (
+            program.const0_nets.size + program.const1_nets.size
+        )
+        sources = np.concatenate(
+            [program.input_nets, program.const0_nets, program.const1_nets]
+        )
+        dffs = self.slot_of[program.dff_out]
+        in0 = int(self.slot_of[sources[0]]) if sources.size else 0
+        dff0 = int(dffs[0]) if dffs.size else 0
+        if not (
+            np.array_equal(self.slot_of[sources], in0 + np.arange(sources.size))
+            and np.array_equal(dffs, dff0 + np.arange(dffs.size))
+        ):
+            raise NativeKernelError("sources are not contiguous slots")
+        self.in0, self.n_in = in0, n_in
+
+        plane_bytes = program.n_words * 8
+        runs, refs, n_refs = [], [], 0
+        for plan in program.levels:
+            def decode(slots, plan=plan):
+                rail, byte = np.divmod(plan.gather_bytes[slots], plane_bytes)
+                bit = _BIT_OF_MASK[plan.gather_masks[slots]]
+                return rail * n_slots + slot(byte * 8 + bit)
+
+            for run in plan.runs:
+                k = np.arange(run.n_gates)
+                out = k + run.res_word * 64
+                cols = [decode(block * 64 + k) for block in run.slot_words]
+                cols.append(decode(plan.act0_word * 64 + out))
+                if run.cls != "copy":
+                    cols.append(decode(plan.act1_word * 64 + out))
+                if run.cls == "mux":
+                    cols.append(decode(plan.act2_word * 64 + k))
+                first = slot((plan.word0 + run.res_word) * 64)
+                runs.append((RUN_ORDER.index(run.cls), first, run.n_gates, n_refs))
+                refs.append(np.stack(cols, axis=1).ravel())
+                n_refs += refs[-1].size
+        ref = np.concatenate(refs) if refs else np.zeros(1, dtype=np.int64)
+        if ref.min() < 0 or ref.max() >= 1 << 31:
+            raise NativeKernelError("a gate reads outside the lane slots")
+        self.arrays = [
+            np.ascontiguousarray(a, dtype=np.int32)
+            for a in (
+                self.chunk, self.slot_of[program.dff_d] if dffs.size else [0],
+                runs or [0], ref,
+            )
+        ]
+        self.table = _Lanes(
+            program.n_words, self.chunk.size, in0, n_in, n_const, dff0,
+            dffs.size, len(runs), *(a.ctypes.data for a in self.arrays),
+        )
+        self.ptr = ctypes.addressof(self.table)
+
+
+class _Batch(ctypes.Structure):
+    """``struct batch`` of :data:`SOURCE`."""
+
+    _fields_ = [
+        (name, ctypes.c_void_p)
+        for name in (
+            "state", "dirty", "planes", "port", "dff_force", "dout", "bus",
+            "probe",
+        )
+    ] + [(name, ctypes.c_int32) for name in ("n_dout", "n_bus", "cur")]
+
+
+#: widest bus a probe result holds (value and xmask are one u64 each)
+_MAX_BUS = 64
+
+
+class BatchKernel:
+    """One batch's lane-sliced state and port buffers for ``repro_step``.
+
+    Each :class:`~repro.sim.batch.BatchMachine` owns one, so threads
+    stepping different batches never share scratch.  The batch's row
+    planes stay the source of truth between steps: rows the caller
+    rewrote are flagged with :meth:`mark` and re-read at the next step,
+    and every step writes the changed bytes of the live rows back.
+    Buses are registered once (:meth:`bus_index`); every later step
+    returns each lane's ``(value, xmask)`` of each of them.  The first
+    four are the memory request: ``addr``, ``din``, ``en``, ``we``.
+    """
+
+    def __init__(self, kernel: NativeKernel, tables: LaneTables, planes, ports):
+        self.fn = kernel.step
+        self.tables = tables
+        self.planes = planes
+        rows = planes.shape[0]
+        groups = -(-rows // 64)
+        index = tables.slot_of - tables.in0  # input number of each net
+        is_input = (index >= 0) & (index < tables.n_in)
+        inputs = index[np.asarray(ports.dout, dtype=np.int64)]
+        if tables.n_in > 64 or not is_input[ports.dout].all():
+            raise NativeKernelError("dout must drive INPUT nets, at most 64")
+        #: net -> bit of the forced-input masks
+        self._input_bit = {
+            int(net): 1 << int(index[net]) for net in np.flatnonzero(is_input)
+        }
+        self.state = np.zeros(
+            (groups, 2, 3, 8 * tables.chunk.size), dtype=np.uint64
+        )
+        self.dirty = np.zeros(groups, dtype=np.uint64)
+        self.port = np.zeros((rows, 5), dtype=np.uint64)
+        self.dff_force = np.zeros((8, 3), dtype=np.int32)
+        self.dout = inputs.astype(np.int32)
+        self.struct = _Batch(
+            *(a.ctypes.data for a in (
+                self.state, self.dirty, planes, self.port, self.dff_force,
+                self.dout,
+            )),
+            None, None, len(inputs), 0, 0,
+        )
+        self.ptr = ctypes.addressof(self.struct)
+        self._bus: dict[tuple[int, ...], int] = {}
+        self._by_id: dict[int, tuple] = {}
+        self._bus_slots: list[np.ndarray] = []
+        for nets in (ports.addr, ports.din, [ports.en], [ports.we]):
+            self.bus_index(nets)
+
+    def bus_index(self, nets) -> int:
+        """Position of *nets* among the probed buses (registered on first
+        use, so it is in the results from the next step on); -1 for a bus
+        wider than a probe word.
+
+        The CPU probes pass the same net lists every cycle, so a list seen
+        before is found by identity (it is held, so its id stays unique);
+        bus net lists must not be mutated.
+        """
+        seen = self._by_id.get(id(nets))
+        if seen is not None and seen[0] is nets:
+            return seen[1]
+        key = tuple(nets)
+        index = self._bus.get(key)
+        if len(self._by_id) >= 64:  # one-off lists, e.g. single flag nets
+            self._by_id.clear()
+        if index is None:
+            if len(key) > _MAX_BUS:
+                return -1
+            index = self._bus[key] = len(self._bus_slots)
+            self._bus_slots.append(self.tables.slot_of[list(key)])
+            sizes = [len(slots) for slots in self._bus_slots]
+            self.bus = np.concatenate(
+                [np.cumsum([0] + sizes)] + self._bus_slots
+            ).astype(np.int32)
+            self.probe = np.zeros(
+                (self.planes.shape[0], 2 * len(sizes)), dtype=np.uint64
+            )
+            self.struct.bus = self.bus.ctypes.data
+            self.struct.probe = self.probe.ctypes.data
+            self.struct.n_bus = len(sizes)
+        self._by_id[id(nets)] = (nets, index)
+        return index
+
+    def force_masks(self, forced: dict[int, int]) -> tuple[int, int, int]:
+        """Forced inputs -> (mask, P, N) over the input bits; KeyError
+        when a forced net is not an INPUT."""
+        mask = p_bits = n_bits = 0
+        for net, value in forced.items():
+            bit = self._input_bit[net]
+            mask |= bit
+            if value != 0:  # 1 and X raise the P ("can be 1") rail
+                p_bits |= bit
+            if value != 1:  # 0 and X raise the N ("can be 0") rail
+                n_bits |= bit
+        return mask, p_bits, n_bits
+
+    def mark(self, dirty: int) -> None:
+        """Flag rows (bit r = row r) to re-read from the planes."""
+        for group in range(self.dirty.size):
+            word = (dirty >> (64 * group)) & 0xFFFF_FFFF_FFFF_FFFF
+            if word:
+                self.dirty[group] |= np.uint64(word)
+
+    def step(self, ports: list, forces: list) -> list[list[int]]:
+        """Advance the first ``len(ports)`` rows one cycle.
+
+        *ports* holds per row ``(dout value, dout xmask, forced mask, P,
+        N)``; *forces* the one-shot ``(row, DFF index, value)`` loads.
+        Returns per row the flat ``[value, xmask, ...]`` of every bus.
+        """
+        live = len(ports)
+        self.port[:live] = ports
+        if forces:
+            if len(forces) > len(self.dff_force):
+                self.dff_force = np.zeros((2 * len(forces), 3), dtype=np.int32)
+                self.struct.dff_force = self.dff_force.ctypes.data
+            self.dff_force[: len(forces)] = forces
+        self.fn(self.tables.ptr, self.ptr, live, len(forces))
+        return self.probe[:live].tolist()
+
+
 # ----------------------------------------------------------------------
 # Evaluator + fallback
 # ----------------------------------------------------------------------
 class NativeEvaluator(BitplaneEvaluator):
-    """BitplaneEvaluator whose settle sweep is one native call.
+    """BitplaneEvaluator whose settle sweep is one native call, and whose
+    batches step through :meth:`batch_kernel`.
 
     Everything else — packing, DFF clocking, state fingerprints, bus
     peeks — is inherited unchanged, so machines, batch machines, memo
@@ -392,6 +821,18 @@ class NativeEvaluator(BitplaneEvaluator):
         self.kernel = kernel or load_kernel()
         self._table, self._arrays = program_tables(self.program)
         self._table_ptr = ctypes.addressof(self._table)
+        #: the lane-sliced schedule, built for the first batch
+        self._lanes: LaneTables | None = None
+
+    def batch_kernel(self, planes: np.ndarray, ports) -> BatchKernel | None:
+        """A :class:`BatchKernel` stepping *planes* (a batch's rows), or
+        ``None`` when *ports* cannot be driven through it."""
+        try:
+            if self._lanes is None:
+                self._lanes = LaneTables(self.program)
+            return BatchKernel(self.kernel, self._lanes, planes, ports)
+        except NativeKernelError:
+            return None
 
     def _prev_planes(self, lead: tuple[int, ...]) -> np.ndarray:
         scratch = self._thread_scratch()

@@ -309,6 +309,15 @@ class TestBenchmarkTreesIdentical:
             golden["npe_pj_per_cycle"], rel=REL
         )
 
+    @pytest.mark.parametrize("batch_size", [1, 64, 65])
+    @pytest.mark.parametrize("name", ["inSort", "tHold"])
+    def test_lane_widths_match_golden(self, cpu, name, batch_size):
+        """One lane, a full 64-lane word, and a second lane group."""
+        tree = explore_benchmark(
+            cpu, name, batch_size=batch_size, engine="native"
+        )
+        assert tree.digest() == GOLDEN_TREES[name]["tree"]
+
     def test_native_equals_reference_directly(self, cpu):
         """One one-lane reference probe on mult pins the transitivity
         argument without going through the golden file."""
@@ -517,3 +526,189 @@ def test_threads_exploring_on_one_cpu_match_serial(engine, cpu):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert threaded == serial
+
+
+# ----------------------------------------------------------------------
+# The batch step kernel against the Python packed step, record for record
+# ----------------------------------------------------------------------
+def _fork_snapshots(cpu, name: str, count: int) -> list[dict]:
+    """*count* lane snapshots spread over the exploration of *name*: the
+    states the explorer forks from, on every path of the tree."""
+    from repro.sim.batch import BatchMachine
+
+    snapshots = []
+    record = BatchMachine.snapshot
+
+    def snapshot(self, lane):
+        snapshots.append(record(self, lane))
+        return snapshots[-1]
+
+    benchmark = get_benchmark(name)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BatchMachine, "snapshot", snapshot)
+        explore(
+            cpu, benchmark.program(), max_cycles=benchmark.max_cycles,
+            max_segments=benchmark.max_segments, engine="native",
+        )
+    return snapshots[:: max(1, len(snapshots) // count)]
+
+
+def _churn(netlist, ports, engines, snapshots, variant, lanes, seed,
+           annotator=None, steps=24):
+    """Drive a kernel batch and a Python packed batch through the same
+    random load / retire / refill churn and compare every step: records
+    (pads included), memory counts, annotations, the post-step rows,
+    memo ``state_bytes`` and each lane's latched memory request."""
+    from repro.sim.batch import BatchMachine
+
+    def fresh():
+        return [
+            BatchMachine(
+                netlist, ports, ev, lanes, annotator=annotator,
+                record_packed=True,
+            )
+            for ev in engines
+        ]
+
+    batches = fresh()
+    assert batches[0].kernel is not None and batches[1].kernel is None
+    rng = np.random.default_rng(seed)
+    stepped = 0
+    for _ in range(steps):
+        fast, slow = batches
+        for _ in range(min(fast.n_free, int(rng.integers(1, lanes // 2 + 3)))):
+            snap, forces = variant(rng, snapshots[rng.integers(len(snapshots))])
+            for batch in batches:
+                batch.load(snap, forces)
+        outcomes = []
+        for batch in batches:
+            try:
+                outcomes.append(batch.step())
+            except Exception as exc:  # e.g. a store to an X address
+                outcomes.append(type(exc))
+        if not all(isinstance(out, list) for out in outcomes):
+            assert outcomes[0] == outcomes[1]
+            batches = fresh()  # a failed step leaves lanes half-latched
+            continue
+        stepped += len(fast.lanes)
+        for ra, rb in zip(*outcomes, strict=True):
+            assert ra.cycle == rb.cycle
+            assert (ra.mem_reads, ra.mem_writes) == (rb.mem_reads, rb.mem_writes)
+            assert ra.annotations == rb.annotations
+            assert np.array_equal(ra.value_words, rb.value_words)
+            assert np.array_equal(ra.active_words, rb.active_words)
+        n = len(fast.lanes)
+        assert np.array_equal(fast.planes[:n], slow.planes[:n])
+        for la, lb in zip(fast.lanes, slow.lanes):
+            assert vars(la._request) == vars(lb._request)
+            assert (la.dout_value, la.dout_xmask) == (lb.dout_value, lb.dout_xmask)
+            assert la.memory.digest() == lb.memory.digest()
+            assert engines[0].state_bytes(fast.planes[la.row]) == (
+                engines[1].state_bytes(slow.planes[lb.row])
+            )
+        for la, lb in list(zip(fast.lanes, slow.lanes)):
+            if rng.random() < 0.2:
+                fast.retire(la)
+                slow.retire(lb)
+    return stepped
+
+
+@pytest.fixture(scope="module")
+def fork_snapshots(cpu):
+    return _fork_snapshots(cpu, "binSearch", 120) + _fork_snapshots(
+        cpu, "tHold", 120
+    )
+
+
+def _cpu_variant(cpu):
+    """Random lane set-ups around a CPU snapshot: one-shot flag loads (as
+    a fork applies them), forced inputs with Xs, partly-X dout words."""
+    port_in = [int(net) for net in cpu.nets.port_in]
+    flags = [int(cpu.flag_dff_for(bit)) for bit in range(2)]
+
+    def variant(rng, snap):
+        snap, forces = dict(snap), {}
+        kind = rng.integers(8)  # 3: rarely, as most X fetches stall the CPU
+        if kind == 1:
+            forces = {net: int(rng.integers(2)) for net in flags}
+        elif kind == 2:
+            snap["forced_inputs"] = {
+                net: int(rng.choice([0, 1, X])) for net in port_in
+            }
+        elif kind == 3:
+            snap["dout_value"] = int(rng.integers(1 << 16))
+            snap["dout_xmask"] = int(rng.integers(1 << 16)) & 0x0300
+        return snap, forces
+
+    return variant
+
+
+def _toy_system(seed: int):
+    """A random DAG with DFFs wired to a 4-word memory: ``dout`` and the
+    address are INPUTs, the write enable an INPUT forced to 0, 1 or X, so
+    stores are certain or uncertain (``we == X``) at known addresses."""
+    from repro.sim.machine import Machine, MemoryPorts
+    from repro.sim.memory import TernaryMemory
+
+    netlist = random_netlist(260, seed=seed)
+    gates = [g.index for g in netlist.gates if g.kind not in ("INPUT", "DFF")]
+    ports = MemoryPorts(
+        addr=[3, 4], din=gates[-4:], dout=[0, 1, 2], we=5, en=6
+    )
+    engines = (NativeEvaluator(netlist), BitplaneEvaluator(netlist))
+    rng = np.random.default_rng(seed)
+    snapshots = []
+    for _ in range(6):
+        machine = Machine(netlist, ports, engines[1], TernaryMemory(n_words=4))
+        machine.forced_inputs = {3: 0, 4: 1, 5: X, 6: 1}
+        machine.reset_sequence()
+        for _ in range(int(rng.integers(1, 6))):
+            machine.step()
+        snapshots.append(machine.snapshot())
+
+    def variant(rng, snap):
+        snap = dict(snap)
+        snap["forced_inputs"] = {
+            3: int(rng.integers(2)), 4: int(rng.integers(2)),
+            5: int(rng.choice([0, 1, X])), 6: int(rng.choice([0, 1, X])),
+            7: int(rng.choice([0, 1, X])),
+        }
+        snap["dout_xmask"] = int(rng.integers(8))
+        dffs = netlist.dff_indices()
+        forces = {dffs[0]: int(rng.integers(2))} if rng.random() < 0.3 else {}
+        return snap, forces
+
+    return netlist, ports, engines, snapshots, variant
+
+
+class TestBatchStepKernel:
+    @pytest.mark.parametrize("lanes", [1, 31, 64, 65])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cpu_matches_python_packed_step(
+        self, cpu, fork_snapshots, lanes, seed
+    ):
+        engines = (cpu.evaluator_for("native"), cpu.evaluator_for("bitplane"))
+        stepped = _churn(
+            cpu.netlist, cpu.ports, engines, fork_snapshots, _cpu_variant(cpu),
+            lanes, seed, annotator=cpu.annotate,
+        )
+        assert stepped >= 16
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_toy_memory_system_matches(self, toy_cache, seed):
+        """Uncertain (``we == X``) and certain stores, X forced inputs,
+        one-shot DFF loads, across groups of 64 lanes."""
+        netlist, ports, engines, snapshots, variant = _toy_system(seed)
+        stepped = _churn(
+            netlist, ports, engines, snapshots, variant, 70, seed, steps=16
+        )
+        assert stepped >= 16
+
+    def test_toy_reaches_uncertain_writes(self, toy_cache):
+        from repro.sim.batch import BatchMachine
+
+        netlist, ports, engines, snapshots, _variant = _toy_system(2)
+        batch = BatchMachine(netlist, ports, engines[0], 2, record_packed=True)
+        lane = batch.load(snapshots[0], {})
+        batch.step()
+        assert lane._request.we == X and lane._request.addr_known
