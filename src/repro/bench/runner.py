@@ -50,8 +50,10 @@ from repro.power.model import PowerModel
 
 CACHE_DIR = Path(".repro_cache")
 
-#: Bump when the shape of any cached value changes.
-CACHE_SCHEMA_VERSION = 2
+#: Bump when the shape of any cached value changes, or its numbers do
+#: (3: exact integer-attojoule pricing moved result floats in the last
+#: ulps).
+CACHE_SCHEMA_VERSION = 3
 
 _cpu: Ulp430 | None = None
 _model: PowerModel | None = None

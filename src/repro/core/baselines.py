@@ -72,7 +72,10 @@ class ProfilingBaseline:
 def _measure(
     inputs: list[int], trace: Trace, model: PowerModel
 ) -> ProfiledInput:
-    power = model.trace_power(trace.values_matrix(), trace.mem_accesses())
+    power = model.trace_power(
+        trace.values_matrix(packed=True), trace.mem_accesses(),
+        bit_order=trace.bit_order,
+    )
     return ProfiledInput(
         inputs=inputs,
         peak_power_mw=power.peak(),

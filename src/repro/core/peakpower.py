@@ -20,16 +20,18 @@ as a context row holding its predecessor followed by its cycles; the
 stack is an index over the flat packed trace (each cycle's predecessor
 row), never a copy.  One parity's targets are independent, so all of
 them — across all segments — are X-assigned with word-wise bit ops
-(:func:`assign_planes`, 64 nets per op) and priced per
-:attr:`~repro.power.model.PowerModel.TRACE_CHUNK_ROWS` block: only the
-rising and falling edge words are unpacked, one at a time, into the
-shared einsum kernel.  The witness profiles are assigned on the same
-planes and unpacked once per parity.
+(:func:`assign_planes`, 64 nets per op), one
+:attr:`~repro.power.model.PowerModel.TRACE_CHUNK_ROWS` block at a time,
+and each block is priced straight from its assigned words in exact
+integer attojoules by the power model's one pricing kernel.  Nothing is
+unpacked on the way to the peak trace; the witness profiles are assigned
+on the same planes and unpacked once per parity.
 
 :func:`maximize_parity` keeps the trit-level rules as the reference the
 plane ops are tested against: applied to each (predecessor, cycle) pair
 and priced with :meth:`PowerModel.transition_power`, it reproduces the
-peak trace and every per-module series bit for bit.
+peak trace and every per-module series bit for bit — the integer sums
+are the same whatever the row layout, order or chunking.
 """
 
 from __future__ import annotations
@@ -216,7 +218,8 @@ def compute_peak_power(
     # target pairs at a time, gathered and X-assigned on the planes;
     # every target touches only itself and its own predecessor and the
     # assignment writes only into the gathered copies, so blocks are
-    # independent and the floats are bit-identical at any block size.
+    # independent, and their exact integer sums do not depend on the
+    # block size.
     # The full witness profiles are *not* assembled here; the witness
     # builder recomputes them if anyone asks.
     odd_local = local % 2 == 1

@@ -125,7 +125,10 @@ def _evaluate(cpu, model: PowerModel, genome: list[Gene]) -> tuple[float, float]
     machine = cpu.make_machine(program, symbolic_inputs=False, port_in=0)
     trace = Trace(machine.netlist.n_nets)
     cpu.run_to_halt(machine, max_cycles=5_000, trace=trace)
-    power = model.trace_power(trace.values_matrix(), trace.mem_accesses())
+    power = model.trace_power(
+        trace.values_matrix(packed=True), trace.mem_accesses(),
+        bit_order=trace.bit_order,
+    )
     return power.peak(), power.average()
 
 
@@ -167,7 +170,8 @@ def _evaluate_population(
         results = run_batch_to_halt(cpu, machines, batch_size, max_cycles=5_000)
         for position, (trace, _cycles) in zip(positions, results):
             power = model.trace_power(
-                trace.values_matrix(), trace.mem_accesses()
+                trace.values_matrix(packed=True), trace.mem_accesses(),
+                bit_order=trace.bit_order,
             )
             scores[position] = (power.peak(), power.average())
         return scores

@@ -127,7 +127,8 @@ def validate_power_bound(
         )
     bound = peak.trace_mw[path]
     concrete_power = model.trace_power(
-        concrete.values_matrix(), concrete.mem_accesses()
+        concrete.values_matrix(packed=True), concrete.mem_accesses(),
+        bit_order=concrete.bit_order,
     ).total_mw
     # Cycle 0 of the concrete trace diffs against the reset state, which the
     # per-segment bound also models (root context row), so compare fully.

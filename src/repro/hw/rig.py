@@ -84,7 +84,8 @@ class MeasurementRig:
         trace = Trace(machine.netlist.n_nets)
         cycles = self.cpu.run_to_halt(machine, max_cycles=max_cycles, trace=trace)
         per_cycle = self.model.trace_power(
-            trace.values_matrix(), trace.mem_accesses()
+            trace.values_matrix(packed=True), trace.mem_accesses(),
+            bit_order=trace.bit_order,
         ).total_mw
 
         duration_ns = len(per_cycle) * self.clock_ns

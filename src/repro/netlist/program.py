@@ -168,8 +168,6 @@ class BitOrder:
         """Word rows -> uint8 0/1 rows in net order: one byte gather per
         net, then a shift, so pad bits are never expanded."""
         raw = np.ascontiguousarray(words).view(np.uint8)
-        # np.take, not fancy indexing: the result must stay C-ordered, as
-        # einsum's row sums depend on the layout of its operand
         bits = np.take(raw, self._byte_of, axis=-1)
         bits >>= self._shift_of
         bits &= 1
@@ -181,10 +179,9 @@ class BitOrder:
         trits += trits & self._net_bits(n_words)  # (0,1)->0, (1,0)->1, (1,1)->2
         return trits
 
-    def unpack_bits(self, words: np.ndarray, dtype=bool) -> np.ndarray:
-        """A-plane (or any mask) word rows -> 0/1 rows in net order."""
-        bits = self._net_bits(words)
-        return bits.view(bool) if dtype is bool else bits.astype(dtype)
+    def unpack_bits(self, words: np.ndarray) -> np.ndarray:
+        """A-plane (or any mask) word rows -> bool rows in net order."""
+        return self._net_bits(words).view(bool)
 
 
 class LiveBytes(BitOrder):

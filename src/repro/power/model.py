@@ -9,6 +9,20 @@ behavioral memory access energy, divided by the clock period, plus leakage:
 Units: energies in femtojoules, clock in nanoseconds, power in milliwatts
 (1 fJ/ns = 1 uW).  Per-module breakdowns use the netlist's top-level module
 tags, matching the paper's figures.
+
+The transition sum is exact.  Every per-net energy (cell energy times
+module scale) is a whole number of attojoules — the model refuses one
+that is not — so rows are priced in int64 aJ straight from packed
+dual-rail P/N words: the rising and falling edge words of each
+``(previous, current)`` row pair (:func:`edge_planes`) select the bits
+whose energies are summed, in total and per module.  One kernel does this
+for Algorithm 2, concrete traces and explicit row pairs: the native
+``repro_price`` (:class:`repro.sim.native.Pricer`, a set-bit walk) or,
+without a C compiler, :func:`price_numpy` — its oracle.  Integer sums do
+not depend on their order, so both give the same integers at any chunk
+size and under any numpy.  Floats are made once, in
+:meth:`PowerModel._assemble_power`, where the fJ total (aJ / 1000) meets
+the memory, clock-pin, idle and leakage terms.
 """
 
 from __future__ import annotations
@@ -19,6 +33,7 @@ import numpy as np
 
 from repro.cells import CellLibrary
 from repro.netlist.core import Netlist
+from repro.netlist.program import BitOrder, net_order
 
 #: Per-module transition-energy scaling, matched by the longest module-path
 #: prefix.  Synthesis maps slack-rich blocks (the multiplier array) to
@@ -33,6 +48,25 @@ DEFAULT_MODULE_ENERGY_SCALE = {
     "exec_unit/alu": 0.3,
     "mem_backbone": 0.5,
 }
+
+
+def _attojoules(energy_fj: np.ndarray, netlist: Netlist) -> np.ndarray:
+    """Per-net fJ energies as exact int64 attojoules.
+
+    Raises ``ValueError`` naming the module of the first net whose energy
+    is not a whole number of aJ (within 1e-6 aJ).
+    """
+    scaled = energy_fj * 1000
+    aj = np.rint(scaled)
+    off = np.flatnonzero(np.abs(scaled - aj) > 1e-6)
+    if off.size:
+        gate = netlist.gates[off[0]]
+        raise ValueError(
+            f"module {gate.module or 'misc'!r}: {gate.kind} transition "
+            f"energy {energy_fj[off[0]]!r} fJ is not a whole number of "
+            "attojoules"
+        )
+    return aj.astype(np.int64)
 
 
 def _scale_for(module: str, scale_map: dict[str, float]) -> float:
@@ -130,26 +164,29 @@ class PowerModel:
         #: input-independent, so it raises bound and measurement equally.
         self.clock_pin_fj = sum(self.module_clk_fj.values())
 
+        #: the priced transition energies, in exact int64 attojoules
+        self.e_rise_aj = _attojoules(self.e_rise, netlist)
+        self.e_fall_aj = _attojoules(self.e_fall, netlist)
+
         self.module_masks: dict[str, np.ndarray] = {}
-        for name, indices in netlist.gates_by_top_module().items():
+        #: each net's column in a priced block: 1 + its module's position
+        #: in :attr:`module_masks`, 0 for none (sources, which cost nothing)
+        self.module_col = np.zeros(n, dtype=np.int32)
+        for column, (name, indices) in enumerate(
+            netlist.gates_by_top_module().items(), start=1
+        ):
             mask = np.zeros(n, dtype=bool)
             mask[indices] = True
             self.module_masks[name] = mask
-        #: per-module net columns and compacted transition-energy weights:
-        #: a module's energy in one cycle is ``rising[:, cols] . w_rise``
-        #: + ``falling[:, cols] . w_fall`` — modules partition the nets,
-        #: so compacted dots cost one full-width pass across *all* modules
-        #: instead of one per module.
-        self._module_cols = {
-            name: np.flatnonzero(mask)
-            for name, mask in self.module_masks.items()
-        }
-        self._module_rise_w = {
-            name: self.e_rise[cols] for name, cols in self._module_cols.items()
-        }
-        self._module_fall_w = {
-            name: self.e_fall[cols] for name, cols in self._module_cols.items()
-        }
+            self.module_col[mask] = column
+        self._bit_tables: dict[BitOrder, BitTables] = {}
+
+    def bit_tables(self, order: BitOrder) -> "BitTables":
+        """This model's pricing tables in *order*, built once."""
+        tables = self._bit_tables.get(order)
+        if tables is None:
+            tables = self._bit_tables[order] = BitTables(self, order)
+        return tables
 
     # ------------------------------------------------------------------
     # Activity statistics
@@ -186,58 +223,22 @@ class PowerModel:
             + mem_accesses[:, 1] * self.library.mem_write_energy_fj
         )
 
-    #: rows per transition-energy chunk in :meth:`trace_power` and
-    #: :meth:`pair_power`.  Bounds the (chunk, n_nets) float64 edge
-    #: matrix to about 3 MB on the ULP430, so it is still cache-resident
-    #: when the einsums read it back (Algorithm 2 on the multipath trees
-    #: ran ~15% faster than at 256 rows, 12 MB, on a 2-core x86-64 host);
-    #: chunking is row-wise, so results are bit-identical regardless of
-    #: the chunk size.
+    #: rows per pricing chunk.  Only a memory bound: :meth:`pair_power`
+    #: pulls each chunk's pairs from its producer, so a derived (gathered,
+    #: X-assigned) stack never exists whole.  Integer sums make every
+    #: chunk size give the same result.
     TRACE_CHUNK_ROWS = 64
-
-    def _price_chunk(
-        self, edges, module_names: list[str]
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Transition energies of one chunk: totals + per-module.
-
-        The one pricing kernel.  *edges* yields the chunk's rising, then
-        its falling, edge matrix — ``(rows, n_nets)`` float64 0/1 in net
-        order; each is priced and dropped before the next is made, so
-        only one float chunk is alive at a time (the additions keep
-        their order: rising first).  einsum, not ``@``: BLAS matvec
-        blocks by matrix shape, so its row sums would depend on how the
-        trace was chunked; einsum reduces each row identically whatever
-        the chunk height, keeping results bit-identical across engines,
-        chunk sizes, and row subsets.
-        """
-        rising = next(edges)
-        totals = np.einsum("cn,n->c", rising, self.e_rise)
-        module_fj = {
-            name: np.einsum(
-                "ck,k->c", rising[:, self._module_cols[name]],
-                self._module_rise_w[name],
-            )
-            for name in module_names
-        }
-        del rising
-        falling = next(edges)
-        totals += np.einsum("cn,n->c", falling, self.e_fall)
-        for name in module_names:
-            module_fj[name] += np.einsum(
-                "ck,k->c", falling[:, self._module_cols[name]],
-                self._module_fall_w[name],
-            )
-        return totals, module_fj
 
     def _assemble_power(
         self,
-        totals: np.ndarray,
-        module_fj: dict[str, np.ndarray],
+        aj: np.ndarray,
         mem_accesses: np.ndarray | None,
         per_module: bool,
     ) -> PowerTrace:
-        """Fold memory/clock/leakage into energies; convert to mW."""
-        n_rows = len(totals)
+        """Fold memory/clock/leakage into the priced ``(rows, 1 +
+        n_modules)`` aJ block; convert to mW."""
+        n_rows = len(aj)
+        totals = aj[:, 0] / 1000  # fJ
         mem_energy_fj = self.mem_energy_fj(mem_accesses)
         if mem_energy_fj is not None:
             totals = totals + mem_energy_fj
@@ -245,8 +246,8 @@ class PowerModel:
         total_mw = totals / self.clock_ns * 1e-3 + self.leakage_mw
         module_mw: dict[str, np.ndarray] = {}
         if per_module:
-            for name, series in module_fj.items():
-                series = series + self.module_clk_fj.get(name, 0.0)
+            for column, name in enumerate(self.module_masks, start=1):
+                series = aj[:, column] / 1000 + self.module_clk_fj.get(name, 0.0)
                 module_mw[name] = series / self.clock_ns * 1e-3
             mem_series = np.full(n_rows, self.library.mem_idle_fj)
             if mem_energy_fj is not None:
@@ -261,26 +262,42 @@ class PowerModel:
             clock_ns=self.clock_ns,
         )
 
+    def _rail_major(self, rows: np.ndarray, bit_order: BitOrder | None):
+        """``(order, (2, n, n_words) planes)`` of uint8 trit rows in net
+        order (*bit_order* ``None``: packed once in plain net order) or of
+        ``(n, 2, n_words)`` P/N plane rows in *bit_order* (a view)."""
+        if bit_order is None:
+            bit_order = net_order(self.netlist.n_nets)
+            rows = bit_order.pack_values(rows)
+        return bit_order, rows.transpose(1, 0, 2)
+
     def trace_power(
         self,
         values_matrix: np.ndarray,
         mem_accesses: np.ndarray | None = None,
         per_module: bool = False,
+        bit_order: BitOrder | None = None,
     ) -> PowerTrace:
         """Power trace for a fully (or partially) resolved value matrix.
 
-        Transitions into or out of X count as transitions at the rising
-        energy — conservative for the few never-initialized nets of a
-        concrete run; the symbolic flows resolve Xs before calling this.
-        Accepts arbitrarily long traces: the transition-energy matrix is
-        reduced in bounded row chunks, never materialized whole.
+        *values_matrix* is ``(n_cycles, n_nets)`` uint8 trits in net order
+        or, with *bit_order*, ``(n_cycles, 2, n_words)`` P/N planes in that
+        order — what ``Trace.values_matrix(packed=True)`` returns with
+        ``trace.bit_order``.  Transitions into or out of X count as
+        transitions (rising when the new value can be 1) — conservative
+        for the few never-initialized nets of a concrete run; the symbolic
+        flows resolve Xs before calling this.  Accepts arbitrarily long
+        traces: rows are priced in bounded chunks of row-pair views.
         """
+        order, planes = self._rail_major(values_matrix, bit_order)
 
         def pairs(start: int, stop: int):
             # Row start-1 supplies each chunk row's previous values.
-            return values_matrix[start - 1 : stop - 1], values_matrix[start:stop]
+            return planes[:, start - 1 : stop - 1], planes[:, start:stop]
 
-        return self._price(pairs, 1, len(values_matrix), mem_accesses, per_module)
+        return self._price(
+            pairs, 1, planes.shape[1], mem_accesses, per_module, order
+        )
 
     def transition_power(
         self,
@@ -288,19 +305,24 @@ class PowerModel:
         cur_rows: np.ndarray,
         mem_accesses: np.ndarray | None = None,
         per_module: bool = False,
+        bit_order: BitOrder | None = None,
     ) -> PowerTrace:
         """Power of explicit ``(previous, current)`` value-row pairs.
 
         Row *i* prices the transition ``prev_rows[i] -> cur_rows[i]`` —
-        same kernel, constants, and bit-exact results as
-        :meth:`trace_power`, but over an arbitrary subset of a trace's
-        rows.
+        same kernel, constants, and exact sums as :meth:`trace_power`
+        (and the same row layouts), but over an arbitrary subset of a
+        trace's rows.
         """
+        order, prev = self._rail_major(prev_rows, bit_order)
+        _, cur = self._rail_major(cur_rows, bit_order)
 
         def pairs(start: int, stop: int):
-            return prev_rows[start:stop], cur_rows[start:stop]
+            return prev[:, start:stop], cur[:, start:stop]
 
-        return self.pair_power(pairs, len(cur_rows), mem_accesses, per_module)
+        return self.pair_power(
+            pairs, cur.shape[1], mem_accesses, per_module, order
+        )
 
     def pair_power(
         self,
@@ -308,53 +330,93 @@ class PowerModel:
         n_rows: int,
         mem_accesses: np.ndarray | None = None,
         per_module: bool = False,
-        bit_order=None,
+        bit_order: BitOrder | None = None,
     ) -> PowerTrace:
         """Like :meth:`transition_power`, but *pulls* each chunk's
         ``(prev, cur)`` row pairs from ``pairs(start, stop)`` instead of
         receiving the full matrices up front.
 
-        The pairs are uint8 trit rows in net order, or — when
-        *bit_order* (a :class:`~repro.netlist.program.BitOrder`) is
-        given — rail-major ``(2, rows, n_words)`` dual-rail P/N planes
-        in that order, whose edges are taken word-wise
-        (:func:`edge_planes`) and unpacked one edge matrix at a time.
-        Pulling lets a producer
-        whose pairs are *derived* (gathered, X-assigned) do that work
-        per chunk too: the whole gather → assign → price pipeline then
-        runs inside one :attr:`TRACE_CHUNK_ROWS` working set — the
-        Algorithm 2 walk in :mod:`repro.core.peakpower` is the customer.
-        Chunks cover disjoint row spans and each is priced by the same
-        kernel on the same rows whatever the chunk size, so results are
-        bit-identical to the eager path (``pairs`` must therefore be
-        pure per span, which a gather/assign of disjoint target rows is).
+        The pairs are rail-major ``(2, rows, n_words)`` dual-rail P/N
+        planes in *bit_order* (a :class:`~repro.netlist.program.BitOrder`;
+        ``None`` is plain net order).  Pulling lets a producer whose pairs
+        are *derived* (gathered, X-assigned) do that work per chunk too:
+        the whole gather → assign → price pipeline then runs inside one
+        :attr:`TRACE_CHUNK_ROWS` working set — the Algorithm 2 walk in
+        :mod:`repro.core.peakpower` is the customer.  ``pairs`` must be
+        pure per span (a gather/assign of disjoint target rows is).
         """
+        if bit_order is None:
+            bit_order = net_order(self.netlist.n_nets)
         return self._price(pairs, 0, n_rows, mem_accesses, per_module, bit_order)
 
     def _price(
-        self, pairs, first_row, n_rows, mem_accesses, per_module,
-        bit_order=None,
+        self, pairs, first_row, n_rows, mem_accesses, per_module, bit_order,
     ) -> PowerTrace:
         """Price rows ``first_row..n_rows`` in TRACE_CHUNK_ROWS-sized
-        spans (rows before *first_row* stay 0) and fold in memory, clock
-        and leakage.  Chunking is row-wise, so the split never changes
-        a result."""
-        totals = np.zeros(n_rows)
-        module_names = list(self.module_masks) if per_module else []
-        module_fj = {name: np.zeros(n_rows) for name in module_names}
+        spans into one int64 aJ block (rows before *first_row* stay 0),
+        then fold in memory, clock and leakage."""
+        tables = self.bit_tables(bit_order)
+        aj = np.zeros((n_rows, tables.n_cols), dtype=np.int64)
         chunk = self.TRACE_CHUNK_ROWS
         for start in range(first_row, n_rows, chunk):
             stop = min(start + chunk, n_rows)
             prev, cur = pairs(start, stop)
-            if bit_order is None:
-                edges = _trit_edges(prev, cur)
+            if tables.native is not None:
+                tables.native(prev, cur, aj[start:stop])
             else:
-                edges = _plane_edges(bit_order, prev, cur)
-            chunk_totals, chunk_modules = self._price_chunk(edges, module_names)
-            totals[start:stop] = chunk_totals
-            for name in module_names:
-                module_fj[name][start:stop] = chunk_modules[name]
-        return self._assemble_power(totals, module_fj, mem_accesses, per_module)
+                price_numpy(tables, prev, cur, aj[start:stop])
+        return self._assemble_power(aj, mem_accesses, per_module)
+
+
+class BitTables:
+    """A model's per-bit pricing tables in one bit order.
+
+    ``e_rise``/``e_fall`` hold each bit's transition energies in int64
+    attojoules and ``col`` its column in a priced block (1 + module, 0
+    for none); pads are 0 in all three.  ``native`` is the C pricer bound
+    to them, or ``None`` when the native kernels are unavailable.
+    """
+
+    def __init__(self, model: PowerModel, order: BitOrder):
+        from repro.sim import native
+
+        self.e_rise = np.zeros(order.n_bits, dtype=np.int64)
+        self.e_fall = np.zeros(order.n_bits, dtype=np.int64)
+        self.col = np.zeros(order.n_bits, dtype=np.int32)
+        self.e_rise[order.pos_of] = model.e_rise_aj
+        self.e_fall[order.pos_of] = model.e_fall_aj
+        self.col[order.pos_of] = model.module_col
+        self.n_cols = 1 + len(model.module_masks)
+        self.native = native.pricer(
+            self.e_rise, self.e_fall, self.col, self.n_cols
+        )
+
+
+def price_numpy(
+    tables: BitTables, prev: np.ndarray, cur: np.ndarray, out: np.ndarray
+) -> None:
+    """The numpy pricer: what ``repro_price`` computes, by unpacking.
+
+    Prices rail-major ``(2, rows, n_words)`` ``(prev, cur)`` P/N planes
+    into the ``(rows, n_cols)`` int64 block *out*: each edge plane is
+    unpacked, and the aJ energy of every set bit is scatter-added into
+    its row's column.  Column 0 is the total: the bits of no module plus
+    every module's sum.  The no-compiler path, and the C kernel's oracle.
+    """
+    n_rows, n_cols = out.shape
+    sums = np.zeros(n_rows * n_cols, dtype=np.int64)
+    for words, energy in zip(edge_planes(prev, cur), (tables.e_rise, tables.e_fall)):
+        bits = np.unpackbits(
+            np.ascontiguousarray(words).view(np.uint8), axis=-1,
+            bitorder="little",
+        ).view(bool)
+        # set bits in row-major order: row r's come count(r) at a time
+        flat = np.flatnonzero(bits)
+        rows = np.repeat(np.arange(n_rows), np.count_nonzero(bits, axis=1))
+        pos = flat - rows * bits.shape[1]
+        np.add.at(sums, rows * n_cols + tables.col[pos], energy[pos])
+    out[...] = sums.reshape(n_rows, n_cols)
+    out[:, 0] += out[:, 1:].sum(axis=1)
 
 
 def edge_planes(
@@ -371,21 +433,6 @@ def edge_planes(
     """
     tog = (prev[0] ^ cur[0]) | (prev[1] ^ cur[1])
     return tog & cur[0], tog & ~cur[0]
-
-
-def _trit_edges(prev: np.ndarray, cur: np.ndarray):
-    """Rising, then falling, edges of uint8 trit rows, as float64."""
-    toggled = prev != cur
-    yield (toggled & (cur != 0)).astype(np.float64)
-    yield (toggled & (cur == 0)).astype(np.float64)
-
-
-def _plane_edges(bit_order, prev: np.ndarray, cur: np.ndarray):
-    """Rising, then falling, edges of P/N plane rows, unpacked to
-    net-order float64 one at a time."""
-    rise, fall = edge_planes(prev, cur)
-    yield bit_order.unpack_bits(rise, np.float64)
-    yield bit_order.unpack_bits(fall, np.float64)
 
 
 def design_tool_rating(

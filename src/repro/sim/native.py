@@ -1,16 +1,20 @@
-"""Native kernels: the row-layout settle and the lane-sliced batch step.
+"""Native kernels: the row-layout settle, the lane-sliced batch step and
+the transition-energy pricer.
 
 The bitplane engine executes the compiled level schedule as ~25 numpy
 ufunc dispatches per level plus a fancy-indexed gather — fast per *bit*,
 but the per-dispatch overhead dominates once the planes fit in cache.
 This module replaces that interpreter loop with :data:`SOURCE`, one fixed
-C translation unit with two entry points, called through ctypes (which
+C translation unit with three entry points, called through ctypes (which
 releases the GIL for the call):
 
     void repro_settle(const struct program *p, uint64_t *state,
                       const uint64_t *prev, long rows);
     void repro_step(const struct lanes *p, struct batch *b, long live,
                     long n_force);
+    void repro_price(const struct pricing *t, const uint64_t *prev,
+                     const uint64_t *cur, const long *strides, long rows,
+                     int64_t *out);
 
 ``repro_settle`` walks the tables a
 :class:`~repro.netlist.program.NetlistProgram` already compiles (the
@@ -29,6 +33,13 @@ forced inputs, settles, marks activity, writes the changed bytes of the
 live rows back and returns the memory request and every registered probe
 bus (:class:`BatchKernel`).
 
+``repro_price`` is the power model's transition-energy kernel
+(:class:`Pricer`): per row of ``(prev, cur)`` P/N planes it walks the set
+bits of the rising and falling edge words and sums their integer
+attojoule energies, in total and per module.  Integer sums do not depend
+on their order, so it agrees with the numpy pricer in
+:mod:`repro.power.model` integer for integer.
+
 Because the source never depends on the netlist, it compiles once per
 (source, flags, compiler) digest into ``<cache>/native/<digest>.so``
 (about 0.1 s) and one loaded library serves every netlist in the
@@ -42,8 +53,9 @@ kernels execute the *same* schedule the numpy tape does, and the
 differential suite pins values, A plane and memo ``state_bytes`` on every
 benchmark and the batch step against the Python packed step record for
 record.  When no C compiler is present (or the build fails)
-:func:`evaluator_or_fallback` degrades to the bitplane engine with a
-single process-wide warning, never an error.
+:func:`evaluator_or_fallback` degrades to the bitplane engine and
+:func:`pricer` to the numpy pricer, with a single process-wide warning
+between them, never an error.
 """
 
 from __future__ import annotations
@@ -311,6 +323,44 @@ void repro_step(const struct lanes *p, struct batch *b, long live, long n_force)
     }
     b->cur = !b->cur;
 }
+
+/* ---- pricing: per-row transition energies in integer attojoules ---- */
+struct pricing {
+    i32 nw, n_cols;
+    const int64_t *e_rise, *e_fall;     /* per bit, aJ; pads are 0 */
+    const i32 *col;                     /* per bit: 1 + module, 0 for none */
+};
+
+/* rows of (prev, cur) P/N planes -> (rows, n_cols) sums: the total, then
+   one per module.  s holds the rail and row strides (in words) of prev,
+   then of cur */
+void repro_price(const struct pricing *t, const u64 *prev, const u64 *cur,
+                 const long *s, long rows, int64_t *out)
+{
+    int64_t acc[t->n_cols];
+    for (long r = 0; r < rows; ++r, out += t->n_cols) {
+        const u64 *pp = prev + r * s[1], *pn = pp + s[0];
+        const u64 *cp = cur + r * s[3], *cn = cp + s[2];
+        for (i32 c = 0; c < t->n_cols; ++c)
+            acc[c] = 0;
+        for (i32 w = 0; w < t->nw; ++w) {
+            const u64 tog = (pp[w] ^ cp[w]) | (pn[w] ^ cn[w]);
+            for (u64 m = tog & cp[w]; m; m &= m - 1) {
+                const long b = 64L * w + __builtin_ctzll(m);
+                acc[t->col[b]] += t->e_rise[b];
+            }
+            for (u64 m = tog & ~cp[w]; m; m &= m - 1) {
+                const long b = 64L * w + __builtin_ctzll(m);
+                acc[t->col[b]] += t->e_fall[b];
+            }
+        }
+        out[0] = acc[0];
+        for (i32 c = 1; c < t->n_cols; ++c) {
+            out[c] = acc[c];
+            out[0] += acc[c];
+        }
+    }
+}
 """
 
 #: per run class, the input blocks (indices into ``Run.slot_words``) of
@@ -443,17 +493,23 @@ class _Program(ctypes.Structure):
 
 class NativeKernel:
     """The loaded kernels (one library per process, shared by all
-    netlists): ``fn`` is ``repro_settle``, ``step`` ``repro_step``."""
+    netlists): ``fn`` is ``repro_settle``, ``step`` ``repro_step`` and
+    ``price`` ``repro_price``."""
 
     def __init__(self, path: Path, build_s: float):
         try:
             library = ctypes.CDLL(str(path))
-            self.fn, self.step = library.repro_settle, library.repro_step
+            self.fn, self.step, self.price = (
+                library.repro_settle, library.repro_step, library.repro_price
+            )
         except (OSError, AttributeError) as exc:
             raise NativeKernelError(f"cannot load {path}: {exc}") from None
         self.fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long]
         self.step.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_long] * 2
-        for fn in (self.fn, self.step):
+        self.price.argtypes = (
+            [ctypes.c_void_p] * 4 + [ctypes.c_long, ctypes.c_void_p]
+        )
+        for fn in (self.fn, self.step, self.price):
             fn.restype = None
         self.path = path
         self.digest = path.stem
@@ -795,6 +851,77 @@ class BatchKernel:
         return self.probe[:live].tolist()
 
 
+class _Pricing(ctypes.Structure):
+    """``struct pricing`` of :data:`SOURCE`."""
+
+    _fields_ = [(name, ctypes.c_int32) for name in ("nw", "n_cols")] + [
+        (name, ctypes.c_void_p) for name in ("e_rise", "e_fall", "col")
+    ]
+
+
+class Pricer:
+    """``repro_price`` bound to one set of per-bit energy tables.
+
+    *e_rise*/*e_fall* hold each bit's rising and falling transition
+    energy in integer attojoules and *col* its output column (1 + module,
+    0 for none); pads are 0 in all three.  A call prices rail-major
+    ``(2, rows, n_words)`` ``(prev, cur)`` P/N planes into an ``(rows,
+    n_cols)`` int64 block: column 0 the total, then one sum per module.
+    """
+
+    def __init__(self, kernel: NativeKernel, e_rise, e_fall, col, n_cols: int):
+        self.fn = kernel.price
+        self.arrays = [
+            np.ascontiguousarray(e_rise, dtype=np.int64),
+            np.ascontiguousarray(e_fall, dtype=np.int64),
+            np.ascontiguousarray(col, dtype=np.int32),
+        ]
+        self.n_words = self.arrays[0].size // 64
+        self.n_cols = n_cols
+        self.table = _Pricing(
+            self.n_words, n_cols, *(a.ctypes.data for a in self.arrays)
+        )
+        self.ptr = ctypes.addressof(self.table)
+
+    def __call__(self, prev: np.ndarray, cur: np.ndarray, out: np.ndarray) -> None:
+        rows = out.shape[0]
+        shape = (2, rows, self.n_words)
+        if (
+            prev.shape != shape or cur.shape != shape
+            or out.shape != (rows, self.n_cols) or out.dtype != np.int64
+            or not out.flags["C_CONTIGUOUS"]
+        ):
+            raise ValueError(
+                f"expected {shape} planes and a C-contiguous ({rows}, "
+                f"{self.n_cols}) int64 block, got {prev.shape}, {cur.shape} "
+                f"and {out.shape} {out.dtype}"
+            )
+        # any rail and row strides, but each row's words contiguous
+        prev, cur = (
+            a if a.dtype == np.uint64 and a.strides[2] == 8
+            else np.ascontiguousarray(a, dtype=np.uint64)
+            for a in (prev, cur)
+        )
+        strides = (ctypes.c_long * 4)(
+            *(stride // 8 for a in (prev, cur) for stride in a.strides[:2])
+        )
+        self.fn(
+            self.ptr, prev.ctypes.data, cur.ctypes.data, strides, rows,
+            out.ctypes.data,
+        )
+
+
+def pricer(e_rise, e_fall, col, n_cols: int) -> Pricer | None:
+    """A :class:`Pricer` over the given tables, or ``None`` when the
+    kernels cannot be built or loaded (reported by the one process-wide
+    fallback warning, never again)."""
+    try:
+        return Pricer(load_kernel(), e_rise, e_fall, col, n_cols)
+    except NativeKernelError as exc:
+        warn_fallback(exc)
+        return None
+
+
 # ----------------------------------------------------------------------
 # Evaluator + fallback
 # ----------------------------------------------------------------------
@@ -868,14 +995,15 @@ _fallback_warned = False
 
 
 def warn_fallback(reason: Exception | str) -> None:
-    """One process-wide warning when native degrades to bitplane."""
+    """One process-wide warning when the native kernels are unavailable."""
     global _fallback_warned
     if _fallback_warned:
         return
     _fallback_warned = True
     warnings.warn(
         f"native engine unavailable ({reason}); falling back to the "
-        "bitplane engine (results are identical, settle is slower)",
+        "bitplane engine and the numpy pricer (results are identical, "
+        "settle and pricing are slower)",
         RuntimeWarning,
         stacklevel=3,
     )

@@ -62,6 +62,28 @@ class TestVersionedKeys:
         monkeypatch.setattr(runner, "_fingerprint", None)
         assert runner.cache_fingerprint() == baseline  # restored => stable
 
+    def test_schema_bump_misses_older_pickles(self, isolated_cache, monkeypatch):
+        """Schema 3 (exact integer pricing, result floats moved in the
+        last ulps): a pickle published under the schema-2 fingerprint —
+        which the service store shares — must miss, not be served."""
+        assert runner.CACHE_SCHEMA_VERSION == 3
+        monkeypatch.setattr(runner, "CACHE_SCHEMA_VERSION", 2)
+        monkeypatch.setattr(runner, "_fingerprint", None)
+        old = runner.cache_fingerprint()
+        assert runner._cached("unit_schema_key", lambda: "schema 2") == "schema 2"
+        runner._memory_cache.pop("unit_schema_key")
+        monkeypatch.setattr(runner, "CACHE_SCHEMA_VERSION", 3)
+        monkeypatch.setattr(runner, "_fingerprint", None)
+        assert runner.cache_fingerprint() != old
+        assert runner._cached("unit_schema_key", lambda: "schema 3") == "schema 3"
+        # both versions' pickles sit side by side under their own names
+        names = {p.name for p in isolated_cache.glob("unit_schema_key-*.pkl")}
+        assert names == {
+            f"unit_schema_key-{fp}.pkl"
+            for fp in (old, runner.cache_fingerprint())
+        }
+        runner._memory_cache.pop("unit_schema_key")
+
     def test_benchmark_token_tracks_source_and_budgets(self):
         benchmark = runner.get_benchmark("FFT")
         token = runner._bench_token(benchmark)

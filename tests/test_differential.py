@@ -40,6 +40,7 @@ from repro.core.peakpower import (
     maximize_parity,
 )
 from repro.power.model import PowerModel
+from test_power import parity_stacks, price_both
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_suite.json").read_text()
@@ -196,8 +197,8 @@ class TestStackedPeakPowerEqualsScalar:
 
     The witness profiles must match the digests the per-segment scalar
     engine recorded, and every float must match the per-cycle pair
-    oracle bit for bit: both price with the one einsum kernel, whose row
-    results do not depend on chunking or row subsets.
+    oracle bit for bit: both price in exact integer attojoules, whose
+    sums do not depend on row layout, chunking or row subsets.
     """
 
     @pytest.fixture(scope="class")
@@ -210,6 +211,18 @@ class TestStackedPeakPowerEqualsScalar:
         assert np.array_equal(peak_power.trace_mw, reference.total_mw)
         assert peak_power.peak_cycle == reference.peak_cycle()
         assert peak_power.peak_power_mw == reference.peak()
+
+    def test_c_pricer_equals_numpy_pricer(self, peak, model):
+        """Both pricers on this benchmark's real Algorithm-2 stacks,
+        integer for integer; the module columns sum to the total."""
+        _name, tree, _peak_power = peak
+        order, stacks = parity_stacks(tree, model)
+        tables = model.bit_tables(order)
+        assert tables.native is not None, "the C pricer did not load"
+        for prev, cur in stacks:
+            c, n = price_both(tables, prev, cur)
+            assert np.array_equal(c, n)
+            assert np.array_equal(c[:, 1:].sum(axis=1), c[:, 0])
 
     def test_even_odd_profiles_bit_identical(self, oracle):
         name, _tree, peak_power, _reference = oracle

@@ -363,6 +363,36 @@ class TestFallback:
         expected, got = settle_sources(evaluator, reference, values)
         assert np.array_equal(got, expected)
 
+    def test_no_compiler_prices_with_numpy(self, unloaded, monkeypatch):
+        """Pricing degrades with the engine: the numpy pricer takes over,
+        the two fallbacks warn once between them, and the power is what
+        the C pricer computes."""
+        find_compiler = native.find_compiler
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+        native._reset_fallback_warning()
+        netlist = random_netlist(180, seed=64)
+        values = np.random.default_rng(4).integers(
+            0, 3, size=(70, netlist.n_nets), dtype=np.uint8
+        )
+        model = PowerModel(netlist, SG65)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            native.evaluator_or_fallback(netlist)
+            fallback = model.trace_power(values, per_module=True)
+            model.trace_power(values[::-1])
+        hits = [w for w in caught if "native engine unavailable" in str(w.message)]
+        assert len(hits) == 1
+        assert all(tables.native is None for tables in model._bit_tables.values())
+        native._reset_fallback_warning()
+
+        monkeypatch.setattr(native, "find_compiler", find_compiler)
+        compiled = PowerModel(netlist, SG65)
+        power = compiled.trace_power(values, per_module=True)
+        assert all(t.native is not None for t in compiled._bit_tables.values())
+        assert np.array_equal(power.total_mw, fallback.total_mw)
+        for module, series in power.module_mw.items():
+            assert np.array_equal(fallback.module_mw[module], series), module
+
     def test_build_failure_raises_kernel_error(self, unloaded, monkeypatch):
         monkeypatch.setattr(native, "SOURCE", "#error simulated breakage\n")
         netlist = random_netlist(160, seed=62)

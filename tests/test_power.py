@@ -1,12 +1,17 @@
 """Power model, cell library, and design-tool baseline tests."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from repro.bench.suite import get_benchmark
 from repro.cells import SG65, SG130
+from repro.core.activity import explore
+from repro.core.peakpower import _max_planes, _plane_stack, assign_planes
 from repro.netlist import NetlistBuilder
 from repro.power import PowerModel, design_tool_rating
-from repro.power.model import _scale_for
+from repro.power.model import DEFAULT_MODULE_ENERGY_SCALE, _scale_for, price_numpy
 
 
 def tiny_netlist():
@@ -122,6 +127,171 @@ class TestTracePower:
         assert trace.energy_pj() == pytest.approx(
             trace.total_mw.sum() * trace.clock_ns
         )
+
+
+@pytest.fixture(scope="module")
+def ulp_model(cpu):
+    return PowerModel(cpu.netlist, SG65, clock_ns=10.0)
+
+
+def price_both(tables, prev, cur):
+    """The C and the numpy pricer's aJ blocks for the same plane pairs
+    (each starts from garbage, so both must overwrite every cell)."""
+    blocks = [
+        np.full((prev.shape[1], tables.n_cols), -7, dtype=np.int64)
+        for _ in range(2)
+    ]
+    tables.native(prev, cur, blocks[0])
+    price_numpy(tables, prev, cur, blocks[1])
+    return blocks
+
+
+def random_planes(rng, rows: int, n_words: int) -> np.ndarray:
+    """Rail-major (2, rows, n_words) P/N rows of random valid trits — X
+    included — over every bit, pads too."""
+    p = rng.integers(0, 2**64, size=(rows, n_words), dtype=np.uint64)
+    n = rng.integers(0, 2**64, size=(rows, n_words), dtype=np.uint64) | ~p
+    return np.stack([p, n])
+
+
+def parity_stacks(tree, model):
+    """``(order, [(prev, cur)] per parity)``: Algorithm 2's X-assigned
+    target pairs, whole parities at a time."""
+    order, values, active, pred, local = _plane_stack(tree)
+    max_prev, max_cur = _max_planes(model, order)
+    stacks = []
+    for parity in (1, 0):
+        targets = np.flatnonzero(local % 2 == parity)
+        stacks.append(assign_planes(
+            values.take(pred[targets], axis=1), values.take(targets, axis=1),
+            active[targets], max_prev, max_cur,
+        ))
+    return order, stacks
+
+
+class TestExactPricing:
+    """One integer pricing kernel: C ≡ numpy ≡ exact rational sums."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 63, 64, 65, 200])
+    def test_c_equals_numpy_on_random_planes(self, cpu, ulp_model, rows):
+        program = cpu.evaluator_for(None).program
+        tables = ulp_model.bit_tables(program)
+        assert tables.native is not None, "the C pricer did not load"
+        rng = np.random.default_rng(rows)
+        prev = random_planes(rng, rows, program.n_words)
+        cur = random_planes(rng, rows, program.n_words)
+        cur[:, ::3] = prev[:, ::3]  # rows without a single edge
+        c, n = price_both(tables, prev, cur)
+        assert np.array_equal(c, n)
+        assert np.array_equal(c[::3], np.zeros_like(c[::3]))
+        assert np.array_equal(c[:, 1:].sum(axis=1), c[:, 0])
+
+    def test_strided_rows_price_like_contiguous(self, cpu, ulp_model):
+        """Row-major (rows, 2, n_words) planes viewed rail-major — what
+        the trace path hands the kernel — price like a compact copy."""
+        program = cpu.evaluator_for(None).program
+        tables = ulp_model.bit_tables(program)
+        rng = np.random.default_rng(5)
+        rows = random_planes(rng, 9, program.n_words).transpose(1, 0, 2).copy()
+        prev, cur = rows[:-1].transpose(1, 0, 2), rows[1:].transpose(1, 0, 2)
+        strided = price_both(tables, prev, cur)
+        compact = price_both(
+            tables, np.ascontiguousarray(prev), np.ascontiguousarray(cur)
+        )
+        for block in strided + compact[1:]:
+            assert np.array_equal(block, compact[0])
+
+    @pytest.mark.parametrize("name", ["mult", "inSort"])
+    def test_totals_equal_fraction_sums(self, cpu, ulp_model, name):
+        """Every Algorithm-2 row total is the exact rational sum of the
+        library's decimal cell energies times the module scale."""
+        benchmark = get_benchmark(name)
+        tree = explore(
+            cpu, benchmark.program(), max_cycles=benchmark.max_cycles,
+            max_segments=benchmark.max_segments,
+        )
+        energy = {}  # net -> (rise, fall) in aJ, as Fractions
+        for gate in cpu.netlist.gates:
+            cell = SG65.cell_for_gate(gate.kind)
+            scale = Fraction(str(_scale_for(gate.module, DEFAULT_MODULE_ENERGY_SCALE)))
+            energy[gate.index] = tuple(
+                Fraction(str(e)) * scale * 1000
+                for e in (cell.e_rise_fj, cell.e_fall_fj)
+            )
+        classes = sorted({e for pair in energy.values() for e in pair})
+        rise_class = np.array([classes.index(energy[i][0]) for i in sorted(energy)])
+        fall_class = np.array([classes.index(energy[i][1]) for i in sorted(energy)])
+        order, stacks = parity_stacks(tree, ulp_model)
+        tables = ulp_model.bit_tables(order)
+        for prev, cur in stacks:
+            c, n = price_both(tables, prev, cur)
+            assert np.array_equal(c, n)
+            assert np.array_equal(c[:, 1:].sum(axis=1), c[:, 0])
+            before = order.unpack_trits(prev[0], prev[1])
+            after = order.unpack_trits(cur[0], cur[1])
+            toggled = before != after
+            counts = np.zeros((len(after), len(classes)), dtype=np.int64)
+            for edges, net_class in (
+                (toggled & (after != 0), rise_class),
+                (toggled & (after == 0), fall_class),
+            ):
+                rows, nets = np.nonzero(edges)
+                np.add.at(counts, (rows, net_class[nets]), 1)
+            for row, total_aj in enumerate(c[:, 0]):
+                exact = sum(
+                    (int(k) * e for k, e in zip(counts[row], classes)),
+                    Fraction(0),
+                )
+                assert exact == total_aj, (name, row)
+
+    def test_numpy_pricer_path_equals_c_path(self, cpu, ulp_model):
+        """Whole pipeline, row count off the chunk grid: a model whose
+        tables have no C pricer gives the same floats."""
+        benchmark = get_benchmark("mult")
+        tree = explore(cpu, benchmark.program())
+        order, [(prev, cur), _] = parity_stacks(tree, ulp_model)
+        assert prev.shape[1] % PowerModel.TRACE_CHUNK_ROWS
+        numpy_model = PowerModel(cpu.netlist, SG65, clock_ns=10.0)
+        numpy_model.bit_tables(order).native = None
+        traces = [
+            model.pair_power(
+                lambda a, b: (prev[:, a:b], cur[:, a:b]), prev.shape[1],
+                per_module=True, bit_order=order,
+            )
+            for model in (ulp_model, numpy_model)
+        ]
+        assert np.array_equal(traces[0].total_mw, traces[1].total_mw)
+        for module, series in traces[0].module_mw.items():
+            assert np.array_equal(traces[1].module_mw[module], series), module
+
+    def test_packed_trace_prices_like_trits(self, cpu, ulp_model):
+        """A concrete trace priced from its packed words in its own bit
+        order equals pricing its unpacked trit rows."""
+        from repro.sim.trace import Trace
+
+        benchmark = get_benchmark("mult")
+        program = benchmark.program().with_inputs(benchmark.input_sets(1)[0])
+        machine = cpu.make_machine(program, symbolic_inputs=False, port_in=0)
+        trace = Trace(machine.netlist.n_nets)
+        cpu.run_to_halt(machine, max_cycles=5_000, trace=trace)
+        assert trace.packing is not None
+        packed = ulp_model.trace_power(
+            trace.values_matrix(packed=True), trace.mem_accesses(),
+            per_module=True, bit_order=trace.bit_order,
+        )
+        trits = ulp_model.trace_power(
+            trace.values_matrix(), trace.mem_accesses(), per_module=True
+        )
+        assert len(packed) == len(trace) > PowerModel.TRACE_CHUNK_ROWS
+        assert np.array_equal(packed.total_mw, trits.total_mw)
+        for module, series in trits.module_mw.items():
+            assert np.array_equal(packed.module_mw[module], series), module
+
+    def test_energy_not_whole_attojoules_names_module(self, cpu):
+        with pytest.raises(ValueError, match="multiplier.*attojoules"):
+            PowerModel(
+                cpu.netlist, SG65, module_energy_scale={"multiplier": 1 / 3}
+            )
 
 
 class TestDesignTool:
