@@ -32,7 +32,6 @@ MIN_BASELINE_S = 0.05
 #: compiler-less host) are skipped, not failed
 PHASES = (
     ("explore", "native_s"),
-    ("explore", "bitplane_s"),
     ("explore", "batched_s"),
     ("peakpower", "stacked_s"),
     ("peakenergy", "s"),

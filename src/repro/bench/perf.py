@@ -4,17 +4,16 @@
 of the analyze pipeline — Algorithm 1 exploration, Algorithm 2 peak power,
 §3.3 peak energy, and the input-profiling baseline — on the same
 benchmarks, always cold (no disk cache involved), and writes a
-``BENCH_suite.json`` artifact (schema 4) with per-phase wall-clock so
+``BENCH_suite.json`` artifact (schema 5) with per-phase wall-clock so
 future PRs can attribute speedups and catch regressions of each hot path
 separately.  The GA stressmark baseline is program-independent and timed
 once per report.
 
-The explore phase is timed under all three simulation engines: the
-batched uint8 reference (the oracle), the batched bit-plane engine, and
-the compiled native kernel (the default; skipped with its keys absent
-when no C compiler is available) — ``bitplane_speedup`` is the bit-plane
-gain over the reference and ``native_speedup`` the native gain over
-bit-plane, all at equal results: every engine's tree must have the same
+The explore phase is timed under both simulation engines: the batched
+uint8 reference (the oracle) and the compiled native kernels (the
+default; skipped with their keys absent when no C compiler is
+available) — ``native_speedup`` is the native gain over the reference at
+equal results: both trees must have the same
 :meth:`~repro.core.activity.ExecutionTree.digest`, so a bench run doubles
 as a coarse differential test.  The kernel's one-time compile cost is
 reported as ``engine.native_build_s`` (0.0 when the shared object was
@@ -101,9 +100,9 @@ def run_perf_suite(
     model = PowerModel(cpu.netlist, SG65, clock_ns=10.0)
     # Build (or cache-load) the native kernel once up front so the timed
     # explore runs measure settles, not the C compile.  A compiler-less
-    # host falls back to the bitplane evaluator (with the one-time
+    # host falls back to the reference evaluator (with the one-time
     # warning) — detected here so the artifact omits the native keys
-    # instead of re-labeling bitplane timings.
+    # instead of re-labeling reference timings.
     native_evaluator = cpu.evaluator_for("native")
     native_available = (
         getattr(native_evaluator, "engine_name", None) == "native"
@@ -127,23 +126,15 @@ def run_perf_suite(
                 engine=engine,
             )
 
-        explore_batched_s, reference_tree = _best(
+        explore_batched_s, tree = _best(
             lambda: run_explore(batch_size, "reference"), repeats
         )
-        reference_digest = reference_tree.digest()
-        # Drop each tree before the next timed run: the real pipeline has
-        # one tree alive, and ~40 MB of stale record arrays measurably
-        # slows the streaming phases on small-cache hosts.
-        del reference_tree
-        explore_bitplane_s, tree = _best(
-            lambda: run_explore(None, "bitplane"), repeats
-        )
-        if tree.digest() != reference_digest:
-            raise AssertionError(
-                f"{name}: bitplane and reference trees disagree"
-            )
+        reference_digest = tree.digest()
         explore_native_s = None
         if native_available:
+            # Drop each tree before the next timed run: the real pipeline
+            # has one tree alive, and ~40 MB of stale record arrays
+            # measurably slows the streaming phases on small-cache hosts.
             del tree
             explore_native_s, tree = _best(
                 lambda: run_explore(None, "native"), repeats
@@ -173,23 +164,16 @@ def run_perf_suite(
 
         explore_row = {
             "batched_s": round(explore_batched_s, 3),
-            "bitplane_s": round(explore_bitplane_s, 3),
-            "bitplane_speedup": round(
-                explore_batched_s / explore_bitplane_s, 2
-            ) if explore_bitplane_s else 0.0,
             "batched_cycles_per_s": round(
                 tree.n_cycles / explore_batched_s, 1
-            ),
-            "bitplane_cycles_per_s": round(
-                tree.n_cycles / explore_bitplane_s, 1
             ),
         }
         if explore_native_s is not None:
             explore_row["native_s"] = round(explore_native_s, 3)
-            # gain of the compiled kernel over the numpy bitplane tape
-            # at identical results
+            # gain of the compiled kernels over the batched reference at
+            # identical results
             explore_row["native_speedup"] = round(
-                explore_bitplane_s / explore_native_s, 2
+                explore_batched_s / explore_native_s, 2
             ) if explore_native_s else 0.0
             explore_row["native_cycles_per_s"] = round(
                 tree.n_cycles / explore_native_s, 1
@@ -221,7 +205,7 @@ def run_perf_suite(
         # the engine the non-explore phases actually ran under (the
         # explore phase always times every engine)
         "sim_engine": default_engine(),
-        "bitplane_batch_size": default_batch_size("bitplane"),
+        "native_batch_size": default_batch_size("native"),
         "repeats": repeats,
         "workers": workers,
         "islands": islands,
@@ -232,7 +216,7 @@ def run_perf_suite(
         # or loaded in this process); absent = no C compiler
         engine_block["native_build_s"] = native_build_s
     return {
-        "schema": 4,
+        "schema": 5,
         "engine": engine_block,
         "host": {
             "python": platform.python_version(),

@@ -22,7 +22,7 @@ for an assembly program whose ``.input`` regions are symbolic; ``profile``
 measures concrete input sets and applies the 4/3 guardband; ``coi`` shows
 the cycles of interest with culprit instructions; ``suite`` runs the
 Table 4.1 benchmarks end to end (process-parallel, store-cached);
-``bench`` times every pipeline phase (explore under all three engines)
+``bench`` times every pipeline phase (explore under both engines)
 and writes a perf-trajectory JSON artifact; ``conformance`` co-executes
 benchmarks and/or seeded fuzz programs lock-step on the behavioral ISS
 and the gate-level engines, exits 1 with a written reproducer on any
@@ -40,15 +40,14 @@ stored); ``cache`` inspects (``stats``) or trims (``gc --max-mb N``)
 the artifact store, including seed-era legacy pickles.
 
 Engine knobs shared by the analysis commands: ``--engine native``
-(default) settles on a fixed C kernel compiled once per host and cached
-(one foreign call per settle; falls back to bitplane with a warning when
-no C compiler is available), ``--engine bitplane`` on packed dual-rail
-uint64 bit planes in numpy, ``--engine reference`` on the original
-uint8 evaluator — bit-identical results every way (also settable via
+(default) simulates on packed dual-rail bit planes with fixed C kernels
+compiled once per host and cached (one foreign call per batch step;
+falls back to the reference engine with a warning when no C compiler is
+available), ``--engine reference`` on the original uint8 evaluator, the
+oracle — bit-identical results either way (also settable via
 ``REPRO_ENGINE``).  ``--batch-size N`` settles N
-execution paths in lock-step (1 = a one-lane batch; default 32 for the
-native and bitplane engines, 8 for the reference engine, or
-``REPRO_BATCH_SIZE``).
+execution paths in lock-step (1 = a one-lane batch; default 32 on the
+native engine, 8 on the reference engine, or ``REPRO_BATCH_SIZE``).
 One analysis runs in one process.  Cores are used across analyses —
 ``suite --jobs N`` fans the benchmarks out over N processes and
 ``serve`` runs several jobs at once in its job slots — and across GA
@@ -226,16 +225,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     write_report(report, args.output)
     for row in report["benchmarks"]:
         ex = row["explore"]
-        native = (
-            f"native {ex['native_s']:.2f}s "
-            f"({ex['native_speedup']:.2f}x vs bitplane), "
-            if "native_s" in ex else ""
-        )
+        explored = f"batched ref {ex['batched_s']:.2f}s"
+        if "native_s" in ex:
+            explored = (f"native {ex['native_s']:.2f}s "
+                        f"({ex['native_speedup']:.2f}x vs {explored})")
         print(f"{row['name']:>10}: "
-              f"explore {native}"
-              f"bitplane {ex['bitplane_s']:.2f}s "
-              f"({ex['bitplane_speedup']:.2f}x vs batched ref "
-              f"{ex['batched_s']:.2f}s), "
+              f"explore {explored}, "
               f"peakpower {row['peakpower']['stacked_s']:.2f}s, "
               f"peakenergy {row['peakenergy']['s']:.3f}s, "
               f"baselines {row['baselines']['batched_s']:.2f}s")
@@ -594,14 +589,14 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument(
             "--batch-size", type=int, default=None, metavar="N",
             help="settle N execution paths in lock-step (1 = a one-lane "
-                 "batch; default 32 native/bitplane / 8 reference, or "
+                 "batch; default 32 native / 8 reference, or "
                  "$REPRO_BATCH_SIZE)",
         )
         sub_parser.add_argument(
             "--engine", choices=ENGINES, default=None,
-            help="simulation representation: the compiled C settle "
-                 "kernel (default; bitplane when no C compiler), packed "
-                 "dual-rail bit planes in numpy, or the uint8 reference "
+            help="simulation representation: the compiled C kernels on "
+                 "packed dual-rail bit planes (default; the reference "
+                 "engine when no C compiler), or the uint8 reference "
                  "evaluator; results are bit-identical (also "
                  "$REPRO_ENGINE)",
         )

@@ -46,22 +46,25 @@ from repro.sim.trace import CycleRecord, Trace
 #: the ``REPRO_BATCH_SIZE`` environment variable (1 = a one-lane batch).
 DEFAULT_BATCH_SIZE = 8
 
-#: wider default for the bitplane/native engines: their per-cycle cost is
-#: dominated by costs that amortize across live lanes (numpy dispatch for
-#: bitplane; for native, the batch step kernel, whose cost is nearly flat
-#: up to 64 lanes), so deep pending-path queues benefit from more lanes at
-#: negligible memory cost (a lane is ~18 KB of packed planes).  On the
-#: multipath benchmarks 16, 32 and 64 measured alike: the trees rarely
-#: hold more than ~8 pending paths at once.
-BITPLANE_DEFAULT_BATCH_SIZE = 32
+#: wider default for the native engine: the batch step kernel costs
+#: nearly the same for 1 lane as for 64, so deep pending-path queues
+#: benefit from more lanes at negligible memory cost (a lane is ~18 KB of
+#: packed planes).  On the multipath benchmarks 16, 32 and 64 measured
+#: alike: the trees rarely hold more than ~8 pending paths at once.
+NATIVE_DEFAULT_BATCH_SIZE = 32
 
 
 def default_batch_size(engine: str | None = None) -> int:
-    """Batch width for *engine* (resolved) honoring ``REPRO_BATCH_SIZE``."""
+    """Batch width for *engine* honoring ``REPRO_BATCH_SIZE``.
+
+    Pass the engine actually built (``"native"`` only when the native
+    evaluator loaded), not the one requested: a host that fell back
+    explores the reference engine at its own width.
+    """
     raw = os.environ.get("REPRO_BATCH_SIZE")
     if not raw:
-        if engine in ("bitplane", "native"):
-            return BITPLANE_DEFAULT_BATCH_SIZE
+        if engine == "native":
+            return NATIVE_DEFAULT_BATCH_SIZE
         return DEFAULT_BATCH_SIZE
     try:
         return max(1, int(raw))
@@ -245,10 +248,11 @@ def explore(
     *batch_size* is the number of pending paths settled in lock-step
     (``1`` = a one-lane batch); ``None`` (the default) uses
     :func:`default_batch_size`.  *engine* selects the simulation
-    representation: ``"native"`` (the compiled C settle kernel, the
-    default), ``"bitplane"`` (packed dual rail in numpy, native's
-    no-compiler fallback) or ``"reference"`` (the uint8 oracle); ``None``
-    honors ``REPRO_ENGINE``.  The exploration runs in the calling
+    representation: ``"native"`` (the compiled C kernels on packed dual
+    rail, the default; the reference engine when no C compiler is
+    available) or ``"reference"`` (the uint8 oracle); ``None`` honors
+    ``REPRO_ENGINE``.  The default width follows the engine actually
+    built.  The exploration runs in the calling
     process; cores are spent across analyses (``suite --jobs``, service
     job slots), not inside one.
     Every combination returns the identical tree, bit for bit.  *cancel*
@@ -262,23 +266,21 @@ def explore(
     :class:`repro.cpu.UnresolvedPCError` when the PC becomes X outside a
     forkable conditional branch.
     """
-    if batch_size is None:
-        from repro.sim.bitplane import default_engine
-
-        batch_size = default_batch_size(engine or default_engine())
-    batch_size = max(1, batch_size)
     machine = cpu.make_machine(program, symbolic_inputs=True, engine=engine)
-    # record_packed defers unpacking to the trace boundary (lazy per
-    # record, bulk for values_matrix/active_matrix): on the packed
-    # engines the explore loop then never unpacks a row it only forks
-    # from.  The replay in _assemble_tree is representation-agnostic.
+    if batch_size is None:
+        packed = getattr(machine.evaluator, "packed", False)
+        batch_size = default_batch_size("native" if packed else "reference")
+    batch_size = max(1, batch_size)
+    # a packed batch records packed words, unpacked at the trace boundary
+    # (lazy per record, bulk for values_matrix/active_matrix), so the
+    # explore loop never unpacks a row it only forks from.  The replay in
+    # _assemble_tree is representation-agnostic.
     batch = BatchMachine(
         machine.netlist,
         machine.ports,
         machine.evaluator,
         batch_size,
         annotator=machine.annotator,
-        record_packed=True,
     )
     evaluator = machine.evaluator
 

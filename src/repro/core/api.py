@@ -87,9 +87,9 @@ def analyze(
     :func:`repro.core.activity.explore`): the number of execution
     paths settled in lock-step (``1`` = a one-lane batch).
     *engine* selects the simulation representation — ``"native"``
-    (the compiled C settle kernel, the default; bitplane fallback when
-    no compiler), ``"bitplane"`` (packed dual-rail in numpy), or
-    ``"reference"`` (the uint8 oracle); ``None`` honors
+    (the compiled C kernels on packed dual rail, the default; the
+    reference engine when no compiler), or ``"reference"`` (the uint8
+    oracle); ``None`` honors
     ``REPRO_ENGINE``.  All combinations are bit-identical.  One
     analysis runs in one process; to use several cores, run several
     analyses at once (``suite --jobs``, service job slots).

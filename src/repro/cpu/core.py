@@ -628,11 +628,9 @@ class Ulp430(object):
         self.nets = nets
         #: the uint8 reference evaluator (the oracle), built on first use
         self._reference_evaluator = None
-        #: the packed dual-rail evaluator, compiled on first use and then
-        #: shared by every machine/batch built from this CPU
-        self._bitplane_evaluator = None
-        #: the native-kernel evaluator (or the bitplane one after a
-        #: compiler-less fallback), built on first use
+        #: the native-kernel evaluator (or the reference one after a
+        #: compiler-less fallback), built on first use and then shared by
+        #: every machine/batch built from this CPU
         self._native_evaluator = None
 
     # ------------------------------------------------------------------
@@ -647,25 +645,17 @@ class Ulp430(object):
 
     def evaluator_for(self, engine: str | None = None):
         """The shared evaluator for *engine* (``None``: ``REPRO_ENGINE``)."""
-        from repro.sim.bitplane import (
-            ENGINES,
-            BitplaneEvaluator,
-            default_engine,
-        )
+        from repro.sim.bitplane import ENGINES, default_engine
 
         engine = engine or default_engine()
         if engine == "reference":
             return self.evaluator
-        if engine == "bitplane":
-            if self._bitplane_evaluator is None:
-                self._bitplane_evaluator = BitplaneEvaluator(self.netlist)
-            return self._bitplane_evaluator
         if engine == "native":
             if self._native_evaluator is None:
-                # share the compiled program with the bitplane evaluator
-                # (one schedule compile per CPU, whatever engines run)
+                # without a compiler, fall back on this CPU's own
+                # reference evaluator rather than building a second one
                 self._native_evaluator = evaluator_or_fallback(
-                    self.netlist, lambda: self.evaluator_for("bitplane")
+                    self.netlist, lambda: self.evaluator
                 )
             return self._native_evaluator
         raise ValueError(
@@ -687,8 +677,8 @@ class Ulp430(object):
         X and the GPIO input pins are forced to X (Algorithm 1's setting);
         otherwise the regions must have been filled via
         ``program.with_inputs(...)`` and *port_in* gives the pin values.
-        *engine* picks the simulation engine (native, bitplane or
-        reference); ``None`` honors ``REPRO_ENGINE``.
+        *engine* picks the simulation engine (native or reference);
+        ``None`` honors ``REPRO_ENGINE``.
         """
         memory = TernaryMemory(n_words=1 << 15)
         memory.load_program(program.words)

@@ -1,6 +1,6 @@
 """Compile a levelized netlist into a fused bit-plane schedule.
 
-The bit-plane engine (:mod:`repro.sim.bitplane`) stores the 3-valued
+The packed state format (:mod:`repro.sim.bitplane`) stores the 3-valued
 simulation state as **dual-rail uint64 bit planes**: for every net, a
 ``P`` bit ("the net can be 1") and an ``N`` bit ("the net can be 0"),
 
@@ -25,10 +25,9 @@ bit order** — sources first, then each level's gates grouped into
 word-aligned opcode runs — and precomputes, per level, one fused gather
 table (byte indices + bit masks into the raw plane bytes) that fetches
 every input bit of every gate of the level, for both rails *and* for the
-activity sweep, in a single fancy-indexing call.  The runtime then packs
-the gathered bits with ``np.packbits`` and executes a handful of whole-run
-``&``/``|``/``^`` ops per level.  What used to be ~4 numpy dispatches per
-(level, kind) group becomes ~30 dispatches per *level* over uint64 words.
+activity sweep.  The native kernels (:mod:`repro.sim.native`) execute
+these tables: ``repro_settle`` walks them row by row, and the
+lane-sliced batch step decodes them into per-gate references.
 
 Bit position 0 is a reserved constant-zero bit (P=0, N=1, A=0 always);
 all padding slots point at it so the pad bits of every run settle to a
@@ -231,13 +230,13 @@ class NetlistProgram(BitOrder):
     """A netlist compiled into packed bit positions + a fused schedule.
 
     One program instance is immutable and shared by every
-    :class:`~repro.sim.bitplane.BitplaneEvaluator` (and hence every
-    machine) built for the same netlist.
+    :class:`~repro.sim.native.NativeEvaluator` (and hence every machine)
+    built for the same netlist.
     """
 
     def __init__(self, netlist: Netlist):
         if sys.byteorder != "little":  # pragma: no cover - x86/arm are LE
-            raise RuntimeError("bit-plane engine requires a little-endian host")
+            raise RuntimeError("packed bit planes require a little-endian host")
         self.netlist = netlist
         self.n_nets = netlist.n_nets
         levels = netlist.levelize()
@@ -393,13 +392,6 @@ class NetlistProgram(BitOrder):
         self.max_scratch_words = max(
             (plan.scratch_words for plan in self.levels), default=0
         )
-        self.max_level_words = max(
-            (plan.words for plan in self.levels), default=0
-        )
-        self.max_run_words = max(
-            (run.words for plan in self.levels for run in plan.runs),
-            default=0,
-        )
 
     # ------------------------------------------------------------------
     # Gather-table construction
@@ -467,9 +459,9 @@ class NetlistProgram(BitOrder):
                 sp, sn = sn, sp
             return [(sp, pos), (sn, pos)]
         if gate.kind == "MUX":
-            # Block order SN, SP, PA, PB, NA, NB: the executor computes
-            # both select products of one rail with a single double-width
-            # AND over the adjacent (SN|SP) and (PA|PB) / (NA|NB) blocks.
+            # Block order SN, SP, PA, PB, NA, NB: the order the native
+            # kernels' per-class product table (``native._PRODUCTS``)
+            # reads them in.
             sel, a, b = ins
             sp, sn, s = self._read_rails(sel)
             pa_r, na_r, pa = self._read_rails(a)

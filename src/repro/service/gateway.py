@@ -47,8 +47,8 @@ MAX_SOURCE_BYTES_CAP = 512 * 1024
 DEFAULT_MAX_CYCLES = 200_000
 DEFAULT_MAX_SEGMENTS = 4_096
 
-#: RLIMIT_AS for upload workers (MiB) — generous (the bitplane engine
-#: is memory-light) but finite, so a pathological allocation kills one
+#: RLIMIT_AS for upload workers (MiB) — generous (the packed native
+#: engine is memory-light) but finite, so a pathological allocation kills one
 #: worker instead of the host
 DEFAULT_MEMORY_LIMIT_MB = 4096
 

@@ -7,18 +7,16 @@ every live lane simultaneously; the per-lane parts that stay Python are
 the behavioral memory (serve and commit), annotations and the records.
 
 Lane state lives in one row per lane: ``(B, 3, n_words)`` packed P/N/A
-planes on the packed engines (``values`` uint8 rows on the reference
+planes on the native engine (``values`` uint8 rows on the reference
 engine).  How a step settles them depends on the engine:
 
-* **native** (packed-record batches): one foreign call per step
+* **native**: one foreign call per step
   (:class:`~repro.sim.native.BatchKernel`) on a lane-sliced copy of the
   batch — DFF loads, port forcing, settle, activity, the write-back of
-  the live rows and every lane's memory request and probe buses;
-* **bitplane** (and native batches that unpack per step): the fused
-  row-layout settle of the evaluator over the live rows, with the port
-  I/O done per lane on plane words;
+  the live rows and every lane's memory request and probe buses.  Its
+  records carry the packed words, unpacked lazily at the trace boundary;
 * **reference**: :class:`~repro.sim.evaluator.LevelizedEvaluator` on
-  ``(K, n_nets)`` uint8 matrices.
+  ``(K, n_nets)`` uint8 matrices, the oracle.
 
 The rows stay the source of truth between steps: snapshots, memo keys,
 :class:`LaneView` and the records all read them.  Live lanes are kept
@@ -42,17 +40,13 @@ from repro.netlist.core import Netlist
 from repro.sim.evaluator import LevelizedEvaluator
 from repro.sim.machine import (
     MemoryPorts,
-    PortSpecs,
     _MemRequest,
     commit_memory_write,
     compile_bus_spec,
     force_bus,
-    force_bus_planes,
-    force_inputs_packed,
     read_bus,
     read_bus_planes,
     sample_memory_control,
-    sample_memory_control_packed,
     serve_memory_read,
 )
 from repro.sim.trace import CycleRecord, Trace
@@ -74,8 +68,6 @@ class Lane:
         "_request",
         "forced_inputs",
         "next_dff_forces",
-        "_forced_src",
-        "_forced_masks",
         "_port_masks",
         "_probes",
     )
@@ -89,9 +81,6 @@ class Lane:
         self._request = _MemRequest(**vars(snapshot["request"]))
         self.forced_inputs = dict(snapshot["forced_inputs"])
         self.next_dff_forces = dict(forces)
-        #: packed-engine cache of the compiled forced-input masks
-        self._forced_src: dict[int, int] | None = None
-        self._forced_masks: list[tuple] = []
         #: native-kernel cache: (forced inputs, their input-bit masks)
         self._port_masks: tuple | None = None
         #: the batch kernel's bus results of this lane's last step
@@ -117,15 +106,10 @@ class LaneView:
     def values(self) -> np.ndarray:
         batch = self._batch
         if batch.packed:
-            if batch.record_packed:
-                # packed-record mode keeps no unpacked cache; unpack just
-                # this lane's row on the rare direct-row access
-                row = batch.evaluator.unpack_values(
-                    batch.planes[self._lane.row]
-                )
-            else:
-                # read-only: writes here would bypass the packed planes
-                row = batch._values_cache[self._lane.row][:]
+            # the packed batch keeps no unpacked rows; unpack just this
+            # lane's row on the rare direct-row access (read-only: writes
+            # here would bypass the planes)
+            row = batch.evaluator.unpack_values(batch.planes[self._lane.row])
             row.setflags(write=False)
             return row
         return batch.values[self._lane.row]
@@ -133,15 +117,13 @@ class LaneView:
     def peek_bus(self, nets: list[int]) -> tuple[int, int]:
         batch = self._batch
         if batch.packed:
-            kernel = batch.kernel
-            if kernel is not None:
-                # answered from the step's probe results; a bus seen for
-                # the first time is read from the row and probed from the
-                # next step on
-                index = 2 * kernel.bus_index(nets)
-                probes = self._lane._probes
-                if probes is not None and 0 <= index < len(probes):
-                    return probes[index], probes[index + 1]
+            # answered from the step's probe results; a bus seen for the
+            # first time is read from the row and probed from the next
+            # step on
+            index = 2 * batch.kernel.bus_index(nets)
+            probes = self._lane._probes
+            if probes is not None and 0 <= index < len(probes):
+                return probes[index], probes[index + 1]
             return read_bus_planes(
                 batch.planes[self._lane.row], batch._peek_spec(nets)
             )
@@ -158,7 +140,6 @@ class BatchMachine:
         evaluator: LevelizedEvaluator,
         batch_size: int,
         annotator: Callable | None = None,
-        record_packed: bool = False,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -166,38 +147,22 @@ class BatchMachine:
         self.ports = ports
         self.evaluator = evaluator
         self.packed = bool(getattr(evaluator, "packed", False))
-        #: emit packed records (value_words/active_words, lazily unpacked
-        #: at the trace boundary) instead of unpacking every lane row per
-        #: cycle — the fast path for concrete runs, whose per-cycle probes
-        #: all read compiled bus specs straight from the planes
-        self.record_packed = record_packed and self.packed
         self.batch_size = batch_size
         self.annotator = annotator
+        #: the native batch kernel that steps a packed batch in one
+        #: foreign call (None: the reference engine's step below)
+        self.kernel = None
         if self.packed:
             #: (B, 3, n_words) uint64 P/N/A planes, one row per lane slot
             self.planes = evaluator.fresh_planes(batch=batch_size)
-            self._dout_spec = compile_bus_spec(evaluator.program, ports.dout)
             self._peek_specs: dict[tuple[int, ...], list[tuple]] = {}
-            if self.record_packed:
-                self._port_specs = PortSpecs.compile(evaluator.program, ports)
-            else:
-                self._values_cache = np.zeros(
-                    (batch_size, netlist.n_nets), dtype=np.uint8
-                )
-                self._active_cache = np.zeros(
-                    (batch_size, netlist.n_nets), dtype=bool
-                )
+            self.kernel = evaluator.batch_kernel(self.planes, ports)
+            self._valid_mask = evaluator.program.valid_mask
         else:
             self.values = evaluator.fresh_values(batch=batch_size)
             self._prev_active = np.zeros(
                 (batch_size, netlist.n_nets), dtype=bool
             )
-        #: the native batch kernel that steps packed-record batches in
-        #: one foreign call (None: the Python steps below)
-        self.kernel = None
-        if self.record_packed and hasattr(evaluator, "batch_kernel"):
-            self.kernel = evaluator.batch_kernel(self.planes, ports)
-            self._valid_mask = evaluator.program.valid_mask
         #: rows (bit r = row r) rewritten since the kernel last read them
         self._dirty = 0
         self.lanes: list[Lane] = []
@@ -235,13 +200,6 @@ class BatchMachine:
         if self.packed:
             self.planes[lane.row] = snapshot["values"]
             self._dirty |= 1 << lane.row
-            if not self.record_packed:
-                self._values_cache[lane.row] = self.evaluator.unpack_values(
-                    snapshot["values"]
-                )
-                self._active_cache[lane.row] = self.evaluator.unpack_active(
-                    snapshot["values"]
-                )
         else:
             self.values[lane.row] = snapshot["values"]
             self._prev_active[lane.row] = snapshot["prev_active"]
@@ -254,9 +212,6 @@ class BatchMachine:
             if self.packed:
                 self.planes[lane.row] = self.planes[last.row]
                 self._dirty |= 1 << lane.row
-                if not self.record_packed:
-                    self._values_cache[lane.row] = self._values_cache[last.row]
-                    self._active_cache[lane.row] = self._active_cache[last.row]
             else:
                 self.values[lane.row] = self.values[last.row]
                 self._prev_active[lane.row] = self._prev_active[last.row]
@@ -310,8 +265,6 @@ class BatchMachine:
         """
         if self.kernel is not None:
             return self._step_native()
-        if self.packed:
-            return self._step_packed()
         n_live = len(self.lanes)
         evaluator = self.evaluator
         squeeze = n_live == 1
@@ -365,78 +318,6 @@ class BatchMachine:
             lane.cycle += 1
         return records
 
-    def _step_packed(self) -> list[CycleRecord]:
-        """Advance every live lane one cycle on packed bit planes.
-
-        Mirrors the reference :meth:`step` clocking order exactly; the
-        settle and the activity marking run fused over the compiled level
-        schedule, one sweep for all live lanes.  Lane rows are unpacked
-        once per step into the shared ``values``/``active`` caches (the
-        trace boundary) that :class:`LaneView` and the records read.
-        """
-        n_live = len(self.lanes)
-        evaluator = self.evaluator
-        squeeze = n_live == 1
-        # Round the processed row count up to a power of two: the
-        # evaluator caches a full scratch/tape set per leading shape, so
-        # quantizing bounds it to O(log B) sets instead of one per live
-        # count.  The extra rows hold retired-lane garbage; the sweep is
-        # pure bitwise, their results are never read, and a later load()
-        # overwrites the whole row.
-        n_rows = n_live
-        if not squeeze:
-            n_rows = 2
-            while n_rows < n_live:
-                n_rows *= 2
-            n_rows = min(n_rows, self.batch_size)
-        planes = self.planes[0] if squeeze else self.planes[:n_rows]
-        evaluator.stash_prev(planes)
-        next_dff = evaluator.next_dff_planes(planes, reset=False)
-        mem_counts: list[tuple[float, float]] = []
-        for lane in self.lanes:
-            if lane.next_dff_forces:
-                evaluator.force_dff_bits(
-                    next_dff if squeeze else next_dff[lane.row],
-                    lane.next_dff_forces,
-                )
-                lane.next_dff_forces = {}
-            mem_counts.append(serve_memory_read(lane))
-        evaluator.set_dff_planes(planes, next_dff)
-        for lane in self.lanes:
-            row = planes if squeeze else self.planes[lane.row]
-            force_bus_planes(
-                row, self._dout_spec, lane.dout_value, lane.dout_xmask
-            )
-            force_inputs_packed(row, lane, evaluator.program)
-        evaluator.settle_and_mark(planes)
-        if self.record_packed:
-            return self._packed_records(mem_counts)
-        live_planes = self.planes[:n_live]
-        self._values_cache[:n_live] = evaluator.unpack_values(live_planes)
-        self._active_cache[:n_live] = evaluator.unpack_active(live_planes)
-        active_words = evaluator.active_words(live_planes)
-        records: list[CycleRecord] = []
-        for lane, (mem_reads, mem_writes) in zip(self.lanes, mem_counts):
-            row_values = self._values_cache[lane.row].copy()
-            sample_memory_control(lane, row_values, self.ports)
-            records.append(
-                CycleRecord(
-                    cycle=lane.cycle,
-                    values=row_values,
-                    active=self._active_cache[lane.row].copy(),
-                    mem_reads=mem_reads,
-                    mem_writes=mem_writes,
-                    annotations=(
-                        self.annotator(self.lane_view(lane))
-                        if self.annotator
-                        else {}
-                    ),
-                    active_words=active_words[lane.row].copy(),
-                )
-            )
-            lane.cycle += 1
-        return records
-
     def _step_native(self) -> list[CycleRecord]:
         """Advance every live lane one cycle in one native kernel call.
 
@@ -445,23 +326,21 @@ class BatchMachine:
         all lanes at once on its lane-sliced state, writes the live rows
         back and returns every lane's memory request and probe buses.
         Python serves and commits memory and builds the records, which
-        match :meth:`_step_packed`'s field for field.
+        match the reference engine's step field for field.  A lane
+        forcing a net that is not an INPUT raises ``ValueError`` before
+        any lane is touched.
         """
         kernel = self.kernel
         lanes = self.lanes
         if not lanes:
             return []
-        try:
-            for lane in lanes:
-                cached = lane._port_masks
-                if cached is None or cached[0] != lane.forced_inputs:
-                    lane._port_masks = (
-                        dict(lane.forced_inputs),
-                        kernel.force_masks(lane.forced_inputs),
-                    )
-        except KeyError:  # a forced net that is no INPUT: step in Python
-            self._dirty |= (1 << len(lanes)) - 1
-            return self._step_packed()
+        for lane in lanes:
+            cached = lane._port_masks
+            if cached is None or cached[0] != lane.forced_inputs:
+                lane._port_masks = (
+                    dict(lane.forced_inputs),
+                    kernel.force_masks(lane.forced_inputs),
+                )
         ports, forces, mem_counts = [], [], []
         for lane in lanes:
             mem_counts.append(serve_memory_read(lane))
@@ -504,42 +383,6 @@ class BatchMachine:
             lane.cycle += 1
         return records
 
-    def _packed_records(
-        self, mem_counts: list[tuple[float, float]]
-    ) -> list[CycleRecord]:
-        """Build one packed record per lane without unpacking any row.
-
-        The memory-port sampling and any annotator probes read compiled
-        bus specs straight from the plane words; records carry the packed
-        P/N value planes and activity words plus the ``packing`` needed to
-        unpack them lazily at the trace boundary.
-        """
-        evaluator = self.evaluator
-        program = evaluator.program
-        records: list[CycleRecord] = []
-        for lane, (mem_reads, mem_writes) in zip(self.lanes, mem_counts):
-            row_planes = self.planes[lane.row]
-            sample_memory_control_packed(lane, row_planes, self._port_specs)
-            records.append(
-                CycleRecord(
-                    cycle=lane.cycle,
-                    mem_reads=mem_reads,
-                    mem_writes=mem_writes,
-                    annotations=(
-                        self.annotator(self.lane_view(lane))
-                        if self.annotator
-                        else {}
-                    ),
-                    # active_words is freshly allocated by the mask AND;
-                    # the value planes are a view and must be copied
-                    active_words=evaluator.active_words(row_planes),
-                    value_words=row_planes[0:2].copy(),
-                    packing=program,
-                )
-            )
-            lane.cycle += 1
-        return records
-
 
 # ----------------------------------------------------------------------
 # Batched concrete execution: N independent programs to halt in lock-step.
@@ -577,12 +420,9 @@ def run_batch_to_halt(
         template.evaluator,
         max(1, min(batch_size, len(machines))),
         annotator=template.annotator,
-        # concrete runs probe halt/PC through compiled packed bus specs,
-        # so lanes never unpack per cycle; traces unpack in bulk on demand
-        record_packed=True,
     )
     traces = [Trace(template.netlist.n_nets) for _ in machines]
-    if batch.record_packed:
+    if batch.packed:
         for trace in traces:
             trace.packing = template.evaluator.program
     cycles: list[int] = [0] * len(machines)

@@ -1,28 +1,21 @@
-"""Bit-plane executor for the fused level schedule.
+"""The packed dual-rail state format, and engine selection.
 
-:class:`BitplaneEvaluator` is the packed counterpart of
-:class:`~repro.sim.evaluator.LevelizedEvaluator`.  State is a
-``(..., 3, n_words)`` uint64 array — the dual-rail ``P``/``N`` value
-planes plus the ``A`` activity plane (see :mod:`repro.netlist.program`
-for the encoding and the compile step).  One simulation cycle is:
+:class:`BitplaneEvaluator` holds one machine state, or a batch of them,
+as a ``(..., 3, n_words)`` uint64 array: the dual-rail ``P``/``N`` value
+planes plus the ``A`` activity plane, in the packed bit order of a
+:class:`~repro.netlist.program.NetlistProgram` (see that module for the
+encoding and the compiled schedule).  It owns everything about the
+format that is not the settle: fresh all-X planes, packing from and
+unpacking to the reference engine's uint8 rows, DFF clocking, forcing one
+net, and the memo fingerprint (:meth:`~BitplaneEvaluator.state_bytes`).
 
-1. ``stash_prev``: snapshot the settled planes (the *previous* values of
-   the activity rule) into a persistent scratch buffer,
-2. the machine updates the source block (DFF load, forced inputs) with
-   word stores and masked read-modify-writes,
-3. ``settle_and_mark``: one fused sweep over the compiled levels that
-   evaluates the combinational logic **and** applies the paper's
-   activity-marking rule in the same pass — per level: one fancy-indexed
-   byte gather + ``packbits`` fetches every input bit of every gate (both
-   rails) and every input's activity bit, then a fixed handful of
-   word-wide ``&``/``|``/``^`` ops computes the outputs, the changed/X
-   flags, and the activity word for the whole level.
-
-Everything is dimension-agnostic: a ``(3, n_words)`` state (one machine)
-or a ``(B, 3, n_words)`` batch evaluates through the same code; scratch
-buffers and the per-level views into them are cached per thread and
-leading shape, so the steady-state cost is the ufunc dispatches
-themselves and threads exploring on one CPU never share a buffer.
+The settle itself — the combinational sweep and the paper's
+activity-marking rule in one pass — is the native kernel's:
+:class:`~repro.sim.native.NativeEvaluator` subclasses this class and adds
+``stash_prev``/``settle_and_mark``.  Without a C compiler the
+``native`` engine falls back to the uint8
+:class:`~repro.sim.evaluator.LevelizedEvaluator`, the oracle, so the
+format then goes unused.
 
 Bit identity with the reference engine is a hard contract: for every
 input state, unpacking after ``settle_and_mark`` must equal
@@ -34,7 +27,6 @@ domain) and per benchmark (whole execution trees).
 from __future__ import annotations
 
 import os
-import threading
 
 import numpy as np
 
@@ -43,11 +35,10 @@ from repro.netlist.program import A_PLANE, N_PLANE, P_PLANE, NetlistProgram
 
 _ONE = np.uint64(1)
 
-#: the simulation engines; ``native`` (the default) is the compiled C
-#: settle kernel, ``bitplane`` the numpy one it falls back to without a C
-#: compiler, ``reference`` the original uint8 LevelizedEvaluator
-#: retained as the oracle
-ENGINES = ("bitplane", "native", "reference")
+#: the simulation engines: ``native`` (the default) is the compiled C
+#: kernel on packed planes, ``reference`` the uint8 LevelizedEvaluator,
+#: the oracle, which ``native`` falls back to without a C compiler
+ENGINES = ("native", "reference")
 
 #: engine used when nothing is specified; override with ``REPRO_ENGINE``
 DEFAULT_ENGINE = "native"
@@ -72,8 +63,6 @@ def make_evaluator(netlist: Netlist, engine: str | None = None):
     engine = engine or default_engine()
     if engine == "reference":
         return LevelizedEvaluator(netlist)
-    if engine == "bitplane":
-        return BitplaneEvaluator(netlist)
     if engine == "native":
         from repro.sim.native import evaluator_or_fallback
 
@@ -101,148 +90,8 @@ def popcount(words: np.ndarray, axis: int | None = -1) -> np.ndarray:
     return counts.sum(axis=axis) if axis is not None else counts
 
 
-class _LeadBuffers:
-    """Per-leading-shape scratch, compiled into flat instruction tapes.
-
-    Every word-wide boolean op of the fused sweep is pre-assembled as a
-    ``(ufunc, a, b, out)`` tuple over *cached views* of the persistent
-    scratch buffers, so the per-cycle inner loop is a uniform
-    positional-argument dispatch with no slicing, dict lookups, or
-    keyword parsing — the Python-side cost per op is one tuple unpack and
-    one ufunc call.
-    """
-
-    def __init__(self, program: NetlistProgram, lead: tuple[int, ...]):
-        self.lead = lead
-        n_temp = max(
-            program.max_level_words,
-            2 * program.max_run_words,  # mux double-width product temp
-            program.src_words,
-            program.dff_words,
-            1,
-        )
-        self.scratch = np.zeros(
-            lead + (max(program.max_scratch_words, 1),), dtype=np.uint64
-        )
-        self.scratch8 = self.scratch.view(np.uint8)
-        self.res = np.zeros(
-            lead + (2, max(program.max_level_words, 1)), dtype=np.uint64
-        )
-        self.t1 = np.zeros(lead + (n_temp,), dtype=np.uint64)
-        self.t2 = np.zeros_like(self.t1)
-        self.tpn = np.zeros(
-            lead + (2, max(program.max_level_words, 1)), dtype=np.uint64
-        )
-        self.prev = np.zeros(lead + (3, program.n_words), dtype=np.uint64)
-        self.prev8 = self.prev.reshape(lead + (3 * program.n_words,)).view(
-            np.uint8
-        )
-
-        band, bor, bxor = np.bitwise_and, np.bitwise_or, np.bitwise_xor
-        S, t1, t2 = self.scratch, self.t1, self.t2
-
-        #: per level: (gather_bytes, gather_masks, gather_buf, scratch8_dst,
-        #:             tape, res_pn_view, word0, word1)
-        self.levels = []
-        for plan in program.levels:
-            wl = plan.words
-            tape = []
-            for run in plan.runs:
-                ops = tuple(
-                    S[..., off : off + run.words] for off in run.slot_words
-                )
-                rp = self.res[..., 0, run.res_word : run.res_word + run.words]
-                rn = self.res[..., 1, run.res_word : run.res_word + run.words]
-                tr1 = t1[..., : run.words]
-                tr2 = t2[..., : run.words]
-                if run.cls == "copy":
-                    # BUF/NOT: the gather already selected the source
-                    # rails (inversion folded in); OR-with-self moves them
-                    tape.append((bor, ops[0], ops[0], rp))
-                    tape.append((bor, ops[1], ops[1], rn))
-                elif run.cls == "and":
-                    tape.append((band, ops[0], ops[2], rp))
-                    tape.append((bor, ops[1], ops[3], rn))
-                elif run.cls == "and_swap":
-                    tape.append((bor, ops[1], ops[3], rp))
-                    tape.append((band, ops[0], ops[2], rn))
-                elif run.cls == "mux":
-                    # blocks SN,SP,PA,PB,NA,NB are laid out adjacently, so
-                    # one double-width AND forms both select products of a
-                    # rail; an OR of its halves blends them
-                    w = run.words
-                    sel2 = S[..., run.slot_words[0] : run.slot_words[0] + 2 * w]
-                    p2 = S[..., run.slot_words[2] : run.slot_words[2] + 2 * w]
-                    n2 = S[..., run.slot_words[4] : run.slot_words[4] + 2 * w]
-                    td = t1[..., : 2 * w]
-                    tape.append((band, sel2, p2, td))
-                    tape.append((bor, td[..., :w], td[..., w:], rp))
-                    tape.append((band, sel2, n2, td))
-                    tape.append((bor, td[..., :w], td[..., w:], rn))
-                else:  # xor / xor_swap
-                    pa, na, pb, nb = ops
-                    out_p, out_n = (rn, rp) if run.cls == "xor_swap" else (rp, rn)
-                    tape.append((band, pa, nb, tr1))
-                    tape.append((band, na, pb, tr2))
-                    tape.append((bor, tr1, tr2, out_p))
-                    tape.append((band, pa, pb, tr1))
-                    tape.append((band, na, nb, tr2))
-                    tape.append((bor, tr1, tr2, out_n))
-
-            # activity: t1 = changed, t2 = is_x & driven; the runtime then
-            # ORs them straight into the A plane's level window.  The
-            # changed XOR runs over both rails at once (the res block and
-            # the prev planes expose matching (2, words) windows).
-            res_p = self.res[..., 0, :wl]
-            res_n = self.res[..., 1, :wl]
-            res_pn = self.res[..., :, :wl]
-            prev_pn = self.prev[..., 0:2, plan.word0 : plan.word0 + wl]
-            tpn = self.tpn[..., :, :wl]
-            lt1 = t1[..., :wl]
-            lt2 = t2[..., :wl]
-            act0 = S[..., plan.act0_word : plan.act0_word + wl]
-            act1 = S[..., plan.act1_word : plan.act1_word + wl]
-            act_tape = [
-                (bxor, res_pn, prev_pn, tpn),
-                (bor, tpn[..., 0, :], tpn[..., 1, :], lt1),
-                (band, res_p, res_n, lt2),
-                (bor, act0, act1, act0),
-            ]
-            if plan.act2_word is not None:
-                act2 = S[
-                    ..., plan.act2_word : plan.act2_word + plan.mux_words
-                ]
-                drv2 = act0[..., wl - plan.mux_words :]
-                act_tape.append((bor, drv2, act2, drv2))
-            act_tape.append((band, lt2, act0, lt2))
-            tape.extend(act_tape)
-
-            self.levels.append(
-                (
-                    plan.gather_bytes,
-                    plan.gather_masks,
-                    np.zeros(lead + (plan.scratch_words * 64,), dtype=np.uint8),
-                    self.scratch8[..., : plan.scratch_words * 8],
-                    tuple(tape),
-                    self.res[..., :, :wl],
-                    plan.word0,
-                    plan.word0 + wl,
-                    lt1,
-                    lt2,
-                )
-            )
-        sw = program.src_words
-        self.src_t1 = self.t1[..., :sw]
-        self.src_t2 = self.t2[..., :sw]
-        self.src_t3 = np.zeros(lead + (sw,), dtype=np.uint64)
-        d0 = program.dff_word0
-        d1 = d0 + program.dff_words
-        self.src_t2_dff = self.t2[..., d0:d1]
-        self.src_t1_dff = self.t1[..., d0:d1]
-
-
 class BitplaneEvaluator:
-    """Executes the compiled fused schedule on packed bit planes."""
+    """The packed dual-rail state of one netlist (no settle of its own)."""
 
     #: machines dispatch on this to pick the packed state representation
     packed = True
@@ -273,8 +122,6 @@ class BitplaneEvaluator:
             fresh_n[pos >> 6] &= ~(_ONE << np.uint64(pos & 63))
         self._fresh_p = fresh_p
         self._fresh_n = fresh_n
-
-        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # State construction and conversion
@@ -313,10 +160,6 @@ class BitplaneEvaluator:
     def active_words(self, planes: np.ndarray) -> np.ndarray:
         """The packed activity row(s), masked to real nets."""
         return planes[..., A_PLANE, :] & self.program.valid_mask
-
-    def count_active(self, planes: np.ndarray) -> np.ndarray:
-        """Per-row number of active nets, straight from the A plane."""
-        return popcount(self.active_words(planes))
 
     def state_bytes(self, planes: np.ndarray) -> bytes:
         """Architectural-state fingerprint bytes (the DFF value words)."""
@@ -373,70 +216,3 @@ class BitplaneEvaluator:
         else:
             planes[..., P_PLANE, word] |= mask
             planes[..., N_PLANE, word] |= mask
-
-    # ------------------------------------------------------------------
-    # The fused settle + activity sweep
-    # ------------------------------------------------------------------
-    def _thread_scratch(self) -> dict:
-        """This thread's per-lead scratch buffers."""
-        try:
-            return self._local.scratch
-        except AttributeError:
-            scratch = self._local.scratch = {}
-            return scratch
-
-    def _lead_bufs(self, lead: tuple[int, ...]) -> _LeadBuffers:
-        scratch = self._thread_scratch()
-        bufs = scratch.get(lead)
-        if bufs is None:
-            bufs = scratch[lead] = _LeadBuffers(self.program, lead)
-        return bufs
-
-    def stash_prev(self, planes: np.ndarray) -> None:
-        """Record the settled pre-step planes (activity's *previous*)."""
-        np.copyto(self._lead_bufs(planes.shape[:-2]).prev, planes)
-
-    def settle_and_mark(self, planes: np.ndarray) -> None:
-        """Settle all levels and write the A plane, in place.
-
-        ``stash_prev`` must have captured the planes at the end of the
-        previous cycle (before the DFF/input updates of this one).
-        """
-        prog = self.program
-        lead = planes.shape[:-2]
-        bufs = self._lead_bufs(lead)
-        raw8 = planes.reshape(lead + (3 * self.n_words,)).view(np.uint8)
-        plane_p = planes[..., P_PLANE, :]
-        plane_n = planes[..., N_PLANE, :]
-        plane_a = planes[..., A_PLANE, :]
-        plane_pn = planes[..., 0:2, :]
-
-        # --- source block: changed | input rule | DFF rule ---
-        sw = prog.src_words
-        t1, t2, t3 = bufs.src_t1, bufs.src_t2, bufs.src_t3
-        np.bitwise_xor(plane_p[..., :sw], bufs.prev[..., P_PLANE, :sw], t1)
-        np.bitwise_xor(plane_n[..., :sw], bufs.prev[..., N_PLANE, :sw], t2)
-        np.bitwise_or(t1, t2, t1)  # changed
-        np.bitwise_and(plane_p[..., :sw], plane_n[..., :sw], t2)  # is_x
-        np.bitwise_and(t2, prog.input_mask, t3)
-        np.bitwise_or(t1, t3, t1)  # inputs: active when changed or X
-        if prog.dff_words:
-            g = bufs.prev8.take(prog.dff_act_bytes, -1)
-            np.bitwise_and(g, prog.dff_act_masks, g)
-            driven = np.packbits(g, axis=-1, bitorder="little").view(np.uint64)
-            np.bitwise_and(bufs.src_t2_dff, driven, driven)
-            np.bitwise_or(bufs.src_t1_dff, driven, bufs.src_t1_dff)
-        plane_a[..., :sw] = t1
-
-        # --- fused level sweep over the compiled instruction tapes ---
-        band, bor = np.bitwise_and, np.bitwise_or
-        packbits = np.packbits
-        copyto = np.copyto
-        for gb, gm, gbuf, s8dst, tape, res_pn, w0, w1, lt1, lt2 in bufs.levels:
-            raw8.take(gb, -1, gbuf)
-            band(gbuf, gm, gbuf)
-            copyto(s8dst, packbits(gbuf, axis=-1, bitorder="little"))
-            for op, a, b, out in tape:
-                op(a, b, out)
-            plane_pn[..., w0:w1] = res_pn
-            bor(lt1, lt2, plane_a[..., w0:w1])

@@ -83,10 +83,11 @@ def force_bus(
 
 
 # ----------------------------------------------------------------------
-# Packed-state forcing primitives (bit-plane engine), shared by Machine
-# and BatchMachine.  Forced nets are INPUT gates, so their packed bits
-# live in the source block and are updated with a handful of masked
-# read-modify-writes on whole uint64 words — the planes never unpack.
+# Packed-state port primitives of the native engine's Machine (a batch
+# does its port I/O inside the native step).  Forced nets are INPUT
+# gates, so their packed bits live in the source block and are updated
+# with a handful of masked read-modify-writes on whole uint64 words —
+# the planes never unpack.
 # ----------------------------------------------------------------------
 def compile_trit_masks(program, assignments: dict[int, int]) -> list[tuple]:
     """{net: trit} -> per-word (all_bits, p_bits, n_bits) Python-int masks."""
@@ -158,9 +159,9 @@ def read_trit_planes(planes: np.ndarray, spec: list[tuple]) -> int:
 class PortSpecs:
     """Compiled packed bus specs for every memory-port probe.
 
-    Built once per :class:`~repro.sim.batch.BatchMachine` in packed-record
-    mode so :func:`sample_memory_control_packed` can latch the memory
-    request with word reads instead of unpacking the whole value row.
+    Built once per packed :class:`Machine` so
+    :func:`sample_memory_control_packed` can latch the memory request
+    with word reads instead of unpacking the whole value row.
     """
 
     addr: list[tuple]
@@ -181,10 +182,9 @@ class PortSpecs:
 def force_inputs_packed(planes: np.ndarray, state, program) -> None:
     """Apply *state*'s ``forced_inputs`` to one packed (3, n_words) row.
 
-    *state* is a Machine or a batch Lane: anything carrying
-    ``forced_inputs`` plus the ``_forced_src``/``_forced_masks`` cache
-    slots.  The compiled per-word masks are rebuilt only when the dict
-    changes, so both engines share one caching/invalidation rule.
+    *state* carries ``forced_inputs`` plus the ``_forced_src``/
+    ``_forced_masks`` cache slots.  The compiled per-word masks are
+    rebuilt only when the dict changes.
     """
     if not state.forced_inputs:
         return
@@ -241,7 +241,7 @@ def sample_memory_control_packed(
     """Latch the memory request straight from settled packed planes.
 
     Bit-identical to :func:`sample_memory_control` on the unpacked row —
-    the packed-record fast path of concrete lock-step batches.
+    the packed :class:`Machine`'s latch.
     """
     addr_value, addr_xmask = read_bus_planes(planes, specs.addr)
     request = _MemRequest()
@@ -317,6 +317,7 @@ class Machine:
             self.planes = self.evaluator.fresh_planes()
             self._values_cache: np.ndarray | None = None
             self._dout_spec = None
+            self._port_specs: PortSpecs | None = None
             self._forced_src: dict[int, int] | None = None
             self._forced_masks: list[tuple] = []
         else:
@@ -345,7 +346,7 @@ class Machine:
 
     # ------------------------------------------------------------------
     # Values view: the uint8 net-order vector every consumer reads.  The
-    # reference engine owns it outright; the bitplane engine stores planes
+    # reference engine owns it outright; the packed engine stores planes
     # and unpacks on demand (cached per settle).
     # ------------------------------------------------------------------
     @property
@@ -364,7 +365,7 @@ class Machine:
     def values(self, array: np.ndarray) -> None:
         if self.packed:
             raise AttributeError(
-                "bitplane machines derive .values from the packed planes; "
+                "packed machines derive .values from the packed planes; "
                 "mutate state through step()/restore()/forced_inputs"
             )
         self._values = array
@@ -558,7 +559,9 @@ class Machine:
         values.setflags(write=False)  # shared by the cache and the record
         self._values_cache = values
         active = evaluator.unpack_active(self.planes)
-        self._sample_memory_control()
+        if self._port_specs is None:
+            self._port_specs = PortSpecs.compile(evaluator.program, self.ports)
+        sample_memory_control_packed(self, self.planes, self._port_specs)
         record = CycleRecord(
             cycle=self.cycle,
             values=values,

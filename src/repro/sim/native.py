@@ -1,11 +1,8 @@
 """Native kernels: the row-layout settle, the lane-sliced batch step and
 the transition-energy pricer.
 
-The bitplane engine executes the compiled level schedule as ~25 numpy
-ufunc dispatches per level plus a fancy-indexed gather — fast per *bit*,
-but the per-dispatch overhead dominates once the planes fit in cache.
-This module replaces that interpreter loop with :data:`SOURCE`, one fixed
-C translation unit with three entry points, called through ctypes (which
+The packed engine's per-cycle work lives in :data:`SOURCE`, one fixed C
+translation unit with three entry points, called through ctypes (which
 releases the GIL for the call):
 
     void repro_settle(const struct program *p, uint64_t *state,
@@ -17,11 +14,11 @@ releases the GIL for the call):
                      int64_t *out);
 
 ``repro_settle`` walks the tables a
-:class:`~repro.netlist.program.NetlistProgram` already compiles (the
-per-level gathers, the opcode runs, the activity blocks, the source-block
-rule and the DFF activity gather) over C-contiguous ``(rows, 3,
-n_words)`` planes in place, ``prev`` holding the stashed previous-cycle
-planes of the activity rule.  Its cost grows with the rows; a single
+:class:`~repro.netlist.program.NetlistProgram` compiles (the per-level
+gathers, the opcode runs, the activity blocks, the source-block rule and
+the DFF activity gather) over C-contiguous ``(rows, 3, n_words)`` planes
+in place, ``prev`` holding the stashed previous-cycle planes of the
+activity rule.  Its cost grows with the rows; a single
 :class:`~repro.sim.machine.Machine` (reset, concrete runs) uses it.
 
 ``repro_step`` advances a whole :class:`~repro.sim.batch.BatchMachine`
@@ -31,7 +28,9 @@ gates of the ULP430 cost the same for 1 lane as for 64.  Per lane it
 loads the DFFs (one-shot forces included), forces ``dout`` and the
 forced inputs, settles, marks activity, writes the changed bytes of the
 live rows back and returns the memory request and every registered probe
-bus (:class:`BatchKernel`).
+bus (:class:`BatchKernel`).  It is the only packed batch step: a batch
+whose ports it cannot drive is refused with a :class:`NativeKernelError`
+or a :class:`ValueError` naming the reason.
 
 ``repro_price`` is the power model's transition-energy kernel
 (:class:`Pricer`): per row of ``(prev, cur)`` P/N planes it walks the set
@@ -48,14 +47,13 @@ built.  :func:`start_build` compiles in the background; ``build_ulp430``
 calls it (through :func:`prefetch`) before elaborating the CPU, so a cold
 build overlaps elaboration and the schedule compile.
 
-Bit identity with ``bitplane``/``reference`` is a hard contract — both
-kernels execute the *same* schedule the numpy tape does, and the
-differential suite pins values, A plane and memo ``state_bytes`` on every
-benchmark and the batch step against the Python packed step record for
-record.  When no C compiler is present (or the build fails)
-:func:`evaluator_or_fallback` degrades to the bitplane engine and
-:func:`pricer` to the numpy pricer, with a single process-wide warning
-between them, never an error.
+Bit identity with ``reference`` (the uint8 oracle) is a hard contract:
+the differential suite pins values, A plane and memo ``state_bytes`` per
+gate and per random netlist, the batch step against a reference-engine
+batch record for record, and the trees of every benchmark.  When no C
+compiler is present (or the build fails) :func:`evaluator_or_fallback`
+degrades to the reference engine and :func:`pricer` to the numpy pricer,
+with a single process-wide warning between them, never an error.
 """
 
 from __future__ import annotations
@@ -76,6 +74,7 @@ import numpy as np
 from repro.netlist.core import Netlist
 from repro.netlist.program import RUN_ORDER, NetlistProgram
 from repro.sim.bitplane import BitplaneEvaluator, default_engine
+from repro.sim.evaluator import LevelizedEvaluator
 
 #: the kernels.  In the settle, a gather word is the OR of single bits of
 #: a source row (``code`` = source bit << 6 | destination bit) plus the
@@ -751,9 +750,18 @@ class BatchKernel:
         groups = -(-rows // 64)
         index = tables.slot_of - tables.in0  # input number of each net
         is_input = (index >= 0) & (index < tables.n_in)
-        inputs = index[np.asarray(ports.dout, dtype=np.int64)]
-        if tables.n_in > 64 or not is_input[ports.dout].all():
-            raise NativeKernelError("dout must drive INPUT nets, at most 64")
+        dout = np.asarray(ports.dout, dtype=np.int64)
+        if tables.n_in > 64:
+            raise NativeKernelError(
+                f"the batch step drives at most 64 INPUT nets, the netlist "
+                f"has {tables.n_in}"
+            )
+        if not is_input[dout].all():
+            raise NativeKernelError(
+                f"dout must drive INPUT nets; net "
+                f"{int(dout[~is_input[dout]][0])} is not one"
+            )
+        inputs = index[dout]
         #: net -> bit of the forced-input masks
         self._input_bit = {
             int(net): 1 << int(index[net]) for net in np.flatnonzero(is_input)
@@ -776,8 +784,14 @@ class BatchKernel:
         self._bus: dict[tuple[int, ...], int] = {}
         self._by_id: dict[int, tuple] = {}
         self._bus_slots: list[np.ndarray] = []
+        # the memory request always takes probe positions 0-3, even when
+        # two of its buses share nets
         for nets in (ports.addr, ports.din, [ports.en], [ports.we]):
-            self.bus_index(nets)
+            if len(nets) > _MAX_BUS:
+                raise NativeKernelError(
+                    f"a memory-port bus is wider than {_MAX_BUS} bits"
+                )
+            self._add_bus(tuple(nets))
 
     def bus_index(self, nets) -> int:
         """Position of *nets* among the probed buses (registered on first
@@ -798,27 +812,38 @@ class BatchKernel:
         if index is None:
             if len(key) > _MAX_BUS:
                 return -1
-            index = self._bus[key] = len(self._bus_slots)
-            self._bus_slots.append(self.tables.slot_of[list(key)])
-            sizes = [len(slots) for slots in self._bus_slots]
-            self.bus = np.concatenate(
-                [np.cumsum([0] + sizes)] + self._bus_slots
-            ).astype(np.int32)
-            self.probe = np.zeros(
-                (self.planes.shape[0], 2 * len(sizes)), dtype=np.uint64
-            )
-            self.struct.bus = self.bus.ctypes.data
-            self.struct.probe = self.probe.ctypes.data
-            self.struct.n_bus = len(sizes)
+            index = self._add_bus(key)
         self._by_id[id(nets)] = (nets, index)
         return index
 
+    def _add_bus(self, key: tuple[int, ...]) -> int:
+        """Probe *key* from the next step on; its position."""
+        index = len(self._bus_slots)
+        self._bus.setdefault(key, index)
+        self._bus_slots.append(self.tables.slot_of[list(key)])
+        sizes = [len(slots) for slots in self._bus_slots]
+        self.bus = np.concatenate(
+            [np.cumsum([0] + sizes)] + self._bus_slots
+        ).astype(np.int32)
+        self.probe = np.zeros(
+            (self.planes.shape[0], 2 * len(sizes)), dtype=np.uint64
+        )
+        self.struct.bus = self.bus.ctypes.data
+        self.struct.probe = self.probe.ctypes.data
+        self.struct.n_bus = len(sizes)
+        return index
+
     def force_masks(self, forced: dict[int, int]) -> tuple[int, int, int]:
-        """Forced inputs -> (mask, P, N) over the input bits; KeyError
-        when a forced net is not an INPUT."""
+        """Forced inputs -> (mask, P, N) over the input bits; ValueError
+        naming the net when a forced net is not an INPUT."""
         mask = p_bits = n_bits = 0
         for net, value in forced.items():
-            bit = self._input_bit[net]
+            bit = self._input_bit.get(net)
+            if bit is None:
+                raise ValueError(
+                    f"forced net {net} is not an INPUT: the batch step "
+                    "forces only INPUT nets"
+                )
             mask |= bit
             if value != 0:  # 1 and X raise the P ("can be 1") rail
                 p_bits |= bit
@@ -926,14 +951,14 @@ def pricer(e_rise, e_fall, col, n_cols: int) -> Pricer | None:
 # Evaluator + fallback
 # ----------------------------------------------------------------------
 class NativeEvaluator(BitplaneEvaluator):
-    """BitplaneEvaluator whose settle sweep is one native call, and whose
-    batches step through :meth:`batch_kernel`.
+    """The packed engine: :class:`BitplaneEvaluator` state whose settle
+    is one ``repro_settle`` call, and whose batches step through
+    :meth:`batch_kernel`.
 
-    Everything else — packing, DFF clocking, state fingerprints, bus
-    peeks — is inherited unchanged, so machines, batch machines, memo
-    keys and traces behave identically; only ``stash_prev`` /
-    ``settle_and_mark`` bypass the numpy tape (and never build the
-    per-lead tape buffers at all).
+    Packing, DFF clocking and state fingerprints are inherited.  The
+    previous-cycle planes of the activity rule are kept per thread and
+    leading shape, so threads stepping machines of one CPU never share
+    them.
     """
 
     engine_name = "native"
@@ -950,19 +975,21 @@ class NativeEvaluator(BitplaneEvaluator):
         self._table_ptr = ctypes.addressof(self._table)
         #: the lane-sliced schedule, built for the first batch
         self._lanes: LaneTables | None = None
+        self._local = threading.local()
 
-    def batch_kernel(self, planes: np.ndarray, ports) -> BatchKernel | None:
-        """A :class:`BatchKernel` stepping *planes* (a batch's rows), or
-        ``None`` when *ports* cannot be driven through it."""
-        try:
-            if self._lanes is None:
-                self._lanes = LaneTables(self.program)
-            return BatchKernel(self.kernel, self._lanes, planes, ports)
-        except NativeKernelError:
-            return None
+    def batch_kernel(self, planes: np.ndarray, ports) -> BatchKernel:
+        """A :class:`BatchKernel` stepping *planes* (a batch's rows);
+        :class:`NativeKernelError` names why *ports* cannot be driven
+        through it."""
+        if self._lanes is None:
+            self._lanes = LaneTables(self.program)
+        return BatchKernel(self.kernel, self._lanes, planes, ports)
 
     def _prev_planes(self, lead: tuple[int, ...]) -> np.ndarray:
-        scratch = self._thread_scratch()
+        """This thread's previous-cycle planes for *lead*-shaped states."""
+        scratch = getattr(self._local, "prev", None)
+        if scratch is None:
+            scratch = self._local.prev = {}
         prev = scratch.get(lead)
         if prev is None:
             prev = scratch[lead] = np.zeros(
@@ -971,9 +998,15 @@ class NativeEvaluator(BitplaneEvaluator):
         return prev
 
     def stash_prev(self, planes: np.ndarray) -> None:
+        """Record the settled pre-step planes (activity's *previous*)."""
         np.copyto(self._prev_planes(planes.shape[:-2]), planes)
 
     def settle_and_mark(self, planes: np.ndarray) -> None:
+        """Settle all levels and write the A plane, in place.
+
+        :meth:`stash_prev` must have captured the planes at the end of
+        the previous cycle (before the DFF/input updates of this one).
+        """
         if planes.dtype != np.uint64 or planes.shape[-2:] != (3, self.n_words):
             raise ValueError(
                 f"expected (..., 3, {self.n_words}) uint64 planes, got "
@@ -1002,8 +1035,8 @@ def warn_fallback(reason: Exception | str) -> None:
     _fallback_warned = True
     warnings.warn(
         f"native engine unavailable ({reason}); falling back to the "
-        "bitplane engine and the numpy pricer (results are identical, "
-        "settle and pricing are slower)",
+        "reference engine and the numpy pricer (results are identical, "
+        "simulation and pricing are slower)",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -1015,19 +1048,19 @@ def _reset_fallback_warning() -> None:
     _fallback_warned = False
 
 
-def evaluator_or_fallback(netlist: Netlist, bitplane=None):
-    """A :class:`NativeEvaluator`, or a bitplane one when builds fail.
+def evaluator_or_fallback(netlist: Netlist, reference=None):
+    """A :class:`NativeEvaluator`, or the reference engine when the
+    kernels cannot be built or loaded.
 
-    *bitplane* returns the :class:`BitplaneEvaluator` whose compiled
-    program is shared and which is the fallback (default: a new one).  It
-    runs while the compiler does, so a cold build overlaps the schedule
-    compile.  Never raises for missing toolchains — the paper pipeline
-    must run anywhere.
+    *reference* returns the :class:`LevelizedEvaluator` to fall back on
+    (default: a new one).  The schedule compiles while the compiler runs,
+    so a cold build overlaps it.  Never raises for missing toolchains —
+    the paper pipeline must run anywhere.
     """
     start_build()
-    base = bitplane() if bitplane else BitplaneEvaluator(netlist)
+    program = NetlistProgram(netlist)
     try:
-        return NativeEvaluator(netlist, base.program)
+        return NativeEvaluator(netlist, program)
     except NativeKernelError as exc:
         warn_fallback(exc)
-        return base
+        return reference() if reference else LevelizedEvaluator(netlist)

@@ -11,7 +11,7 @@ Records come in two layouts:
 * **unpacked** — ``values`` (uint8 trits) and ``active`` (bool) rows in
   netlist net order, as the reference machine produces them, and
 * **packed** — dual-rail ``value_words`` (``(2, n_words)`` uint64 P/N
-  planes) plus ``active_words``, as the bit-plane engines' explore and
+  planes) plus ``active_words``, as the native engine's explore and
   concrete batches record them.  Packed records unpack **lazily** (per
   record on attribute access, or in one bulk call for whole-trace
   matrices), so a run never pays a per-cycle unpack for rows nobody
@@ -76,10 +76,10 @@ class CycleRecord:
         self.mem_reads = mem_reads
         self.mem_writes = mem_writes
         self.annotations = {} if annotations is None else annotations
-        #: packed uint64 activity words (bitplane engine only; already
+        #: packed uint64 activity words (native engine only; already
         #: masked to real nets) — whole-trace activity reductions stay packed
         self.active_words = active_words
-        #: packed (2, n_words) P/N value planes (packed-record mode only)
+        #: packed (2, n_words) P/N value planes (native batch records only)
         self.value_words = value_words
         #: the :class:`~repro.netlist.program.NetlistProgram` whose bit
         #: order the packed words use; required to unpack lazily
@@ -117,7 +117,7 @@ class Trace:
         self.n_nets = n_nets
         self.records: list[CycleRecord] = []
         #: the :class:`~repro.netlist.program.NetlistProgram` whose bit
-        #: order the records' packed words use (bitplane traces only)
+        #: order the records' packed words use (native traces only)
         self.packing = None
 
     def __len__(self) -> int:

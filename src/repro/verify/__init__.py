@@ -6,12 +6,11 @@ The oracle hierarchy, weakest to strongest claim:
    model (independent of the netlist).
 2. ``reference`` engine — the uint8 levelized evaluator of the gate-level
    netlist (the simulation oracle).
-3. ``bitplane`` engine — packed dual-rail uint64 planes, validated
-   bit-identical to the reference.
-4. ``native`` engine — the compiled C kernel, validated bit-identical to
-   the bitplane planes it shares a schedule with.
+3. ``native`` engine — the compiled C kernels on packed dual-rail uint64
+   planes, validated bit-identical to the reference per gate, per random
+   netlist, per batch step and per benchmark tree.
 
-:func:`repro.verify.coexec.coexecute` pins 2-4 against 1 per retired
+:func:`repro.verify.coexec.coexecute` pins 2 and 3 against 1 per retired
 instruction; :func:`repro.verify.fuzz.fuzz_campaign` feeds it seeded
 random programs; :func:`repro.verify.conformance.run_conformance` is the
 driver behind ``repro conformance`` and the ``conformance`` service job.

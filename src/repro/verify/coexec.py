@@ -4,7 +4,7 @@ The paper's guarantee — "the bound holds for *this* application on *this*
 core" — is only as strong as the gate-level model it is computed on.  This
 module runs a concrete program simultaneously on the behavioral ISS
 (:mod:`repro.isa.iss`, the architectural golden model) and the gate-level
-:class:`~repro.sim.machine.Machine` (under any engine: bitplane, native,
+:class:`~repro.sim.machine.Machine` (under either engine: native or
 reference), retiring instruction by instruction and diffing the full
 architectural state at every retirement boundary:
 

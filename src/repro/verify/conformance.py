@@ -4,7 +4,7 @@ Two legs, both optional:
 
 * **benchmark leg** — every requested registry benchmark, concretized
   with its seeded input set, co-executed lock-step on every requested
-  engine (the "14 benchmarks x 3 engines" CI gate);
+  engine (the "14 benchmarks x 2 engines" CI gate);
 * **fuzz leg** — a seeded random-program campaign of N instruction units
   per engine, with automatic reproducer shrinking on divergence.
 

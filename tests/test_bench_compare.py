@@ -7,13 +7,13 @@ import pytest
 from repro.bench.compare import PHASES, compare_reports, main
 
 
-def _report(bitplane_s, stacked_s=0.5, stress_s=1.0, name="mult"):
+def _report(native_s, stacked_s=0.5, stress_s=1.0, name="mult"):
     return {
         "schema": 2,
         "benchmarks": [
             {
                 "name": name,
-                "explore": {"bitplane_s": bitplane_s, "batched_s": 2.0},
+                "explore": {"native_s": native_s, "batched_s": 2.0},
                 "peakpower": {"stacked_s": stacked_s},
                 "peakenergy": {"s": 0.001},
                 "baselines": {"batched_s": 1.0},
@@ -32,7 +32,7 @@ class TestCompareReports:
     def test_slowdown_over_threshold_fails(self):
         failures, _n = compare_reports(_report(3.0), _report(1.0), threshold=2.5)
         assert len(failures) == 1
-        assert "mult.explore.bitplane_s" in failures[0]
+        assert "mult.explore.native_s" in failures[0]
 
     def test_slowdown_under_threshold_passes(self):
         failures, _n = compare_reports(_report(2.4), _report(1.0), threshold=2.5)
@@ -138,9 +138,10 @@ class TestPerfHarness:
         return run_perf_suite(["mult"], cpu=cpu)
 
     def test_no_scalar_legs(self, report):
-        assert report["schema"] == 4
+        assert report["schema"] == 5
         keys = set(_keys(report))
         assert not {key for key in keys if key.startswith("scalar")}
+        assert not {key for key in keys if key.startswith("bitplane")}
         assert not keys & {"total_s", "speedup"}
 
     def test_gate_compares_every_phase(self, report):

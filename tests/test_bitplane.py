@@ -1,20 +1,26 @@
-"""Bit-plane engine unit layer.
+"""Packed-state unit layer: the native row settle against the reference.
 
-Three tiers, mirroring the engine's soundness argument:
+:class:`~repro.sim.bitplane.BitplaneEvaluator` is the packed dual-rail
+state format; :class:`~repro.sim.native.NativeEvaluator` adds the settle
+(``repro_settle``, the C row kernel).  The oracle is the uint8
+:class:`~repro.sim.evaluator.LevelizedEvaluator`.  Three tiers, mirroring
+the engine's soundness argument:
 
 1. **Gate kernels, exhaustively**: every gate kind over every 3-valued
-   input combination must match the scalar truth functions in
-   :mod:`repro.logic.ternary` — the dual-rail formulas (and the rail-fold
-   compilation of the inverting kinds) are proven by enumeration.
+   input combination, settled by the C kernel, must match the scalar
+   truth functions in :mod:`repro.logic.ternary` — the dual-rail formulas
+   (and the rail-fold compilation of the inverting kinds) are proven by
+   enumeration.
 2. **Representation round-trips**: pack/unpack over random trit states is
    the identity, for scalar and batched shapes, values and activity.
 3. **Randomized netlist equivalence**: on random DAGs the fused
    settle+mark sweep must reproduce ``LevelizedEvaluator.eval_comb`` +
    ``compute_activity`` bit for bit, including the input/DFF activity
-   rules and batched evaluation.
+   rules, batched evaluation, DFF clocking and machine records.
 
-The benchmark-scale identity (whole execution trees on the real CPU) and
-the golden pins live in ``test_differential.py``.
+The lane-sliced batch step and the benchmark-scale identity (whole
+execution trees on the real CPU) live in ``test_native.py``; the golden
+pins in ``test_differential.py``.
 """
 
 import itertools
@@ -33,6 +39,7 @@ from repro.sim.bitplane import (
 )
 from repro.sim.evaluator import LevelizedEvaluator
 from repro.sim.machine import Machine, MemoryPorts
+from repro.sim.native import NativeEvaluator
 from repro.sim.trace import CycleRecord, Trace
 
 TWO_INPUT_FUNCS = {
@@ -79,7 +86,7 @@ def random_netlist(n_gates: int, seed: int) -> Netlist:
 
 
 def settle_sources(
-    evaluator: BitplaneEvaluator,
+    evaluator: NativeEvaluator,
     reference: LevelizedEvaluator,
     source_values: dict[int, int],
 ):
@@ -108,7 +115,7 @@ class TestGateKernelsExhaustive:
             kind: netlist.add_gate(kind, (a, b)) for kind in TWO_INPUT_FUNCS
         }
         reference = LevelizedEvaluator(netlist)
-        evaluator = BitplaneEvaluator(netlist)
+        evaluator = NativeEvaluator(netlist)
         for va, vb in itertools.product((0, 1, X), repeat=2):
             expected, got = settle_sources(
                 evaluator, reference, {a: va, b: vb}
@@ -123,7 +130,7 @@ class TestGateKernelsExhaustive:
         y_not = netlist.add_gate("NOT", (a,))
         y_buf = netlist.add_gate("BUF", (a,))
         reference = LevelizedEvaluator(netlist)
-        evaluator = BitplaneEvaluator(netlist)
+        evaluator = NativeEvaluator(netlist)
         for va in (0, 1, X):
             _expected, got = settle_sources(evaluator, reference, {a: va})
             assert got[y_not] == ternary.t_not(va)
@@ -136,7 +143,7 @@ class TestGateKernelsExhaustive:
         b = netlist.add_gate("INPUT")
         y = netlist.add_gate("MUX", (s, a, b))
         reference = LevelizedEvaluator(netlist)
-        evaluator = BitplaneEvaluator(netlist)
+        evaluator = NativeEvaluator(netlist)
         for vs, va, vb in itertools.product((0, 1, X), repeat=3):
             _expected, got = settle_sources(
                 evaluator, reference, {s: vs, a: va, b: vb}
@@ -185,7 +192,7 @@ class TestRandomizedNetlistEquivalence:
         rng = np.random.default_rng(100 + seed)
         netlist = random_netlist(200 + 41 * seed, seed)
         reference = LevelizedEvaluator(netlist)
-        evaluator = BitplaneEvaluator(netlist)
+        evaluator = NativeEvaluator(netlist)
         sources = [
             g.index for g in netlist.gates if g.kind in ("INPUT", "DFF")
         ]
@@ -218,7 +225,7 @@ class TestRandomizedNetlistEquivalence:
         rng = np.random.default_rng(55)
         netlist = random_netlist(400, seed=9)
         reference = LevelizedEvaluator(netlist)
-        evaluator = BitplaneEvaluator(netlist)
+        evaluator = NativeEvaluator(netlist)
         sources = [
             g.index for g in netlist.gates if g.kind in ("INPUT", "DFF")
         ]
@@ -247,7 +254,7 @@ class TestRandomizedNetlistEquivalence:
         rng = np.random.default_rng(77)
         netlist = random_netlist(260, seed=11)
         reference = LevelizedEvaluator(netlist)
-        evaluator = BitplaneEvaluator(netlist)
+        evaluator = NativeEvaluator(netlist)
         values = rng.integers(0, 3, size=netlist.n_nets, dtype=np.uint8)
         planes = evaluator.pack_state(values)
         loaded = evaluator.next_dff_planes(planes, reset=False)
@@ -282,21 +289,22 @@ def counter_machine(engine: str):
 class TestMachineEngineEquivalence:
     def test_counter_records_identical(self):
         ref_machine, _ = counter_machine("reference")
-        bp_machine, _ = counter_machine("bitplane")
+        packed_machine, _ = counter_machine("native")
         assert not ref_machine.packed
-        assert bp_machine.packed
+        assert packed_machine.packed
         for _ in range(2):
             ref_machine.step(reset=True)
-            bp_machine.step(reset=True)
+            packed_machine.step(reset=True)
         for _ in range(24):
             ref_record = ref_machine.step()
-            bp_record = bp_machine.step()
-            assert np.array_equal(ref_record.values, bp_record.values)
-            assert np.array_equal(ref_record.active, bp_record.active)
-            assert ref_record.cycle == bp_record.cycle
+            packed_record = packed_machine.step()
+            assert np.array_equal(ref_record.values, packed_record.values)
+            assert np.array_equal(ref_record.active, packed_record.active)
+            assert ref_record.cycle == packed_record.cycle
+            assert vars(ref_machine._request) == vars(packed_machine._request)
 
     def test_snapshot_restore_and_forces(self):
-        machine, count = counter_machine("bitplane")
+        machine, count = counter_machine("native")
         machine.reset_sequence(2)
         machine.step()
         snap = machine.snapshot()
@@ -311,7 +319,7 @@ class TestMachineEngineEquivalence:
         assert machine.next_dff_forces == {}
 
     def test_values_setter_guarded(self):
-        machine, _count = counter_machine("bitplane")
+        machine, _count = counter_machine("native")
         with pytest.raises(AttributeError):
             machine.values = np.zeros(machine.netlist.n_nets, dtype=np.uint8)
 
@@ -319,7 +327,7 @@ class TestMachineEngineEquivalence:
 class TestPackedTraceReductions:
     def test_toggled_any_and_counts_match_bool_path(self):
         """The packed fast path must equal the record-by-record fallback."""
-        machine, _count = counter_machine("bitplane")
+        machine, _count = counter_machine("native")
         trace = Trace(machine.netlist.n_nets)
         machine.reset_sequence(2, trace=trace)
         for _ in range(12):
@@ -422,6 +430,6 @@ class TestEngineSelection:
         assert isinstance(
             make_evaluator(netlist, "reference"), LevelizedEvaluator
         )
-        assert isinstance(
-            make_evaluator(netlist, "bitplane"), BitplaneEvaluator
-        )
+        assert isinstance(make_evaluator(netlist, "native"), NativeEvaluator)
+        with pytest.raises(ValueError, match="'native', 'reference'"):
+            make_evaluator(netlist, "bitplane")

@@ -36,16 +36,16 @@ class TestCli:
         assert "peak power" in out and "mW" in out
 
     def test_analyze_engines_agree(self, program_file, capsys, monkeypatch):
-        """--engine reference and --engine bitplane print the same numbers
+        """--engine reference and --engine native print the same numbers
         (and the flag exports REPRO_ENGINE for downstream machines)."""
         import os
 
         # setenv (not delenv) so monkeypatch records the original absence
         # and removes the variable again at teardown even though the CLI
         # handler overwrites it via os.environ directly.
-        monkeypatch.setenv("REPRO_ENGINE", "bitplane")
+        monkeypatch.setenv("REPRO_ENGINE", "native")
         outputs = []
-        for engine in ("bitplane", "reference"):
+        for engine in ("native", "reference"):
             assert main(["analyze", program_file, "--engine", engine]) == 0
             outputs.append(capsys.readouterr().out)
             assert os.environ["REPRO_ENGINE"] == engine

@@ -1,6 +1,6 @@
 """The lock-step co-execution oracle, end to end.
 
-Pins (a) all 14 registry benchmarks lock-step clean under all three
+Pins (a) all 14 registry benchmarks lock-step clean under both
 engines, (b) a seeded fuzz campaign clean across engines, (c) that an
 intentionally-broken engine (a test-injected gate mutation forcing the V
 flag DFF) is caught with a shrunk reproducer naming the first diverging
@@ -23,7 +23,7 @@ from repro.verify.conformance import ConformanceReport
 
 
 # ----------------------------------------------------------------------
-# Tentpole acceptance: 14 benchmarks x 3 engines, lock-step clean
+# Tentpole acceptance: 14 benchmarks x 2 engines, lock-step clean
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS))
@@ -95,12 +95,12 @@ def test_broken_engine_caught_with_shrunk_reproducer(cpu):
             cpu,
             cpu.make_machine(
                 program, symbolic_inputs=False, port_in=0,
-                engine="bitplane",
+                engine="native",
             ),
         )
 
     report = fuzz_campaign(
-        cpu, 200, seed=99, engines=("bitplane",),
+        cpu, 200, seed=99, engines=("native",),
         machine_factory=factory,
     )
     assert not report.ok
@@ -122,7 +122,7 @@ def test_broken_engine_caught_with_shrunk_reproducer(cpu):
 
     reproducer = assemble(divergence.reproducer_asm, "reproducer")
     replay = coexecute(
-        cpu, reproducer, engine="bitplane",
+        cpu, reproducer, engine="native",
         machine=factory(reproducer),
     )
     assert not replay.ok
@@ -132,7 +132,7 @@ def test_broken_engine_caught_with_shrunk_reproducer(cpu):
 def test_healthy_engine_passes_the_same_campaign(cpu):
     # the sabotage test is only meaningful if the identical campaign is
     # clean without the mutation
-    report = fuzz_campaign(cpu, 200, seed=99, engines=("bitplane",))
+    report = fuzz_campaign(cpu, 200, seed=99, engines=("native",))
     assert report.ok
 
 
@@ -141,7 +141,7 @@ def test_healthy_engine_passes_the_same_campaign(cpu):
 # ----------------------------------------------------------------------
 def test_run_conformance_benchmark_leg(cpu):
     report = run_conformance(
-        cpu=cpu, benchmarks=["mult"], engines=("bitplane",)
+        cpu=cpu, benchmarks=["mult"], engines=("native",)
     )
     assert report.ok
     assert len(report.benchmarks) == 1
@@ -153,7 +153,7 @@ def test_run_conformance_benchmark_leg(cpu):
 
 def test_run_conformance_fuzz_only_default_skips_benchmarks(cpu):
     report = run_conformance(
-        cpu=cpu, fuzz_instructions=40, seed=3, engines=("bitplane",)
+        cpu=cpu, fuzz_instructions=40, seed=3, engines=("native",)
     )
     assert report.benchmarks == []
     assert report.fuzz_units >= 40
@@ -175,7 +175,7 @@ def test_conformance_cancellation(cpu):
     token.set()
     with pytest.raises(JobCancelled):
         run_conformance(
-            cpu=cpu, benchmarks=["mult"], engines=("bitplane",),
+            cpu=cpu, benchmarks=["mult"], engines=("native",),
             cancel=token,
         )
 
@@ -187,7 +187,7 @@ def test_cli_conformance_clean_exits_zero(capsys):
     from repro import cli
 
     rc = cli.main([
-        "conformance", "--benchmarks", "mult", "--engine", "bitplane",
+        "conformance", "--benchmarks", "mult", "--engine", "native",
         "--quiet",
     ])
     assert rc == 0
@@ -217,13 +217,13 @@ def test_cli_conformance_divergence_exits_one(
     from repro import cli
     from repro.verify.coexec import Divergence
 
-    fake = ConformanceReport(engines=("bitplane",))
+    fake = ConformanceReport(engines=("native",))
     fake.divergences.append(DivergenceReport(
         divergence=Divergence(
             kind="flag", index=3, pc=0xF010, source="add r4, r5",
             detail="SR.V: iss=0 gate=1",
         ),
-        engine="bitplane",
+        engine="native",
         program_name="fuzz_77",
         seed=77,
         reproducer_asm="    .org 0xf000\nend:\n    jmp end\n",
@@ -234,13 +234,13 @@ def test_cli_conformance_divergence_exits_one(
         repro.verify, "run_conformance", lambda **kwargs: fake
     )
     rc = cli.main([
-        "conformance", "--fuzz", "100", "--engine", "bitplane",
+        "conformance", "--fuzz", "100", "--engine", "native",
         "--output", str(tmp_path), "--quiet",
     ])
     assert rc == 1
     out = capsys.readouterr().out
     assert "first divergence at instruction #3" in out
-    reproducer = tmp_path / "divergence_fuzz_77_bitplane.asm"
+    reproducer = tmp_path / "divergence_fuzz_77_native.asm"
     assert reproducer.exists()
     assert "jmp end" in reproducer.read_text()
     assert str(reproducer) in out
@@ -260,7 +260,7 @@ def test_conformance_job_thread_backend():
                 "benchmarks": ["mult"],
                 "fuzz": 40,
                 "seed": 3,
-                "engine": "bitplane",
+                "engine": "native",
             },
         )
         assert not deduped
@@ -275,7 +275,7 @@ def test_conformance_job_thread_backend():
                 "benchmarks": ["mult"],
                 "fuzz": 40,
                 "seed": 3,
-                "engine": "bitplane",
+                "engine": "native",
             },
         )
         assert scheduler.wait(again.id, timeout=300)
@@ -311,13 +311,13 @@ def test_conformance_job_stores_divergence_artifacts(
 
     monkeypatch.setattr(runner, "CACHE_DIR", tmp_path / "store")
 
-    fake = ConformanceReport(engines=("bitplane",))
+    fake = ConformanceReport(engines=("native",))
     fake.divergences.append(DivergenceReport(
         divergence=Divergence(
             kind="register", index=1, pc=0xF004, source="mov r4, r5",
             detail="r5: iss=0x0001 gate=0x0002",
         ),
-        engine="bitplane",
+        engine="native",
         program_name="fuzz_5",
         seed=5,
         reproducer_asm="    .org 0xf000\nend:\n    jmp end\n",
@@ -337,7 +337,7 @@ def test_conformance_job_stores_divergence_artifacts(
     payload = run_conformance_job({"fuzz": 100, "seed": 5}, _Ctx())
     assert payload["ok"] is False
     keys = payload["divergence_artifacts"]
-    assert keys == ["divergence_fuzz_5_bitplane_seed5"]
+    assert keys == ["divergence_fuzz_5_native_seed5"]
     stored = runner.artifact_store().get(keys[0])
     assert stored["seed"] == 5
     assert "jmp end" in stored["reproducer_asm"]

@@ -127,7 +127,7 @@ class TestMachineSnapshotImmutability:
         machine = cpu.make_machine(program, symbolic_inputs=True)
         snap = machine.snapshot()
         frozen_values = snap["values"].copy()
-        # The bitplane engine carries activity inside the packed planes
+        # The native engine carries activity inside the packed planes
         # (snap["values"]); the reference engine snapshots it separately.
         frozen_active = (
             None if snap["prev_active"] is None else snap["prev_active"].copy()

@@ -9,17 +9,17 @@ output on the 14 Table 4.1 benchmarks is frozen in
 record cycles and annotations) and a digest of the even/odd witness
 profiles.  Only exact data is digested, so the pins hold under any numpy.
 
-Both numpy engines must reproduce the tree digest at their default
-batch width: the batched uint8 reference (the oracle) and the bit-plane
-engine (native's no-compiler fallback); ``test_native`` holds the
-compiled native kernel (the default) to the same digests.  The analysis
-numbers computed from the bitplane tree must match
-``tests/golden_suite.json``, and Algorithm 2 must match its trit-level
+The batched uint8 reference engine (the oracle, and the fallback of
+hosts without a C compiler) must reproduce the tree digest at its
+default batch width; ``test_native`` holds the compiled native kernels
+(the default) to the same digests.  The analysis numbers computed from
+the reference tree must match ``tests/golden_suite.json``, and
+Algorithm 2 must match its trit-level
 reference cycle by cycle: :func:`maximize_parity` on the raw
 (predecessor, cycle) row pair, priced by
 :meth:`~repro.power.model.PowerModel.transition_power`.
 
-Each engine explores each benchmark once, in a module-scoped fixture
+The reference explores each benchmark once, in a module-scoped fixture
 shared by every assertion.
 """
 
@@ -61,10 +61,6 @@ SUMMARY_FIELDS = {
     "peak_power_mw", "peak_energy_pj", "npe_pj_per_cycle", "peak_cycle",
     "path_cycles", "n_segments", "n_cycles", "n_memo_hits",
 }
-
-#: explored in this order; the last (bitplane's) tree is kept
-ENGINE_ORDER = ("reference", "bitplane")
-
 
 def witness_digest(peak: PeakPowerResult) -> str:
     """blake2b of the even, then odd, witness profile (uint8 trits)."""
@@ -129,19 +125,15 @@ def model(cpu):
 
 @pytest.fixture(scope="module", params=sorted(ALL_BENCHMARKS))
 def explored(request, cpu):
-    """(name, {engine: tree digest}, bitplane tree) per benchmark."""
+    """(name, reference tree) per benchmark."""
     name = request.param
-    digests = {}
-    for engine in ENGINE_ORDER:
-        tree = explore_benchmark(cpu, name, engine=engine)
-        digests[engine] = tree.digest()
-    return name, digests, tree
+    return name, explore_benchmark(cpu, name, engine="reference")
 
 
 @pytest.fixture(scope="module")
 def peak(explored, model):
-    """(name, tree, Algorithm 2 result) on the bitplane tree."""
-    name, _digests, tree = explored
+    """(name, tree, Algorithm 2 result) on the reference tree."""
+    name, tree = explored
     return name, tree, compute_peak_power(tree, model)
 
 
@@ -149,11 +141,9 @@ class TestBatchedEqualsScalar:
     """Every batched engine rebuilds the scalar explorer's trees."""
 
     def test_execution_tree_bit_identical(self, explored):
-        """The numpy engines: the uint8 reference and bitplane."""
-        name, digests, _tree = explored
-        want = GOLDEN_TREES[name]["tree"]
-        assert digests["reference"] == want
-        assert digests["bitplane"] == want
+        """The batched uint8 reference at its default width."""
+        name, tree = explored
+        assert tree.digest() == GOLDEN_TREES[name]["tree"]
 
     @pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS))
     def test_one_lane_batch_bit_identical(self, cpu, name):
@@ -169,7 +159,7 @@ class TestBatchedEqualsScalar:
         assert tree.digest() == GOLDEN_TREES["mult"]["tree"]
 
     def test_analysis_matches_golden(self, peak):
-        """Bitplane-engine analysis reproduces the pinned numbers."""
+        """Reference-engine analysis reproduces the pinned numbers."""
         name, tree, peak_power = peak
         benchmark = get_benchmark(name)
         peak_energy = compute_peak_energy(

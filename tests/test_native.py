@@ -1,24 +1,27 @@
 """Native C kernel engine: gate identity, surgery pins, fallback, cache.
 
-Four tiers, mirroring the engine's soundness argument:
+The oracle chain is ISS -> reference -> native: every native claim here
+is checked against the uint8 :class:`LevelizedEvaluator` (or against a
+golden file the reference reproduces).  Four tiers, mirroring the
+engine's soundness argument:
 
 1. **Gate kernels, exhaustively**: every kind over every 3-valued input
-   combination through the *compiled C kernel* must match the scalar
-   truth functions — the kernel's run formulas (and the copy-class rail
-   folding of BUF/NOT) are proven by enumeration, independent of the
-   numpy tape.
+   combination through the *lane-sliced batch step* (``repro_step``),
+   one combination per lane, must match the scalar truth functions and a
+   reference-engine batch; ``test_bitplane`` does the same for the row
+   settle (``repro_settle``).
 2. **Schedule-surgery pins**: BUF/NOT chains collapse to a rail
    permutation of their root; the collapsed schedule must still produce
-   reference values/activity for every input, on both packed engines.
-3. **Randomized equivalence**: random DAGs settle bit-identically to
-   the bitplane tape (scalar and batched shapes, valid encodings and raw
-   random planes).  On all 14 benchmarks the native engine reproduces
-   the golden tree digest that ``test_differential`` holds bitplane and
-   reference to, plus the golden analysis floats, which closes
-   native ≡ bitplane ≡ reference; one direct native ≡ reference probe
-   guards that argument itself.
+   reference values/activity for every input.
+3. **Randomized equivalence**: random DAGs settle bit-identically to the
+   reference in every leading shape, whatever the pad bits hold.  On all
+   14 benchmarks the native engine reproduces the golden tree digest
+   that ``test_differential`` holds the reference to, plus the golden
+   analysis floats, which closes native ≡ reference; one direct
+   native ≡ reference probe guards that argument itself.  The batch step
+   is pinned against a reference-engine batch record for record.
 4. **Degradation**: a monkeypatched compiler-less host falls back to the
-   bitplane engine with exactly one warning and identical results.
+   reference engine with exactly one warning and identical results.
 
 The kernel source never depends on the netlist, so one shared object,
 built once per process (about 0.1 s), serves the toy netlists and the
@@ -42,8 +45,12 @@ from repro.logic import X, ternary
 from repro.netlist.core import Netlist
 from repro.power.model import PowerModel
 from repro.sim import native
-from repro.sim.bitplane import ENGINES, BitplaneEvaluator, make_evaluator
+from repro.netlist.program import NetlistProgram
+from repro.sim.batch import BatchMachine
+from repro.sim.bitplane import ENGINES, make_evaluator
 from repro.sim.evaluator import LevelizedEvaluator
+from repro.sim.machine import Machine, MemoryPorts
+from repro.sim.memory import TernaryMemory
 from repro.sim.native import NativeEvaluator, NativeKernelError
 from test_bitplane import TWO_INPUT_FUNCS, random_netlist, settle_sources
 from test_differential import GOLDEN, GOLDEN_TREES, REL, explore_benchmark
@@ -67,10 +74,43 @@ def unloaded(toy_cache, monkeypatch):
     return toy_cache
 
 
+def _as_reference(evaluator, snap: dict) -> dict:
+    """A packed lane snapshot as the reference engine stores it."""
+    planes = snap["values"]
+    return dict(
+        snap,
+        values=evaluator.unpack_values(planes),
+        prev_active=evaluator.unpack_active(planes),
+    )
+
+
+def _step_gate_lanes(netlist, assignments):
+    """One batch step on both engines, one lane per ``{input: trit}``
+    assignment; returns (native records, reference records).  Adds a
+    ``dout`` INPUT and a tied-off memory port to *netlist*."""
+    zero = netlist.add_gate("CONST0")
+    dout = netlist.add_gate("INPUT")
+    ports = MemoryPorts(addr=[zero], din=[zero], dout=[dout], we=zero, en=zero)
+    packed = NativeEvaluator(netlist)
+    snap = Machine(netlist, ports, packed).snapshot()
+    records = []
+    for evaluator, base in (
+        (packed, snap),
+        (LevelizedEvaluator(netlist), _as_reference(packed, snap)),
+    ):
+        batch = BatchMachine(netlist, ports, evaluator, len(assignments))
+        for forced in assignments:
+            batch.load(dict(base, forced_inputs=forced), {})
+        records.append(batch.step())
+    return records
+
+
 # ----------------------------------------------------------------------
-# Tier 1: the C kernel per gate kind, exhaustively
+# Tier 1: the batch step kernel per gate kind, exhaustively
 # ----------------------------------------------------------------------
 class TestGeneratedGateKernelsExhaustive:
+    """Every input combination of a kind is one lane of one step."""
+
     def test_two_input_kinds(self, toy_cache):
         netlist = Netlist()
         a = netlist.add_gate("INPUT")
@@ -78,15 +118,15 @@ class TestGeneratedGateKernelsExhaustive:
         outs = {
             kind: netlist.add_gate(kind, (a, b)) for kind in TWO_INPUT_FUNCS
         }
-        reference = LevelizedEvaluator(netlist)
-        evaluator = NativeEvaluator(netlist)
-        for va, vb in itertools.product((0, 1, X), repeat=2):
-            expected, got = settle_sources(
-                evaluator, reference, {a: va, b: vb}
-            )
-            assert np.array_equal(got, expected)
+        combos = list(itertools.product((0, 1, X), repeat=2))
+        fast, slow = _step_gate_lanes(
+            netlist, [{a: va, b: vb} for va, vb in combos]
+        )
+        for (va, vb), got, want in zip(combos, fast, slow, strict=True):
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.active, want.active)
             for kind, func in TWO_INPUT_FUNCS.items():
-                assert got[outs[kind]] == func(va, vb), (kind, va, vb)
+                assert got.values[outs[kind]] == func(va, vb), (kind, va, vb)
 
     def test_mux_all_27(self, toy_cache):
         netlist = Netlist()
@@ -94,13 +134,14 @@ class TestGeneratedGateKernelsExhaustive:
         a = netlist.add_gate("INPUT")
         b = netlist.add_gate("INPUT")
         y = netlist.add_gate("MUX", (s, a, b))
-        reference = LevelizedEvaluator(netlist)
-        evaluator = NativeEvaluator(netlist)
-        for vs, va, vb in itertools.product((0, 1, X), repeat=3):
-            _expected, got = settle_sources(
-                evaluator, reference, {s: vs, a: va, b: vb}
-            )
-            assert got[y] == ternary.t_mux(vs, va, vb), (vs, va, vb)
+        combos = list(itertools.product((0, 1, X), repeat=3))
+        fast, slow = _step_gate_lanes(
+            netlist, [{s: vs, a: va, b: vb} for vs, va, vb in combos]
+        )
+        for (vs, va, vb), got, want in zip(combos, fast, slow, strict=True):
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.active, want.active)
+            assert got.values[y] == ternary.t_mux(vs, va, vb), (vs, va, vb)
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +164,7 @@ def chain_netlist():
 class TestScheduleSurgery:
     def test_chain_resolution(self):
         netlist, a, _b, chain, _taps, _dff = chain_netlist()
-        program = BitplaneEvaluator(netlist).program
+        program = NetlistProgram(netlist)
         # every ladder element resolves to the input with the parity of
         # the NOTs between them (1, 1, 0, 1, 1 along this ladder)
         parities = [1, 1, 0, 1, 1]
@@ -132,11 +173,10 @@ class TestScheduleSurgery:
         # the root memoizes as its own fixed point
         assert program.chain_of.get(a, (a, 0)) == (a, 0)
 
-    @pytest.mark.parametrize("engine_cls", [BitplaneEvaluator])
-    def test_chain_values_exhaustive(self, engine_cls):
+    def test_chain_values_native(self, toy_cache):
         netlist, a, b, chain, taps, _dff = chain_netlist()
         reference = LevelizedEvaluator(netlist)
-        evaluator = engine_cls(netlist)
+        evaluator = NativeEvaluator(netlist)
         funcs = (
             ternary.t_not, ternary.t_buf, ternary.t_not,
             ternary.t_not, ternary.t_buf,
@@ -152,20 +192,10 @@ class TestScheduleSurgery:
                 assert got[net] == value
         assert all(got[t] in (0, 1, X) for t in taps)
 
-    def test_chain_values_native(self, toy_cache):
-        netlist, a, b, _chain, _taps, _dff = chain_netlist()
-        reference = LevelizedEvaluator(netlist)
-        evaluator = NativeEvaluator(netlist)
-        for va, vb in itertools.product((0, 1, X), repeat=2):
-            expected, got = settle_sources(
-                evaluator, reference, {a: va, b: vb}
-            )
-            assert np.array_equal(got, expected)
-
-    def test_chain_activity_matches_reference(self):
+    def test_chain_activity_matches_reference(self, toy_cache):
         netlist, _a, _b, _chain, _taps, _dff = chain_netlist()
         reference = LevelizedEvaluator(netlist)
-        evaluator = BitplaneEvaluator(netlist)
+        evaluator = NativeEvaluator(netlist)
         rng = np.random.default_rng(17)
         sources = [
             g.index for g in netlist.gates if g.kind in ("INPUT", "DFF")
@@ -197,10 +227,13 @@ class TestScheduleSurgery:
 class TestRandomizedNativeEquivalence:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_settles_match_bitplane(self, seed, toy_cache):
+        """The settled bit planes, unpacked, are the reference's values
+        and activity in every leading shape, and their memo fingerprint
+        is that of the reference row packed."""
         rng = np.random.default_rng(500 + seed)
         netlist = random_netlist(230 + 17 * seed, seed=40 + seed)
-        bitplane = BitplaneEvaluator(netlist)
-        evaluator = NativeEvaluator(netlist, bitplane.program)
+        reference = LevelizedEvaluator(netlist)
+        evaluator = NativeEvaluator(netlist)
         sources = [
             g.index for g in netlist.gates if g.kind in ("INPUT", "DFF")
         ]
@@ -208,30 +241,34 @@ class TestRandomizedNativeEquivalence:
             prev = rng.integers(
                 0, 3, size=lead + (netlist.n_nets,), dtype=np.uint8
             )
+            prev[..., reference.const0_nets] = 0
+            prev[..., reference.const1_nets] = 1
+            reference.eval_comb(prev)  # activity compares settled states
             prev_active = rng.integers(
                 0, 2, size=lead + (netlist.n_nets,)
             ).astype(bool)
             new_sources = rng.integers(
                 0, 3, size=lead + (len(sources),), dtype=np.uint8
             )
+            cur = prev.copy()
+            cur[..., sources] = new_sources
+            reference.eval_comb(cur)
+            active = reference.compute_activity(prev, cur, prev_active)
 
-            results = []
-            for engine in (bitplane, evaluator):
-                planes = engine.pack_state(prev, prev_active)
-                engine.stash_prev(planes)
-                flat = planes.reshape((-1,) + planes.shape[-2:])
-                flat_sources = new_sources.reshape(-1, len(sources))
-                for row in range(flat.shape[0]):
-                    for net, value in zip(sources, flat_sources[row]):
-                        engine.write_trit(flat[row], net, int(value))
-                engine.settle_and_mark(planes)
-                results.append(planes)
-            assert np.array_equal(results[0], results[1]), lead
-            # memo fingerprints agree because the raw planes do
-            if not lead:
-                assert bitplane.state_bytes(
-                    results[0]
-                ) == evaluator.state_bytes(results[1])
+            planes = evaluator.pack_state(prev, prev_active)
+            evaluator.stash_prev(planes)
+            flat = planes.reshape((-1,) + planes.shape[-2:])
+            flat_sources = new_sources.reshape(-1, len(sources))
+            for row in range(flat.shape[0]):
+                for net, value in zip(sources, flat_sources[row]):
+                    evaluator.write_trit(flat[row], net, int(value))
+            evaluator.settle_and_mark(planes)
+            assert np.array_equal(evaluator.unpack_values(planes), cur), lead
+            assert np.array_equal(evaluator.unpack_active(planes), active)
+            for row, values in zip(flat, cur.reshape(-1, netlist.n_nets)):
+                assert evaluator.state_bytes(row) == evaluator.state_bytes(
+                    evaluator.pack_state(values)
+                )
 
     def test_rejects_planes_of_another_shape(self, cpu):
         evaluator = cpu.evaluator_for("native")
@@ -244,22 +281,37 @@ class TestRandomizedNativeEquivalence:
 
     @pytest.mark.parametrize("lead", [(), (1,), (8,), (32,)])
     def test_raw_random_planes_match_bitplane(self, lead, toy_cache, cpu):
-        """Arbitrary P/N/A words (pads and the zero bit included) settle
-        identically on the CPU's schedule: the kernel's zero-bit shortcut
-        reads the rails it replaces, it does not assume them."""
+        """Random words in every pad bit and in the whole A plane (only
+        the reserved zero bit keeps its known 0) settle the CPU's real
+        nets exactly as the reference does: no gate reads a pad."""
         rng = np.random.default_rng(70 + sum(lead))
-        bitplane = cpu.evaluator_for("bitplane")
-        evaluator = NativeEvaluator(cpu.netlist, bitplane.program)
-        shape = lead + (3, bitplane.n_words)
-        prev = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
-        state = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
-        results = []
-        for engine in (bitplane, evaluator):
-            engine.stash_prev(prev)
-            planes = state.copy()
-            engine.settle_and_mark(planes)
-            results.append(planes)
-        assert np.array_equal(results[0], results[1])
+        evaluator = cpu.evaluator_for("native")
+        reference = cpu.evaluator
+        n_nets = cpu.netlist.n_nets
+        shape = lead + (3, evaluator.n_words)
+        states = []
+        for settled in (True, False):  # the previous cycle, then this one
+            values = rng.integers(0, 3, size=lead + (n_nets,), dtype=np.uint8)
+            values[..., reference.const0_nets] = 0
+            values[..., reference.const1_nets] = 1
+            if settled:  # activity compares settled states
+                reference.eval_comb(values)
+            planes = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+            valid = evaluator.program.valid_mask
+            planes[..., 0:2, :] &= ~valid
+            planes[..., 0:2, :] |= evaluator.pack_state(values)[..., 0:2, :] & valid
+            planes[..., :, 0] &= ~np.uint64(1)  # the zero bit: P=0, A=0
+            planes[..., 1, 0] |= np.uint64(1)  # N=1
+            states.append((values, planes))
+        (prev_values, prev), (cur_values, planes) = states
+        prev_active = evaluator.unpack_active(prev)
+        expected = cur_values.copy()
+        reference.eval_comb(expected)
+        active = reference.compute_activity(prev_values, expected, prev_active)
+        evaluator.stash_prev(prev)
+        evaluator.settle_and_mark(planes)
+        assert np.array_equal(evaluator.unpack_values(planes), expected)
+        assert np.array_equal(evaluator.unpack_active(planes), active)
 
 
 @pytest.fixture(scope="module", params=sorted(ALL_BENCHMARKS))
@@ -277,7 +329,7 @@ def model(cpu):
 class TestBenchmarkTreesIdentical:
     def test_native_runs_native(self, cpu):
         """The environment has a compiler: the suite must not silently
-        pin a fallen-back bitplane evaluator as "native"."""
+        pin a fallen-back reference evaluator as "native"."""
         evaluator = cpu.evaluator_for("native")
         assert getattr(evaluator, "engine_name", None) == "native"
 
@@ -338,30 +390,68 @@ class TestFallback:
         monkeypatch.setattr(native, "find_compiler", lambda: None)
         native._reset_fallback_warning()
         netlist = random_netlist(180, seed=61)
-        with pytest.warns(RuntimeWarning, match="native engine unavailable"):
+        with pytest.warns(
+            RuntimeWarning, match="unavailable .* falling back to the reference"
+        ):
             evaluator = native.evaluator_or_fallback(netlist)
-        assert type(evaluator) is BitplaneEvaluator
+        # the fallback is the oracle itself: results are the reference's
+        assert type(evaluator) is LevelizedEvaluator
         # the second degradation in the same process stays silent
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             again = native.evaluator_or_fallback(netlist)
-        assert type(again) is BitplaneEvaluator
+        assert type(again) is LevelizedEvaluator
         native._reset_fallback_warning()
 
-        # the fallback produces the reference results, not just no error
-        reference = LevelizedEvaluator(netlist)
-        sources = [
-            g.index for g in netlist.gates if g.kind in ("INPUT", "DFF")
-        ]
-        rng = np.random.default_rng(9)
-        values = {
-            net: int(v)
-            for net, v in zip(
-                sources, rng.integers(0, 3, size=len(sources))
+    def test_no_compiler_cpu_explores_on_its_reference(
+        self, unloaded, monkeypatch, cpu
+    ):
+        """A compiler-less host: ``analyze(mult)`` runs on the CPU's own
+        reference evaluator at the reference batch width under exactly
+        one warning (engine and pricer together) and reproduces the
+        goldens."""
+        from repro.core.activity import DEFAULT_BATCH_SIZE
+        from repro.core.api import analyze
+        from repro.cpu.core import Ulp430
+
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
+        native._reset_fallback_warning()
+        fresh = Ulp430(cpu.netlist, cpu.ports, cpu.nets)  # nothing cached
+        widths = []
+        init = BatchMachine.__init__
+
+        def spy(self, netlist, ports, evaluator, batch_size, **kwargs):
+            widths.append((type(evaluator), batch_size))
+            init(self, netlist, ports, evaluator, batch_size, **kwargs)
+
+        monkeypatch.setattr(BatchMachine, "__init__", spy)
+        benchmark = get_benchmark("mult")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = analyze(
+                fresh, benchmark.program(),
+                PowerModel(fresh.netlist, SG65, clock_ns=10.0),
+                loop_bound=benchmark.loop_bound,
+                max_cycles=benchmark.max_cycles,
+                max_segments=benchmark.max_segments,
             )
-        }
-        expected, got = settle_sources(evaluator, reference, values)
-        assert np.array_equal(got, expected)
+        native._reset_fallback_warning()
+        hits = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(hits) == 1, [str(w.message) for w in hits]
+        assert "falling back to the reference engine" in str(hits[0].message)
+        assert fresh.evaluator_for("native") is fresh.evaluator
+        assert widths == [(LevelizedEvaluator, DEFAULT_BATCH_SIZE)]
+        assert report.tree.digest() == GOLDEN_TREES["mult"]["tree"]
+        golden = GOLDEN["mult"]
+        assert report.peak_power.peak_cycle == golden["peak_cycle"]
+        assert report.peak_power_mw == pytest.approx(
+            golden["peak_power_mw"], rel=REL
+        )
+        assert report.peak_energy_pj == pytest.approx(
+            golden["peak_energy_pj"], rel=REL
+        )
 
     def test_no_compiler_prices_with_numpy(self, unloaded, monkeypatch):
         """Pricing degrades with the engine: the numpy pricer takes over,
@@ -402,7 +492,7 @@ class TestFallback:
         native._reset_fallback_warning()
         with pytest.warns(RuntimeWarning, match="falling back"):
             evaluator = native.evaluator_or_fallback(netlist)
-        assert type(evaluator) is BitplaneEvaluator
+        assert type(evaluator) is LevelizedEvaluator
         native._reset_fallback_warning()
 
 
@@ -411,18 +501,30 @@ class TestFallback:
 # ----------------------------------------------------------------------
 class TestEnginePlumbing:
     def test_engines_tuple(self):
-        assert ENGINES == ("bitplane", "native", "reference")
+        assert ENGINES == ("native", "reference")
 
     def test_make_evaluator_native(self, toy_cache):
         netlist = random_netlist(140, seed=63)
         evaluator = make_evaluator(netlist, engine="native")
-        assert isinstance(evaluator, (NativeEvaluator, BitplaneEvaluator))
+        assert isinstance(evaluator, NativeEvaluator)
 
     def test_unknown_engine_lists_all_names(self, cpu):
-        with pytest.raises(ValueError) as err:
-            cpu.evaluator_for("verilator")
-        for name in ENGINES:
-            assert name in str(err.value)
+        for engine in ("verilator", "bitplane"):
+            with pytest.raises(ValueError) as err:
+                cpu.evaluator_for(engine)
+            for name in ENGINES:
+                assert name in str(err.value)
+
+    def test_cli_rejects_bitplane_listing_both(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["analyze", "prog.asm", "--engine", "bitplane"]
+            )
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'native'" in err and "'reference'" in err
 
     def test_repro_engine_env(self, monkeypatch):
         from repro.sim.bitplane import default_engine
@@ -434,13 +536,17 @@ class TestEnginePlumbing:
             default_engine()
 
     def test_native_batches_like_bitplane(self, monkeypatch):
+        """The native width is the packed batch width; the reference
+        engine keeps its own."""
         from repro.core.activity import (
-            BITPLANE_DEFAULT_BATCH_SIZE,
+            DEFAULT_BATCH_SIZE,
+            NATIVE_DEFAULT_BATCH_SIZE,
             default_batch_size,
         )
 
         monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
-        assert default_batch_size("native") == BITPLANE_DEFAULT_BATCH_SIZE
+        assert default_batch_size("native") == NATIVE_DEFAULT_BATCH_SIZE
+        assert default_batch_size("reference") == DEFAULT_BATCH_SIZE
 
     def test_cli_accepts_native(self):
         from repro.cli import build_parser
@@ -463,10 +569,13 @@ class TestEnginePlumbing:
             "profile", {"benchmark": "mult", "engine": "native"}
         )
         assert params["engine"] == "native"
-        with pytest.raises(ValueError) as err:
-            normalize_params("analyze", {"benchmark": "mult", "engine": "hdl"})
-        for name in ENGINES:
-            assert name in str(err.value)
+        for engine in ("hdl", "bitplane"):
+            with pytest.raises(ValueError) as err:
+                normalize_params(
+                    "analyze", {"benchmark": "mult", "engine": engine}
+                )
+            for name in ENGINES:
+                assert name in str(err.value)
 
 
 # ----------------------------------------------------------------------
@@ -519,7 +628,7 @@ class TestKernelCache:
 THREADED = ("mult", "FFT", "intAVG", "tea8")
 
 
-@pytest.mark.parametrize("engine", ["bitplane", "native"])
+@pytest.mark.parametrize("engine", ["native"])
 def test_threads_exploring_on_one_cpu_match_serial(engine, cpu):
     def run(name):
         benchmark = get_benchmark(name)
@@ -559,13 +668,11 @@ def test_threads_exploring_on_one_cpu_match_serial(engine, cpu):
 
 
 # ----------------------------------------------------------------------
-# The batch step kernel against the Python packed step, record for record
+# The batch step kernel against a reference-engine batch, record for record
 # ----------------------------------------------------------------------
 def _fork_snapshots(cpu, name: str, count: int) -> list[dict]:
     """*count* lane snapshots spread over the exploration of *name*: the
     states the explorer forks from, on every path of the tree."""
-    from repro.sim.batch import BatchMachine
-
     snapshots = []
     record = BatchMachine.snapshot
 
@@ -585,31 +692,30 @@ def _fork_snapshots(cpu, name: str, count: int) -> list[dict]:
 
 def _churn(netlist, ports, engines, snapshots, variant, lanes, seed,
            annotator=None, steps=24):
-    """Drive a kernel batch and a Python packed batch through the same
+    """Drive a native batch and a reference-engine batch through the same
     random load / retire / refill churn and compare every step: records
-    (pads included), memory counts, annotations, the post-step rows,
-    memo ``state_bytes`` and each lane's latched memory request."""
-    from repro.sim.batch import BatchMachine
+    (values, activity and the packed words, pads included), memory
+    counts, annotations, the post-step rows, memo ``state_bytes`` and
+    each lane's latched memory request and memory."""
+    packed, reference = engines
 
     def fresh():
         return [
-            BatchMachine(
-                netlist, ports, ev, lanes, annotator=annotator,
-                record_packed=True,
-            )
+            BatchMachine(netlist, ports, ev, lanes, annotator=annotator)
             for ev in engines
         ]
 
     batches = fresh()
     assert batches[0].kernel is not None and batches[1].kernel is None
+    program = packed.program
     rng = np.random.default_rng(seed)
     stepped = 0
     for _ in range(steps):
         fast, slow = batches
         for _ in range(min(fast.n_free, int(rng.integers(1, lanes // 2 + 3)))):
             snap, forces = variant(rng, snapshots[rng.integers(len(snapshots))])
-            for batch in batches:
-                batch.load(snap, forces)
+            fast.load(snap, forces)
+            slow.load(_as_reference(packed, snap), forces)
         outcomes = []
         for batch in batches:
             try:
@@ -625,16 +731,21 @@ def _churn(netlist, ports, engines, snapshots, variant, lanes, seed,
             assert ra.cycle == rb.cycle
             assert (ra.mem_reads, ra.mem_writes) == (rb.mem_reads, rb.mem_writes)
             assert ra.annotations == rb.annotations
-            assert np.array_equal(ra.value_words, rb.value_words)
-            assert np.array_equal(ra.active_words, rb.active_words)
+            assert np.array_equal(ra.values, rb.values)
+            assert np.array_equal(ra.active, rb.active)
+            assert np.array_equal(ra.value_words, program.pack_values(rb.values))
+            assert np.array_equal(ra.active_words, program.pack_active(rb.active))
         n = len(fast.lanes)
-        assert np.array_equal(fast.planes[:n], slow.planes[:n])
+        assert np.array_equal(
+            fast.planes[:n],
+            packed.pack_state(slow.values[:n], slow._prev_active[:n]),
+        )
         for la, lb in zip(fast.lanes, slow.lanes):
             assert vars(la._request) == vars(lb._request)
             assert (la.dout_value, la.dout_xmask) == (lb.dout_value, lb.dout_xmask)
             assert la.memory.digest() == lb.memory.digest()
-            assert engines[0].state_bytes(fast.planes[la.row]) == (
-                engines[1].state_bytes(slow.planes[lb.row])
+            assert packed.state_bytes(fast.planes[la.row]) == (
+                packed.state_bytes(packed.pack_state(slow.values[lb.row]))
             )
         for la, lb in list(zip(fast.lanes, slow.lanes)):
             if rng.random() < 0.2:
@@ -677,19 +788,16 @@ def _toy_system(seed: int):
     """A random DAG with DFFs wired to a 4-word memory: ``dout`` and the
     address are INPUTs, the write enable an INPUT forced to 0, 1 or X, so
     stores are certain or uncertain (``we == X``) at known addresses."""
-    from repro.sim.machine import Machine, MemoryPorts
-    from repro.sim.memory import TernaryMemory
-
     netlist = random_netlist(260, seed=seed)
     gates = [g.index for g in netlist.gates if g.kind not in ("INPUT", "DFF")]
     ports = MemoryPorts(
         addr=[3, 4], din=gates[-4:], dout=[0, 1, 2], we=5, en=6
     )
-    engines = (NativeEvaluator(netlist), BitplaneEvaluator(netlist))
+    engines = (NativeEvaluator(netlist), LevelizedEvaluator(netlist))
     rng = np.random.default_rng(seed)
     snapshots = []
     for _ in range(6):
-        machine = Machine(netlist, ports, engines[1], TernaryMemory(n_words=4))
+        machine = Machine(netlist, ports, engines[0], TernaryMemory(n_words=4))
         machine.forced_inputs = {3: 0, 4: 1, 5: X, 6: 1}
         machine.reset_sequence()
         for _ in range(int(rng.integers(1, 6))):
@@ -717,7 +825,8 @@ class TestBatchStepKernel:
     def test_cpu_matches_python_packed_step(
         self, cpu, fork_snapshots, lanes, seed
     ):
-        engines = (cpu.evaluator_for("native"), cpu.evaluator_for("bitplane"))
+        """The CPU's native batch against its reference-engine batch."""
+        engines = (cpu.evaluator_for("native"), cpu.evaluator)
         stepped = _churn(
             cpu.netlist, cpu.ports, engines, fork_snapshots, _cpu_variant(cpu),
             lanes, seed, annotator=cpu.annotate,
@@ -735,10 +844,50 @@ class TestBatchStepKernel:
         assert stepped >= 16
 
     def test_toy_reaches_uncertain_writes(self, toy_cache):
-        from repro.sim.batch import BatchMachine
-
         netlist, ports, engines, snapshots, _variant = _toy_system(2)
-        batch = BatchMachine(netlist, ports, engines[0], 2, record_packed=True)
+        batch = BatchMachine(netlist, ports, engines[0], 2)
         lane = batch.load(snapshots[0], {})
         batch.step()
         assert lane._request.we == X and lane._request.addr_known
+
+
+class TestBatchStepRefusals:
+    """A packed batch the kernel cannot drive is an error naming why,
+    never a silent second step."""
+
+    def test_dout_must_drive_inputs(self, toy_cache):
+        netlist = random_netlist(120, seed=65)
+        gate = next(g.index for g in netlist.gates if g.kind == "AND")
+        ports = MemoryPorts(addr=[3], din=[4], dout=[0, gate], we=5, en=6)
+        with pytest.raises(NativeKernelError, match=f"net {gate} is not one"):
+            BatchMachine(netlist, ports, NativeEvaluator(netlist), 2)
+
+    def test_at_most_64_inputs(self, toy_cache):
+        netlist = Netlist()
+        inputs = [netlist.add_gate("INPUT") for _ in range(65)]
+        netlist.add_gate("AND", (inputs[0], inputs[-1]))
+        ports = MemoryPorts(
+            addr=inputs[1:3], din=inputs[3:5], dout=inputs[5:7],
+            we=inputs[7], en=inputs[8],
+        )
+        with pytest.raises(NativeKernelError, match="at most 64 INPUT nets"):
+            BatchMachine(netlist, ports, NativeEvaluator(netlist), 2)
+
+    def test_memory_bus_wider_than_a_probe_word(self, toy_cache):
+        netlist = random_netlist(120, seed=66)
+        ports = MemoryPorts(
+            addr=list(range(20, 85)), din=[4], dout=[0, 1], we=5, en=6
+        )
+        with pytest.raises(NativeKernelError, match="wider than 64 bits"):
+            BatchMachine(netlist, ports, NativeEvaluator(netlist), 2)
+
+    def test_forcing_a_non_input_names_the_net(self, toy_cache):
+        netlist, ports, engines, snapshots, _variant = _toy_system(3)
+        batch = BatchMachine(netlist, ports, engines[0], 2)
+        gate = next(g.index for g in netlist.gates if g.kind == "MUX")
+        batch.load(snapshots[0], {})
+        batch.load(dict(snapshots[1], forced_inputs={3: 0, gate: 1}), {})
+        before = batch.planes.copy()
+        with pytest.raises(ValueError, match=f"forced net {gate} is not an INPUT"):
+            batch.step()
+        assert np.array_equal(batch.planes, before)  # no lane was stepped
