@@ -22,23 +22,23 @@ stored to.
 
 This module is the compile step.  It renumbers the nets into a **packed
 bit order** — sources first, then each level's gates grouped into
-word-aligned opcode runs — and precomputes, per level, one fused gather
-table (byte indices + bit masks into the raw plane bytes) that fetches
-every input bit of every gate of the level, for both rails *and* for the
-activity sweep.  The native kernels (:mod:`repro.sim.native`) execute
-these tables: ``repro_settle`` walks them row by row, and the
-lane-sliced batch step decodes them into per-gate references.
+word-aligned opcode runs — and lists, per gate, the (plane, bit) slots
+it reads: its operand rails, inversions folded in, and the activity of
+its inputs (:meth:`NetlistProgram.gate_reads`).  The native kernels
+(:mod:`repro.sim.native`) turn these into one lane-sliced gate schedule
+that both the single-machine settle and the batch step run.
 
-Bit position 0 is a reserved constant-zero bit (P=0, N=1, A=0 always);
-all padding slots point at it so the pad bits of every run settle to a
-deterministic known 0 and never contribute activity.
+Bit position 0 holds no net, and neither does the tail of a run's last
+word: these pads pack as a known 0 (P=0, N=1, A=0) and unpack to
+nothing.  No gate reads a pad and no settle writes one, so they stay a
+known 0 in every settled state.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,13 +48,11 @@ from repro.netlist.core import Netlist
 P_PLANE, N_PLANE, A_PLANE = 0, 1, 2
 
 #: opcode-run classes, in their fixed within-level layout order.  ``copy``
-#: moves one gathered rail pair straight to the output rails (BUF/NOT:
-#: the inversion folds into which rails the two slots read); ``and``
+#: moves one rail pair straight to the output rails (BUF/NOT: the
+#: inversion folds into which rails the two slots read); ``and``
 #: computes ``p = pa & pb, n = na | nb``; ``and_swap`` the same with the
 #: result rails exchanged (the free output inversion); ``xor``/``xor_swap``
 #: the Kleene XOR and its complement; ``mux`` the optimistic-X 2:1 mux.
-#: ``mux`` must stay last: the activity sweep addresses the select-line
-#: block by the level tail.
 RUN_ORDER = ("copy", "and", "and_swap", "xor", "xor_swap", "mux")
 
 #: gate kind -> (run class, invert input rails?)
@@ -81,37 +79,11 @@ def _pad64(bits: int) -> int:
 
 @dataclass
 class Run:
-    """One word-aligned opcode run inside a level."""
+    """One word-aligned opcode run: gates of one level and class."""
 
     cls: str
-    n_gates: int
-    #: word offset of the run's outputs inside the level's result block
-    res_word: int
-    words: int
-    #: word offsets of the run's input blocks inside the level scratch
-    #: (``and*``/``xor*``: PA, NA, PB, NB; ``mux``: SN, SP, PA, PB, NA, NB)
-    slot_words: tuple[int, ...] = ()
-
-
-@dataclass
-class LevelPlan:
-    """Everything the executor needs for one level of the schedule."""
-
-    #: output word range [word0, word0 + words) in each plane
-    word0: int
-    words: int
-    runs: list[Run] = field(default_factory=list)
-    #: fused gather table: byte index into the raw (3 * n_words * 8)-byte
-    #: state row + the bit to test, one entry per scratch slot
-    gather_bytes: np.ndarray | None = None
-    gather_masks: np.ndarray | None = None
-    scratch_words: int = 0
-    #: word offsets of the two activity-input blocks (each ``words`` wide)
-    act0_word: int = 0
-    act1_word: int = 0
-    #: mux third-input activity block (``mux_words`` wide) or None
-    act2_word: int | None = None
-    mux_words: int = 0
+    #: its gates (netlist indices), in bit order
+    gates: list[int]
 
 
 class BitOrder:
@@ -250,7 +222,7 @@ class NetlistProgram(BitOrder):
         # A(src) already contains changed(src), so the recurrence telescopes
         # to A(root)).  Every *read* of a chain element — gate inputs, mux
         # selects, DFF D pins, activity slots — therefore retargets at the
-        # root with a parity-selected rail, shortening the gather's
+        # root with a parity-selected rail, shortening the schedule's
         # dependency chains; the elements themselves still settle (traces
         # expose every net) but shrink to two-slot ``copy`` runs.
         # ------------------------------------------------------------------
@@ -264,12 +236,10 @@ class NetlistProgram(BitOrder):
         # pad] then per level one word-aligned block per opcode run.
         # ------------------------------------------------------------------
         pos_of = np.full(self.n_nets, -1, dtype=np.int64)
-        cursor = 1  # bit 0 is the reserved constant-zero bit
-        self.input_positions: list[int] = []
+        cursor = 1  # bit 0 holds no net
         for gate in netlist.gates:
             if gate.kind == "INPUT":
                 pos_of[gate.index] = cursor
-                self.input_positions.append(cursor)
                 cursor += 1
         const0 = [g.index for g in netlist.gates if g.kind == "CONST0"]
         const1 = [g.index for g in netlist.gates if g.kind == "CONST1"]
@@ -292,58 +262,28 @@ class NetlistProgram(BitOrder):
             cursor += 1
         cursor = _pad64(cursor)
         self.dff_words = cursor // 64 - self.dff_word0
-        self.src_words = cursor // 64
 
-        #: per-level run membership, gates in netlist-index order
-        level_runs: list[dict[str, list[int]]] = []
+        #: the opcode runs in settle order: per level, one per class in
+        #: RUN_ORDER, gates in netlist-index order
+        self.runs: list[Run] = []
         for level_gates in levels:
             by_cls: dict[str, list[int]] = {}
             for index in sorted(level_gates):
                 cls, _inv = KIND_CLASS[netlist.gates[index].kind]
                 by_cls.setdefault(cls, []).append(index)
-            level_runs.append(by_cls)
-
-        self.levels: list[LevelPlan] = []
-        for by_cls in level_runs:
-            word0 = cursor // 64
-            plan = LevelPlan(word0=word0, words=0)
             for cls in RUN_ORDER:
                 gates = by_cls.get(cls)
-                if not gates:
-                    continue
-                run = Run(
-                    cls=cls,
-                    n_gates=len(gates),
-                    res_word=cursor // 64 - word0,
-                    words=_pad64(len(gates)) // 64,
-                )
-                for slot, index in enumerate(gates):
-                    pos_of[index] = cursor + slot
-                cursor += run.words * 64
-                plan.runs.append(run)
-                if cls == "mux":
-                    plan.mux_words = run.words
-            plan.words = cursor // 64 - word0
-            self.levels.append(plan)
+                if gates:
+                    self.runs.append(Run(cls, gates))
+                    pos_of[gates] = cursor + np.arange(len(gates))
+                    cursor += _pad64(len(gates))
 
         assert (pos_of >= 0).all(), "every net must receive a bit position"
         self._place(pos_of, cursor)
 
-        #: INPUT-positions mask over the source words (the paper's
-        #: "external inputs are active whenever X" rule)
-        in_bits = np.zeros(self.src_words * 64, dtype=np.uint8)
-        in_bits[self.input_positions] = 1
-        self.input_mask = np.packbits(in_bits, bitorder="little").view(np.uint64)
-
         # ------------------------------------------------------------------
-        # Per-level fused gather tables
-        # ------------------------------------------------------------------
-        for plan, by_cls in zip(self.levels, level_runs):
-            self._build_level_gather(plan, by_cls)
-
-        # ------------------------------------------------------------------
-        # DFF schedule: next-value gather (P and N of every D input) and
-        # previous-activity gather (A of every D input), plus reset words.
+        # DFF schedule: next-value gather (P and N of every D input) plus
+        # reset words.
         # ------------------------------------------------------------------
         self.dff_out = np.array(dffs, dtype=np.int64)
         self.dff_d = np.array(
@@ -355,24 +295,20 @@ class NetlistProgram(BitOrder):
         self.dff_bit_of = {
             int(net): pos for pos, net in enumerate(self.dff_out)
         }
-        # Both DFF gathers read the *raw* D net, not its chain root: they
-        # run against caller-supplied planes (next_dff_planes accepts any
-        # packed state; the stored A plane may be any vector), so the
-        # settled-chain identities that license retargeting within one
-        # settle do not apply to them.
-        d_slots: list[tuple[int, int]] = []  # (plane, bit position)
-        for rail in (P_PLANE, N_PLANE):
-            for j in range(self.dff_words * 64):
-                if j < len(dffs):
-                    d_slots.append((rail, pos_of[self.dff_d[j]]))
-                else:  # pad: P(zero)=0, N(zero)=1 -> pad DFFs settle to 0
-                    d_slots.append((rail, 0))
-        self.dff_gather_bytes, self.dff_gather_masks = self._slot_table(d_slots)
-        a_slots = [
-            (A_PLANE, pos_of[self.dff_d[j]] if j < len(dffs) else 0)
-            for j in range(self.dff_words * 64)
-        ]
-        self.dff_act_bytes, self.dff_act_masks = self._slot_table(a_slots)
+        # The DFF gather reads the *raw* D net, not its chain root: it runs
+        # against caller-supplied planes (next_dff_planes accepts any
+        # packed state), so the settled-chain identities that license
+        # retargeting within one settle do not apply to it.
+        # Pad DFFs read bit 0, a known 0 (P=0, N=1), so they load 0.
+        d_pos = np.zeros(self.dff_words * 64, dtype=np.int64)
+        d_pos[: len(dffs)] = pos_of[self.dff_d]
+        plane_bytes = self.n_words * 8
+        self.dff_gather_bytes = np.concatenate(
+            [rail * plane_bytes + (d_pos >> 3) for rail in (P_PLANE, N_PLANE)]
+        ).astype(np.intp)
+        self.dff_gather_masks = np.tile(
+            (1 << (d_pos & 7)).astype(np.uint8), 2
+        )
 
         reset_bits = np.zeros((2, self.dff_words * 64), dtype=np.uint8)
         reset_bits[P_PLANE, : len(dffs)] = self.dff_reset
@@ -388,27 +324,6 @@ class NetlistProgram(BitOrder):
         )
         self.const0_nets = np.array(const0, dtype=np.int64)
         self.const1_nets = np.array(const1, dtype=np.int64)
-
-        self.max_scratch_words = max(
-            (plan.scratch_words for plan in self.levels), default=0
-        )
-
-    # ------------------------------------------------------------------
-    # Gather-table construction
-    # ------------------------------------------------------------------
-    def _slot_table(
-        self, slots: list[tuple[int, int]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(byte index, bit mask) arrays for (plane, bit position) slots."""
-        plane_bytes = self.n_words * 8
-        bytes_ = np.array(
-            [plane * plane_bytes + (pos >> 3) for plane, pos in slots],
-            dtype=np.intp,
-        )
-        masks = np.array(
-            [1 << (pos & 7) for _plane, pos in slots], dtype=np.uint8
-        )
-        return bytes_, masks
 
     def _resolve_chain(self, net: int) -> tuple[int, int]:
         """(chain root net, rail parity) for *net*, memoized.
@@ -440,28 +355,32 @@ class NetlistProgram(BitOrder):
             return N_PLANE, P_PLANE, int(self.pos_of[root])
         return P_PLANE, N_PLANE, int(self.pos_of[root])
 
-    def _gate_eval_slots(self, index: int) -> list[tuple[int, int]]:
-        """Input slot sources for one gate, rail folding applied.
+    def gate_reads(self, index: int) -> list[tuple[int, int]]:
+        """The (plane, bit position) slots one gate reads, rail folding
+        and chain collapse applied.
 
-        Returns (plane, bit) pairs in the run's block order: SRC_P,
-        SRC_N for ``copy``, PA, NA, PB, NB for the two-input classes,
-        SP, SN, PA, NA, PB, NB for muxes.  The PA/NA names refer to the
-        *operand rails the run's formula reads*; an inverting kind (or
-        an odd chain parity on the way to the operand's root) simply
-        wires them to the other rail.
+        First its operand rails, in the order the batch step's formula
+        for the run class reads them: SRC_P, SRC_N for ``copy``; PA, NA,
+        PB, NB for the two-input classes; SN, SP, PA, PB, NA, NB for
+        muxes.  The PA/NA names refer to the *operand rails the formula
+        reads*; an inverting kind (or an odd chain parity on the way to
+        the operand's root) simply wires them to the other rail.  Then
+        the A slot of each input's chain root, in input order (a chain
+        element's activity equals its root's).
         """
         gate = self.netlist.gates[index]
         _cls, invert_inputs = KIND_CLASS[gate.kind]
         ins = gate.inputs
+        activity = [
+            (A_PLANE, int(self.pos_of[self.chain_of.get(net, (net, 0))[0]]))
+            for net in ins
+        ]
         if gate.kind in _CHAIN_KINDS:
             sp, sn, pos = self._read_rails(ins[0])
             if invert_inputs:  # NOT: output = rail swap of the source
                 sp, sn = sn, sp
-            return [(sp, pos), (sn, pos)]
+            return [(sp, pos), (sn, pos)] + activity
         if gate.kind == "MUX":
-            # Block order SN, SP, PA, PB, NA, NB: the order the native
-            # kernels' per-class product table (``native._PRODUCTS``)
-            # reads them in.
             sel, a, b = ins
             sp, sn, s = self._read_rails(sel)
             pa_r, na_r, pa = self._read_rails(a)
@@ -470,7 +389,7 @@ class NetlistProgram(BitOrder):
                 (sn, s), (sp, s),
                 (pa_r, pa), (pb_r, pb),
                 (na_r, pa), (nb_r, pb),
-            ]
+            ] + activity
         a, b = ins
         pa_r, na_r, pa = self._read_rails(a)
         pb_r, nb_r, pb = self._read_rails(b)
@@ -480,78 +399,4 @@ class NetlistProgram(BitOrder):
         return [
             (pa_r, pa), (na_r, pa),
             (pb_r, pb), (nb_r, pb),
-        ]
-
-    #: pad slot sources per class, chosen so a pad output settles to a
-    #: known 0 under the class's formula.  (P, 0) reads the zero bit's P
-    #: rail (constant 0); (N, 0) reads its N rail (constant 1):
-    #:
-    #:   and:      p = 0 & 0 = 0, n = 1 | 1 = 1
-    #:   and_swap: p = NA|NB = 0|0 = 0, n = PA&PB = 1&1 = 1
-    #:   xor:      PA=1, NA=0, PB=1, NB=0 -> p = (1&0)|(0&1) = 0,
-    #:             n = (1&1)|(0&0) = 1
-    #:   xor_swap: PA=1, NA=0, PB=0, NB=1 -> p = (PA&PB)|(NA&NB) = 0,
-    #:             n = (PA&NB)|(NA&PB) = 1
-    #:   mux:      SN=1, SP=0, PA=0, NA=1 -> p = (1&0)|(0&PB) = 0,
-    #:             n = (1&1)|(0&NB) = 1
-    #:   copy:     p = P(zero) = 0, n = N(zero) = 1
-    _PAD_SLOTS = {
-        "copy": [(P_PLANE, 0), (N_PLANE, 0)],
-        "and": [(P_PLANE, 0), (N_PLANE, 0), (P_PLANE, 0), (N_PLANE, 0)],
-        "and_swap": [(N_PLANE, 0), (P_PLANE, 0), (N_PLANE, 0), (P_PLANE, 0)],
-        "xor": [(N_PLANE, 0), (P_PLANE, 0), (N_PLANE, 0), (P_PLANE, 0)],
-        "xor_swap": [(N_PLANE, 0), (P_PLANE, 0), (P_PLANE, 0), (N_PLANE, 0)],
-        "mux": [  # SN, SP, PA, PB, NA, NB
-            (N_PLANE, 0), (P_PLANE, 0),
-            (P_PLANE, 0), (P_PLANE, 0),
-            (N_PLANE, 0), (N_PLANE, 0),
-        ],
-    }
-
-    def _build_level_gather(self, plan: LevelPlan, by_cls: dict) -> None:
-        slots: list[tuple[int, int]] = []
-        for run in plan.runs:
-            gates = by_cls[run.cls]
-            arity_blocks = {"mux": 6, "copy": 2}.get(run.cls, 4)
-            per_gate = [self._gate_eval_slots(i) for i in gates]
-            pad = self._PAD_SLOTS[run.cls]
-            offsets = []
-            for block in range(arity_blocks):
-                offsets.append(len(slots) // 64)
-                for j in range(run.words * 64):
-                    slots.append(
-                        per_gate[j][block] if j < run.n_gates else pad[block]
-                    )
-            run.slot_words = tuple(offsets)
-
-        # Activity blocks: for every output bit of the level (run layout
-        # order), the A bit of its first and second input; muxes add a
-        # third block for the select line.  Pads read A(zero) = 0.
-        out_gates: list[int | None] = []
-        for run in plan.runs:
-            gates = by_cls[run.cls]
-            out_gates.extend(gates)
-            out_gates.extend([None] * (run.words * 64 - run.n_gates))
-        mux_gates = by_cls.get("mux", [])
-
-        def act_slot(index: int | None, input_pos: int) -> tuple[int, int]:
-            if index is None:
-                return (A_PLANE, 0)
-            inputs = self.netlist.gates[index].inputs
-            net = inputs[min(input_pos, len(inputs) - 1)]
-            root, _parity = self.chain_of.get(net, (net, 0))
-            return (A_PLANE, self.pos_of[root])
-
-        plan.act0_word = len(slots) // 64
-        slots.extend(act_slot(i, 0) for i in out_gates)
-        plan.act1_word = len(slots) // 64
-        slots.extend(act_slot(i, 1) for i in out_gates)
-        if mux_gates:
-            plan.act2_word = len(slots) // 64
-            mux_padded = plan.mux_words * 64
-            slots.extend(
-                act_slot(mux_gates[j] if j < len(mux_gates) else None, 2)
-                for j in range(mux_padded)
-            )
-        plan.gather_bytes, plan.gather_masks = self._slot_table(slots)
-        plan.scratch_words = len(slots) // 64
+        ] + activity

@@ -4,15 +4,17 @@
 as a ``(..., 3, n_words)`` uint64 array: the dual-rail ``P``/``N`` value
 planes plus the ``A`` activity plane, in the packed bit order of a
 :class:`~repro.netlist.program.NetlistProgram` (see that module for the
-encoding and the compiled schedule).  It owns everything about the
-format that is not the settle: fresh all-X planes, packing from and
-unpacking to the reference engine's uint8 rows, DFF clocking, forcing one
-net, and the memo fingerprint (:meth:`~BitplaneEvaluator.state_bytes`).
+encoding and the bit order).  It owns everything about the format that
+is not the settle: fresh all-X planes, packing from and unpacking to the
+reference engine's uint8 rows, DFF clocking, forcing one net, and the
+memo fingerprint (:meth:`~BitplaneEvaluator.state_bytes`).  Pads pack as
+a known 0 and no settle writes them.
 
 The settle itself — the combinational sweep and the paper's
-activity-marking rule in one pass — is the native kernel's:
-:class:`~repro.sim.native.NativeEvaluator` subclasses this class and adds
-``stash_prev``/``settle_and_mark``.  Without a C compiler the
+activity-marking rule in one pass — is the native kernel's one gate
+schedule: :class:`~repro.sim.native.NativeEvaluator` subclasses this
+class and adds ``stash_prev``/``settle_and_mark``, which slice rows into
+the lanes the batch step runs on and back.  Without a C compiler the
 ``native`` engine falls back to the uint8
 :class:`~repro.sim.evaluator.LevelizedEvaluator`, the oracle, so the
 format then goes unused.

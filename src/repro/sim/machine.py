@@ -434,8 +434,8 @@ class Machine:
         Covers everything that determines future behaviour: flip-flop
         values, the registered memory-read word, the pending memory
         request, and the full memory contents.  *key_source* is the
-        machine's evaluator (either engine) or, for backward
-        compatibility, a bare ``dff_out`` index array; the packed engine
+        machine's evaluator (either engine): the reference engine's
+        values are read at its ``dff_out`` nets, and the packed engine
         fingerprints its DFF plane words directly — a bijective encoding
         of the same flip-flop values, so the induced state-equivalence
         relation (and therefore the execution tree) is identical.
@@ -445,8 +445,7 @@ class Machine:
         if values.dtype == np.uint64:
             h.update(key_source.state_bytes(values))
         else:
-            dff_out = getattr(key_source, "dff_out", key_source)
-            h.update(values[dff_out].tobytes())
+            h.update(values[key_source.dff_out].tobytes())
         h.update(int(snap["dout_value"]).to_bytes(2, "little"))
         h.update(int(snap["dout_xmask"]).to_bytes(2, "little"))
         request = snap["request"]

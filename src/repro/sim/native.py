@@ -1,32 +1,36 @@
-"""Native kernels: the row-layout settle, the lane-sliced batch step and
-the transition-energy pricer.
+"""Native kernels: the lane-sliced gate schedule (a settle and a batch
+step) and the transition-energy pricer.
 
 The packed engine's per-cycle work lives in :data:`SOURCE`, one fixed C
 translation unit with three entry points, called through ctypes (which
 releases the GIL for the call):
 
-    void repro_settle(const struct program *p, uint64_t *state,
-                      const uint64_t *prev, long rows);
+    void repro_settle(const struct lanes *p, uint64_t *state,
+                      const uint64_t *prev, long rows, uint64_t *scratch);
     void repro_step(const struct lanes *p, struct batch *b, long live,
                     long n_force);
     void repro_price(const struct pricing *t, const uint64_t *prev,
                      const uint64_t *cur, const long *strides, long rows,
                      int64_t *out);
 
-``repro_settle`` walks the tables a
-:class:`~repro.netlist.program.NetlistProgram` compiles (the per-level
-gathers, the opcode runs, the activity blocks, the source-block rule and
-the DFF activity gather) over C-contiguous ``(rows, 3, n_words)`` planes
-in place, ``prev`` holding the stashed previous-cycle planes of the
-activity rule.  Its cost grows with the rows; a single
-:class:`~repro.sim.machine.Machine` (reset, concrete runs) uses it.
+Both simulation entries run one gate schedule (:class:`LaneTables`) on
+lane-sliced state — one ``u64`` per net and rail, one bit per row — so
+the 5,641 gates of the ULP430 cost the same for 1 row as for 64.  A
+source-activity pass and one pass per (level, class) gate run compute
+the values and the paper's activity rule together.
+
+``repro_settle`` settles C-contiguous ``(rows, 3, n_words)`` planes in
+place, ``prev`` holding their stashed previous-cycle planes.  Per group
+of up to 64 rows it slices in the previous values, the previous
+activity of the DFFs' D nets and the current source values, runs the two
+passes and writes every real net of the rows back; pads are never
+written.  A single :class:`~repro.sim.machine.Machine` (reset, concrete
+runs) uses it.
 
 ``repro_step`` advances a whole :class:`~repro.sim.batch.BatchMachine`
-one cycle in one call.  It keeps the batch lane-sliced — one ``u64`` per
-net and rail, one bit per lane (:class:`LaneTables`) — so the 5,641
-gates of the ULP430 cost the same for 1 lane as for 64.  Per lane it
-loads the DFFs (one-shot forces included), forces ``dout`` and the
-forced inputs, settles, marks activity, writes the changed bytes of the
+one cycle in one call, keeping the batch lane-sliced between steps.  Per
+lane it loads the DFFs (one-shot forces included), forces ``dout`` and
+the forced inputs, runs the two passes, writes the changed bytes of the
 live rows back and returns the memory request and every registered probe
 bus (:class:`BatchKernel`).  It is the only packed batch step: a batch
 whose ports it cannot drive is refused with a :class:`NativeKernelError`
@@ -76,80 +80,175 @@ from repro.netlist.program import RUN_ORDER, NetlistProgram
 from repro.sim.bitplane import BitplaneEvaluator, default_engine
 from repro.sim.evaluator import LevelizedEvaluator
 
-#: the kernels.  In the settle, a gather word is the OR of single bits of
-#: a source row (``code`` = source bit << 6 | destination bit) plus the
-#: reads of the reserved zero bit, which are most of them (every pad slot)
-#: and come from its three rails through the ``zero`` masks.
+#: the kernels
 SOURCE = r"""
 #include <stdint.h>
 typedef uint64_t u64;
 typedef int32_t i32;
+/* -Og inlines nothing by itself */
+#define INLINE static inline __attribute__((always_inline))
 
-struct program {
-    i32 nw, sw, dff0, dffw, nlev, scratch, dff_gather;
-    const u64 *input_mask;  /* sw words */
-    const i32 *lev;         /* word0 words gather0 gathers run0 run1 act0 act1 act2 muxw */
-    const i32 *run;         /* res_word words p-slots[4] n-slots[4] */
-    const i32 *start;       /* gather word g: code[start[g] .. start[g+1]) */
-    const i32 *code;
-    const u64 *zero;        /* gather word g: zero-bit masks of the P, N, A rails */
-};
-
-static void gather(u64 *S, const u64 *src, const struct program *p, i32 g0, i32 n)
-{
-    u64 zp = -(src[0] & 1), zn = -(src[p->nw] & 1), za = -(src[2 * p->nw] & 1);
-    for (i32 g = g0; g < g0 + n; ++g) {
-        const u64 *z = p->zero + 3 * g;
-        u64 acc = (zp & z[0]) | (zn & z[1]) | (za & z[2]);
-        for (i32 t = p->start[g]; t < p->start[g + 1]; ++t) {
-            i32 c = p->code[t];
-            acc |= ((src[c >> 12] >> ((c >> 6) & 63)) & 1) << (c & 63);
-        }
-        S[g - g0] = acc;
-    }
-}
-
-void repro_settle(const struct program *p, u64 *state, const u64 *prev, long rows)
-{
-    const i32 nw = p->nw;
-    u64 S[p->scratch];
-    for (long r = 0; r < rows; ++r, state += 3 * nw, prev += 3 * nw) {
-        u64 *P = state, *N = state + nw, *A = state + 2 * nw;
-        const u64 *pP = prev, *pN = prev + nw;
-        for (i32 k = 0; k < p->sw; ++k)
-            A[k] = (P[k] ^ pP[k]) | (N[k] ^ pN[k]) | (P[k] & N[k] & p->input_mask[k]);
-        gather(S, prev, p, p->dff_gather, p->dffw);
-        for (i32 k = 0, d = p->dff0; k < p->dffw; ++k, ++d)
-            A[d] |= P[d] & N[d] & S[k];
-        for (const i32 *L = p->lev; L < p->lev + 10 * p->nlev; L += 10) {
-            gather(S, state, p, L[2], L[3]);
-            /* every run class: p = (x0 & x1) | (x2 & x3), n = (y0 & y1) | (y2 & y3) */
-            for (const i32 *R = p->run + 10 * L[4]; R < p->run + 10 * L[5]; R += 10) {
-                for (i32 k = 0, w = L[0] + R[0]; k < R[1]; ++k, ++w) {
-                    P[w] = (S[R[2] + k] & S[R[3] + k]) | (S[R[4] + k] & S[R[5] + k]);
-                    N[w] = (S[R[6] + k] & S[R[7] + k]) | (S[R[8] + k] & S[R[9] + k]);
-                }
-            }
-            /* A = changed | (is_x & (act0 | act1 [| act2 on the mux tail])) */
-            const i32 w0 = L[0], plain = L[1] - L[9];
-            for (i32 k = 0; k < L[1]; ++k) {
-                u64 pv = P[w0 + k], nv = N[w0 + k];
-                u64 act = S[L[6] + k] | S[L[7] + k] | (k < plain ? 0 : S[L[8] + k - plain]);
-                A[w0 + k] = (pv ^ pP[w0 + k]) | (nv ^ pN[w0 + k]) | (pv & nv & act);
-            }
-        }
-    }
-}
-
-/* ---- the batch step: lane-sliced state, one u64 per slot and rail ---- */
+/* the gate schedule on lane-sliced state: one u64 per slot and rail */
 struct lanes {
-    i32 nw, n_chunks, in0, n_in, n_const, dff0, n_dff, n_runs;
-    const i32 *chunk;   /* row byte of slots [8q, 8q + 8) */
-    const i32 *dff_d;   /* slot of DFF k's D net */
-    const i32 *run;     /* class first-slot gates first-ref */
-    const i32 *ref;     /* per gate: value rails, then activity (rail * slots + slot) */
+    i32 nw, n_chunks, n_src, in0, n_in, n_const, dff0, n_dff, n_runs;
+    const i32 *chunk;           /* row byte of slots [8q, 8q + 8) */
+    const unsigned char *real;  /* per chunk: the bits that hold a net */
+    const i32 *dff_d;           /* slot of DFF k's D net */
+    const i32 *run;             /* class first-slot gates first-ref */
+    const i32 *ref;             /* per gate: value rails, then activity (rail * slots + slot) */
 };
 
+/* 8x8 bit transpose: bit i of byte k <-> bit k of byte i */
+INLINE u64 t8(u64 x)
+{
+    u64 t;
+    t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL; x ^= t ^ (t << 7);
+    t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL; x ^= t ^ (t << 14);
+    t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL; x ^= t ^ (t << 28);
+    return x;
+}
+
+/* source activity: changed, or X on an input, or X on a DFF whose D was
+   active.  T is this cycle, S the last one */
+static void source_activity(const struct lanes *p, u64 *T, const u64 *S)
+{
+    const long ns = 8L * p->n_chunks;
+    for (i32 j = p->in0; j < p->in0 + p->n_in + p->n_const; ++j) {
+        const u64 pv = T[j], nv = T[ns + j];
+        T[2 * ns + j] = (pv ^ S[j]) | (nv ^ S[ns + j]) | (j < p->in0 + p->n_in ? pv & nv : 0);
+    }
+    for (i32 k = 0, j = p->dff0; k < p->n_dff; ++k, ++j) {
+        const u64 pv = T[j], nv = T[ns + j];
+        T[2 * ns + j] = (pv ^ S[j]) | (nv ^ S[ns + j]) | (pv & nv & S[2 * ns + p->dff_d[k]]);
+    }
+}
+
+/* gates, one run per (level, class): values and A in one pass */
+static void settle_gates(const struct lanes *p, u64 *T, const u64 *S)
+{
+    const long ns = 8L * p->n_chunks;
+    for (const i32 *R = p->run; R < p->run + 4 * p->n_runs; R += 4) {
+        const i32 *f = p->ref + R[3];
+        u64 *o = T + R[1];
+        const u64 *q = S + R[1];
+        for (i32 k = 0; k < R[2]; ++k) {
+            u64 pv, nv, act;
+            switch (R[0]) {
+            case 0: /* copy: P, N */
+                pv = T[f[0]], nv = T[f[1]], act = T[f[2]], f += 3;
+                break;
+            case 1: /* and: PA NA PB NB */
+                pv = T[f[0]] & T[f[2]], nv = T[f[1]] | T[f[3]];
+                act = T[f[4]] | T[f[5]], f += 6;
+                break;
+            case 2: /* and_swap */
+                pv = T[f[1]] | T[f[3]], nv = T[f[0]] & T[f[2]];
+                act = T[f[4]] | T[f[5]], f += 6;
+                break;
+            case 3: /* xor */
+                pv = (T[f[0]] & T[f[3]]) | (T[f[1]] & T[f[2]]);
+                nv = (T[f[0]] & T[f[2]]) | (T[f[1]] & T[f[3]]);
+                act = T[f[4]] | T[f[5]], f += 6;
+                break;
+            case 4: /* xor_swap */
+                pv = (T[f[0]] & T[f[2]]) | (T[f[1]] & T[f[3]]);
+                nv = (T[f[0]] & T[f[3]]) | (T[f[1]] & T[f[2]]);
+                act = T[f[4]] | T[f[5]], f += 6;
+                break;
+            default: /* mux: SN SP PA PB NA NB */
+                pv = (T[f[0]] & T[f[2]]) | (T[f[1]] & T[f[3]]);
+                nv = (T[f[0]] & T[f[4]]) | (T[f[1]] & T[f[5]]);
+                act = T[f[6]] | T[f[7]] | T[f[8]], f += 9;
+            }
+            o[k] = pv;
+            o[ns + k] = nv;
+            o[2 * ns + k] = (pv ^ q[k]) | (nv ^ q[ns + k]) | (pv & nv & act);
+        }
+    }
+}
+
+/* the 8 row bytes of one chunk for lanes [sh, sh + 8) of its 8 slot words */
+INLINE u64 chunk_rows(const u64 *l, i32 sh)
+{
+    return t8((((l[0] >> sh) & 0xFF) | (((l[1] >> sh) & 0xFF) << 8))
+        | ((((l[2] >> sh) & 0xFF) << 16) | (((l[3] >> sh) & 0xFF) << 24))
+        | ((((l[4] >> sh) & 0xFF) << 32) | (((l[5] >> sh) & 0xFF) << 40))
+        | ((((l[6] >> sh) & 0xFF) << 48) | (((l[7] >> sh) & 0xFF) << 56)));
+}
+
+/* ---- the settle: rows in, lanes, rows out ---- */
+
+/* the first c1 chunks of one rail of n <= 64 rows (row bytes apart) -> lane words */
+static void slice(u64 *L, const unsigned char *rows, long row, long n,
+                  const struct lanes *p, i32 c1)
+{
+    for (i32 c = 0; c < c1; ++c) {
+        u64 *l = L + 8 * c;
+        l[0] = l[1] = l[2] = l[3] = l[4] = l[5] = l[6] = l[7] = 0;
+        for (long g8 = 0; 8 * g8 < n; ++g8) {
+            const unsigned char *src = rows + 8 * g8 * row + p->chunk[c];
+            const i32 sh = 8 * g8;
+            u64 x = 0;
+            for (long i = 0; i < 8 && 8 * g8 + i < n; ++i)
+                x |= (u64)src[i * row] << (8 * i);
+            x = t8(x);
+            l[0] |= (x & 0xFF) << sh, l[1] |= ((x >> 8) & 0xFF) << sh;
+            l[2] |= ((x >> 16) & 0xFF) << sh, l[3] |= ((x >> 24) & 0xFF) << sh;
+            l[4] |= ((x >> 32) & 0xFF) << sh, l[5] |= ((x >> 40) & 0xFF) << sh;
+            l[6] |= ((x >> 48) & 0xFF) << sh, l[7] |= (x >> 56) << sh;
+        }
+    }
+}
+
+/* lane words -> the real bits of chunks [c0, c1) of one rail of n rows */
+static void unslice(unsigned char *rows, const u64 *L, long row, long n,
+                    const struct lanes *p, i32 c0, i32 c1)
+{
+    for (i32 c = c0; c < c1; ++c) {
+        const unsigned char real = p->real[c];
+        for (long g8 = 0; 8 * g8 < n; ++g8) {
+            const u64 x = chunk_rows(L + 8 * c, 8 * g8);
+            unsigned char *dst = rows + 8 * g8 * row + p->chunk[c];
+            for (long i = 0; i < 8 && 8 * g8 + i < n; ++i)
+                dst[i * row] = (dst[i * row] & ~real) | ((x >> (8 * i)) & real);
+        }
+    }
+}
+
+/* settle (rows, 3, nw) planes in place; prev holds their previous-cycle
+   planes, W scratch for two lane-sliced states (6 * 8 * n_chunks words) */
+void repro_settle(const struct lanes *p, u64 *state, const u64 *prev, long rows, u64 *W)
+{
+    const long ns = 8L * p->n_chunks, row = 24L * p->nw;
+    u64 *S = W, *T = W + 3 * ns;    /* last cycle, this cycle */
+    for (long r0 = 0; r0 < rows; r0 += 64) {
+        const long n = rows - r0 < 64 ? rows - r0 : 64;
+        const unsigned char *old = (const unsigned char *)prev + r0 * row;
+        unsigned char *cur = (unsigned char *)state + r0 * row;
+        /* last cycle's values, this cycle's sources */
+        for (i32 rail = 0; rail < 2; ++rail) {
+            slice(S + rail * ns, old + 8 * rail * p->nw, row, n, p, p->n_chunks);
+            slice(T + rail * ns, cur + 8 * rail * p->nw, row, n, p, p->n_src);
+        }
+        /* last cycle's activity where the DFF rule reads it: the D nets */
+        for (i32 k = 0; k < p->n_dff; ++k) {
+            const i32 d = p->dff_d[k];
+            const unsigned char *a = old + 16 * p->nw + p->chunk[d >> 3];
+            u64 lanes = 0;
+            for (long r = 0; r < n; ++r)
+                lanes |= (u64)((a[r * row] >> (d & 7)) & 1) << r;
+            S[2 * ns + d] = lanes;
+        }
+        source_activity(p, T, S);
+        settle_gates(p, T, S);
+        /* the gates' values, and all activity */
+        for (i32 rail = 0; rail < 3; ++rail)
+            unslice(cur + 8 * rail * p->nw, T + rail * ns, row, n, p,
+                    rail < 2 ? p->n_src : 0, p->n_chunks);
+    }
+}
+
+/* ---- the batch step: the batch stays lane-sliced between steps ---- */
 struct batch {
     u64 *state;             /* per 64-lane group: 2 buffers of 3 rails x slots */
     u64 *dirty;             /* per group: lanes whose rows Python rewrote */
@@ -161,16 +260,6 @@ struct batch {
     u64 *probe;             /* per lane and bus: value, xmask */
     i32 n_dout, n_bus, cur;
 };
-
-/* 8x8 bit transpose: bit i of byte k <-> bit k of byte i */
-static u64 t8(u64 x)
-{
-    u64 t;
-    t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL; x ^= t ^ (t << 7);
-    t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL; x ^= t ^ (t << 14);
-    t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL; x ^= t ^ (t << 28);
-    return x;
-}
 
 /* advance the first `live` rows of the batch one cycle */
 void repro_step(const struct lanes *p, struct batch *b, long live, long n_force)
@@ -235,54 +324,8 @@ void repro_step(const struct lanes *p, struct batch *b, long live, long n_force)
                     t[ns] = (t[ns] & ~(1ULL << r)) | (((nv >> i) & 1) << r);
                 }
         }
-        /* source activity: changed, or X on an input, or X on a DFF whose D was active */
-        for (i32 j = p->in0; j < p->in0 + p->n_in + p->n_const; ++j) {
-            const u64 pv = T[j], nv = T[ns + j];
-            T[2 * ns + j] = (pv ^ S[j]) | (nv ^ S[ns + j]) | (j < p->in0 + p->n_in ? pv & nv : 0);
-        }
-        for (i32 k = 0, j = p->dff0; k < p->n_dff; ++k, ++j) {
-            const u64 pv = T[j], nv = T[ns + j];
-            T[2 * ns + j] = (pv ^ S[j]) | (nv ^ S[ns + j]) | (pv & nv & S[2 * ns + p->dff_d[k]]);
-        }
-        /* gates, one run per (level, class): values and A in one pass */
-        for (const i32 *R = p->run; R < p->run + 4 * p->n_runs; R += 4) {
-            const i32 *f = p->ref + R[3];
-            u64 *o = T + R[1];
-            const u64 *q = S + R[1];
-            for (i32 k = 0; k < R[2]; ++k) {
-                u64 pv, nv, act;
-                switch (R[0]) {
-                case 0: /* copy: P, N */
-                    pv = T[f[0]], nv = T[f[1]], act = T[f[2]], f += 3;
-                    break;
-                case 1: /* and: PA NA PB NB */
-                    pv = T[f[0]] & T[f[2]], nv = T[f[1]] | T[f[3]];
-                    act = T[f[4]] | T[f[5]], f += 6;
-                    break;
-                case 2: /* and_swap */
-                    pv = T[f[1]] | T[f[3]], nv = T[f[0]] & T[f[2]];
-                    act = T[f[4]] | T[f[5]], f += 6;
-                    break;
-                case 3: /* xor */
-                    pv = (T[f[0]] & T[f[3]]) | (T[f[1]] & T[f[2]]);
-                    nv = (T[f[0]] & T[f[2]]) | (T[f[1]] & T[f[3]]);
-                    act = T[f[4]] | T[f[5]], f += 6;
-                    break;
-                case 4: /* xor_swap */
-                    pv = (T[f[0]] & T[f[2]]) | (T[f[1]] & T[f[3]]);
-                    nv = (T[f[0]] & T[f[3]]) | (T[f[1]] & T[f[2]]);
-                    act = T[f[4]] | T[f[5]], f += 6;
-                    break;
-                default: /* mux: SN SP PA PB NA NB */
-                    pv = (T[f[0]] & T[f[2]]) | (T[f[1]] & T[f[3]]);
-                    nv = (T[f[0]] & T[f[4]]) | (T[f[1]] & T[f[5]]);
-                    act = T[f[6]] | T[f[7]] | T[f[8]], f += 9;
-                }
-                o[k] = pv;
-                o[ns + k] = nv;
-                o[2 * ns + k] = (pv ^ q[k]) | (nv ^ q[ns + k]) | (pv & nv & act);
-            }
-        }
+        source_activity(p, T, S);
+        settle_gates(p, T, S);
         /* probes: (value, xmask) of every registered bus, per lane */
         u64 *out = b->probe + 64 * g * nb;
         for (long k = 0; k < n * nb; ++k)
@@ -308,12 +351,7 @@ void repro_step(const struct lanes *p, struct batch *b, long live, long n_force)
                 for (i32 g8 = 0; g8 < 8 && changed >> (8 * g8); ++g8) {
                     if (!((changed >> (8 * g8)) & 0xFF))
                         continue;
-                    const i32 sh = 8 * g8;
-                    u64 x = (((t[0] >> sh) & 0xFF) | (((t[1] >> sh) & 0xFF) << 8))
-                        | ((((t[2] >> sh) & 0xFF) << 16) | (((t[3] >> sh) & 0xFF) << 24))
-                        | ((((t[4] >> sh) & 0xFF) << 32) | (((t[5] >> sh) & 0xFF) << 40))
-                        | ((((t[6] >> sh) & 0xFF) << 48) | (((t[7] >> sh) & 0xFF) << 56));
-                    x = t8(x);
+                    const u64 x = chunk_rows(t, 8 * g8);
                     unsigned char *dst = rows + 8 * g8 * row + 8 * rail * p->nw + p->chunk[c];
                     for (long i = 0; i < 8 && 8 * g8 + i < n; ++i)
                         dst[i * row] = (unsigned char)(x >> (8 * i));
@@ -362,23 +400,12 @@ void repro_price(const struct pricing *t, const u64 *prev, const u64 *cur,
 }
 """
 
-#: per run class, the input blocks (indices into ``Run.slot_words``) of
-#: its two output rails as ``(x0 & x1) | (x2 & x3)``: blocks are PA, NA,
-#: PB, NB (``copy``: P, N; ``mux``: SN, SP, PA, PB, NA, NB)
-_PRODUCTS = {
-    "copy": ((0, 0, 0, 0), (1, 1, 1, 1)),
-    "and": ((0, 2, 0, 2), (1, 1, 3, 3)),  # p = pa & pb, n = na | nb
-    "and_swap": ((1, 1, 3, 3), (0, 2, 0, 2)),
-    "xor": ((0, 3, 1, 2), (0, 2, 1, 3)),  # p = pa&nb | na&pb
-    "xor_swap": ((0, 2, 1, 3), (0, 3, 1, 2)),
-    "mux": ((0, 2, 1, 3), (0, 4, 1, 5)),  # p = sn&pa | sp&pb
-}
-
 #: compilers probed (after ``$CC``) when building the shared object
 _COMPILERS = ("cc", "gcc", "clang")
 
 #: -Og compiles in about half of -O1's time and runs the batch step as
-#: fast; aligning the loops recovers -O2's settle speed (gcc 12, x86-64)
+#: fast; with the 8x8 transposes forced inline (``INLINE`` in the source)
+#: the settle runs as fast as at -O2 (gcc 12, x86-64)
 _CFLAGS = ("-Og", "-falign-loops=16", "-shared", "-fPIC", "-nostdlib")
 
 
@@ -478,37 +505,27 @@ class _Build:
         return self.path, self.build_s
 
 
-class _Program(ctypes.Structure):
-    """``struct program`` of :data:`SOURCE`."""
-
-    _fields_ = [
-        (name, ctypes.c_int32)
-        for name in ("nw", "sw", "dff0", "dffw", "nlev", "scratch", "dff_gather")
-    ] + [
-        (name, ctypes.c_void_p)
-        for name in ("input_mask", "lev", "run", "start", "code", "zero")
-    ]
-
-
 class NativeKernel:
     """The loaded kernels (one library per process, shared by all
-    netlists): ``fn`` is ``repro_settle``, ``step`` ``repro_step`` and
-    ``price`` ``repro_price``."""
+    netlists): ``settle`` is ``repro_settle``, ``step`` ``repro_step``
+    and ``price`` ``repro_price``."""
 
     def __init__(self, path: Path, build_s: float):
         try:
             library = ctypes.CDLL(str(path))
-            self.fn, self.step, self.price = (
+            self.settle, self.step, self.price = (
                 library.repro_settle, library.repro_step, library.repro_price
             )
         except (OSError, AttributeError) as exc:
             raise NativeKernelError(f"cannot load {path}: {exc}") from None
-        self.fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long]
+        self.settle.argtypes = (
+            [ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_void_p]
+        )
         self.step.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_long] * 2
         self.price.argtypes = (
             [ctypes.c_void_p] * 4 + [ctypes.c_long, ctypes.c_void_p]
         )
-        for fn in (self.fn, self.step, self.price):
+        for fn in (self.settle, self.step, self.price):
             fn.restype = None
         self.path = path
         self.digest = path.stem
@@ -559,90 +576,33 @@ def load_kernel() -> NativeKernel:
         return _KERNEL
 
 
-#: uint8 single-bit mask -> its bit index
-_BIT_OF_MASK = np.zeros(256, dtype=np.int64)
-_BIT_OF_MASK[1 << np.arange(8)] = np.arange(8)
-
-
-def program_tables(program: NetlistProgram) -> tuple[_Program, list[np.ndarray]]:
-    """The ``struct program`` for *program*, plus the arrays it points to
-    (the caller keeps them alive)."""
-    nw = program.n_words
-    # every level's gather, then the DFF activity gather, as bit indices
-    # into a (3 * n_words)-word row
-    byte = np.concatenate(
-        [plan.gather_bytes for plan in program.levels] + [program.dff_act_bytes]
-    )
-    mask = np.concatenate(
-        [plan.gather_masks for plan in program.levels] + [program.dff_act_masks]
-    )
-    bits = byte.astype(np.int64) * 8 + _BIT_OF_MASK[mask]
-    if bits.size and bits.max() >= 1 << 25:
-        raise NativeKernelError("netlist too large for the kernel's gather codes")
-    n_gather = bits.size // 64
-    word = np.arange(bits.size) // 64
-    rail, offset = np.divmod(bits, nw * 64)
-    zero_bit = offset == 0
-    zero = np.zeros((3, n_gather * 64), dtype=np.uint8)
-    zero[rail[zero_bit], np.flatnonzero(zero_bit)] = 1
-    zero = np.packbits(zero, axis=-1, bitorder="little").view(np.uint64)
-    code = (bits << 6) | (np.arange(bits.size) & 63)
-    start = np.zeros(n_gather + 1, dtype=np.int32)
-    np.cumsum(np.bincount(word[~zero_bit], minlength=n_gather), out=start[1:])
-
-    lev, run = [], []
-    g0 = 0
-    for plan in program.levels:
-        lev += [
-            plan.word0, plan.words, g0, plan.scratch_words, len(run) // 10,
-            len(run) // 10 + len(plan.runs), plan.act0_word, plan.act1_word,
-            plan.act2_word or 0, plan.mux_words,
-        ]
-        g0 += plan.scratch_words
-        for r in plan.runs:
-            run += [r.res_word, r.words]
-            for blocks in _PRODUCTS[r.cls]:
-                run += [r.slot_words[block] for block in blocks]
-    arrays = [
-        np.ascontiguousarray(program.input_mask, dtype=np.uint64),
-        np.array(lev or [0], dtype=np.int32),
-        np.array(run or [0], dtype=np.int32),
-        start,
-        code[~zero_bit].astype(np.int32),
-        np.ascontiguousarray(zero.T),
-    ]
-    table = _Program(
-        nw, program.src_words, program.dff_word0, program.dff_words,
-        len(program.levels),
-        max(program.max_scratch_words, program.dff_words, 1), g0,
-        *(a.ctypes.data for a in arrays),
-    )
-    return table, arrays
-
-
 class _Lanes(ctypes.Structure):
     """``struct lanes`` of :data:`SOURCE`."""
 
     _fields_ = [
         (name, ctypes.c_int32)
         for name in (
-            "nw", "n_chunks", "in0", "n_in", "n_const", "dff0", "n_dff",
-            "n_runs",
+            "nw", "n_chunks", "n_src", "in0", "n_in", "n_const", "dff0",
+            "n_dff", "n_runs",
         )
-    ] + [(name, ctypes.c_void_p) for name in ("chunk", "dff_d", "run", "ref")]
+    ] + [
+        (name, ctypes.c_void_p)
+        for name in ("chunk", "real", "dff_d", "run", "ref")
+    ]
 
 
 class LaneTables:
-    """The lane-sliced schedule of a program: ``struct lanes`` + its arrays.
+    """The lane-sliced gate schedule of a program: ``struct lanes`` + its
+    arrays, shared by the settle and every batch step.
 
     A *slot* is a bit of :attr:`NetlistProgram.live_bytes`: the packed
     bit order with its all-pad bytes dropped, so eight slots are one
-    byte of a row plane (a *chunk*) and a step moves lanes in and out of
-    the rows a byte at a time.  The pads inside live bytes ride along
-    untouched.  Each gate reads its input rails and activity through
-    ``rail * n_slots + slot`` references decoded from the row schedule's
-    gather tables, so the BUF/NOT chain collapse and the rail folding
-    carry over unchanged.
+    byte of a row plane (a *chunk*) and the kernels move rows in and out
+    of lanes a byte at a time.  The source slots fill the first
+    ``n_src`` chunks.  Each gate reads its input rails and activity
+    through ``rail * n_slots + slot`` references to the slots
+    :meth:`NetlistProgram.gate_reads` names, so the BUF/NOT chain
+    collapse and the rail folding carry over unchanged.
     """
 
     def __init__(self, program: NetlistProgram):
@@ -650,12 +610,9 @@ class LaneTables:
         #: net -> slot, and the row byte of each chunk
         self.slot_of = live.pos_of
         self.chunk = live.keep
-        n_slots = 8 * self.chunk.size
+        self.n_slots = n_slots = 8 * self.chunk.size
         rank = np.full(program.n_words * 8, -1, dtype=np.int64)
         rank[self.chunk] = np.arange(self.chunk.size)
-
-        def slot(pos):
-            return 8 * rank[pos >> 3] + (pos & 7)
 
         # the sources are two contiguous slot ranges: inputs then
         # constants, and the DFFs
@@ -674,41 +631,34 @@ class LaneTables:
         ):
             raise NativeKernelError("sources are not contiguous slots")
         self.in0, self.n_in = in0, n_in
+        n_src = -(-max(in0 + sources.size, dff0 + dffs.size) // 8)
 
-        plane_bytes = program.n_words * 8
         runs, refs, n_refs = [], [], 0
-        for plan in program.levels:
-            def decode(slots, plan=plan):
-                rail, byte = np.divmod(plan.gather_bytes[slots], plane_bytes)
-                bit = _BIT_OF_MASK[plan.gather_masks[slots]]
-                return rail * n_slots + slot(byte * 8 + bit)
-
-            for run in plan.runs:
-                k = np.arange(run.n_gates)
-                out = k + run.res_word * 64
-                cols = [decode(block * 64 + k) for block in run.slot_words]
-                cols.append(decode(plan.act0_word * 64 + out))
-                if run.cls != "copy":
-                    cols.append(decode(plan.act1_word * 64 + out))
-                if run.cls == "mux":
-                    cols.append(decode(plan.act2_word * 64 + k))
-                first = slot((plan.word0 + run.res_word) * 64)
-                runs.append((RUN_ORDER.index(run.cls), first, run.n_gates, n_refs))
-                refs.append(np.stack(cols, axis=1).ravel())
-                n_refs += refs[-1].size
+        for run in program.runs:
+            rail, pos = np.array(
+                [program.gate_reads(gate) for gate in run.gates], dtype=np.int64
+            ).T
+            slot = 8 * rank[pos >> 3] + (pos & 7)
+            refs.append((rail * n_slots + slot).T.ravel())
+            first = int(self.slot_of[run.gates[0]])
+            runs.append((RUN_ORDER.index(run.cls), first, len(run.gates), n_refs))
+            n_refs += refs[-1].size
         ref = np.concatenate(refs) if refs else np.zeros(1, dtype=np.int64)
         if ref.min() < 0 or ref.max() >= 1 << 31:
             raise NativeKernelError("a gate reads outside the lane slots")
         self.arrays = [
+            np.ascontiguousarray(self.chunk, dtype=np.int32),
+            program.valid_mask.view(np.uint8)[self.chunk],  # real bits
+        ] + [
             np.ascontiguousarray(a, dtype=np.int32)
             for a in (
-                self.chunk, self.slot_of[program.dff_d] if dffs.size else [0],
+                self.slot_of[program.dff_d] if dffs.size else [0],
                 runs or [0], ref,
             )
         ]
         self.table = _Lanes(
-            program.n_words, self.chunk.size, in0, n_in, n_const, dff0,
-            dffs.size, len(runs), *(a.ctypes.data for a in self.arrays),
+            program.n_words, self.chunk.size, n_src, in0, n_in, n_const,
+            dff0, dffs.size, len(runs), *(a.ctypes.data for a in self.arrays),
         )
         self.ptr = ctypes.addressof(self.table)
 
@@ -953,12 +903,12 @@ def pricer(e_rise, e_fall, col, n_cols: int) -> Pricer | None:
 class NativeEvaluator(BitplaneEvaluator):
     """The packed engine: :class:`BitplaneEvaluator` state whose settle
     is one ``repro_settle`` call, and whose batches step through
-    :meth:`batch_kernel`.
+    :meth:`batch_kernel`; both run :attr:`lanes`, built once here.
 
     Packing, DFF clocking and state fingerprints are inherited.  The
     previous-cycle planes of the activity rule are kept per thread and
-    leading shape, so threads stepping machines of one CPU never share
-    them.
+    leading shape, and the settle's lane words per thread, so threads
+    stepping machines of one CPU never share them.
     """
 
     engine_name = "native"
@@ -970,39 +920,38 @@ class NativeEvaluator(BitplaneEvaluator):
         kernel: NativeKernel | None = None,
     ):
         super().__init__(netlist, program)
+        # built while a cold kernel compile may still be running
+        self.lanes = LaneTables(self.program)
         self.kernel = kernel or load_kernel()
-        self._table, self._arrays = program_tables(self.program)
-        self._table_ptr = ctypes.addressof(self._table)
-        #: the lane-sliced schedule, built for the first batch
-        self._lanes: LaneTables | None = None
         self._local = threading.local()
 
     def batch_kernel(self, planes: np.ndarray, ports) -> BatchKernel:
         """A :class:`BatchKernel` stepping *planes* (a batch's rows);
         :class:`NativeKernelError` names why *ports* cannot be driven
         through it."""
-        if self._lanes is None:
-            self._lanes = LaneTables(self.program)
-        return BatchKernel(self.kernel, self._lanes, planes, ports)
+        return BatchKernel(self.kernel, self.lanes, planes, ports)
 
-    def _prev_planes(self, lead: tuple[int, ...]) -> np.ndarray:
-        """This thread's previous-cycle planes for *lead*-shaped states."""
-        scratch = getattr(self._local, "prev", None)
-        if scratch is None:
-            scratch = self._local.prev = {}
-        prev = scratch.get(lead)
+    def _scratch(self, lead: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """This thread's previous-cycle planes for *lead*-shaped states,
+        and its lane words for the settle."""
+        local = self._local
+        if not hasattr(local, "prev"):
+            local.prev = {}
+            local.lanes = np.empty(6 * self.lanes.n_slots, dtype=np.uint64)
+        prev = local.prev.get(lead)
         if prev is None:
-            prev = scratch[lead] = np.zeros(
+            prev = local.prev[lead] = np.zeros(
                 lead + (3, self.n_words), dtype=np.uint64
             )
-        return prev
+        return prev, local.lanes
 
     def stash_prev(self, planes: np.ndarray) -> None:
         """Record the settled pre-step planes (activity's *previous*)."""
-        np.copyto(self._prev_planes(planes.shape[:-2]), planes)
+        np.copyto(self._scratch(planes.shape[:-2])[0], planes)
 
     def settle_and_mark(self, planes: np.ndarray) -> None:
-        """Settle all levels and write the A plane, in place.
+        """Settle all levels and write the A plane of every real net, in
+        place; pads are left as they are.
 
         :meth:`stash_prev` must have captured the planes at the end of
         the previous cycle (before the DFF/input updates of this one).
@@ -1012,13 +961,12 @@ class NativeEvaluator(BitplaneEvaluator):
                 f"expected (..., 3, {self.n_words}) uint64 planes, got "
                 f"{planes.shape} {planes.dtype}"
             )
-        lead = planes.shape[:-2]
-        prev = self._prev_planes(lead)
+        prev, lanes = self._scratch(planes.shape[:-2])
         contiguous = planes.flags["C_CONTIGUOUS"]
         state = planes if contiguous else np.ascontiguousarray(planes)
-        self.kernel.fn(
-            self._table_ptr, state.ctypes.data, prev.ctypes.data,
-            prev.size // (3 * self.n_words),
+        self.kernel.settle(
+            self.lanes.ptr, state.ctypes.data, prev.ctypes.data,
+            prev.size // (3 * self.n_words), lanes.ctypes.data,
         )
         if not contiguous:
             planes[...] = state

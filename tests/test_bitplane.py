@@ -1,8 +1,9 @@
-"""Packed-state unit layer: the native row settle against the reference.
+"""Packed-state unit layer: the native settle against the reference.
 
 :class:`~repro.sim.bitplane.BitplaneEvaluator` is the packed dual-rail
 state format; :class:`~repro.sim.native.NativeEvaluator` adds the settle
-(``repro_settle``, the C row kernel).  The oracle is the uint8
+(``repro_settle``: packed rows sliced into lanes, through the gate
+passes the batch step runs, and back).  The oracle is the uint8
 :class:`~repro.sim.evaluator.LevelizedEvaluator`.  Three tiers, mirroring
 the engine's soundness argument:
 

@@ -8,8 +8,9 @@ engine's soundness argument:
 1. **Gate kernels, exhaustively**: every kind over every 3-valued input
    combination through the *lane-sliced batch step* (``repro_step``),
    one combination per lane, must match the scalar truth functions and a
-   reference-engine batch; ``test_bitplane`` does the same for the row
-   settle (``repro_settle``).
+   reference-engine batch; ``test_bitplane`` does the same for the
+   single-machine settle (``repro_settle``), which runs the same gate
+   passes on rows sliced into lanes.
 2. **Schedule-surgery pins**: BUF/NOT chains collapse to a rail
    permutation of their root; the collapsed schedule must still produce
    reference values/activity for every input.
@@ -265,6 +266,11 @@ class TestRandomizedNativeEquivalence:
             evaluator.settle_and_mark(planes)
             assert np.array_equal(evaluator.unpack_values(planes), cur), lead
             assert np.array_equal(evaluator.unpack_active(planes), active)
+            # pads and the zero bit included: the settle leaves them as
+            # packed, a known 0
+            assert np.array_equal(
+                planes, evaluator.pack_state(cur, active)
+            ), lead
             for row, values in zip(flat, cur.reshape(-1, netlist.n_nets)):
                 assert evaluator.state_bytes(row) == evaluator.state_bytes(
                     evaluator.pack_state(values)
@@ -279,11 +285,12 @@ class TestRandomizedNativeEquivalence:
         with pytest.raises(ValueError, match="uint64 planes"):
             evaluator.settle_and_mark(evaluator.fresh_planes().view(np.int64))
 
-    @pytest.mark.parametrize("lead", [(), (1,), (8,), (32,)])
+    @pytest.mark.parametrize("lead", [(), (1,), (8,), (32,), (65,)])
     def test_raw_random_planes_match_bitplane(self, lead, toy_cache, cpu):
         """Random words in every pad bit and in the whole A plane (only
-        the reserved zero bit keeps its known 0) settle the CPU's real
-        nets exactly as the reference does: no gate reads a pad."""
+        the zero bit keeps its known 0) settle the CPU's real nets exactly
+        as the reference does: no gate reads a pad.  65 rows cross the
+        settle's 64-row groups."""
         rng = np.random.default_rng(70 + sum(lead))
         evaluator = cpu.evaluator_for("native")
         reference = cpu.evaluator
@@ -591,7 +598,7 @@ class TestKernelCache:
         assert real.kernel.digest == native.kernel_digest(
             native.find_compiler()
         )
-        assert toy._table.nw != real._table.nw
+        assert toy.lanes.table.nw != real.lanes.table.nw
 
     def test_default_engine_is_native(self, cpu, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
