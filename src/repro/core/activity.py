@@ -48,9 +48,11 @@ DEFAULT_BATCH_SIZE = 8
 
 #: wider default for the native engine: the batch step kernel costs
 #: nearly the same for 1 lane as for 64, so deep pending-path queues
-#: benefit from more lanes at negligible memory cost (a lane is ~18 KB of
-#: packed planes).  On the multipath benchmarks 16, 32 and 64 measured
-#: alike: the trees rarely hold more than ~8 pending paths at once.
+#: benefit from more lanes at negligible memory cost (a ULP430 lane is
+#: 2.3 KB of packed planes; the step's lane-sliced state is 0.3 MB per
+#: group of up to 64 lanes).  On the multipath benchmarks 16, 32 and 64
+#: measured alike: the trees rarely hold more than ~8 pending paths at
+#: once.
 NATIVE_DEFAULT_BATCH_SIZE = 32
 
 

@@ -14,13 +14,15 @@ precede it in the flattened trace, so maximization and power evaluation
 need an explicit predecessor row per segment.
 
 The algorithm runs on the dual-rail uint64 P/N planes the explorer
-records (:meth:`Trace.values_matrix` with ``packed=True``; unpacked
-traces are packed once in plain net order).  Every segment is laid out
-as a context row holding its predecessor followed by its cycles; the
-stack is an index over the flat packed trace (each cycle's predecessor
-row), never a copy.  One parity's targets are independent, so all of
-them — across all segments — are X-assigned with word-wise bit ops
-(:func:`assign_planes`, 64 nets per op), one
+records (:meth:`Trace.values_matrix` with ``packed=True``), in the bit
+order they were recorded in (unpacked traces are packed once in plain
+net order), so the power model prices one order per kind of trace.
+Every segment is laid out as a context row holding its predecessor
+followed by its cycles; the stack is an index over the flat packed
+trace (each cycle's predecessor row), never a copy.  One parity's
+targets are independent, so all of them — across all segments — are
+X-assigned with word-wise bit ops (:func:`assign_planes`, 64 nets per
+op), one
 :attr:`~repro.power.model.PowerModel.TRACE_CHUNK_ROWS` block at a time,
 and each block is priced straight from its assigned words in exact
 integer attojoules by the power model's one pricing kernel.  Nothing is
@@ -301,9 +303,9 @@ def _plane_stack(tree: ExecutionTree):
     """The context-interleaved segment stack over the packed flat trace.
 
     Returns ``(order, values, active, pred, local)``: the trace's
-    :attr:`~repro.netlist.program.BitOrder.live_bytes` order, its
-    rail-major ``(2, n_cycles, n_words)`` P/N planes and ``(n_cycles,
-    n_words)`` activity words in that order, the flat row holding each
+    :attr:`~repro.sim.trace.Trace.bit_order` as recorded, its rail-major
+    ``(2, n_cycles, n_words)`` P/N planes and ``(n_cycles, n_words)``
+    activity words in that order, the flat row holding each
     cycle's predecessor (the context row: the parent's last cycle for a
     segment's first cycle, the cycle itself for the root's), and each
     cycle's 1-based row within its segment.
@@ -324,11 +326,10 @@ def _plane_stack(tree: ExecutionTree):
         local[start : start + segment.n_cycles] = np.arange(
             1, segment.n_cycles + 1
         )
-    order = flat.bit_order.live_bytes
-    planes = order.compact(flat.values_matrix(packed=True))
-    values = np.ascontiguousarray(planes.transpose(1, 0, 2))
-    active = order.compact(flat.active_matrix(packed=True))
-    return order, values, active, pred, local
+    values = np.ascontiguousarray(
+        flat.values_matrix(packed=True).transpose(1, 0, 2)
+    )
+    return flat.bit_order, values, flat.active_matrix(packed=True), pred, local
 
 
 def _max_planes(model: PowerModel, order) -> tuple[np.ndarray, np.ndarray]:

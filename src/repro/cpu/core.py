@@ -701,10 +701,6 @@ class Ulp430(object):
         value, xmask = machine.peek_bus(self.nets.state_q)
         return None if xmask else value
 
-    def read_pc(self, machine: Machine) -> int | None:
-        value, xmask = machine.peek_bus(self.nets.pc_q)
-        return None if xmask else value
-
     def read_iw(self, machine: Machine) -> int | None:
         value, xmask = machine.peek_bus(self.nets.iw)
         return None if xmask else value

@@ -22,16 +22,18 @@ stored to.
 
 This module is the compile step.  It renumbers the nets into a **packed
 bit order** — sources first, then each level's gates grouped into
-word-aligned opcode runs — and lists, per gate, the (plane, bit) slots
-it reads: its operand rails, inversions folded in, and the activity of
-its inputs (:meth:`NetlistProgram.gate_reads`).  The native kernels
-(:mod:`repro.sim.native`) turn these into one lane-sliced gate schedule
-that both the single-machine settle and the batch step run.
+opcode runs packed back to back — and lists, per gate, the (plane, bit)
+slots it reads: its operand rails, inversions folded in, and the
+activity of its inputs (:meth:`NetlistProgram.gate_reads`).  The native
+kernels (:mod:`repro.sim.native`) turn these into one lane-sliced gate
+schedule that both the single-machine settle and the batch step run,
+with a bit position as the lane slot.
 
-Bit position 0 holds no net, and neither does the tail of a run's last
-word: these pads pack as a known 0 (P=0, N=1, A=0) and unpack to
-nothing.  No gate reads a pad and no settle writes one, so they stay a
-known 0 in every settled state.
+Bit position 0 holds no net, and neither do the tails of the source
+block, of the word-aligned DFF block and of the last word: these pads
+pack as a known 0 (P=0, N=1, A=0) and unpack to nothing.  No gate reads
+a pad and no settle writes one, so they stay a known 0 in every settled
+state.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def _pad64(bits: int) -> int:
 
 @dataclass
 class Run:
-    """One word-aligned opcode run: gates of one level and class."""
+    """One opcode run: gates of one level and class."""
 
     cls: str
     #: its gates (netlist indices), in bit order
@@ -130,11 +132,6 @@ class BitOrder:
         bits[..., self.pos_of] = active
         return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
-    @functools.cached_property
-    def live_bytes(self) -> "LiveBytes":
-        """This order with its all-pad bytes dropped (built once)."""
-        return LiveBytes(self)
-
     def _net_bits(self, words: np.ndarray) -> np.ndarray:
         """Word rows -> uint8 0/1 rows in net order: one byte gather per
         net, then a shift, so pad bits are never expanded."""
@@ -153,31 +150,6 @@ class BitOrder:
     def unpack_bits(self, words: np.ndarray) -> np.ndarray:
         """A-plane (or any mask) word rows -> bool rows in net order."""
         return self._net_bits(words).view(bool)
-
-
-class LiveBytes(BitOrder):
-    """*source*'s bit order with every byte that holds no net dropped.
-
-    The simulator's order pads each opcode run to whole words — about
-    three quarters of the ULP430's bits are pads — so whole-trace word
-    analyses (Algorithm 2) gather the live bytes once with
-    :meth:`compact` and run on words a third as wide.  Bytes keep their
-    order and their bits; the tail is filled with pad bytes.
-    """
-
-    def __init__(self, source: BitOrder):
-        self.n_nets = source.n_nets
-        live = source.valid_mask.view(np.uint8) != 0
-        keep = np.flatnonzero(live)
-        rank = np.searchsorted(keep, source.pos_of >> 3)
-        fill = np.flatnonzero(~live)[: -len(keep) % 8]
-        self.keep = np.concatenate([keep, fill])
-        self._place(rank * 8 + (source.pos_of & 7), len(self.keep) * 8)
-
-    def compact(self, words: np.ndarray) -> np.ndarray:
-        """``(..., n_words)`` rows in the source order -> this order."""
-        raw = np.ascontiguousarray(words).view(np.uint8)
-        return np.take(raw, self.keep, axis=-1).view(np.uint64)
 
 
 class NetOrder(BitOrder):
@@ -233,7 +205,10 @@ class NetlistProgram(BitOrder):
 
         # ------------------------------------------------------------------
         # Packed bit positions: [zero bit | inputs | consts | pad | DFFs |
-        # pad] then per level one word-aligned block per opcode run.
+        # pad] then per level one opcode run per class, back to back, and
+        # a pad to the last whole word.  The DFF block is word-aligned:
+        # state_bytes, next_dff_planes and set_dff_planes address it by
+        # word.
         # ------------------------------------------------------------------
         pos_of = np.full(self.n_nets, -1, dtype=np.int64)
         cursor = 1  # bit 0 holds no net
@@ -276,10 +251,10 @@ class NetlistProgram(BitOrder):
                 if gates:
                     self.runs.append(Run(cls, gates))
                     pos_of[gates] = cursor + np.arange(len(gates))
-                    cursor += _pad64(len(gates))
+                    cursor += len(gates)
 
         assert (pos_of >= 0).all(), "every net must receive a bit position"
-        self._place(pos_of, cursor)
+        self._place(pos_of, _pad64(cursor))
 
         # ------------------------------------------------------------------
         # DFF schedule: next-value gather (P and N of every D input) plus

@@ -91,7 +91,7 @@ class LaneView:
     """Read-only :class:`Machine`-shaped window onto one lane.
 
     Exposes exactly the surface the CPU wrapper's introspection hooks use
-    (``values`` and ``peek_bus``), so ``cpu.halted``, ``cpu.pc_next_unknown``,
+    (``peek_bus``), so ``cpu.halted``, ``cpu.pc_next_unknown``,
     ``cpu.branch_fork_assignments`` and ``cpu.annotate`` work unchanged on a
     batched lane.
     """
@@ -101,18 +101,6 @@ class LaneView:
     def __init__(self, batch: "BatchMachine", lane: Lane):
         self._batch = batch
         self._lane = lane
-
-    @property
-    def values(self) -> np.ndarray:
-        batch = self._batch
-        if batch.packed:
-            # the packed batch keeps no unpacked rows; unpack just this
-            # lane's row on the rare direct-row access (read-only: writes
-            # here would bypass the planes)
-            row = batch.evaluator.unpack_values(batch.planes[self._lane.row])
-            row.setflags(write=False)
-            return row
-        return batch.values[self._lane.row]
 
     def peek_bus(self, nets: list[int]) -> tuple[int, int]:
         batch = self._batch
@@ -127,7 +115,7 @@ class LaneView:
             return read_bus_planes(
                 batch.planes[self._lane.row], batch._peek_spec(nets)
             )
-        return read_bus(self.values, nets)
+        return read_bus(batch.values[self._lane.row], nets)
 
 
 class BatchMachine:

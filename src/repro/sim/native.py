@@ -90,9 +90,8 @@ typedef int32_t i32;
 
 /* the gate schedule on lane-sliced state: one u64 per slot and rail */
 struct lanes {
-    i32 nw, n_chunks, n_src, in0, n_in, n_const, dff0, n_dff, n_runs;
-    const i32 *chunk;           /* row byte of slots [8q, 8q + 8) */
-    const unsigned char *real;  /* per chunk: the bits that hold a net */
+    i32 nw, n_src, in0, n_in, n_const, dff0, n_dff, n_runs;
+    const unsigned char *real;  /* per chunk (row byte): the bits that hold a net */
     const i32 *dff_d;           /* slot of DFF k's D net */
     const i32 *run;             /* class first-slot gates first-ref */
     const i32 *ref;             /* per gate: value rails, then activity (rail * slots + slot) */
@@ -112,7 +111,7 @@ INLINE u64 t8(u64 x)
    active.  T is this cycle, S the last one */
 static void source_activity(const struct lanes *p, u64 *T, const u64 *S)
 {
-    const long ns = 8L * p->n_chunks;
+    const long ns = 64L * p->nw;
     for (i32 j = p->in0; j < p->in0 + p->n_in + p->n_const; ++j) {
         const u64 pv = T[j], nv = T[ns + j];
         T[2 * ns + j] = (pv ^ S[j]) | (nv ^ S[ns + j]) | (j < p->in0 + p->n_in ? pv & nv : 0);
@@ -126,7 +125,7 @@ static void source_activity(const struct lanes *p, u64 *T, const u64 *S)
 /* gates, one run per (level, class): values and A in one pass */
 static void settle_gates(const struct lanes *p, u64 *T, const u64 *S)
 {
-    const long ns = 8L * p->n_chunks;
+    const long ns = 64L * p->nw;
     for (const i32 *R = p->run; R < p->run + 4 * p->n_runs; R += 4) {
         const i32 *f = p->ref + R[3];
         u64 *o = T + R[1];
@@ -179,14 +178,13 @@ INLINE u64 chunk_rows(const u64 *l, i32 sh)
 /* ---- the settle: rows in, lanes, rows out ---- */
 
 /* the first c1 chunks of one rail of n <= 64 rows (row bytes apart) -> lane words */
-static void slice(u64 *L, const unsigned char *rows, long row, long n,
-                  const struct lanes *p, i32 c1)
+static void slice(u64 *L, const unsigned char *rows, long row, long n, i32 c1)
 {
     for (i32 c = 0; c < c1; ++c) {
         u64 *l = L + 8 * c;
         l[0] = l[1] = l[2] = l[3] = l[4] = l[5] = l[6] = l[7] = 0;
         for (long g8 = 0; 8 * g8 < n; ++g8) {
-            const unsigned char *src = rows + 8 * g8 * row + p->chunk[c];
+            const unsigned char *src = rows + 8 * g8 * row + c;
             const i32 sh = 8 * g8;
             u64 x = 0;
             for (long i = 0; i < 8 && 8 * g8 + i < n; ++i)
@@ -208,7 +206,7 @@ static void unslice(unsigned char *rows, const u64 *L, long row, long n,
         const unsigned char real = p->real[c];
         for (long g8 = 0; 8 * g8 < n; ++g8) {
             const u64 x = chunk_rows(L + 8 * c, 8 * g8);
-            unsigned char *dst = rows + 8 * g8 * row + p->chunk[c];
+            unsigned char *dst = rows + 8 * g8 * row + c;
             for (long i = 0; i < 8 && 8 * g8 + i < n; ++i)
                 dst[i * row] = (dst[i * row] & ~real) | ((x >> (8 * i)) & real);
         }
@@ -216,10 +214,10 @@ static void unslice(unsigned char *rows, const u64 *L, long row, long n,
 }
 
 /* settle (rows, 3, nw) planes in place; prev holds their previous-cycle
-   planes, W scratch for two lane-sliced states (6 * 8 * n_chunks words) */
+   planes, W scratch for two lane-sliced states (6 * 64 * nw words) */
 void repro_settle(const struct lanes *p, u64 *state, const u64 *prev, long rows, u64 *W)
 {
-    const long ns = 8L * p->n_chunks, row = 24L * p->nw;
+    const long ns = 64L * p->nw, row = 24L * p->nw;
     u64 *S = W, *T = W + 3 * ns;    /* last cycle, this cycle */
     for (long r0 = 0; r0 < rows; r0 += 64) {
         const long n = rows - r0 < 64 ? rows - r0 : 64;
@@ -227,13 +225,13 @@ void repro_settle(const struct lanes *p, u64 *state, const u64 *prev, long rows,
         unsigned char *cur = (unsigned char *)state + r0 * row;
         /* last cycle's values, this cycle's sources */
         for (i32 rail = 0; rail < 2; ++rail) {
-            slice(S + rail * ns, old + 8 * rail * p->nw, row, n, p, p->n_chunks);
-            slice(T + rail * ns, cur + 8 * rail * p->nw, row, n, p, p->n_src);
+            slice(S + rail * ns, old + 8 * rail * p->nw, row, n, 8 * p->nw);
+            slice(T + rail * ns, cur + 8 * rail * p->nw, row, n, p->n_src);
         }
         /* last cycle's activity where the DFF rule reads it: the D nets */
         for (i32 k = 0; k < p->n_dff; ++k) {
             const i32 d = p->dff_d[k];
-            const unsigned char *a = old + 16 * p->nw + p->chunk[d >> 3];
+            const unsigned char *a = old + 16 * p->nw + (d >> 3);
             u64 lanes = 0;
             for (long r = 0; r < n; ++r)
                 lanes |= (u64)((a[r * row] >> (d & 7)) & 1) << r;
@@ -244,7 +242,7 @@ void repro_settle(const struct lanes *p, u64 *state, const u64 *prev, long rows,
         /* the gates' values, and all activity */
         for (i32 rail = 0; rail < 3; ++rail)
             unslice(cur + 8 * rail * p->nw, T + rail * ns, row, n, p,
-                    rail < 2 ? p->n_src : 0, p->n_chunks);
+                    rail < 2 ? p->n_src : 0, 8 * p->nw);
     }
 }
 
@@ -264,20 +262,20 @@ struct batch {
 /* advance the first `live` rows of the batch one cycle */
 void repro_step(const struct lanes *p, struct batch *b, long live, long n_force)
 {
-    const long ns = 8L * p->n_chunks, row = 24L * p->nw, nb = 2L * b->n_bus;
+    const long ns = 64L * p->nw, row = 24L * p->nw, nb = 2L * b->n_bus;
     for (long g = 0; 64 * g < live; ++g) {
         const long n = live - 64 * g < 64 ? live - 64 * g : 64;
         u64 *S = b->state + (2 * g + b->cur) * 3 * ns;      /* last cycle */
         u64 *T = b->state + (2 * g + !b->cur) * 3 * ns;     /* this cycle */
         unsigned char *rows = (unsigned char *)b->planes + 64 * g * row;
-        /* re-read the rows Python rewrote: a chunk is one byte of a row.
-           Both buffers take them, so the pads inside live bytes, which no
-           step computes, read back unchanged whichever buffer holds T */
+        /* re-read the rows Python rewrote, a chunk (row byte) at a time.
+           Both buffers take them, so the pads, which no step computes,
+           read back unchanged whichever buffer holds T */
         for (i32 g8 = 0; g8 < 8; ++g8) {
             const u64 d8 = (b->dirty[g] >> (8 * g8)) & 0xFF, keep = ~(d8 << (8 * g8));
             for (i32 rail = 0; d8 && rail < 3; ++rail)
-                for (i32 c = 0; c < p->n_chunks; ++c) {
-                    const unsigned char *src = rows + 8 * g8 * row + 8 * rail * p->nw + p->chunk[c];
+                for (i32 c = 0; c < 8 * p->nw; ++c) {
+                    const unsigned char *src = rows + 8 * g8 * row + 8 * rail * p->nw + c;
                     u64 x = 0, *s = S + rail * ns + 8 * c, *t = T + rail * ns + 8 * c;
                     for (i32 i = 0; i < 8; ++i)
                         x |= (d8 >> i & 1) ? (u64)src[i * row] << (8 * i) : 0;
@@ -343,7 +341,7 @@ void repro_step(const struct lanes *p, struct batch *b, long live, long n_force)
            still hold S) */
         const u64 lanes = n < 64 ? (1ULL << n) - 1 : ~0ULL;
         for (i32 rail = 0; rail < 3; ++rail)
-            for (i32 c = 0; c < p->n_chunks; ++c) {
+            for (i32 c = 0; c < 8 * p->nw; ++c) {
                 const u64 *t = T + rail * ns + 8 * c, *s = S + rail * ns + 8 * c;
                 const u64 changed = lanes & (((t[0] ^ s[0]) | (t[1] ^ s[1]))
                     | ((t[2] ^ s[2]) | (t[3] ^ s[3])) | ((t[4] ^ s[4]) | (t[5] ^ s[5]))
@@ -352,7 +350,7 @@ void repro_step(const struct lanes *p, struct batch *b, long live, long n_force)
                     if (!((changed >> (8 * g8)) & 0xFF))
                         continue;
                     const u64 x = chunk_rows(t, 8 * g8);
-                    unsigned char *dst = rows + 8 * g8 * row + 8 * rail * p->nw + p->chunk[c];
+                    unsigned char *dst = rows + 8 * g8 * row + 8 * rail * p->nw + c;
                     for (long i = 0; i < 8 && 8 * g8 + i < n; ++i)
                         dst[i * row] = (unsigned char)(x >> (8 * i));
                 }
@@ -582,12 +580,12 @@ class _Lanes(ctypes.Structure):
     _fields_ = [
         (name, ctypes.c_int32)
         for name in (
-            "nw", "n_chunks", "n_src", "in0", "n_in", "n_const", "dff0",
-            "n_dff", "n_runs",
+            "nw", "n_src", "in0", "n_in", "n_const", "dff0", "n_dff",
+            "n_runs",
         )
     ] + [
         (name, ctypes.c_void_p)
-        for name in ("chunk", "real", "dff_d", "run", "ref")
+        for name in ("real", "dff_d", "run", "ref")
     ]
 
 
@@ -595,24 +593,19 @@ class LaneTables:
     """The lane-sliced gate schedule of a program: ``struct lanes`` + its
     arrays, shared by the settle and every batch step.
 
-    A *slot* is a bit of :attr:`NetlistProgram.live_bytes`: the packed
-    bit order with its all-pad bytes dropped, so eight slots are one
-    byte of a row plane (a *chunk*) and the kernels move rows in and out
-    of lanes a byte at a time.  The source slots fill the first
-    ``n_src`` chunks.  Each gate reads its input rails and activity
-    through ``rail * n_slots + slot`` references to the slots
+    A *slot* is a bit position of the program's packed order, so eight
+    slots are one byte of a row plane (a *chunk*) and the kernels move
+    rows in and out of lanes a byte at a time.  The source slots fill
+    the first ``n_src`` chunks.  Each gate reads its input rails and
+    activity through ``rail * n_slots + slot`` references to the slots
     :meth:`NetlistProgram.gate_reads` names, so the BUF/NOT chain
     collapse and the rail folding carry over unchanged.
     """
 
     def __init__(self, program: NetlistProgram):
-        live = program.live_bytes
-        #: net -> slot, and the row byte of each chunk
-        self.slot_of = live.pos_of
-        self.chunk = live.keep
-        self.n_slots = n_slots = 8 * self.chunk.size
-        rank = np.full(program.n_words * 8, -1, dtype=np.int64)
-        rank[self.chunk] = np.arange(self.chunk.size)
+        #: net -> slot
+        self.slot_of = program.pos_of
+        self.n_slots = n_slots = program.n_bits
 
         # the sources are two contiguous slot ranges: inputs then
         # constants, and the DFFs
@@ -638,18 +631,14 @@ class LaneTables:
             rail, pos = np.array(
                 [program.gate_reads(gate) for gate in run.gates], dtype=np.int64
             ).T
-            slot = 8 * rank[pos >> 3] + (pos & 7)
-            refs.append((rail * n_slots + slot).T.ravel())
+            refs.append((rail * n_slots + pos).T.ravel())
             first = int(self.slot_of[run.gates[0]])
             runs.append((RUN_ORDER.index(run.cls), first, len(run.gates), n_refs))
             n_refs += refs[-1].size
         ref = np.concatenate(refs) if refs else np.zeros(1, dtype=np.int64)
         if ref.min() < 0 or ref.max() >= 1 << 31:
             raise NativeKernelError("a gate reads outside the lane slots")
-        self.arrays = [
-            np.ascontiguousarray(self.chunk, dtype=np.int32),
-            program.valid_mask.view(np.uint8)[self.chunk],  # real bits
-        ] + [
+        self.arrays = [program.valid_mask.view(np.uint8)] + [
             np.ascontiguousarray(a, dtype=np.int32)
             for a in (
                 self.slot_of[program.dff_d] if dffs.size else [0],
@@ -657,7 +646,7 @@ class LaneTables:
             )
         ]
         self.table = _Lanes(
-            program.n_words, self.chunk.size, n_src, in0, n_in, n_const,
+            program.n_words, n_src, in0, n_in, n_const,
             dff0, dffs.size, len(runs), *(a.ctypes.data for a in self.arrays),
         )
         self.ptr = ctypes.addressof(self.table)
@@ -717,7 +706,7 @@ class BatchKernel:
             int(net): 1 << int(index[net]) for net in np.flatnonzero(is_input)
         }
         self.state = np.zeros(
-            (groups, 2, 3, 8 * tables.chunk.size), dtype=np.uint64
+            (groups, 2, 3, tables.n_slots), dtype=np.uint64
         )
         self.dirty = np.zeros(groups, dtype=np.uint64)
         self.port = np.zeros((rows, 5), dtype=np.uint64)

@@ -174,6 +174,18 @@ class TestScheduleSurgery:
         # the root memoizes as its own fixed point
         assert program.chain_of.get(a, (a, 0)) == (a, 0)
 
+    def test_ulp430_runs_pack_back_to_back(self, cpu):
+        """A lane slot is a bit position of the packed order, and the gate
+        runs hold no whole pad byte between them."""
+        evaluator = cpu.evaluator_for("native")
+        program = evaluator.program
+        assert np.array_equal(evaluator.lanes.slot_of, program.pos_of)
+        first_gate = int(program.pos_of[program.runs[0].gates[0]])
+        live = program.valid_mask.view(np.uint8)[
+            first_gate >> 3 : (int(program.pos_of.max()) >> 3) + 1
+        ]
+        assert live.all()
+
     def test_chain_values_native(self, toy_cache):
         netlist, a, b, chain, taps, _dff = chain_netlist()
         reference = LevelizedEvaluator(netlist)
