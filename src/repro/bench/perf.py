@@ -66,7 +66,6 @@ def _best(fn, repeats: int):
 
 def run_perf_suite(
     names: list[str] | None = None,
-    batch_size: int | None = None,
     repeats: int = 1,
     cpu=None,
     workers: int | None = None,
@@ -75,6 +74,10 @@ def run_perf_suite(
 ) -> dict:
     """Time every pipeline phase under the default engine; return the report.
 
+    Explore runs at each engine's lock-step width, which the artifact's
+    engine block records (``batch_size`` for the reference engine,
+    ``native_batch_size``); the baselines run one lane per input set or
+    genome.
     *workers* is the GA island process count for the stressmark phase
     (``None`` honors ``REPRO_WORKERS``); every other phase runs in this
     process.  *islands*/*migration_interval* select the GA island
@@ -86,8 +89,6 @@ def run_perf_suite(
     from repro.parallel.pool import resolve_workers
 
     names = names if names is not None else list(DEFAULT_PERF_BENCHMARKS)
-    if batch_size is None:
-        batch_size = default_batch_size()
     workers = resolve_workers(workers)
     islands, migration_interval = resolve_island_knobs(
         islands, migration_interval
@@ -116,18 +117,17 @@ def run_perf_suite(
         benchmark = get_benchmark(name)
         program = benchmark.program()
 
-        def run_explore(engine_batch: int | None, engine: str):
+        def run_explore(engine: str):
             return explore(
                 cpu,
                 program,
                 max_cycles=benchmark.max_cycles,
                 max_segments=benchmark.max_segments,
-                batch_size=engine_batch,
                 engine=engine,
             )
 
         explore_batched_s, tree = _best(
-            lambda: run_explore(batch_size, "reference"), repeats
+            lambda: run_explore("reference"), repeats
         )
         reference_digest = tree.digest()
         explore_native_s = None
@@ -137,7 +137,7 @@ def run_perf_suite(
             # measurably slows the streaming phases on small-cache hosts.
             del tree
             explore_native_s, tree = _best(
-                lambda: run_explore(None, "native"), repeats
+                lambda: run_explore("native"), repeats
             )
             if tree.digest() != reference_digest:
                 raise AssertionError(
@@ -156,9 +156,7 @@ def run_perf_suite(
         )
         input_sets = benchmark.input_sets(N_PROFILING_INPUTS)
         profiling_s, _profile = _best(
-            lambda: input_profiling(
-                cpu, program, input_sets, model, batch_size=batch_size
-            ),
+            lambda: input_profiling(cpu, program, input_sets, model),
             repeats,
         )
 
@@ -193,15 +191,14 @@ def run_perf_suite(
         del tree, power
 
     stressmark_s, _stressmark = _best(
-        lambda: generate_stressmark(
-            cpu, model, batch_size=batch_size, **ga_kwargs
-        ),
+        lambda: generate_stressmark(cpu, model, **ga_kwargs),
         repeats,
     )
     from repro.sim.bitplane import default_engine
 
     engine_block = {
-        "batch_size": batch_size,
+        # the explore widths of the reference and the native engine
+        "batch_size": default_batch_size("reference"),
         # the engine the non-explore phases actually ran under (the
         # explore phase always times every engine)
         "sim_engine": default_engine(),

@@ -309,54 +309,34 @@ def all_names() -> list[str]:
 # ----------------------------------------------------------------------
 # Process-parallel suite runner
 # ----------------------------------------------------------------------
-_KNOB_VARS = (
-    "REPRO_NO_CACHE", "REPRO_BATCH_SIZE", "REPRO_ENGINE",
-    "REPRO_ISLANDS", "REPRO_MIGRATION_INTERVAL",
-)
+_KNOB_VARS = ("REPRO_NO_CACHE", "REPRO_ENGINE")
 
 
-def _apply_knobs(
-    batch_size: int | None,
-    no_cache: bool,
-    engine: str | None = None,
-    islands: int | None = None,
-    migration_interval: int | None = None,
-) -> None:
+def _apply_knobs(no_cache: bool, engine: str | None = None) -> None:
     """Export explicitly requested knobs; leave inherited ones alone."""
     if no_cache:
         os.environ["REPRO_NO_CACHE"] = "1"
-    if batch_size is not None:
-        os.environ["REPRO_BATCH_SIZE"] = str(batch_size)
     if engine is not None:
         os.environ["REPRO_ENGINE"] = engine
-    if islands is not None:
-        os.environ["REPRO_ISLANDS"] = str(islands)
-    if migration_interval is not None:
-        os.environ["REPRO_MIGRATION_INTERVAL"] = str(migration_interval)
 
 
 def _suite_worker(
-    name: str, batch_size: int | None, no_cache: bool,
-    engine: str | None = None,
-    islands: int | None = None, migration_interval: int | None = None,
+    name: str, no_cache: bool, engine: str | None = None
 ) -> BenchmarkResults:
     """Compute one benchmark's X-based results in a worker process.
 
     Explicit knobs override the (fork- or spawn-) inherited environment;
     unset knobs fall through to whatever the caller exported.
     """
-    _apply_knobs(batch_size, no_cache, engine, islands, migration_interval)
+    _apply_knobs(no_cache, engine)
     return x_based(name)
 
 
 def run_suite(
     names: list[str] | None = None,
     jobs: int | None = None,
-    batch_size: int | None = None,
     no_cache: bool = False,
     engine: str | None = None,
-    islands: int | None = None,
-    migration_interval: int | None = None,
 ) -> list[BenchmarkResults]:
     """X-based analysis of *names* (default: all 14), fanned out over
     ``jobs`` worker processes.
@@ -367,12 +347,6 @@ def run_suite(
     regardless of the original fan-out.  Results come back in input
     order; duplicate names are computed once.  Each benchmark's analysis
     runs in one process: the benchmark fan-out is the only parallelism.
-
-    *islands*/*migration_interval* export the GA island knobs
-    (``REPRO_ISLANDS``/``REPRO_MIGRATION_INTERVAL``) to the suite's
-    environment, so stressmark artifacts computed downstream of a suite
-    run — figure harnesses, service jobs — inherit the requested island
-    schedule (see :func:`stressmark`).
     """
     names = list(names) if names is not None else all_names()
     for name in names:
@@ -383,8 +357,7 @@ def run_suite(
     if jobs <= 1 or len(unique) <= 1:
         saved = {var: os.environ.get(var) for var in _KNOB_VARS}
         try:
-            _apply_knobs(batch_size, no_cache, engine, islands,
-                         migration_interval)
+            _apply_knobs(no_cache, engine)
             by_name = {
                 name: x_based(name) for name in unique
             }
@@ -397,10 +370,7 @@ def run_suite(
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                name: pool.submit(
-                    _suite_worker, name, batch_size, no_cache, engine,
-                    islands, migration_interval,
-                )
+                name: pool.submit(_suite_worker, name, no_cache, engine)
                 for name in unique
             }
             by_name = {name: future.result() for name, future in futures.items()}

@@ -38,24 +38,20 @@ class Benchmark:
     def program(self) -> Program:
         return assemble(self.source, self.name)
 
-    def analysis_kwargs(self, batch_size: int | None = None) -> dict:
+    def analysis_kwargs(self) -> dict:
         """Keyword arguments for :func:`repro.core.api.analyze`.
 
-        Bundles this kernel's exploration budgets (and optionally the
-        *batch_size* scheduling knob) so the runner, the CLI, and the
-        perf harness all analyze a benchmark identically.  The simulation
-        engine is selected by ``REPRO_ENGINE`` (see
+        Bundles this kernel's exploration budgets so the runner, the CLI,
+        and the perf harness all analyze a benchmark identically.  The
+        simulation engine is selected by ``REPRO_ENGINE`` (see
         :func:`repro.sim.bitplane.default_engine`), which the CLI and the
-        suite runner export.
+        suite runner export; the engine fixes the lock-step width.
         """
-        kwargs = {
+        return {
             "loop_bound": self.loop_bound,
             "max_segments": self.max_segments,
             "max_cycles": self.max_cycles,
         }
-        if batch_size is not None:
-            kwargs["batch_size"] = batch_size
-        return kwargs
 
     def input_sets(self, count: int, seed: int = 2017) -> list[list[int]]:
         """Deterministic profiling input sets (the paper runs "several")."""

@@ -6,7 +6,7 @@ Usage::
     python -m repro profile  prog.asm --inputs 1,2,3 [--inputs 4,5,6 ...]
     python -m repro coi      prog.asm [--count N]
     python -m repro suite    [--benchmarks mult,tea8,...] [--jobs N]
-                             [--no-cache] [--islands N]
+                             [--no-cache]
     python -m repro bench    [--benchmarks ...] [--output BENCH_suite.json]
     python -m repro conformance [--benchmarks ...] [--fuzz N] [--seed S]
                              [--engine E]
@@ -45,10 +45,10 @@ compiled once per host and cached (one foreign call per batch step;
 falls back to the reference engine with a warning when no C compiler is
 available), ``--engine reference`` on the original uint8 evaluator, the
 oracle — bit-identical results either way (also settable via
-``REPRO_ENGINE``).  ``--batch-size N`` settles N
-execution paths in lock-step (1 = a one-lane batch; default 32 on the
-native engine, 8 on the reference engine, or ``REPRO_BATCH_SIZE``).
-One analysis runs in one process.  Cores are used across analyses —
+``REPRO_ENGINE``).  Execution paths and concrete runs advance in
+lock-step at a width the engine and the input fix (32 explored paths on
+the native engine, 8 on the reference engine; one lane per concrete
+run).  One analysis runs in one process.  Cores are used across analyses —
 ``suite --jobs N`` fans the benchmarks out over N processes and
 ``serve`` runs several jobs at once in its job slots — and across GA
 islands: ``bench --workers N`` and ``serve --workers N`` set the island
@@ -135,7 +135,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze(
         cpu, program, model,
         loop_bound=args.loop_bound, vcd_dir=args.vcd_dir,
-        batch_size=args.batch_size, engine=args.engine,
+        engine=args.engine,
     )
     if args.json:
         import json
@@ -159,9 +159,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     input_sets = [
         [int(token, 0) for token in spec.split(",")] for spec in args.inputs
     ]
-    profile = input_profiling(
-        cpu, program, input_sets, model, batch_size=args.batch_size
-    )
+    profile = input_profiling(cpu, program, input_sets, model)
     for run in profile.runs:
         print(f"inputs={run.inputs}: peak {run.peak_power_mw:.3f} mW, "
               f"{run.energy_pj:.1f} pJ over {run.cycles} cycles")
@@ -177,8 +175,7 @@ def cmd_coi(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     report = analyze(
         cpu, program, model,
-        loop_bound=args.loop_bound, batch_size=args.batch_size,
-        engine=args.engine,
+        loop_bound=args.loop_bound, engine=args.engine,
     )
     reports = cycles_of_interest(
         report.tree, report.peak_power, program, count=args.count
@@ -198,11 +195,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
     results = runner.run_suite(
         _resolve_benchmarks(args.benchmarks),  # None = all benchmarks
         jobs=args.jobs,
-        batch_size=args.batch_size,
         no_cache=args.no_cache,
         engine=args.engine,
-        islands=args.islands,
-        migration_interval=args.migration_interval,
     )
     for result in results:
         print(f"{result.name:>10}: peak {result.peak_power_mw:.3f} mW, "
@@ -218,7 +212,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     names = _resolve_benchmarks(args.benchmarks)
     report = run_perf_suite(
-        names, batch_size=args.batch_size, repeats=args.repeats,
+        names, repeats=args.repeats,
         workers=args.workers, islands=args.islands,
         migration_interval=args.migration_interval,
     )
@@ -585,13 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_batch_size(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--batch-size", type=int, default=None, metavar="N",
-            help="settle N execution paths in lock-step (1 = a one-lane "
-                 "batch; default 32 native / 8 reference, or "
-                 "$REPRO_BATCH_SIZE)",
-        )
+    def add_engine(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
             "--engine", choices=ENGINES, default=None,
             help="simulation representation: the compiled C kernels on "
@@ -609,21 +597,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--json", action="store_true",
                            help="print the bound as one JSON object "
                                 "(bit-exact floats, for scripting/CI)")
-    add_batch_size(p_analyze)
+    add_engine(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_profile = sub.add_parser("profile", help="guardbanded input profiling")
     p_profile.add_argument("program")
     p_profile.add_argument("--inputs", action="append", required=True,
                            help="comma-separated input words; repeatable")
-    add_batch_size(p_profile)
+    add_engine(p_profile)
     p_profile.set_defaults(func=cmd_profile)
 
     p_coi = sub.add_parser("coi", help="cycles-of-interest report")
     p_coi.add_argument("program")
     p_coi.add_argument("--count", type=int, default=5)
     p_coi.add_argument("--loop-bound", type=int, default=None)
-    add_batch_size(p_coi)
+    add_engine(p_coi)
     p_coi.set_defaults(func=cmd_coi)
 
     def add_island_knobs(sub_parser: argparse.ArgumentParser) -> None:
@@ -648,8 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--no-cache", action="store_true",
                          help="bypass the versioned artifact store "
                               "(same as REPRO_NO_CACHE=1)")
-    add_batch_size(p_suite)
-    add_island_knobs(p_suite)
+    add_engine(p_suite)
     p_suite.set_defaults(func=cmd_suite)
 
     p_bench = sub.add_parser(
@@ -660,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated subset (default: all 14)")
     p_bench.add_argument("--output", default="BENCH_suite.json")
     p_bench.add_argument("--repeats", type=int, default=1)
-    add_batch_size(p_bench)
+    add_engine(p_bench)
     add_island_knobs(p_bench)
     p_bench.add_argument(
         "--workers", type=int, default=None, metavar="N",

@@ -8,11 +8,11 @@ reads, a pending path is pushed, keyed by the (state, assignment) pair so
 already-simulated paths are never re-simulated (this is what lets
 input-dependent loops terminate).
 
-One drain loop implements the exploration: it pops pending paths up to
-``batch_size`` at a time onto the lanes of a
-:class:`~repro.sim.batch.BatchMachine`, settles all of them per cycle in
-lock-step, and refills retired lanes from the queue mid-flight so the
-batch stays full (``batch_size=1`` is a one-lane batch).
+One drain loop implements the exploration: it pops pending paths onto
+the lanes of a :class:`~repro.sim.batch.BatchMachine` (as many as
+:func:`default_batch_size` gives the engine built), settles all of them
+per cycle in lock-step, and refills retired lanes from the queue
+mid-flight so the batch stays full.
 
 The lanes finish segments in whatever order the schedule happens to
 visit them, but a pending path's entire future is determined by its
@@ -20,7 +20,7 @@ memoization key, so the *set* of segments does not depend on the
 schedule.  A replay then walks the discovered segment graph with a
 depth-first stack, and that replay *defines* the canonical tree:
 segment indices, parents, fork targets and the flat-trace layout.  Every
-engine and every batch width yields the same tree, bit for bit;
+engine and every lane count yields the same tree, bit for bit;
 ``tests/golden_trees.json`` pins its digest for every benchmark.
 
 The output is an :class:`ExecutionTree`: a set of trace *segments* linked
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,11 +41,10 @@ from repro.service import faults
 from repro.sim.batch import BatchMachine
 from repro.sim.trace import CycleRecord, Trace
 
-#: batch width used when ``explore(..., batch_size=None)``; override with
-#: the ``REPRO_BATCH_SIZE`` environment variable (1 = a one-lane batch).
+#: lock-step lanes of an exploration on the reference engine
 DEFAULT_BATCH_SIZE = 8
 
-#: wider default for the native engine: the batch step kernel costs
+#: wider on the native engine: the batch step kernel costs
 #: nearly the same for 1 lane as for 64, so deep pending-path queues
 #: benefit from more lanes at negligible memory cost (a ULP430 lane is
 #: 2.3 KB of packed planes; the step's lane-sliced state is 0.3 MB per
@@ -57,23 +55,15 @@ NATIVE_DEFAULT_BATCH_SIZE = 32
 
 
 def default_batch_size(engine: str | None = None) -> int:
-    """Batch width for *engine* honoring ``REPRO_BATCH_SIZE``.
+    """Exploration width (lock-step lanes) for *engine*.
 
     Pass the engine actually built (``"native"`` only when the native
     evaluator loaded), not the one requested: a host that fell back
     explores the reference engine at its own width.
     """
-    raw = os.environ.get("REPRO_BATCH_SIZE")
-    if not raw:
-        if engine == "native":
-            return NATIVE_DEFAULT_BATCH_SIZE
-        return DEFAULT_BATCH_SIZE
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BATCH_SIZE must be an integer, got {raw!r}"
-        ) from None
+    if engine == "native":
+        return NATIVE_DEFAULT_BATCH_SIZE
+    return DEFAULT_BATCH_SIZE
 
 
 class PathExplosionError(Exception):
@@ -241,25 +231,22 @@ def explore(
     max_cycles: int = 200_000,
     max_segments: int = 4_096,
     max_cycles_per_path: int = 50_000,
-    batch_size: int | None = None,
     engine: str | None = None,
     cancel=None,
 ) -> ExecutionTree:
     """Run Algorithm 1 for *program* on the gate-level *cpu*.
 
-    *batch_size* is the number of pending paths settled in lock-step
-    (``1`` = a one-lane batch); ``None`` (the default) uses
-    :func:`default_batch_size`.  *engine* selects the simulation
-    representation: ``"native"`` (the compiled C kernels on packed dual
-    rail, the default; the reference engine when no C compiler is
-    available) or ``"reference"`` (the uint8 oracle); ``None`` honors
-    ``REPRO_ENGINE``.  The default width follows the engine actually
-    built.  The exploration runs in the calling
+    *engine* selects the simulation representation: ``"native"`` (the
+    compiled C kernels on packed dual rail, the default; the reference
+    engine when no C compiler is available) or ``"reference"`` (the uint8
+    oracle); ``None`` honors ``REPRO_ENGINE``.  The number of pending
+    paths settled in lock-step follows the engine actually built
+    (:func:`default_batch_size`).  The exploration runs in the calling
     process; cores are spent across analyses (``suite --jobs``, service
-    job slots), not inside one.
-    Every combination returns the identical tree, bit for bit.  *cancel*
-    is an optional :class:`repro.parallel.cancel.CancelToken` checked
-    between path-queue batches; a set token aborts the exploration with
+    job slots), not inside one.  Both engines return the identical
+    tree, bit for bit.  *cancel* is an optional
+    :class:`repro.parallel.cancel.CancelToken` checked between path-queue
+    batches; a set token aborts the exploration with
     :class:`repro.parallel.cancel.JobCancelled` (results are never
     altered by cancellation, only abandoned).
 
@@ -269,10 +256,7 @@ def explore(
     forkable conditional branch.
     """
     machine = cpu.make_machine(program, symbolic_inputs=True, engine=engine)
-    if batch_size is None:
-        packed = getattr(machine.evaluator, "packed", False)
-        batch_size = default_batch_size("native" if packed else "reference")
-    batch_size = max(1, batch_size)
+    packed = getattr(machine.evaluator, "packed", False)
     # a packed batch records packed words, unpacked at the trace boundary
     # (lazy per record, bulk for values_matrix/active_matrix), so the
     # explore loop never unpacks a row it only forks from.  The replay in
@@ -281,7 +265,7 @@ def explore(
         machine.netlist,
         machine.ports,
         machine.evaluator,
-        batch_size,
+        default_batch_size("native" if packed else "reference"),
         annotator=machine.annotator,
     )
     evaluator = machine.evaluator

@@ -77,22 +77,19 @@ def analyze(
     max_cycles: int = 200_000,
     max_segments: int = 4_096,
     vcd_dir=None,
-    batch_size: int | None = None,
     engine: str | None = None,
     cancel=None,
 ) -> AnalysisReport:
     """Full input-independent peak power and energy analysis.
 
-    *batch_size* selects the exploration scheduling (see
-    :func:`repro.core.activity.explore`): the number of execution
-    paths settled in lock-step (``1`` = a one-lane batch).
     *engine* selects the simulation representation — ``"native"``
     (the compiled C kernels on packed dual rail, the default; the
     reference engine when no compiler), or ``"reference"`` (the uint8
-    oracle); ``None`` honors
-    ``REPRO_ENGINE``.  All combinations are bit-identical.  One
-    analysis runs in one process; to use several cores, run several
-    analyses at once (``suite --jobs``, service job slots).
+    oracle); ``None`` honors ``REPRO_ENGINE``.  Both are bit-identical,
+    and Algorithm 1 explores at the engine's lock-step width (see
+    :func:`repro.core.activity.explore`).  One analysis runs in one
+    process; to use several cores, run several analyses at once
+    (``suite --jobs``, service job slots).
     *cancel* (a :class:`repro.parallel.cancel.CancelToken`) threads
     through both algorithms' inner loops; a set token aborts with
     :class:`repro.parallel.cancel.JobCancelled` without changing any
@@ -103,7 +100,6 @@ def analyze(
         program,
         max_cycles=max_cycles,
         max_segments=max_segments,
-        batch_size=batch_size,
         engine=engine,
         cancel=cancel,
     )

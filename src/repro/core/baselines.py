@@ -104,7 +104,6 @@ def input_profiling(
     program: Program,
     input_sets: list[list[int]],
     model: PowerModel,
-    batch_size: int | None = None,
     max_cycles: int = 200_000,
     cancel=None,
     engine: str | None = None,
@@ -112,20 +111,16 @@ def input_profiling(
     """The paper's profiling baseline over several input sets.
 
     The input sets are embarrassingly parallel, so all concrete runs
-    advance in lock-step on a :class:`~repro.sim.batch.BatchMachine`,
-    ``batch_size`` lanes at a time (``None``: see
-    :func:`repro.core.activity.default_batch_size`; ``1`` = a one-lane
-    batch).  Lock-step traces are record-for-record identical to
+    advance in lock-step, one :class:`~repro.sim.batch.BatchMachine`
+    lane per input set (see :func:`repro.sim.batch.run_batch_to_halt`).
+    Lock-step traces are record-for-record identical to
     :func:`profile_one`'s concrete :class:`~repro.sim.machine.Machine`
-    runs, so the measurements do not depend on the batch size.  *cancel*
+    runs, so the measurements do not depend on the lane count.  *cancel*
     (a :class:`repro.parallel.cancel.CancelToken`) is checked before the
     lock-step run.
     """
-    from repro.core.activity import default_batch_size
     from repro.sim.batch import run_batch_to_halt
 
-    if batch_size is None:
-        batch_size = default_batch_size()
     if cancel is not None:
         cancel.check()
     machines = [
@@ -135,7 +130,7 @@ def input_profiling(
         )
         for inputs in input_sets
     ]
-    results = run_batch_to_halt(cpu, machines, batch_size, max_cycles)
+    results = run_batch_to_halt(cpu, machines, max_cycles)
     runs = [
         _measure(inputs, trace, model)
         for inputs, (trace, _cycles) in zip(input_sets, results)

@@ -18,7 +18,6 @@ import numpy as np
 from repro.asm import assemble
 from repro.core.baselines import GUARDBAND
 from repro.power.model import PowerModel
-from repro.sim.trace import Trace
 
 #: instruction templates; {r} registers drawn from r4-r11, {v} random word,
 #: {n} small even offset.  r12 is the data-area base pointer.
@@ -120,65 +119,60 @@ def _genome_source(genome: list[Gene]) -> str:
     return HEADER + "\n".join(lines) + FOOTER
 
 
-def _evaluate(cpu, model: PowerModel, genome: list[Gene]) -> tuple[float, float]:
-    program = assemble(_genome_source(genome), "stressmark")
-    machine = cpu.make_machine(program, symbolic_inputs=False, port_in=0)
-    trace = Trace(machine.netlist.n_nets)
-    cpu.run_to_halt(machine, max_cycles=5_000, trace=trace)
-    power = model.trace_power(
-        trace.values_matrix(packed=True), trace.mem_accesses(),
-        bit_order=trace.bit_order,
-    )
-    return power.peak(), power.average()
+def _run_and_score(
+    cpu, model: PowerModel, machines: list
+) -> list[tuple[float, float]]:
+    """(peak, average) power of each concrete machine run to halt."""
+    from repro.sim.batch import run_batch_to_halt
+
+    scores = []
+    for trace, _cycles in run_batch_to_halt(cpu, machines, max_cycles=5_000):
+        power = model.trace_power(
+            trace.values_matrix(packed=True), trace.mem_accesses(),
+            bit_order=trace.bit_order,
+        )
+        scores.append((power.peak(), power.average()))
+    return scores
 
 
 def _evaluate_population(
-    cpu, model: PowerModel, pool: list[list[Gene]], batch_size: int
+    cpu, model: PowerModel, pool: list[list[Gene]]
 ) -> list[tuple[float, float]]:
     """Score every genome of one generation; malformed individuals get 0.
 
-    With ``batch_size > 1`` all viable genomes run to halt in lock-step on
-    a :class:`~repro.sim.batch.BatchMachine` — the population evaluation
+    All viable genomes run to halt in lock-step on one
+    :class:`~repro.sim.batch.BatchMachine` — the population evaluation
     is the GA's entire cost, and its members are independent programs on
     the same netlist.  Lock-step traces are bit-identical to scalar runs,
-    so evolution is unchanged; any batch-level failure falls back to the
-    scalar per-genome path, which reproduces the per-individual exception
-    semantics exactly.
+    so evolution does not depend on the population's lane count.  One
+    bad lane fails the whole batch, so a batch-level failure reruns each
+    genome as its own one-machine batch, and only the offending genome
+    scores zero.
     """
     scores: list[tuple[float, float]] = [(0.0, 0.0)] * len(pool)
-    if batch_size <= 1 or len(pool) <= 1:
-        for position, genome in enumerate(pool):
-            try:
-                scores[position] = _evaluate(cpu, model, genome)
-            except Exception:
-                pass  # malformed individual: selected out
-        return scores
-    try:
-        machines = []
-        positions = []
-        for position, genome in enumerate(pool):
-            try:
-                program = assemble(_genome_source(genome), "stressmark")
-                machines.append(
-                    cpu.make_machine(program, symbolic_inputs=False, port_in=0)
-                )
-                positions.append(position)
-            except Exception:
-                pass  # assembly failure: keep the zero score
-        from repro.sim.batch import run_batch_to_halt
-
-        results = run_batch_to_halt(cpu, machines, batch_size, max_cycles=5_000)
-        for position, (trace, _cycles) in zip(positions, results):
-            power = model.trace_power(
-                trace.values_matrix(packed=True), trace.mem_accesses(),
-                bit_order=trace.bit_order,
+    machines = []
+    positions = []
+    for position, genome in enumerate(pool):
+        try:
+            program = assemble(_genome_source(genome), "stressmark")
+            machines.append(
+                cpu.make_machine(program, symbolic_inputs=False, port_in=0)
             )
-            scores[position] = (power.peak(), power.average())
-        return scores
+            positions.append(position)
+        except Exception:
+            pass  # assembly failure: keep the zero score
+    try:
+        scored = _run_and_score(cpu, model, machines)
     except Exception:
-        # One bad lane poisons a lock-step batch; redo the generation on
-        # the scalar path so only the offending genome scores zero.
-        return _evaluate_population(cpu, model, pool, batch_size=1)
+        scored = []
+        for machine in machines:
+            try:
+                scored += _run_and_score(cpu, model, [machine])
+            except Exception:
+                scored.append((0.0, 0.0))  # malformed individual: selected out
+    for position, score in zip(positions, scored):
+        scores[position] = score
+    return scores
 
 
 @dataclass
@@ -216,7 +210,6 @@ def evolve_island(
     generations: int,
     population: int,
     genome_length: int,
-    batch_size: int,
     cancel=None,
 ) -> Island:
     """Advance one island *generations* steps of the GA loop, in place.
@@ -235,7 +228,7 @@ def evolve_island(
     for _generation in range(generations):
         if cancel is not None:
             cancel.check()
-        scores = _evaluate_population(cpu, model, pool, batch_size)
+        scores = _evaluate_population(cpu, model, pool)
         scored = []
         for genome, (peak, avg) in zip(pool, scores):
             fitness = peak if objective == "peak" else avg
@@ -305,7 +298,6 @@ def generate_stressmark(
     generations: int = 6,
     genome_length: int = 12,
     seed: int = 42,
-    batch_size: int | None = None,
     islands: int | None = None,
     migration_interval: int | None = None,
     workers: int | None = None,
@@ -313,10 +305,9 @@ def generate_stressmark(
 ) -> Stressmark:
     """Breed a stressmark targeting ``"peak"`` or ``"average"`` power.
 
-    *batch_size* selects how many individuals are simulated in lock-step
-    per generation (``1`` = the scalar reference, ``None`` =
-    :func:`repro.core.activity.default_batch_size`); scores — and hence
-    the whole evolution — are identical for every setting.
+    Each generation's individuals are simulated in lock-step, one lane
+    each; scores — and hence the whole evolution — are identical to
+    per-genome runs.
 
     *islands* switches to the island model: that many independent
     populations (seeded ``seed, seed + stride, ...``) evolve in epochs
@@ -339,16 +330,12 @@ def generate_stressmark(
     islands, migration_interval = resolve_island_knobs(
         islands, migration_interval
     )
-    if batch_size is None:
-        from repro.core.activity import default_batch_size
-
-        batch_size = default_batch_size()
 
     if islands == 1:
         island = make_island(seed, population, genome_length)
         evolve_island(
             cpu, model, island, objective, generations,
-            population, genome_length, batch_size, cancel=cancel,
+            population, genome_length, cancel=cancel,
         )
         best = island.best
     else:
@@ -362,7 +349,7 @@ def generate_stressmark(
         ]
         states = evolve_archipelago(
             cpu, model, states, objective, generations, population,
-            genome_length, batch_size, migration_interval, workers,
+            genome_length, migration_interval, workers,
             cancel=cancel,
         )
         best = None

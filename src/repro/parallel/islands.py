@@ -27,7 +27,7 @@ def _evolve_task(args: tuple):
     """Worker body: advance one island a whole epoch; returns the island."""
     from repro.core.stressmark import evolve_island
 
-    island, objective, span, population, genome_length, batch_size = args
+    island, objective, span, population, genome_length = args
     ctx = _CTX
     return evolve_island(
         ctx["cpu"],
@@ -37,7 +37,6 @@ def _evolve_task(args: tuple):
         span,
         population,
         genome_length,
-        batch_size,
     )
 
 
@@ -65,7 +64,6 @@ def evolve_archipelago(
     generations: int,
     population: int,
     genome_length: int,
-    batch_size: int,
     migration_interval: int,
     workers: int | None = None,
     cancel=None,
@@ -102,7 +100,7 @@ def evolve_archipelago(
                 if cancel is not None:
                     cancel.check()
                 span = min(migration_interval, generations - done)
-                common = (objective, span, population, genome_length, batch_size)
+                common = (objective, span, population, genome_length)
                 tasks = [(island, *common) for island in states]
                 if pool is not None:
                     states = list(pool.map(_evolve_task, tasks))

@@ -378,15 +378,14 @@ class BatchMachine:
 def run_batch_to_halt(
     cpu,
     machines: list,
-    batch_size: int,
     max_cycles: int = 100_000,
 ) -> list[tuple[Trace, int]]:
-    """Run concrete *machines* to the halt idiom, ``batch_size`` at a time.
+    """Run concrete *machines* to the halt idiom, all in lock-step.
 
     The workhorse behind the batched input-profiling and GA-stressmark
     baselines: each machine (already reset, e.g. fresh from
-    ``cpu.make_machine``) becomes a lane; lanes retire as they halt and are
-    refilled from the remaining machines, so the batch stays full.
+    ``cpu.make_machine``) becomes a lane of one batch, and lanes retire
+    as they halt.  The native kernel steps the lanes in groups of 64.
 
     Returns one ``(trace, cycles)`` pair per machine, in input order, with
     exactly the records and cycle count that ``cpu.run_to_halt(machine,
@@ -406,7 +405,7 @@ def run_batch_to_halt(
         template.netlist,
         template.ports,
         template.evaluator,
-        max(1, min(batch_size, len(machines))),
+        len(machines),
         annotator=template.annotator,
     )
     traces = [Trace(template.netlist.n_nets) for _ in machines]
@@ -414,24 +413,17 @@ def run_batch_to_halt(
         for trace in traces:
             trace.packing = template.evaluator.program
     cycles: list[int] = [0] * len(machines)
-    budget: dict[int, int] = {}  # id(lane) -> remaining step budget
-    lane_index: dict[int, int] = {}
-    queue = list(enumerate(machines))[::-1]  # pop() order = input order
-
-    def refill() -> None:
-        while queue and batch.n_free:
-            index, machine = queue.pop()
-            lane = batch.load(machine.snapshot(), {})
-            lane_index[id(lane)] = index
-            budget[id(lane)] = max_cycles
-
-    refill()
+    lane_index = {
+        id(batch.load(machine.snapshot(), {})): index
+        for index, machine in enumerate(machines)
+    }
+    steps = 0  # every live lane has run exactly this many cycles
     while batch.lanes:
         records = batch.step()
+        steps += 1
         for lane, record in zip(list(batch.lanes), records):
             index = lane_index[id(lane)]
             traces[index].append(record)
-            budget[id(lane)] -= 1
             view = batch.lane_view(lane)
             if cpu.halted(view):
                 cycles[index] = lane.cycle
@@ -440,11 +432,9 @@ def run_batch_to_halt(
                     "concrete run reached an unknown PC; did you forget "
                     "Program.with_inputs()?"
                 )
-            elif budget[id(lane)] <= 0:
+            elif steps >= max_cycles:
                 raise RuntimeError(f"no halt within {max_cycles} cycles")
             else:
                 continue
             batch.retire(lane)
-            del lane_index[id(lane)], budget[id(lane)]
-        refill()
     return [(trace, n) for trace, n in zip(traces, cycles)]

@@ -141,12 +141,12 @@ class TestParallelRunner:
     def test_sequential_run_does_not_leak_knobs(self, isolated_cache,
                                                 monkeypatch):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
-        runner.run_suite(["mult"], jobs=1, batch_size=4, no_cache=True)
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        runner.run_suite(["mult"], jobs=1, no_cache=True, engine="native")
         import os
 
         assert "REPRO_NO_CACHE" not in os.environ
-        assert "REPRO_BATCH_SIZE" not in os.environ
+        assert "REPRO_ENGINE" not in os.environ
         assert runner.cache_enabled()
 
     def test_duplicate_names_computed_once(self, isolated_cache, monkeypatch):
@@ -157,16 +157,15 @@ class TestParallelRunner:
 
 
 class TestKnobParsing:
-    def test_malformed_batch_size_env_raises(self, monkeypatch):
+    def test_batch_width_reads_no_environment(self, monkeypatch):
+        """The exploration width is a per-engine constant: the variable
+        that once overrode it is ignored, malformed or not."""
         from repro.core.activity import default_batch_size
 
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "1x")
-        with pytest.raises(ValueError, match="REPRO_BATCH_SIZE"):
-            default_batch_size()
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "16")
-        assert default_batch_size() == 16
-        monkeypatch.delenv("REPRO_BATCH_SIZE")
-        assert default_batch_size() == 8
+        for raw in ("1x", "16"):
+            monkeypatch.setenv("REPRO_BATCH_SIZE", raw)
+            assert default_batch_size() == 8
+            assert default_batch_size("native") == 32
 
     def test_atomic_cache_write_leaves_no_scratch(self, isolated_cache):
         runner._cached("unit_atomic_key", lambda: [1, 2, 3])

@@ -133,18 +133,16 @@ class TestServiceCli:
         assert "may still be running" in err
         assert "repro serve" not in err
 
-    def test_islands_flags_exported(self, monkeypatch, capsys):
-        import os
-
-        monkeypatch.setenv("REPRO_ISLANDS", "")
-        monkeypatch.setenv("REPRO_MIGRATION_INTERVAL", "")
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        assert main(
-            ["suite", "--benchmarks", "mult", "--jobs", "1",
-             "--islands", "3", "--migration-interval", "4"]
-        ) == 0
-        assert os.environ["REPRO_ISLANDS"] == "3"
-        assert os.environ["REPRO_MIGRATION_INTERVAL"] == "4"
+    @pytest.mark.parametrize(
+        "flag", ["--islands", "--migration-interval", "--batch-size"]
+    )
+    def test_suite_rejects_removed_flags(self, flag, capsys):
+        """``suite`` breeds no stressmark, so it takes no GA island
+        flags, and no command takes a lock-step width."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["suite", "--benchmarks", "mult", flag, "3"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestCacheCli:

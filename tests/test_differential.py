@@ -146,16 +146,18 @@ class TestBatchedEqualsScalar:
         assert tree.digest() == GOLDEN_TREES[name]["tree"]
 
     @pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS))
-    def test_one_lane_batch_bit_identical(self, cpu, name):
-        """``batch_size=1`` is a one-lane batch, not another loop: lanes
-        retire and refill one path at a time, and the replay still
-        rebuilds the golden tree (native engine)."""
-        tree = explore_benchmark(cpu, name, batch_size=1, engine="native")
+    def test_one_lane_batch_bit_identical(self, cpu, name, explore_lanes):
+        """A one-lane batch is not another loop: lanes retire and refill
+        one path at a time, and the replay still rebuilds the golden tree
+        (native engine)."""
+        explore_lanes(1)
+        tree = explore_benchmark(cpu, name, engine="native")
         assert tree.digest() == GOLDEN_TREES[name]["tree"]
 
-    def test_reference_batched_spot_check(self, cpu):
+    def test_reference_batched_spot_check(self, cpu, explore_lanes):
         """The same one-lane probe on the uint8 reference (mult)."""
-        tree = explore_benchmark(cpu, "mult", batch_size=1, engine="reference")
+        explore_lanes(1)
+        tree = explore_benchmark(cpu, "mult", engine="reference")
         assert tree.digest() == GOLDEN_TREES["mult"]["tree"]
 
     def test_analysis_matches_golden(self, peak):

@@ -382,20 +382,22 @@ class TestBenchmarkTreesIdentical:
 
     @pytest.mark.parametrize("batch_size", [1, 64, 65])
     @pytest.mark.parametrize("name", ["inSort", "tHold"])
-    def test_lane_widths_match_golden(self, cpu, name, batch_size):
+    def test_lane_widths_match_golden(
+        self, cpu, name, batch_size, explore_lanes
+    ):
         """One lane, a full 64-lane word, and a second lane group."""
-        tree = explore_benchmark(
-            cpu, name, batch_size=batch_size, engine="native"
-        )
+        explore_lanes(batch_size)
+        tree = explore_benchmark(cpu, name, engine="native")
         assert tree.digest() == GOLDEN_TREES[name]["tree"]
 
-    def test_native_equals_reference_directly(self, cpu):
+    def test_native_equals_reference_directly(self, cpu, monkeypatch):
         """One one-lane reference probe on mult pins the transitivity
         argument without going through the golden file."""
-        reference, native_tree = (
-            explore_benchmark(cpu, "mult", batch_size=batch_size, engine=engine)
-            for batch_size, engine in ((1, "reference"), (None, "native"))
-        )
+        from repro.core import activity
+
+        monkeypatch.setattr(activity, "DEFAULT_BATCH_SIZE", 1)
+        reference = explore_benchmark(cpu, "mult", engine="reference")
+        native_tree = explore_benchmark(cpu, "mult", engine="native")
         assert native_tree.digest() == reference.digest()
 
 
@@ -435,7 +437,6 @@ class TestFallback:
 
         monkeypatch.setattr(native, "find_compiler", lambda: None)
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
         native._reset_fallback_warning()
         fresh = Ulp430(cpu.netlist, cpu.ports, cpu.nets)  # nothing cached
         widths = []
@@ -554,7 +555,7 @@ class TestEnginePlumbing:
         with pytest.raises(ValueError, match="native"):
             default_engine()
 
-    def test_native_batches_like_bitplane(self, monkeypatch):
+    def test_native_batches_like_bitplane(self):
         """The native width is the packed batch width; the reference
         engine keeps its own."""
         from repro.core.activity import (
@@ -563,7 +564,6 @@ class TestEnginePlumbing:
             default_batch_size,
         )
 
-        monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
         assert default_batch_size("native") == NATIVE_DEFAULT_BATCH_SIZE
         assert default_batch_size("reference") == DEFAULT_BATCH_SIZE
 

@@ -125,7 +125,7 @@ class TestPackedConcreteRecords:
         benchmark = get_benchmark("mult")
         program = benchmark.program().with_inputs(benchmark.input_sets(1)[0])
         machine = cpu.make_machine(program, symbolic_inputs=False, port_in=0)
-        [(trace, cycles)] = run_batch_to_halt(cpu, [machine], 4)
+        [(trace, cycles)] = run_batch_to_halt(cpu, [machine])
         assert cycles > 0
         assert trace.packing is not None
         record = trace.records[0]
@@ -150,7 +150,7 @@ class TestPackedConcreteRecords:
         scalar_trace = Trace(scalar_machine.netlist.n_nets)
         cpu.run_to_halt(scalar_machine, trace=scalar_trace)
         machine = cpu.make_machine(program, symbolic_inputs=False, port_in=0)
-        [(trace, _cycles)] = run_batch_to_halt(cpu, [machine], 4)
+        [(trace, _cycles)] = run_batch_to_halt(cpu, [machine])
         assert np.array_equal(
             trace.values_matrix(), scalar_trace.values_matrix()
         )
