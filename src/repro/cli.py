@@ -152,13 +152,30 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _input_sets(specs: list[str], program) -> list[list[int]]:
+    """Parse ``--inputs`` specs: one integer per input word of *program*."""
+    input_sets = []
+    for spec in specs:
+        try:
+            values = [int(token, 0) for token in spec.split(",")]
+        except ValueError:
+            raise CliError(
+                f"--inputs {spec!r}: expected comma-separated integers"
+            ) from None
+        if len(values) != program.n_input_words:
+            raise CliError(
+                f"--inputs {spec!r}: program {program.name} expects "
+                f"{program.n_input_words} input words, got {len(values)}"
+            )
+        input_sets.append(values)
+    return input_sets
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
     _apply_engine(args)
-    cpu, model = _make_context()
     program = _load_program(args.program)
-    input_sets = [
-        [int(token, 0) for token in spec.split(",")] for spec in args.inputs
-    ]
+    input_sets = _input_sets(args.inputs, program)
+    cpu, model = _make_context()
     profile = input_profiling(cpu, program, input_sets, model)
     for run in profile.runs:
         print(f"inputs={run.inputs}: peak {run.peak_power_mw:.3f} mW, "

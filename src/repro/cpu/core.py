@@ -91,11 +91,17 @@ def _declare_register(
     return nb.register(width, name, reset_value=reset)
 
 
-def build_ulp430() -> "Ulp430":
-    """Elaborate the processor and return its wrapper."""
-    # the default engine's settle kernel does not depend on the netlist:
-    # compile it in the background while the CPU elaborates
-    prefetch()
+def build_ulp430(prefetch_kernel: bool = True) -> "Ulp430":
+    """Elaborate the processor and return its wrapper.
+
+    The default engine's kernel does not depend on the netlist, so its
+    compile starts in the background while the CPU elaborates.  A
+    process that will fork before the kernel is needed passes
+    *prefetch_kernel* ``False``: the build thread would not survive the
+    fork.
+    """
+    if prefetch_kernel:
+        prefetch()
     nb = NetlistBuilder("ulp430")
 
     # ------------------------------------------------------------------

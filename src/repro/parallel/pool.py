@@ -92,15 +92,3 @@ def fork_available() -> bool:
 def fork_context():
     """The fork multiprocessing context every repro pool uses."""
     return multiprocessing.get_context("fork")
-
-
-def spawn_context():
-    """The spawn multiprocessing context for service job workers.
-
-    Unlike fork, spawn is safe to use from a multithreaded process (the
-    HTTP server + scheduler threads), which is exactly where job workers
-    are launched from.  The GA's fork-start island pools are then created
-    *inside* the single-threaded worker process, clearing the Python
-    3.12+ fork-in-threads hazard.  Spawn is available on every platform.
-    """
-    return multiprocessing.get_context("spawn")

@@ -13,7 +13,7 @@ named fault sites at the seams where real faults strike::
 
 A site is a single cheap call — ``faults.hit("worker.start")`` — that
 does nothing unless the ``REPRO_FAULTS`` environment variable names it.
-Spawn-start worker processes inherit the environment, so one exported
+The worker is handed the server's environment per job, so one exported
 spec arms the whole service stack, CI included.
 
 Spec grammar (``;``-separated sites)::

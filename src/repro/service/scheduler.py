@@ -32,7 +32,7 @@ Two execution backends share the same state machine:
   callables, which is what the test suite wants.  Cancellation of a
   running job is cooperative-only here.
 * ``backend="process"`` (the default for the HTTP service) runs each
-  job in a **spawn-start worker process**
+  job in its own **worker process**, forked from a preloaded forkserver
   (:class:`repro.service.workers.ProcessBackend`): an engine crash
   fails one job instead of the server, cancellation has a worker-kill
   backstop, and the GA's fork-start island pools are created from the
@@ -274,7 +274,7 @@ class JobScheduler:
 
     *backend* selects where executors run: ``"thread"`` (scheduler
     threads in this process, the default) or ``"process"`` (one
-    spawn-start worker process per job — crash isolation and a
+    worker process per job — crash isolation and a
     worker-kill cancellation backstop, see
     :mod:`repro.service.workers`).  The process backend takes an
     *executor_factory* — a picklable zero-argument callable rebuilding

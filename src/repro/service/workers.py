@@ -1,7 +1,10 @@
 """Process-pool job execution: fault isolation + real cancellation.
 
-Each job runs in its own **spawn-start** worker process rather than on a
-scheduler thread inside the server:
+Each job runs in its own worker process rather than on a scheduler
+thread inside the server.  Workers are forked from one **forkserver**
+whose preload (:mod:`repro.service.preload`) has already imported the
+engine and elaborated the ULP430, its ``PowerModel`` and the store
+fingerprint, so a job pays a fork instead of an interpreter boot:
 
 * **Fault isolation** — an engine that segfaults, is OOM-killed, or
   calls ``os._exit`` takes down one worker process; the scheduler maps
@@ -13,11 +16,12 @@ scheduler thread inside the server:
   checkpoint within the kill grace period, the monitor SIGKILLs the
   worker's whole process group as the backstop.  Either way a DELETE on
   a RUNNING job reaches a terminal state and frees its slot.
-* **No fork-in-threads** — spawn is safe from the multithreaded server
-  process, and the only fork-start pool a job creates (the stressmark
-  GA's island processes) is then created inside the single-threaded
-  worker, clearing the Python 3.12+ hazard the scheduler previously had
-  to live with.  An analysis job runs entirely in its worker process.
+* **No fork-in-threads** — the forkserver is a single-threaded process
+  started before any job, so forking workers from it is safe while the
+  server runs threads, and the only fork-start pool a job creates (the
+  stressmark GA's island processes) is created inside the
+  single-threaded worker.  An analysis job runs entirely in its worker
+  process.
 
 The worker is **non-daemonic** so it may fork that island pool
 (daemonic processes cannot have children — the jobs × island-workers
@@ -52,13 +56,24 @@ job's own ``deadline_s``) kills an overrunning worker and raises
 unlucky, it was too big for its budget.
 
 Results are bit-identical to the in-thread backend: the worker runs the
-same executors against the same artifact store (``CACHE_DIR`` is shipped
-explicitly — spawn does not inherit parent module-global mutations), and
-cancellation only ever aborts work, it never alters a result.
+same executors against the same artifact store, and cancellation only
+ever aborts work, it never alters a result.  The forkserver's state is
+frozen when it starts, so each job ships what may have changed since:
+the server's environment (``REPRO_FAULTS``, ``REPRO_ENGINE``, ``CC``
+...), installed before anything reads it, and ``CACHE_DIR``, which is a
+module global of the server; multiprocessing itself ships the working
+directory and ``sys.path``.  The preload holds no native-kernel state,
+so each job loads the kernel under its own store.
+
+If the forkserver dies, its workers' exit codes read 255 while a worker
+may still run: the monitor kills the worker's process group whatever
+its exit code says, the job is retried as a :class:`WorkerCrashed`, and
+the next start launches a fresh forkserver.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -67,7 +82,6 @@ import traceback
 from pathlib import Path
 
 from repro.parallel.cancel import JobCancelled
-from repro.parallel.pool import spawn_context
 
 #: seconds a cancelled worker gets to reach a cooperative checkpoint
 #: before the monitor SIGKILLs its process group
@@ -198,24 +212,26 @@ def _worker_main(
     params: dict,
     workers: int,
     cache_dir: str | None,
+    environ: dict[str, str],
     attempt: int = 1,
     heartbeat_every: float = 1.0,
 ) -> None:
     """Worker-process entry: run one job's executor, report, exit.
 
-    Spawned fresh, so nothing from the server process leaks in except
-    what arrives through the arguments: *factory* rebuilds the executor
-    table (it must be a picklable module-level callable), *cache_dir*
-    re-points the runner's artifact store (spawn inherits the
-    environment but **not** parent module-global mutations like
-    ``runner.CACHE_DIR``).  *attempt* arms per-attempt fault triggers
-    (``REPRO_FAULTS`` rides in on the inherited environment) and
-    *heartbeat_every* throttles the checkpoint heartbeat pings.
+    Forked from the preloaded forkserver, so nothing of the server's
+    state at job start leaks in except what arrives through the
+    arguments: *factory* rebuilds the executor table (it must be a
+    picklable module-level callable), *environ* is the server's
+    environment, *cache_dir* re-points the runner's artifact store.
+    *attempt* arms per-attempt fault triggers and *heartbeat_every*
+    throttles the checkpoint heartbeat pings.
     """
     try:
         os.setsid()  # own process group: the kill backstop reaps our forks
     except OSError:
         pass
+    os.environ.clear()
+    os.environ.update(environ)
     from repro.bench import runner
     from repro.parallel.cancel import CancelToken
     from repro.service import faults
@@ -255,7 +271,8 @@ def _worker_main(
 
 
 class ProcessBackend:
-    """Runs each job in a spawn-start worker process and monitors it.
+    """Runs each job in a worker process forked from the preloaded
+    forkserver, and monitors it.
 
     One :meth:`run` call per job, invoked from the scheduler's job
     thread: it launches the worker, pumps progress events, watches for
@@ -283,6 +300,12 @@ class ProcessBackend:
         self.kill_grace = kill_grace
         self.heartbeat_timeout = heartbeat_timeout
         self.max_job_seconds = max_job_seconds
+        from multiprocessing import forkserver
+
+        self._mp = multiprocessing.get_context("forkserver")
+        self._mp.set_forkserver_preload(["repro.service.preload"])
+        # preload beside the server start, not on the first job
+        forkserver.ensure_running()
 
     def run(self, job, ctx, factory, attempt: int = 1):
         """Execute *job* in a worker process; return its result dict.
@@ -305,15 +328,15 @@ class ProcessBackend:
             if self.heartbeat_timeout
             else 1.0
         )
-        mp = spawn_context()
+        mp = self._mp
         cancel_event = mp.Event()
         recv, send = mp.Pipe(duplex=False)
         process = mp.Process(
             target=_worker_main,
             args=(
                 send, cancel_event, factory, job.kind, job.params,
-                ctx.workers, str(runner.CACHE_DIR), attempt,
-                heartbeat_every,
+                ctx.workers, str(runner.CACHE_DIR), dict(os.environ),
+                attempt, heartbeat_every,
             ),
             name=f"repro-worker-{job.id}-a{attempt}",
         )
@@ -384,7 +407,9 @@ class ProcessBackend:
                         outcome = got
                     break
         finally:
-            if process.is_alive() and outcome is None:
+            if outcome is None:
+                # also when it reads dead: a worker whose forkserver died
+                # reads exit code 255 while it may still run
                 self._kill(process)
             process.join(10.0)
             if process.is_alive():  # pragma: no cover - last resort
@@ -440,8 +465,9 @@ class ProcessBackend:
 
     @staticmethod
     def _kill(process) -> None:
-        """SIGKILL the worker's process group (engine forks included)."""
-        if not process.is_alive() or process.pid is None:
+        """SIGKILL the worker's process group (engine forks included),
+        whatever ``is_alive()`` says."""
+        if process.pid is None:
             return
         try:
             os.killpg(process.pid, signal.SIGKILL)

@@ -16,10 +16,17 @@ Three layers, increasingly end-to-end:
   servers run one job slot (``--max-jobs 1 --workers 1``); an analysis
   job runs entirely in its worker process.
 
-Executors are **module-level** so the spawn-start worker can re-import
-them; this module deliberately avoids heavyweight imports (numpy, the
-engine) at module scope to keep worker spawn fast — the heartbeat
-watchdog tests depend on spawn finishing well inside the timeout.
+Workers are forked from one preloaded forkserver and are handed the
+server's environment per job, so ``REPRO_FAULTS`` set or unset between
+jobs on one scheduler arms exactly the jobs started after it.  Killing
+the forkserver itself mid-job must not orphan the worker: the job is
+retried and the next start launches a fresh forkserver.
+
+Executors are **module-level** so the worker can import them by
+reference; this module deliberately avoids heavyweight imports (numpy,
+the engine) at module scope to keep the worker's start fast — the
+heartbeat watchdog tests depend on it finishing well inside the
+timeout.
 """
 
 from __future__ import annotations
@@ -84,6 +91,19 @@ def _wait_for(predicate, timeout=30.0, interval=0.02):
             return True
         time.sleep(interval)
     return predicate()
+
+
+def _group_members(pgid: int) -> list[int]:
+    """Pids of the live (not zombie) processes in process group *pgid*."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _ppid, pgrp = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except (OSError, IndexError):
+            continue  # exited while we looked
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(stat.parent.name))
+    return members
 
 
 @pytest.fixture(autouse=True)
@@ -170,6 +190,46 @@ class TestCrashRetry:
             assert "FaultInjected" in job.error
             assert job.attempt == 1  # permanent: no attempts were burned
             assert "retrying" not in [e["stage"] for e in job.events]
+        finally:
+            scheduler.shutdown()
+
+    def test_forkserver_death_mid_job_is_retried_without_orphans(
+        self, monkeypatch
+    ):
+        from multiprocessing import forkserver
+
+        # attempt 1 stalls before its executor, so the forkserver dies
+        # while the worker is alive; attempt 2 is clean
+        monkeypatch.setenv(
+            FAULTS_ENV, "worker.start=delay:ms=30000,on_attempt=1"
+        )
+        scheduler = self._scheduler(max_retries=2)
+        try:
+            job, _ = scheduler.submit("echo", {"x": 1})
+            assert _wait_for(
+                lambda: any(e["stage"] == "booted" for e in job.events), 60
+            )
+            [booted] = [e for e in job.events if e["stage"] == "booted"]
+            worker = int(re.search(r"pid (\d+)", booted["detail"]).group(1))
+            assert _group_members(worker) == [worker]
+            dead_server = forkserver._forkserver._forkserver_pid
+            os.kill(dead_server, signal.SIGKILL)
+            assert scheduler.wait(job.id, 60)
+            assert job.state == DONE, job.error
+            assert job.attempt == 2
+            [retry] = [e for e in job.events if e["stage"] == "retrying"]
+            assert "died unexpectedly" in retry["detail"]
+            assert _wait_for(lambda: not _group_members(worker), 10), (
+                f"worker {worker}'s process group outlived the job"
+            )
+            # the next job runs on a fresh forkserver
+            monkeypatch.delenv(FAULTS_ENV)
+            good, _ = scheduler.submit("echo", {"x": 2})
+            assert scheduler.wait(good.id, 60)
+            assert good.state == DONE
+            fresh = forkserver._forkserver._forkserver_pid
+            assert fresh not in (None, dead_server)
+            assert os.waitpid(fresh, os.WNOHANG) == (0, 0)  # alive
         finally:
             scheduler.shutdown()
 

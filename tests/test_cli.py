@@ -64,6 +64,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "guardbanded" in out
 
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [
+            (["3,5", "7,9,11"], "expects 2 input words, got 3"),
+            (["3"], "expects 2 input words, got 1"),
+            (["3,x"], "expected comma-separated integers"),
+        ],
+    )
+    def test_profile_bad_inputs_exit_2(
+        self, program_file, capsys, inputs, message
+    ):
+        argv = ["profile", program_file]
+        for spec in inputs:
+            argv += ["--inputs", spec]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: --inputs ") and message in err
+        assert "Traceback" not in err
+
     def test_coi(self, program_file, capsys):
         assert main(["coi", program_file, "--count", "3"]) == 0
         out = capsys.readouterr().out

@@ -1,7 +1,7 @@
 """Fault isolation, real cancellation, and the service-layer bug sweep.
 
-The process backend runs each job in a spawn-start worker process, so
-these tests exercise the failure modes the in-thread backend could not
+The process backend runs each job in a worker process forked from a
+preloaded forkserver, so these tests exercise the failure modes the in-thread backend could not
 survive: a worker calling ``os._exit`` mid-job, a worker that ignores
 its cancel token (killed by the backstop), and a ``BaseException``
 escaping an executor (must not strand a scheduler slot).  The client
@@ -9,16 +9,26 @@ tests pin the typed errors ``result()`` now raises for failed and
 cancelled jobs, and the checkpoint tests pin that cancel tokens thread
 through the engine's inner loops without perturbing results.
 
-The executors below are **module-level** so the spawn-start worker can
-re-import them by reference (``tests/`` is on ``sys.path`` under
-pytest, and spawn forwards ``sys.path`` to the child).
+The preload tests pin what a forked worker starts from: the elaborated
+CPU but no native-kernel state, the server's environment as it is at
+job start (the forkserver's own is frozen when it starts), and a
+``repro serve`` that writes nothing under its working directory.
+
+The executors below are **module-level** so the worker can import them
+by reference (``tests/`` is on ``sys.path`` under pytest, and
+multiprocessing forwards ``sys.path`` to the child).
 """
 
 from __future__ import annotations
 
 import os
+import re
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -72,12 +82,29 @@ def _cooperative_executor(params, ctx):
     return {"cooperative": True}
 
 
+def _preload_executor(params, ctx):
+    from repro.bench import runner
+    from repro.sim import native
+
+    return {
+        "cpu_built": runner._cpu is not None,
+        "no_build": native._BUILD is None,
+        "no_kernel": native._KERNEL is None,
+    }
+
+
+def _environ_executor(params, ctx):
+    return {"engine": os.environ.get("REPRO_ENGINE")}
+
+
 def _test_executors():
     return {
         "echo": _echo_executor,
         "die": _exit_executor,
         "stubborn": _stubborn_executor,
         "cooperative": _cooperative_executor,
+        "preload": _preload_executor,
+        "environ": _environ_executor,
     }
 
 
@@ -210,6 +237,60 @@ class TestProcessBackend:
         scheduler.cancel(first.id)
         assert scheduler.wait(first.id, 10)
         assert first.state == CANCELLED
+
+    def test_worker_starts_elaborated_without_kernel_state(self, scheduler):
+        job, _ = scheduler.submit("preload", {})
+        assert scheduler.wait(job.id, 60)
+        assert job.state == DONE, job.error
+        assert job.result == {
+            "cpu_built": True, "no_build": True, "no_kernel": True,
+        }
+
+    def test_worker_sees_the_environment_at_job_start(
+        self, scheduler, monkeypatch
+    ):
+        seen = []
+        for engine in (None, "reference", None):
+            if engine is None:
+                monkeypatch.delenv("REPRO_ENGINE", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_ENGINE", engine)
+            job, _ = scheduler.submit("environ", {"step": len(seen)})
+            assert scheduler.wait(job.id, 60)
+            assert job.state == DONE, job.error
+            seen.append(job.result["engine"])
+        assert seen == [None, "reference", None]
+
+    @pytest.mark.slow
+    def test_serve_writes_nothing_under_its_cwd(self, tmp_path):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        store = tmp_path / "s"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("REPRO_FAULTS", None)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--store", str(store), "--max-jobs", "1", "--workers", "1",
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            start_new_session=True, env=env, cwd=str(cwd),
+        )
+        try:
+            banner = proc.stdout.readline()
+            match = re.search(r"http://127\.0\.0\.1:(\d+)", banner)
+            assert match, banner
+            client = ServiceClient(f"http://127.0.0.1:{match.group(1)}")
+            job = client.submit("analyze", benchmark="mult")
+            assert client.result(job["job_id"], timeout=120)["state"] == DONE
+        finally:
+            os.killpg(proc.pid, signal.SIGTERM)
+            assert proc.wait(60) == 0
+            proc.stdout.close()
+        assert not (cwd / ".repro_cache").exists()
+        assert list(cwd.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
