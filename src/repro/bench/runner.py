@@ -3,7 +3,7 @@
 Every figure/table harness needs the same expensive artifacts — the
 symbolic analysis of each benchmark, profiling runs, the GA stressmark.
 This module computes them once and publishes them through the
-content-addressed :class:`repro.service.ArtifactStore` under
+content-addressed :class:`repro.service.store.ArtifactStore` under
 ``.repro_cache`` in the working directory, so the per-figure benchmarks
 stay fast and consistent with each other (and with the analysis
 service, which resolves its jobs through the same store).

@@ -12,7 +12,15 @@ One drain loop implements the exploration: it pops pending paths onto
 the lanes of a :class:`~repro.sim.batch.BatchMachine` (as many as
 :func:`default_batch_size` gives the engine built), settles all of them
 per cycle in lock-step, and refills retired lanes from the queue
-mid-flight so the batch stays full.
+mid-flight so the batch stays full.  After each step the CPU probes read
+the whole batch at once (the native step returns every lane's probe
+buses as columns) and give lane masks: halted, next PC unknown, next
+cycle may fork.  Only the lanes that halt or fork are visited one by
+one.  A fork restarts its children from the lane's state *before* the
+dispatch cycle, so that state is snapshotted ahead of the step, but only
+for lanes that were just loaded or whose next cycle may fork (a
+DISPATCH with an X condition flag); a fork without a snapshot is an
+internal error, never a silent guess.
 
 The lanes finish segments in whatever order the schedule happens to
 visit them, but a pending path's entire future is determined by its
@@ -39,6 +47,7 @@ import numpy as np
 from repro.asm.program import Program
 from repro.service import faults
 from repro.sim.batch import BatchMachine
+from repro.sim.machine import Machine
 from repro.sim.trace import CycleRecord, Trace
 
 #: lock-step lanes of an exploration on the reference engine
@@ -190,17 +199,17 @@ class _Pending:
     memo_key: bytes
 
 
-def _memo_key(evaluator, snapshot: dict, forces: dict[int, int]) -> bytes:
+def _memo_key(state: bytes, forces: dict[int, int]) -> bytes:
     """Key = architectural state at the branch + the flag concretization.
 
-    *evaluator* (any engine) tells the fingerprint how to read the
-    snapshot's state array; the induced equivalence relation — and hence
-    the execution tree — is representation-independent.
+    *state* is the branch snapshot's
+    :meth:`~repro.sim.machine.Machine.snapshot_state_key`, taken once per
+    fork; the fingerprint reads either engine's state array, and the
+    induced equivalence relation — hence the execution tree — is
+    representation-independent.
     """
-    from repro.sim.machine import Machine
-
     h = hashlib.blake2b(digest_size=16)
-    h.update(Machine.snapshot_state_key(snapshot, evaluator))
+    h.update(state)
     for net in sorted(forces):
         h.update(net.to_bytes(4, "little"))
         h.update(forces[net].to_bytes(1, "little"))
@@ -275,9 +284,17 @@ def explore(
     seen: set[bytes] = {root.memo_key}
     nodes: dict[bytes, _Node] = {}
     total_cycles = 0
+    steps = 0
 
     lane_node: dict[int, _Node] = {}  # id(lane) -> segment being simulated
-    lane_cycles: dict[int, int] = {}
+    lane_start: dict[int, int] = {}  # id(lane) -> steps when it was loaded
+    # lanes to snapshot before the next step: a fork restarts its
+    # children from the state *before* the X-condition dispatch cycle
+    # (they re-execute it with concrete flags).  A lane is snapshotted
+    # when it was just loaded or when its last step says the next cycle
+    # may fork (cpu.may_fork_next); a fork without one is an internal
+    # error.
+    to_snap: list = []
 
     def start(pending: _Pending) -> None:
         if len(nodes) >= max_segments:
@@ -288,7 +305,8 @@ def explore(
         nodes[pending.memo_key] = node
         lane = batch.load(pending.snapshot, pending.forces)
         lane_node[id(lane)] = node
-        lane_cycles[id(lane)] = 0
+        lane_start[id(lane)] = steps
+        to_snap.append(lane)
 
     def refill() -> None:
         while stack and batch.n_free:
@@ -299,50 +317,63 @@ def explore(
         if cancel is not None:
             cancel.check()
         faults.hit("explore.batch")
-        # Pre-step snapshots: a fork restarts its children from the state
-        # *before* the X-condition dispatch cycle (they re-execute it with
-        # concrete flags).
-        snap_before = {id(lane): batch.snapshot(lane) for lane in batch.lanes}
+        snap_before = {id(lane): batch.snapshot(lane) for lane in to_snap}
         records = batch.step()
-        for lane, record in zip(list(batch.lanes), records):
+        steps += 1
+        lanes = list(batch.lanes)
+        for lane, record in zip(lanes, records):
+            lane_node[id(lane)].records.append(record)
+        # the probes read every lane at once; only the lanes that halt or
+        # fork are visited one by one
+        halted = cpu.halted(batch)
+        forking = cpu.pc_next_unknown(batch) & ~halted
+        halt_rows = halted.nonzero()[0].tolist()
+        fork_rows = forking.nonzero()[0].tolist()
+        total_cycles += len(lanes) - len(fork_rows)
+        if total_cycles > max_cycles:
+            raise PathExplosionError(
+                f"{program.name}: exceeded {max_cycles} total cycles"
+            )
+        if steps - min(lane_start.values()) > max_cycles_per_path:
+            raise PathExplosionError(
+                f"{program.name}: path exceeded {max_cycles_per_path} cycles"
+            )
+        to_snap = [
+            lanes[row]
+            for row in cpu.may_fork_next(batch).nonzero()[0].tolist()
+        ]
+        if not (halt_rows or fork_rows):
+            continue
+        forks = cpu.branch_fork_assignments(batch) if fork_rows else {}
+        for row in halt_rows:
+            lane_node[id(lanes[row])].end = "halt"
+        for row in fork_rows:
+            lane = lanes[row]
+            snapshot = snap_before.get(id(lane))
+            if snapshot is None:
+                raise RuntimeError(
+                    f"{program.name}: internal error: a lane forked at "
+                    f"cycle {lane.cycle - 1} without a pre-step snapshot"
+                )
             node = lane_node[id(lane)]
-            node.records.append(record)
-            lane_cycles[id(lane)] += 1
-            total_cycles += 1
-            if total_cycles > max_cycles:
-                raise PathExplosionError(
-                    f"{program.name}: exceeded {max_cycles} total cycles"
-                )
-            if lane_cycles[id(lane)] > max_cycles_per_path:
-                raise PathExplosionError(
-                    f"{program.name}: path exceeded {max_cycles_per_path} cycles"
-                )
-            view = batch.lane_view(lane)
-            if cpu.halted(view):
-                node.end = "halt"
-            elif cpu.pc_next_unknown(view):
-                assignments = cpu.branch_fork_assignments(view)
-                node.records.pop()
-                lane_cycles[id(lane)] -= 1
-                total_cycles -= 1
-                node.end = "fork"
-                snapshot = snap_before[id(lane)]
-                for assignment in assignments:
-                    key = _memo_key(evaluator, snapshot, assignment)
-                    node.forks.append((assignment, key))
-                    if key not in seen:
-                        seen.add(key)
-                        stack.append(
-                            _Pending(
-                                snapshot=snapshot,
-                                forces=assignment,
-                                memo_key=key,
-                            )
+            node.records.pop()  # the children re-run the dispatch cycle
+            node.end = "fork"
+            state = Machine.snapshot_state_key(snapshot, evaluator)
+            for assignment in forks[row]:
+                key = _memo_key(state, assignment)
+                node.forks.append((assignment, key))
+                if key not in seen:
+                    seen.add(key)
+                    stack.append(
+                        _Pending(
+                            snapshot=snapshot, forces=assignment, memo_key=key
                         )
-            else:
-                continue
+                    )
+        for row in halt_rows + fork_rows:
+            lane = lanes[row]
+            del lane_node[id(lane)], lane_start[id(lane)]
             batch.retire(lane)
-            del lane_node[id(lane)], lane_cycles[id(lane)]
+        to_snap = [lane for lane in to_snap if lane.row >= 0]
         refill()
 
     return _assemble_tree(

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.asm.program import Program
 from repro.isa import memmap
 from repro.isa.spec import SR_C, SR_N, SR_V, SR_Z
@@ -44,6 +46,8 @@ MASK16 = 0xFFFF
 
 S_FETCH, S_DISPATCH, S_SRC_EXT, S_SRC_RD = 0, 1, 2, 3
 S_DST_EXT, S_DST_RD, S_CALL_PUSH = 4, 5, 6
+#: width of the FSM state register
+STATE_BITS = 3
 
 STATE_NAMES = {
     S_FETCH: "FETCH",
@@ -56,6 +60,12 @@ STATE_NAMES = {
 }
 
 HALT_WORD = 0x3FFF  # `jmp $` — unconditional jump with offset -1
+
+#: the status flags a conditional jump can read
+CONDITION_FLAGS = (SR_C, SR_Z, SR_N, SR_V)
+
+#: the state-and-instruction-word bus while dispatching the halt idiom
+_HALT_DISPATCH = S_DISPATCH | HALT_WORD << STATE_BITS
 
 
 class UnresolvedPCError(Exception):
@@ -74,6 +84,7 @@ class CpuNets:
     pc_d: list[int]
     sp_q: Bus
     sr_q: Bus
+    sr_d: list[int]
     state_q: Bus
     state_d: list[int]
     ir_q: Bus
@@ -114,7 +125,7 @@ def build_ulp430(prefetch_kernel: bool = True) -> "Ulp430":
         srcv = _declare_register(nb, 16, "srcv", 0)
     with nb.module("frontend"):
         ir = _declare_register(nb, 16, "ir", 0)
-        state = _declare_register(nb, 3, "state", S_FETCH)
+        state = _declare_register(nb, STATE_BITS, "state", S_FETCH)
         mar = _declare_register(nb, 16, "mar", 0)
 
     # ------------------------------------------------------------------
@@ -613,6 +624,7 @@ def build_ulp430(prefetch_kernel: bool = True) -> "Ulp430":
         pc_d=[netlist.gates[q].inputs[0] for q in pc],
         sp_q=sp,
         sr_q=sr,
+        sr_d=[netlist.gates[q].inputs[0] for q in sr],
         state_q=state,
         state_d=[netlist.gates[q].inputs[0] for q in state],
         ir_q=ir,
@@ -632,6 +644,13 @@ class Ulp430(object):
         self.netlist = netlist
         self.ports = ports
         self.nets = nets
+        #: the buses the probes read every cycle: the FSM state with the
+        #: instruction word above it, and the next state with the next
+        #: condition flags above it
+        self._state_iw = [*nets.state_q, *nets.iw]
+        self._next_state_flags = [
+            *nets.state_d, *(nets.sr_d[bit] for bit in CONDITION_FLAGS)
+        ]
         #: the uint8 reference evaluator (the oracle), built on first use
         self._reference_evaluator = None
         #: the native-kernel evaluator (or the reference one after a
@@ -707,37 +726,58 @@ class Ulp430(object):
         value, xmask = machine.peek_bus(self.nets.state_q)
         return None if xmask else value
 
-    def read_iw(self, machine: Machine) -> int | None:
-        value, xmask = machine.peek_bus(self.nets.iw)
-        return None if xmask else value
+    # The probes below take a Machine or a BatchMachine.  A batch's
+    # peek_bus returns uint64 columns of its live lanes, so the same
+    # expressions give one answer per lane: boolean lane masks, or lists
+    # with one entry per lane.
+    def annotate(self, machine: Machine) -> dict | list[dict]:
+        """The record annotations: FSM state name, PC and instruction
+        word (``None`` when unknown); on a batch, one dict per lane."""
+        word, word_x = machine.peek_bus(self._state_iw)
+        pc, _ = machine.peek_bus(self.nets.pc_q)
+        if isinstance(word, np.ndarray):
+            return [
+                _annotation(*lane)
+                for lane in zip(word.tolist(), word_x.tolist(), pc.tolist())
+            ]
+        return _annotation(word, word_x, pc)
 
-    def annotate(self, machine: Machine) -> dict:
-        state = self.read_state(machine)
-        pc_value, _ = machine.peek_bus(self.nets.pc_q)
-        return {
-            "state": STATE_NAMES.get(state, "X"),
-            "pc": pc_value,
-            "iw": self.read_iw(machine),
-        }
+    def in_dispatch(self, machine: Machine):
+        """Is the FSM in DISPATCH?  A lane mask on a batch."""
+        state, state_x = machine.peek_bus(self.nets.state_q)
+        return (state_x == 0) & (state == S_DISPATCH)
 
-    def in_dispatch(self, machine: Machine) -> bool:
-        return self.read_state(machine) == S_DISPATCH
+    def halted(self, machine: Machine):
+        """True when the CPU is dispatching the ``jmp $`` halt idiom; a
+        lane mask on a batch."""
+        word, word_x = machine.peek_bus(self._state_iw)
+        return (word_x == 0) & (word == _HALT_DISPATCH)
 
-    def halted(self, machine: Machine) -> bool:
-        """True when the CPU is dispatching the ``jmp $`` halt idiom."""
-        return (
-            self.in_dispatch(machine)
-            and self.read_iw(machine) == HALT_WORD
-        )
+    def pc_next_unknown(self, machine: Machine):
+        """Will the PC load an X at the next clock edge?  A lane mask on
+        a batch.
 
-    def pc_next_unknown(self, machine: Machine) -> bool:
-        """Will the PC load an X at the next clock edge?
-
-        Reads the PC D-inputs as a bus through ``peek_bus`` so packed
-        lanes answer from their plane words without unpacking the row.
+        Reads the PC D-inputs as a bus, so packed lanes answer from their
+        plane words (a batch: its probe columns) without unpacking a row.
         """
         _value, xmask = machine.peek_bus(self.nets.pc_d)
         return xmask != 0
+
+    def may_fork_next(self, machine: Machine):
+        """Can the next cycle fork?  A lane mask on a batch.
+
+        Only the DISPATCH of a conditional jump whose condition reads an
+        X flag forks (:meth:`branch_fork_assignments`), and the state and
+        status registers load their D nets at the clock edge.  So the
+        next cycle may fork only when the state D nets may be
+        ``S_DISPATCH`` (an X bit may be either value) and some condition
+        flag's D net is X.  One-shot flag loads are not seen here: the
+        explorer snapshots every freshly loaded lane anyway.
+        """
+        word, word_x = machine.peek_bus(self._next_state_flags)
+        state_mask = (1 << STATE_BITS) - 1
+        may_dispatch = ((word ^ S_DISPATCH) & ~word_x & state_mask) == 0
+        return may_dispatch & (word_x > state_mask)
 
     def flag_dff_for(self, bit: int) -> int:
         return self.nets.sr_q[bit]
@@ -772,23 +812,40 @@ class Ulp430(object):
                 )
         raise RuntimeError(f"no halt within {max_cycles} cycles")
 
-    def branch_fork_assignments(self, machine: Machine) -> list[dict[int, int]]:
+    def branch_fork_assignments(self, machine: Machine):
         """Flag concretizations that resolve an X conditional jump.
 
         Returns one ``{sr_dff_net: value}`` dict per execution path.  The
         machine must be mid-DISPATCH of a conditional jump whose condition
-        evaluated to X; raises :class:`UnresolvedPCError` otherwise.
+        evaluated to X; raises :class:`UnresolvedPCError` otherwise.  On a
+        batch: ``{lane row: assignments}`` for every lane whose next PC
+        is X.
         """
-        if not self.in_dispatch(machine):
+        word, word_x = machine.peek_bus(self._state_iw)
+        _sr, sr_x = machine.peek_bus(self.nets.sr_q)
+        if not isinstance(word, np.ndarray):
+            return self._fork_assignments(word, word_x, sr_x)
+        rows = self.pc_next_unknown(machine).nonzero()[0]
+        columns = [column[rows].tolist() for column in (word, word_x, sr_x)]
+        return {
+            row: self._fork_assignments(*lane)
+            for row, *lane in zip(rows.tolist(), *columns)
+        }
+
+    def _fork_assignments(
+        self, word: int, word_x: int, sr_x: int
+    ) -> list[dict[int, int]]:
+        state_mask = (1 << STATE_BITS) - 1
+        if word_x & state_mask or word & state_mask != S_DISPATCH:
             raise UnresolvedPCError(
                 "PC became unknown outside instruction dispatch "
                 "(computed jump through unconstrained data?)"
             )
-        iw = self.read_iw(machine)
-        if iw is None or (iw >> 13) != 0b001:
+        iw, iw_x = word >> STATE_BITS, word_x >> STATE_BITS
+        if iw_x or (iw >> 13) != 0b001:
             raise UnresolvedPCError(
                 f"PC became unknown while dispatching non-jump word "
-                f"{iw if iw is None else hex(iw)}"
+                f"{None if iw_x else hex(iw)}"
             )
         cond = (iw >> 10) & 0b111
         needed_bits = {
@@ -797,11 +854,7 @@ class Ulp430(object):
             0b100: [SR_N],
             0b101: [SR_N, SR_V], 0b110: [SR_N, SR_V],
         }.get(cond, [])
-        unknown = [
-            bit
-            for bit in needed_bits
-            if machine.peek_bus([self.nets.sr_q[bit]])[1]
-        ]
+        unknown = [bit for bit in needed_bits if (sr_x >> bit) & 1]
         if not unknown:
             raise UnresolvedPCError(
                 "conditional jump has concrete flags yet PC is X"
@@ -815,3 +868,15 @@ class Ulp430(object):
                 }
             )
         return assignments
+
+
+def _annotation(word: int, word_x: int, pc: int) -> dict:
+    """Annotations from the state-and-instruction-word bus."""
+    state_mask = (1 << STATE_BITS) - 1
+    iw_x = word_x >> STATE_BITS
+    return {
+        "state": "X" if word_x & state_mask
+        else STATE_NAMES.get(word & state_mask, "X"),
+        "pc": pc,
+        "iw": None if iw_x else word >> STATE_BITS,
+    }

@@ -2,8 +2,8 @@
 
 The paper's output — an application-specific peak power/energy bound —
 is computed once per application and then reused for harvester/battery
-sizing and power-management decisions.  This package turns the engine of
-PRs 1-4 into a long-lived query service with three layers:
+sizing and power-management decisions.  This package turns the engine
+into a long-lived query service with these layers:
 
 * :mod:`repro.service.store` — a content-addressed artifact store that
   generalizes the ``.repro_cache`` pickle scheme into keyed, versioned,
@@ -29,41 +29,9 @@ PRs 1-4 into a long-lived query service with three layers:
   assembly-validated), the same guaranteed bound as ``repro analyze``
   out, namespaced per tenant with result TTLs (authn/quotas live in
   :mod:`repro.tenancy`).
+
+The package itself imports nothing: every in-process analysis reaches
+:mod:`repro.service.faults` and :mod:`repro.service.store`, and must not
+pay for the gateway, journal, scheduler and workers on the way.  Import
+the submodules by name.
 """
-
-from repro.service.faults import FaultInjected, FaultSpecError
-from repro.service.gateway import UploadError, run_upload_job, validate_upload
-from repro.service.journal import JobJournal, ReplayReport, recover_jobs
-from repro.service.scheduler import Job, JobScheduler, UnknownJobError
-from repro.service.store import ArtifactStore, GcReport, StoreStats
-from repro.service.workers import (
-    DeadlineExceeded,
-    ProcessBackend,
-    WorkerCrashed,
-    WorkerError,
-    WorkerHung,
-    describe_exit,
-)
-
-__all__ = [
-    "ArtifactStore",
-    "GcReport",
-    "StoreStats",
-    "Job",
-    "JobScheduler",
-    "UnknownJobError",
-    "JobJournal",
-    "ReplayReport",
-    "recover_jobs",
-    "FaultInjected",
-    "FaultSpecError",
-    "ProcessBackend",
-    "WorkerCrashed",
-    "WorkerError",
-    "WorkerHung",
-    "DeadlineExceeded",
-    "describe_exit",
-    "UploadError",
-    "validate_upload",
-    "run_upload_job",
-]

@@ -19,9 +19,9 @@ fingerprint, so a job pays a fork instead of an interpreter boot:
 * **No fork-in-threads** — the forkserver is a single-threaded process
   started before any job, so forking workers from it is safe while the
   server runs threads, and the only fork-start pool a job creates (the
-  stressmark GA's island processes) is created inside the
-  single-threaded worker.  An analysis job runs entirely in its worker
-  process.
+  stressmark GA's island processes) is created inside the worker, whose
+  one other thread only waits in ``poll()`` and holds no lock.  An
+  analysis job runs entirely in its worker process.
 
 The worker is **non-daemonic** so it may fork that island pool
 (daemonic processes cannot have children — the jobs × island-workers
@@ -68,13 +68,21 @@ so each job loads the kernel under its own store.
 If the forkserver dies, its workers' exit codes read 255 while a worker
 may still run: the monitor kills the worker's process group whatever
 its exit code says, the job is retried as a :class:`WorkerCrashed`, and
-the next start launches a fresh forkserver.
+the next start launches a fresh forkserver.  If the server itself dies
+(even by SIGKILL, with no monitor left to kill anything), each worker
+kills its own process group: a daemon thread waits on the job pipe,
+whose only read end the server holds, and fires when the kernel
+reports that end closed.  The forkserver would not tell: every worker
+holds its liveness pipe open, so it outlives the server while any
+worker runs.
 """
 
 from __future__ import annotations
 
+import _thread
 import multiprocessing
 import os
+import select
 import signal
 import threading
 import time
@@ -204,6 +212,24 @@ class _WorkerContext:
         self.cancel.check()
 
 
+def _die_with_server(fd: int) -> None:
+    """Worker daemon thread: SIGKILL the worker's process group once its
+    server is gone.
+
+    *fd* is a duplicate of the job pipe's write end.  The server holds
+    the only read end, so the kernel reports an error on *fd* as soon as
+    the server dies, however it died; a server that merely stops
+    reading (it joins the worker first) never triggers it.
+    """
+    poller = select.poll()
+    poller.register(fd, select.POLLERR)
+    while not poller.poll():
+        pass
+    if os.getpgrp() == os.getpid():  # setsid made the worker the leader
+        os.killpg(os.getpid(), signal.SIGKILL)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 def _worker_main(
     conn,
     cancel_event,
@@ -230,6 +256,10 @@ def _worker_main(
         os.setsid()  # own process group: the kill backstop reaps our forks
     except OSError:
         pass
+    # threading.Thread.start would wait until the thread runs, about
+    # 0.4 ms of every job in a freshly forked worker; the watcher needs
+    # no handshake and, like a daemon thread, dies with the process
+    _thread.start_new_thread(_die_with_server, (os.dup(conn.fileno()),))
     os.environ.clear()
     os.environ.update(environ)
     from repro.bench import runner

@@ -4,7 +4,7 @@ A :class:`BatchMachine` holds up to B *lanes*, each a complete machine
 state (net values, behavioral memory, memory-port registers) loaded from a
 :meth:`repro.sim.machine.Machine.snapshot` dict.  One :meth:`step` clocks
 every live lane simultaneously; the per-lane parts that stay Python are
-the behavioral memory (serve and commit), annotations and the records.
+the behavioral memory (serve and commit) and the records.
 
 Lane state lives in one row per lane: ``(B, 3, n_words)`` packed P/N/A
 planes on the native engine (``values`` uint8 rows on the reference
@@ -13,15 +13,22 @@ engine).  How a step settles them depends on the engine:
 * **native**: one foreign call per step
   (:class:`~repro.sim.native.BatchKernel`) on a lane-sliced copy of the
   batch — DFF loads, port forcing, settle, activity, the write-back of
-  the live rows and every lane's memory request and probe buses.  Its
-  records carry the packed words, unpacked lazily at the trace boundary;
+  the live rows and every lane's memory request and probe buses, as
+  columns of one array.  Its records carry the packed words, unpacked
+  lazily at the trace boundary;
 * **reference**: :class:`~repro.sim.evaluator.LevelizedEvaluator` on
   ``(K, n_nets)`` uint8 matrices, the oracle.
 
-The rows stay the source of truth between steps: snapshots, memo keys,
-:class:`LaneView` and the records all read them.  Live lanes are kept
-compacted in the leading rows (retiring a lane moves the last live row
-into the hole), so the work scales with the number of *live* paths.
+The CPU's probes (halt, fork and dispatch tests, record annotations)
+read a whole batch at once: :meth:`BatchMachine.peek_bus` is the batch
+form of :meth:`Machine.peek_bus` and returns a bus of every live lane as
+``(values, xmasks)`` columns, from the last step's probe array on the
+native engine and from the values matrix on the reference engine.
+
+The rows stay the source of truth between steps: snapshots, memo keys
+and the records all read them.  Live lanes are kept compacted in the
+leading rows (retiring a lane moves the last live row into the hole), so
+the work scales with the number of *live* paths.
 
 This is the engine behind the batched execution-tree exploration in
 :mod:`repro.core.activity`.  Lanes are snapshot-compatible with
@@ -42,10 +49,7 @@ from repro.sim.machine import (
     MemoryPorts,
     _MemRequest,
     commit_memory_write,
-    compile_bus_spec,
     force_bus,
-    read_bus,
-    read_bus_planes,
     sample_memory_control,
     serve_memory_read,
 )
@@ -69,7 +73,6 @@ class Lane:
         "forced_inputs",
         "next_dff_forces",
         "_port_masks",
-        "_probes",
     )
 
     def __init__(self, row: int, snapshot: dict[str, Any], forces: dict[int, int]):
@@ -83,39 +86,6 @@ class Lane:
         self.next_dff_forces = dict(forces)
         #: native-kernel cache: (forced inputs, their input-bit masks)
         self._port_masks: tuple | None = None
-        #: the batch kernel's bus results of this lane's last step
-        self._probes: list[int] | None = None
-
-
-class LaneView:
-    """Read-only :class:`Machine`-shaped window onto one lane.
-
-    Exposes exactly the surface the CPU wrapper's introspection hooks use
-    (``peek_bus``), so ``cpu.halted``, ``cpu.pc_next_unknown``,
-    ``cpu.branch_fork_assignments`` and ``cpu.annotate`` work unchanged on a
-    batched lane.
-    """
-
-    __slots__ = ("_batch", "_lane")
-
-    def __init__(self, batch: "BatchMachine", lane: Lane):
-        self._batch = batch
-        self._lane = lane
-
-    def peek_bus(self, nets: list[int]) -> tuple[int, int]:
-        batch = self._batch
-        if batch.packed:
-            # answered from the step's probe results; a bus seen for the
-            # first time is read from the row and probed from the next
-            # step on
-            index = 2 * batch.kernel.bus_index(nets)
-            probes = self._lane._probes
-            if probes is not None and 0 <= index < len(probes):
-                return probes[index], probes[index + 1]
-            return read_bus_planes(
-                batch.planes[self._lane.row], batch._peek_spec(nets)
-            )
-        return read_bus(batch.values[self._lane.row], nets)
 
 
 class BatchMachine:
@@ -143,7 +113,6 @@ class BatchMachine:
         if self.packed:
             #: (B, 3, n_words) uint64 P/N/A planes, one row per lane slot
             self.planes = evaluator.fresh_planes(batch=batch_size)
-            self._peek_specs: dict[tuple[int, ...], list[tuple]] = {}
             self.kernel = evaluator.batch_kernel(self.planes, ports)
             self._valid_mask = evaluator.program.valid_mask
         else:
@@ -153,20 +122,12 @@ class BatchMachine:
             )
         #: rows (bit r = row r) rewritten since the kernel last read them
         self._dirty = 0
+        #: the last step's probe array, while its rows are the live lanes
+        self._columns: np.ndarray | None = None
         self.lanes: list[Lane] = []
         self._dff_pos = {
             int(net): pos for pos, net in enumerate(evaluator.dff_out)
         }
-
-    def _peek_spec(self, nets: list[int]) -> list[tuple]:
-        """Compiled packed bus spec for *nets*, cached per net tuple."""
-        key = tuple(nets)
-        spec = self._peek_specs.get(key)
-        if spec is None:
-            spec = self._peek_specs[key] = compile_bus_spec(
-                self.evaluator.program, nets
-            )
-        return spec
 
     # ------------------------------------------------------------------
     # Lane management
@@ -185,6 +146,7 @@ class BatchMachine:
             raise ValueError(f"all {self.batch_size} lanes are live")
         lane = Lane(len(self.lanes), snapshot, forces)
         self.lanes.append(lane)
+        self._columns = None
         if self.packed:
             self.planes[lane.row] = snapshot["values"]
             self._dirty |= 1 << lane.row
@@ -196,6 +158,7 @@ class BatchMachine:
     def retire(self, lane: Lane) -> None:
         """Remove *lane*, compacting live rows to the top of the matrix."""
         last = self.lanes.pop()
+        self._columns = None
         if last is not lane:
             if self.packed:
                 self.planes[lane.row] = self.planes[last.row]
@@ -207,8 +170,37 @@ class BatchMachine:
             self.lanes[lane.row] = last
         lane.row = -1
 
-    def lane_view(self, lane: Lane) -> LaneView:
-        return LaneView(self, lane)
+    def peek_bus(self, nets: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Bus *nets* (at most 64 wide) of every live lane: ``(values,
+        xmasks)`` uint64 columns parallel to :attr:`lanes`, the batch
+        form of :meth:`Machine.peek_bus`.
+
+        A packed batch answers from its last step's probe array.  A bus
+        it did not probe, or a lane set changed since, is read from the
+        rows, and the bus is probed from the next step on.  The
+        reference engine reads its values matrix.
+        """
+        if len(nets) > 64:
+            raise ValueError(f"a bus peek reads at most 64 nets, got {len(nets)}")
+        n_live = len(self.lanes)
+        if self.kernel is not None:
+            column = 2 * self.kernel.bus_index(nets)
+            columns = self._columns
+            if columns is not None and column < columns.shape[1]:
+                return columns[:, column], columns[:, column + 1]
+            pos = self.evaluator.program.pos_of[nets]
+            words, shift = pos >> 6, (pos & 63).astype(np.uint64)
+            p = (self.planes[:n_live, 0, words] >> shift) & np.uint64(1)
+            q = (self.planes[:n_live, 1, words] >> shift) & np.uint64(1)
+            known, unknown = p & ~q, p & q
+        else:
+            rows = self.values[:n_live, nets]
+            known, unknown = rows == 1, rows == X
+        weights = np.uint64(1) << np.arange(len(nets), dtype=np.uint64)
+        return (
+            (known * weights).sum(axis=1, dtype=np.uint64),
+            (unknown * weights).sum(axis=1, dtype=np.uint64),
+        )
 
     def snapshot(self, lane: Lane) -> dict[str, Any]:
         """A :class:`Machine`-compatible snapshot of one lane.
@@ -285,7 +277,9 @@ class BatchMachine:
         else:
             self._prev_active[:n_live] = active
         records: list[CycleRecord] = []
-        for lane, (mem_reads, mem_writes) in zip(self.lanes, mem_counts):
+        for lane, (mem_reads, mem_writes), notes in zip(
+            self.lanes, mem_counts, self._annotations()
+        ):
             row_values = values if squeeze else values[lane.row]
             row_active = active if squeeze else active[lane.row]
             sample_memory_control(lane, row_values, self.ports)
@@ -296,15 +290,18 @@ class BatchMachine:
                     active=row_active.copy(),
                     mem_reads=mem_reads,
                     mem_writes=mem_writes,
-                    annotations=(
-                        self.annotator(self.lane_view(lane))
-                        if self.annotator
-                        else {}
-                    ),
+                    annotations=notes,
                 )
             )
             lane.cycle += 1
         return records
+
+    def _annotations(self) -> list:
+        """The annotator's per-lane dicts for the settled lanes (``None``
+        each without an annotator: the records' empty default)."""
+        if self.annotator is None:
+            return [None] * len(self.lanes)
+        return self.annotator(self)
 
     def _step_native(self) -> list[CycleRecord]:
         """Advance every live lane one cycle in one native kernel call.
@@ -312,8 +309,9 @@ class BatchMachine:
         The kernel loads the DFFs (one-shot forces included), forces
         ``dout`` and the forced inputs, settles and marks activity for
         all lanes at once on its lane-sliced state, writes the live rows
-        back and returns every lane's memory request and probe buses.
-        Python serves and commits memory and builds the records, which
+        back and returns every lane's memory request and probe buses as
+        the columns the batch's :meth:`peek_bus` answers from.  Python
+        serves and commits memory and builds the records, which
         match the reference engine's step field for field.  A lane
         forcing a net that is not an INPUT raises ``ValueError`` before
         any lane is touched.
@@ -344,28 +342,27 @@ class BatchMachine:
         if self._dirty:
             kernel.mark(self._dirty)
             self._dirty = 0
-        probes = kernel.step(ports, forces)
+        probes = self._columns = kernel.step(ports, forces)
         n_live = len(lanes)
         value_words = self.planes[:n_live, 0:2].copy()
         active_words = self.planes[:n_live, 2] & self._valid_mask
         program = self.evaluator.program
-        annotator = self.annotator
         records: list[CycleRecord] = []
-        for i, lane in enumerate(lanes):
-            probe = lane._probes = probes[i]
-            addr, addr_x, din, din_x, en, en_x, we, we_x = probe[:8]
+        for lane, bits, counts, active, value, notes in zip(
+            lanes, probes[:, :8].tolist(), mem_counts, active_words,
+            value_words, self._annotations(),
+        ):
+            addr, addr_x, din, din_x, en, en_x, we, we_x = bits
             request = lane._request = _MemRequest(
                 None if addr_x else addr, not addr_x, X if en_x else en,
                 X if we_x else we, din, din_x,
             )
             if request.we != 0:
                 commit_memory_write(lane, request)
-            mem_reads, mem_writes = mem_counts[i]
             records.append(
                 CycleRecord(
-                    lane.cycle, None, None, mem_reads, mem_writes,
-                    annotator(LaneView(self, lane)) if annotator else {},
-                    active_words[i], value_words[i], program,
+                    lane.cycle, None, None, *counts, notes, active, value,
+                    program,
                 )
             )
             lane.cycle += 1
@@ -421,20 +418,21 @@ def run_batch_to_halt(
     while batch.lanes:
         records = batch.step()
         steps += 1
-        for lane, record in zip(list(batch.lanes), records):
-            index = lane_index[id(lane)]
-            traces[index].append(record)
-            view = batch.lane_view(lane)
-            if cpu.halted(view):
-                cycles[index] = lane.cycle
-            elif cpu.pc_next_unknown(view):
-                raise UnresolvedPCError(
-                    "concrete run reached an unknown PC; did you forget "
-                    "Program.with_inputs()?"
-                )
-            elif steps >= max_cycles:
-                raise RuntimeError(f"no halt within {max_cycles} cycles")
-            else:
-                continue
+        lanes = list(batch.lanes)
+        for lane, record in zip(lanes, records):
+            traces[lane_index[id(lane)]].append(record)
+        running = ~cpu.halted(batch)
+        stuck = cpu.pc_next_unknown(batch) & running
+        # the first running lane decides, as a lane-by-lane check would
+        if steps >= max_cycles and running.any() and not stuck[running.argmax()]:
+            raise RuntimeError(f"no halt within {max_cycles} cycles")
+        if stuck.any():
+            raise UnresolvedPCError(
+                "concrete run reached an unknown PC; did you forget "
+                "Program.with_inputs()?"
+            )
+        for row in np.flatnonzero(~running).tolist():
+            lane = lanes[row]
+            cycles[lane_index[id(lane)]] = lane.cycle
             batch.retire(lane)
     return [(trace, n) for trace, n in zip(traces, cycles)]

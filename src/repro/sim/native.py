@@ -677,8 +677,9 @@ class BatchKernel:
     rewrote are flagged with :meth:`mark` and re-read at the next step,
     and every step writes the changed bytes of the live rows back.
     Buses are registered once (:meth:`bus_index`); every later step
-    returns each lane's ``(value, xmask)`` of each of them.  The first
-    four are the memory request: ``addr``, ``din``, ``en``, ``we``.
+    returns them as columns of one probe array, each lane's ``value``
+    and ``xmask`` of each bus.  The first four are the memory request:
+    ``addr``, ``din``, ``en``, ``we``.
     """
 
     def __init__(self, kernel: NativeKernel, tables: LaneTables, planes, ports):
@@ -721,7 +722,6 @@ class BatchKernel:
         )
         self.ptr = ctypes.addressof(self.struct)
         self._bus: dict[tuple[int, ...], int] = {}
-        self._by_id: dict[int, tuple] = {}
         self._bus_slots: list[np.ndarray] = []
         # the memory request always takes probe positions 0-3, even when
         # two of its buses share nets
@@ -733,26 +733,17 @@ class BatchKernel:
             self._add_bus(tuple(nets))
 
     def bus_index(self, nets) -> int:
-        """Position of *nets* among the probed buses (registered on first
-        use, so it is in the results from the next step on); -1 for a bus
-        wider than a probe word.
-
-        The CPU probes pass the same net lists every cycle, so a list seen
-        before is found by identity (it is held, so its id stays unique);
-        bus net lists must not be mutated.
-        """
-        seen = self._by_id.get(id(nets))
-        if seen is not None and seen[0] is nets:
-            return seen[1]
+        """Position of *nets* among the probed buses, registered on first
+        use (so it is in the results from the next step on).  A bus wider
+        than a probe word is a ``ValueError``."""
         key = tuple(nets)
         index = self._bus.get(key)
-        if len(self._by_id) >= 64:  # one-off lists, e.g. single flag nets
-            self._by_id.clear()
         if index is None:
             if len(key) > _MAX_BUS:
-                return -1
+                raise ValueError(
+                    f"a probed bus holds at most {_MAX_BUS} nets, got {len(key)}"
+                )
             index = self._add_bus(key)
-        self._by_id[id(nets)] = (nets, index)
         return index
 
     def _add_bus(self, key: tuple[int, ...]) -> int:
@@ -797,12 +788,13 @@ class BatchKernel:
             if word:
                 self.dirty[group] |= np.uint64(word)
 
-    def step(self, ports: list, forces: list) -> list[list[int]]:
+    def step(self, ports: list, forces: list) -> np.ndarray:
         """Advance the first ``len(ports)`` rows one cycle.
 
         *ports* holds per row ``(dout value, dout xmask, forced mask, P,
         N)``; *forces* the one-shot ``(row, DFF index, value)`` loads.
-        Returns per row the flat ``[value, xmask, ...]`` of every bus.
+        Returns the ``(rows, 2 * n_bus)`` uint64 probe array, per row the
+        ``value, xmask`` of every bus: a view the next step overwrites.
         """
         live = len(ports)
         self.port[:live] = ports
@@ -812,7 +804,7 @@ class BatchKernel:
                 self.struct.dff_force = self.dff_force.ctypes.data
             self.dff_force[: len(forces)] = forces
         self.fn(self.tables.ptr, self.ptr, live, len(forces))
-        return self.probe[:live].tolist()
+        return self.probe[:live]
 
 
 class _Pricing(ctypes.Structure):

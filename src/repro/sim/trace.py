@@ -183,7 +183,7 @@ class Trace:
         words = [getattr(record, attr) for record in self.records]
         if any(w is None for w in words):
             return None
-        return np.stack(words)
+        return np.array(words)  # as np.stack, without a view per record
 
     def _stacked_rows(self, attr: str, dtype) -> np.ndarray:
         if not self.records:

@@ -12,7 +12,8 @@ Three layers, increasingly end-to-end:
 * subprocess — ``repro serve`` is SIGKILLed mid-job and restarted on
   the same store: the journal requeues the job under its original id
   and the recomputed result is bit-identical to a direct, in-process
-  analysis.  SIGTERM takes the graceful path and exits 0.  These
+  analysis.  A SIGKILLed server takes its in-flight workers with it.
+  SIGTERM takes the graceful path and exits 0.  These
   servers run one job slot (``--max-jobs 1 --workers 1``); an analysis
   job runs entirely in its worker process.
 
@@ -574,6 +575,35 @@ class TestServeRecovery:
         assert served["npe_pj_per_cycle"] == direct.npe_pj_per_cycle
         assert served["path_cycles"] == direct.path_cycles
         assert served["n_segments"] == direct.n_segments
+
+    def test_sigkilled_server_takes_its_workers_down(self, tmp_path):
+        # the worker hangs before its executor and never heartbeats; only
+        # the server's death can end it
+        proc, port = _start_serve(
+            tmp_path / "store",
+            env=_serve_env({FAULTS_ENV: "worker.start=hang"}),
+        )
+        worker = None
+        try:
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            job_id = client.submit("analyze", benchmark="mult")["job_id"]
+
+            def booted():
+                events = client.events(job_id)["events"]
+                return [e for e in events if e["stage"] == "booted"]
+
+            assert _wait_for(booted, 60)
+            [event] = booted()
+            worker = int(re.search(r"pid (\d+)", event["detail"]).group(1))
+            assert _group_members(worker) == [worker]
+            os.kill(proc.pid, signal.SIGKILL)  # the server alone
+            assert _wait_for(lambda: not _group_members(worker), 5), (
+                f"worker {worker}'s process group outlived its server"
+            )
+        finally:
+            _stop_serve(proc)
+            if worker is not None and _group_members(worker):
+                os.killpg(worker, signal.SIGKILL)  # do not leak a hang
 
     def test_sigterm_takes_the_graceful_path(self, tmp_path):
         proc, port = _start_serve(tmp_path / "store")
