@@ -31,10 +31,11 @@ from repro.isa.spec import SR_C, SR_N, SR_V, SR_Z
 from repro.logic import X
 from repro.netlist.builder import Bus, NetlistBuilder
 from repro.netlist.core import Netlist
+from repro.netlist.program import NetlistProgram
 from repro.sim.evaluator import LevelizedEvaluator
 from repro.sim.machine import Machine, MemoryPorts
 from repro.sim.memory import TernaryMemory
-from repro.sim.native import evaluator_or_fallback, prefetch
+from repro.sim.native import LaneTables, evaluator_or_fallback, prefetch
 from repro.cpu.datapath import (
     and_or_select,
     build_alu,
@@ -653,6 +654,9 @@ class Ulp430(object):
         ]
         #: the uint8 reference evaluator (the oracle), built on first use
         self._reference_evaluator = None
+        #: the gate schedule ``(NetlistProgram, LaneTables)``, built on
+        #: first use (see :meth:`gate_schedule`)
+        self._gate_schedule = None
         #: the native-kernel evaluator (or the reference one after a
         #: compiler-less fallback), built on first use and then shared by
         #: every machine/batch built from this CPU
@@ -668,6 +672,20 @@ class Ulp430(object):
             self._reference_evaluator = LevelizedEvaluator(self.netlist)
         return self._reference_evaluator
 
+    def gate_schedule(self) -> tuple[NetlistProgram, LaneTables]:
+        """The netlist's packed bit order and lane-sliced gate schedule,
+        built once and handed to the native evaluator.
+
+        Pure numpy tables of this netlist, with no kernel state: a
+        process that forks job workers builds them before it forks, and
+        every worker inherits them.  ``LaneTables`` points into its own
+        arrays, which a fork keeps valid and pickling would not.
+        """
+        if self._gate_schedule is None:
+            program = NetlistProgram(self.netlist)
+            self._gate_schedule = (program, LaneTables(program))
+        return self._gate_schedule
+
     def evaluator_for(self, engine: str | None = None):
         """The shared evaluator for *engine* (``None``: ``REPRO_ENGINE``)."""
         from repro.sim.bitplane import ENGINES, default_engine
@@ -680,7 +698,7 @@ class Ulp430(object):
                 # without a compiler, fall back on this CPU's own
                 # reference evaluator rather than building a second one
                 self._native_evaluator = evaluator_or_fallback(
-                    self.netlist, lambda: self.evaluator
+                    self.netlist, lambda: self.evaluator, self.gate_schedule()
                 )
             return self._native_evaluator
         raise ValueError(

@@ -81,7 +81,7 @@ class Lane:
         self.cycle = snapshot["cycle"]
         self.dout_value = snapshot["dout_value"]
         self.dout_xmask = snapshot["dout_xmask"]
-        self._request = _MemRequest(**vars(snapshot["request"]))
+        self._request = snapshot["request"]
         self.forced_inputs = dict(snapshot["forced_inputs"])
         self.next_dff_forces = dict(forces)
         #: native-kernel cache: (forced inputs, their input-bit masks)
@@ -207,7 +207,8 @@ class BatchMachine:
 
         ``values``/``prev_active`` live in matrix rows that the next step
         mutates in place, so they are copied; ``memory`` is a
-        copy-on-write :meth:`~repro.sim.memory.TernaryMemory.fork`.
+        copy-on-write :meth:`~repro.sim.memory.TernaryMemory.fork`; the
+        memory request is never mutated, so it is shared.
         """
         if self.packed:
             state = self.planes[lane.row].copy()
@@ -221,7 +222,7 @@ class BatchMachine:
             "cycle": lane.cycle,
             "dout_value": lane.dout_value,
             "dout_xmask": lane.dout_xmask,
-            "request": _MemRequest(**vars(lane._request)),
+            "request": lane._request,
             "prev_active": prev_active,
             "forced_inputs": dict(lane.forced_inputs),
             "next_dff_forces": dict(lane.next_dff_forces),

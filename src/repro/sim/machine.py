@@ -48,7 +48,13 @@ class MemoryPorts:
 
 @dataclass
 class _MemRequest:
-    """Memory control sampled at the end of a cycle (sync-SRAM timing)."""
+    """Memory control sampled at the end of a cycle (sync-SRAM timing).
+
+    Never mutated once assigned: every writer builds a fresh request and
+    assigns it as a whole, so machines, lanes and snapshots share one
+    request object instead of copying it.  Not ``frozen``: the batch
+    step builds one per lane-step, and a frozen ``__init__`` is slower.
+    """
 
     addr: int | None = None
     addr_known: bool = False
@@ -378,11 +384,12 @@ class Machine:
 
         ``values`` is shared with the machine until the next :meth:`step`
         (which materializes before mutating); ``memory`` is a
-        :meth:`~repro.sim.memory.TernaryMemory.fork`; ``prev_active`` is
-        only ever reassigned, never mutated in place, so the reference is
-        shared outright.  Snapshots are therefore O(registers) per cycle
-        instead of O(memory), which is what makes the per-cycle snapshot
-        of the execution explorers affordable.
+        :meth:`~repro.sim.memory.TernaryMemory.fork`; ``prev_active`` and
+        the memory request are only ever reassigned, never mutated in
+        place, so their references are shared outright.  Snapshots are
+        therefore O(registers) per cycle instead of O(memory), which is
+        what makes the per-cycle snapshot of the execution explorers
+        affordable.
         """
         self._values_shared = True
         return {
@@ -391,7 +398,7 @@ class Machine:
             "cycle": self.cycle,
             "dout_value": self.dout_value,
             "dout_xmask": self.dout_xmask,
-            "request": _MemRequest(**vars(self._request)),
+            "request": self._request,
             "prev_active": None if self.packed else self._prev_active,
             "forced_inputs": dict(self.forced_inputs),
             "next_dff_forces": dict(self.next_dff_forces),
@@ -410,7 +417,7 @@ class Machine:
         self.cycle = snap["cycle"]
         self.dout_value = snap["dout_value"]
         self.dout_xmask = snap["dout_xmask"]
-        self._request = _MemRequest(**vars(snap["request"]))
+        self._request = snap["request"]
         self.forced_inputs = dict(snap["forced_inputs"])
         self.next_dff_forces = dict(snap["next_dff_forces"])
 

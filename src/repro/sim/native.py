@@ -884,7 +884,13 @@ def pricer(e_rise, e_fall, col, n_cols: int) -> Pricer | None:
 class NativeEvaluator(BitplaneEvaluator):
     """The packed engine: :class:`BitplaneEvaluator` state whose settle
     is one ``repro_settle`` call, and whose batches step through
-    :meth:`batch_kernel`; both run :attr:`lanes`, built once here.
+    :meth:`batch_kernel`; both run :attr:`lanes`.
+
+    *program* and *lanes* are the netlist's gate schedule.  A caller that
+    owns one (the elaborated CPU, see ``Ulp430.gate_schedule``) hands
+    both in, *lanes* being ``LaneTables(program)``; what is not handed in
+    is built here.  The kernel is always this process's
+    (:func:`load_kernel`), never part of the schedule.
 
     Packing, DFF clocking and state fingerprints are inherited.  The
     previous-cycle planes of the activity rule are kept per thread and
@@ -899,10 +905,11 @@ class NativeEvaluator(BitplaneEvaluator):
         netlist: Netlist,
         program: NetlistProgram | None = None,
         kernel: NativeKernel | None = None,
+        lanes: LaneTables | None = None,
     ):
         super().__init__(netlist, program)
         # built while a cold kernel compile may still be running
-        self.lanes = LaneTables(self.program)
+        self.lanes = LaneTables(self.program) if lanes is None else lanes
         self.kernel = kernel or load_kernel()
         self._local = threading.local()
 
@@ -977,19 +984,27 @@ def _reset_fallback_warning() -> None:
     _fallback_warned = False
 
 
-def evaluator_or_fallback(netlist: Netlist, reference=None):
+def evaluator_or_fallback(
+    netlist: Netlist,
+    reference=None,
+    schedule: tuple[NetlistProgram, LaneTables] | None = None,
+):
     """A :class:`NativeEvaluator`, or the reference engine when the
     kernels cannot be built or loaded.
 
     *reference* returns the :class:`LevelizedEvaluator` to fall back on
-    (default: a new one).  The schedule compiles while the compiler runs,
-    so a cold build overlaps it.  Never raises for missing toolchains —
-    the paper pipeline must run anywhere.
+    (default: a new one).  *schedule* is the netlist's prebuilt
+    ``(NetlistProgram, LaneTables)`` pair, which the evaluator adopts
+    as it is; without one the schedule compiles here while the compiler
+    runs, so a cold build overlaps it.  A prebuilt schedule changes
+    nothing else: the kernel is still built or loaded here, and without
+    it the fallback and its one warning are the same.  Never raises for
+    missing toolchains — the paper pipeline must run anywhere.
     """
     start_build()
-    program = NetlistProgram(netlist)
+    program, lanes = schedule or (NetlistProgram(netlist), None)
     try:
-        return NativeEvaluator(netlist, program)
+        return NativeEvaluator(netlist, program, lanes=lanes)
     except NativeKernelError as exc:
         warn_fallback(exc)
         return reference() if reference else LevelizedEvaluator(netlist)

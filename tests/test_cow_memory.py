@@ -169,3 +169,59 @@ class TestMachineSnapshotImmutability:
             frozen.append(record.values.copy())
         for record, values in zip(trace.records, frozen):
             assert np.array_equal(record.values, values)
+
+
+def _step_until_request_changes(step, current, limit=8):
+    """Step until the live request differs from *current* (the test is
+    void on a program whose request never moves)."""
+    frozen = vars(current()).copy()
+    for _ in range(limit):
+        step()
+        if vars(current()) != frozen:
+            return
+    raise AssertionError(f"request unchanged over {limit} steps")
+
+
+@pytest.mark.parametrize("engine", ["native", "reference"])
+class TestSharedMemRequest:
+    """Snapshots, lanes and machines share one ``_MemRequest`` object:
+    every writer assigns a fresh request, so a shared one never changes
+    under a snapshot that holds it."""
+
+    def test_machine_snapshot_keeps_pre_step_request(self, cpu, engine):
+        machine = cpu.make_machine(assemble(PROGRAM, "cow"), engine=engine)
+        machine.step()
+        snap = machine.snapshot()
+        assert snap["request"] is machine._request
+        frozen = vars(snap["request"]).copy()
+        _step_until_request_changes(machine.step, lambda: machine._request)
+        assert vars(snap["request"]) == frozen
+        machine.restore(snap)
+        assert vars(machine._request) == frozen
+        _step_until_request_changes(machine.step, lambda: machine._request)
+        assert vars(snap["request"]) == frozen
+
+    def test_lane_snapshot_keeps_pre_step_request(self, cpu, engine):
+        from repro.sim.batch import BatchMachine
+
+        machine = cpu.make_machine(assemble(PROGRAM, "cow"), engine=engine)
+        batch = BatchMachine(
+            cpu.netlist, cpu.ports, cpu.evaluator_for(engine), 2
+        )
+        lane = batch.load(machine.snapshot(), {})
+        batch.step()
+        snap = batch.snapshot(lane)
+        assert snap["request"] is lane._request
+        frozen = vars(snap["request"]).copy()
+        _step_until_request_changes(batch.step, lambda: lane._request)
+        assert vars(snap["request"]) == frozen
+        # restore the snapshot into a second lane and step both
+        again = batch.load(snap, {})
+        assert vars(again._request) == frozen
+        _step_until_request_changes(batch.step, lambda: again._request)
+        assert vars(snap["request"]) == frozen
+        # and back into a single machine
+        machine.restore(snap)
+        assert vars(machine._request) == frozen
+        _step_until_request_changes(machine.step, lambda: machine._request)
+        assert vars(snap["request"]) == frozen

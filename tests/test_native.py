@@ -404,6 +404,18 @@ class TestBenchmarkTreesIdentical:
 # ----------------------------------------------------------------------
 # Tier 4: compiler-less degradation
 # ----------------------------------------------------------------------
+def _assert_mult_golden(report) -> None:
+    assert report.tree.digest() == GOLDEN_TREES["mult"]["tree"]
+    golden = GOLDEN["mult"]
+    assert report.peak_power.peak_cycle == golden["peak_cycle"]
+    assert report.peak_power_mw == pytest.approx(
+        golden["peak_power_mw"], rel=REL
+    )
+    assert report.peak_energy_pj == pytest.approx(
+        golden["peak_energy_pj"], rel=REL
+    )
+
+
 class TestFallback:
     def test_no_compiler_falls_back_with_one_warning(
         self, unloaded, monkeypatch
@@ -463,15 +475,43 @@ class TestFallback:
         assert "falling back to the reference engine" in str(hits[0].message)
         assert fresh.evaluator_for("native") is fresh.evaluator
         assert widths == [(LevelizedEvaluator, DEFAULT_BATCH_SIZE)]
-        assert report.tree.digest() == GOLDEN_TREES["mult"]["tree"]
-        golden = GOLDEN["mult"]
-        assert report.peak_power.peak_cycle == golden["peak_cycle"]
-        assert report.peak_power_mw == pytest.approx(
-            golden["peak_power_mw"], rel=REL
-        )
-        assert report.peak_energy_pj == pytest.approx(
-            golden["peak_energy_pj"], rel=REL
-        )
+        _assert_mult_golden(report)
+
+    def test_no_compiler_with_prebuilt_schedule(
+        self, unloaded, monkeypatch, cpu
+    ):
+        """The CPU's prebuilt gate schedule changes nothing about the
+        degradation: the CPU's reference evaluator under the one
+        warning, and ``analyze(mult)`` reproduces the goldens."""
+        from repro.core.api import analyze
+        from repro.cpu.core import Ulp430
+
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        native._reset_fallback_warning()
+        fresh = Ulp430(cpu.netlist, cpu.ports, cpu.nets)  # nothing cached
+        schedule = fresh.gate_schedule()
+        benchmark = get_benchmark("mult")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluator = native.evaluator_or_fallback(
+                fresh.netlist, lambda: fresh.evaluator, schedule
+            )
+            report = analyze(
+                fresh, benchmark.program(),
+                PowerModel(fresh.netlist, SG65, clock_ns=10.0),
+                loop_bound=benchmark.loop_bound,
+                max_cycles=benchmark.max_cycles,
+                max_segments=benchmark.max_segments,
+            )
+        native._reset_fallback_warning()
+        hits = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(hits) == 1, [str(w.message) for w in hits]
+        assert "falling back to the reference engine" in str(hits[0].message)
+        assert evaluator is fresh.evaluator
+        assert fresh.evaluator_for("native") is fresh.evaluator
+        assert fresh.gate_schedule() is schedule
+        _assert_mult_golden(report)
 
     def test_no_compiler_prices_with_numpy(self, unloaded, monkeypatch):
         """Pricing degrades with the engine: the numpy pricer takes over,

@@ -10,9 +10,10 @@ cancelled jobs, and the checkpoint tests pin that cancel tokens thread
 through the engine's inner loops without perturbing results.
 
 The preload tests pin what a forked worker starts from: the elaborated
-CPU but no native-kernel state, the server's environment as it is at
-job start (the forkserver's own is frozen when it starts), and a
-``repro serve`` that writes nothing under its working directory.
+CPU and its gate schedule but no native-kernel state, the server's
+environment as it is at job start (the forkserver's own is frozen when
+it starts), and a ``repro serve`` that writes nothing under its working
+directory.
 
 The executors below are **module-level** so the worker can import them
 by reference (``tests/`` is on ``sys.path`` under pytest, and
@@ -86,10 +87,24 @@ def _preload_executor(params, ctx):
     from repro.bench import runner
     from repro.sim import native
 
-    return {
-        "cpu_built": runner._cpu is not None,
+    cpu = runner._cpu
+    schedule = cpu._gate_schedule if cpu is not None else None
+    entry = {
+        "cpu_built": cpu is not None,
+        "schedule_built": schedule is not None,
         "no_build": native._BUILD is None,
         "no_kernel": native._KERNEL is None,
+    }
+    # the engine the job's own environment picks (REPRO_ENGINE)
+    evaluator = runner.shared_cpu().evaluator_for()
+    inherited = schedule is not None and (
+        getattr(evaluator, "program", None) is schedule[0]
+        and getattr(evaluator, "lanes", None) is schedule[1]
+    )
+    return {
+        **entry,
+        "evaluator": type(evaluator).__name__,
+        "schedule_inherited": inherited,
     }
 
 
@@ -238,12 +253,43 @@ class TestProcessBackend:
         assert scheduler.wait(first.id, 10)
         assert first.state == CANCELLED
 
-    def test_worker_starts_elaborated_without_kernel_state(self, scheduler):
-        job, _ = scheduler.submit("preload", {})
-        assert scheduler.wait(job.id, 60)
-        assert job.state == DONE, job.error
-        assert job.result == {
-            "cpu_built": True, "no_build": True, "no_kernel": True,
+    def test_worker_starts_elaborated_without_kernel_state(
+        self, scheduler, monkeypatch
+    ):
+        """A worker starts with the CPU and its gate schedule built but no
+        kernel state; its native evaluator adopts the inherited schedule
+        (builds no ``NetlistProgram`` or ``LaneTables``), and the schedule
+        does not change the engine the job's environment picks."""
+        from repro.sim.native import find_compiler
+
+        entry = {
+            "cpu_built": True, "schedule_built": True,
+            "no_build": True, "no_kernel": True,
+        }
+        results = []
+        for engine in (None, "reference"):
+            if engine is None:
+                monkeypatch.delenv("REPRO_ENGINE", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_ENGINE", engine)
+            job, _ = scheduler.submit("preload", {"engine": engine})
+            assert scheduler.wait(job.id, 60)
+            assert job.state == DONE, job.error
+            results.append(job.result)
+        native, reference = results
+        # without a compiler the native engine is the reference fallback
+        compiled = find_compiler() is not None
+        assert native == {
+            **entry,
+            "evaluator": (
+                "NativeEvaluator" if compiled else "LevelizedEvaluator"
+            ),
+            "schedule_inherited": compiled,
+        }
+        assert reference == {
+            **entry,
+            "evaluator": "LevelizedEvaluator",
+            "schedule_inherited": False,
         }
 
     def test_worker_sees_the_environment_at_job_start(
