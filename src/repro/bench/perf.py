@@ -68,7 +68,6 @@ def run_perf_suite(
     names: list[str] | None = None,
     repeats: int = 1,
     cpu=None,
-    workers: int | None = None,
     islands: int | None = None,
     migration_interval: int | None = None,
 ) -> dict:
@@ -77,25 +76,20 @@ def run_perf_suite(
     Explore runs at each engine's lock-step width, which the artifact's
     engine block records (``batch_size`` for the reference engine,
     ``native_batch_size``); the baselines run one lane per input set or
-    genome.
-    *workers* is the GA island process count for the stressmark phase
-    (``None`` honors ``REPRO_WORKERS``); every other phase runs in this
-    process.  *islands*/*migration_interval* select the GA island
+    genome.  *islands*/*migration_interval* select the GA island
     schedule for the stressmark phase (``None`` honors
     ``REPRO_ISLANDS``/``REPRO_MIGRATION_INTERVAL``), and the resolved
     knobs land in the artifact's engine block.
     """
     from repro.core.stressmark import resolve_island_knobs
-    from repro.parallel.pool import resolve_workers
 
     names = names if names is not None else list(DEFAULT_PERF_BENCHMARKS)
-    workers = resolve_workers(workers)
     islands, migration_interval = resolve_island_knobs(
         islands, migration_interval
     )
     ga_kwargs = dict(
         STRESSMARK_KWARGS, islands=islands,
-        migration_interval=migration_interval, workers=workers,
+        migration_interval=migration_interval,
     )
     cpu = cpu or build_ulp430()
     model = PowerModel(cpu.netlist, SG65, clock_ns=10.0)
@@ -204,7 +198,6 @@ def run_perf_suite(
         "sim_engine": default_engine(),
         "native_batch_size": default_batch_size("native"),
         "repeats": repeats,
-        "workers": workers,
         "islands": islands,
         "migration_interval": migration_interval,
     }

@@ -265,7 +265,6 @@ def stressmark(
     objective: str = "peak",
     islands: int | None = None,
     migration_interval: int | None = None,
-    workers: int | None = None,
     cancel=None,
 ) -> Stressmark:
     """Cached GA stressmark (shared by Figs 5.1/5.2).
@@ -273,9 +272,7 @@ def stressmark(
     The island knobs resolve like the GA itself (explicit argument,
     then ``REPRO_ISLANDS``/``REPRO_MIGRATION_INTERVAL``, then the
     classic single-population defaults) and feed the cache key, since
-    different island schedules evolve different winners.  *workers*
-    is the island process count: it only changes wall-clock (the
-    evolution is worker-count deterministic) and stays out of the key.
+    different island schedules evolve different winners.
     """
     from repro.core.stressmark import resolve_island_knobs
 
@@ -290,7 +287,6 @@ def stressmark(
             objective,
             islands=islands,
             migration_interval=migration_interval,
-            workers=workers,
             cancel=cancel,
         )
 

@@ -48,12 +48,11 @@ oracle — bit-identical results either way (also settable via
 ``REPRO_ENGINE``).  Execution paths and concrete runs advance in
 lock-step at a width the engine and the input fix (32 explored paths on
 the native engine, 8 on the reference engine; one lane per concrete
-run).  One analysis runs in one process.  Cores are used across analyses —
-``suite --jobs N`` fans the benchmarks out over N processes and
-``serve`` runs several jobs at once in its job slots — and across GA
-islands: ``bench --workers N`` and ``serve --workers N`` set the island
-process count of the stressmark GA, with a bit-identical stressmark at
-any count (``0`` = one per core, also ``REPRO_WORKERS``).
+run; every GA island's genomes together, in batches of at most 64).
+One analysis or stressmark runs in one process.  Cores are used across
+analyses: ``suite --jobs N`` fans the benchmarks out over N processes,
+and ``serve`` runs several jobs at once in its job slots (one per core,
+or ``--max-jobs N``).
 ``suite --no-cache`` (or ``REPRO_NO_CACHE=1``) bypasses the versioned
 disk cache.
 """
@@ -116,12 +115,10 @@ def _make_context():
 
 
 def _apply_engine(args: argparse.Namespace) -> None:
-    """Export --engine/--workers/--islands so everything downstream
-    honors them."""
+    """Export --engine/--islands/--migration-interval so everything
+    downstream honors them."""
     if getattr(args, "engine", None):
         os.environ["REPRO_ENGINE"] = args.engine
-    if getattr(args, "workers", None) is not None:
-        os.environ["REPRO_WORKERS"] = str(args.workers)
     if getattr(args, "islands", None) is not None:
         os.environ["REPRO_ISLANDS"] = str(args.islands)
     if getattr(args, "migration_interval", None) is not None:
@@ -229,8 +226,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     names = _resolve_benchmarks(args.benchmarks)
     report = run_perf_suite(
-        names, repeats=args.repeats,
-        workers=args.workers, islands=args.islands,
+        names, repeats=args.repeats, islands=args.islands,
         migration_interval=args.migration_interval,
     )
     write_report(report, args.output)
@@ -319,7 +315,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_jobs=args.max_jobs,
-        workers_per_job=args.workers,
         verbose=args.verbose,
         backend=args.backend,
         recover=not args.no_recover,
@@ -666,12 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeats", type=int, default=1)
     add_engine(p_bench)
     add_island_knobs(p_bench)
-    p_bench.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="GA island process count for the stressmark leg; the "
-             "stressmark is identical at any count (0 = one per core, "
-             "also $REPRO_WORKERS)",
-    )
     p_bench.set_defaults(func=cmd_bench)
 
     p_conf = sub.add_parser(
@@ -721,13 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="artifact-store directory "
                               "(default: .repro_cache)")
     p_serve.add_argument("--max-jobs", type=int, default=None, metavar="N",
-                         help="concurrent job slots (default: cores // "
-                              "--workers; never oversubscribes)")
-    p_serve.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="GA island processes per stressmark job; "
-                              "job slots are budgeted so slots x N never "
-                              "exceeds the cores (0 = one per core, also "
-                              "$REPRO_WORKERS)")
+                         help="concurrent job slots (default: the "
+                              "core count)")
     p_serve.add_argument("--backend", choices=("process", "thread"),
                          default="process",
                          help="job execution backend: 'process' (default) "

@@ -135,20 +135,38 @@ def _run_and_score(
     return scores
 
 
+#: most genomes scored in one lock-step batch: the native kernel's
+#: group width.  A generation's genomes, across every island, run in
+#: batches of this many, which bounds the traces held at once.
+MAX_BATCH_GENOMES = 64
+
+
 def _evaluate_population(
     cpu, model: PowerModel, pool: list[list[Gene]]
 ) -> list[tuple[float, float]]:
-    """Score every genome of one generation; malformed individuals get 0.
+    """Score every genome of *pool*; malformed individuals get 0.
 
-    All viable genomes run to halt in lock-step on one
-    :class:`~repro.sim.batch.BatchMachine` — the population evaluation
-    is the GA's entire cost, and its members are independent programs on
-    the same netlist.  Lock-step traces are bit-identical to scalar runs,
-    so evolution does not depend on the population's lane count.  One
-    bad lane fails the whole batch, so a batch-level failure reruns each
-    genome as its own one-machine batch, and only the offending genome
-    scores zero.
+    Viable genomes run to halt in lock-step, up to
+    :data:`MAX_BATCH_GENOMES` to a :class:`~repro.sim.batch.BatchMachine`
+    — the population evaluation is the GA's entire cost, and its members
+    are independent programs on the same netlist.  Lock-step traces are
+    bit-identical to scalar runs, so evolution does not depend on how
+    the genomes are batched.  One bad lane fails its whole batch, so a
+    batch-level failure reruns each of its genomes as its own
+    one-machine batch, and only the offending genome scores zero.
     """
+    scores: list[tuple[float, float]] = []
+    for start in range(0, len(pool), MAX_BATCH_GENOMES):
+        scores += _evaluate_batch(
+            cpu, model, pool[start:start + MAX_BATCH_GENOMES]
+        )
+    return scores
+
+
+def _evaluate_batch(
+    cpu, model: PowerModel, pool: list[list[Gene]]
+) -> list[tuple[float, float]]:
+    """:func:`_evaluate_population` for one lock-step batch."""
     scores: list[tuple[float, float]] = [(0.0, 0.0)] * len(pool)
     machines = []
     positions = []
@@ -179,11 +197,10 @@ def _evaluate_population(
 class Island:
     """One GA population plus its private random stream and best-ever.
 
-    The whole evolution of an island is a function of this state, which
-    is what makes the island model reproducible at any worker count:
-    islands are seeded deterministically, evolved independently between
-    migrations, and migration itself is a synchronized deterministic
-    ring exchange.
+    The whole evolution of an island is a function of this state, its
+    scores and the genomes migration hands it: islands are seeded
+    deterministically, breed from their own scores, and migration is a
+    deterministic ring exchange.
     """
 
     rng: np.random.Generator
@@ -202,57 +219,55 @@ def make_island(seed: int, population: int, genome_length: int) -> Island:
     return Island(rng=rng, pool=pool)
 
 
-def evolve_island(
-    cpu,
-    model: PowerModel,
+def breed_island(
     island: Island,
+    scores: list[tuple[float, float]],
     objective: str,
-    generations: int,
     population: int,
     genome_length: int,
-    cancel=None,
-) -> Island:
-    """Advance one island *generations* steps of the GA loop, in place.
-
-    This is the original single-population generation loop verbatim, so
-    ``islands=1`` evolution is bit-identical to the classic GA.  *cancel*
-    is an optional :class:`repro.parallel.cancel.CancelToken` checked
-    between generations; a set token aborts the evolution with
-    :class:`repro.parallel.cancel.JobCancelled` (a ``BaseException``, so
-    the batch-evaluation fallback's broad ``except Exception`` cannot
-    swallow it).
-    """
+) -> None:
+    """One GA generation of *island* from its pool's *scores*, in place:
+    record the best-ever, keep the fitter half, and refill the pool
+    with mutated crossover children."""
     rng = island.rng
-    pool = island.pool
+    scored = []
+    for genome, (peak, avg) in zip(island.pool, scores):
+        fitness = peak if objective == "peak" else avg
+        scored.append((fitness, peak, avg, genome))
+    scored.sort(key=lambda item: -item[0])
     best = island.best
-    for _generation in range(generations):
-        if cancel is not None:
-            cancel.check()
-        scores = _evaluate_population(cpu, model, pool)
-        scored = []
-        for genome, (peak, avg) in zip(pool, scores):
-            fitness = peak if objective == "peak" else avg
-            scored.append((fitness, peak, avg, genome))
-        scored.sort(key=lambda item: -item[0])
-        if best is None or scored[0][0] > (
-            best[0] if objective == "peak" else best[1]
-        ):
-            best = (scored[0][1], scored[0][2], scored[0][3])
-        survivors = [genome for _f, _p, _a, genome in scored[: population // 2]]
-        children = []
-        while len(survivors) + len(children) < population:
-            mother, father = rng.choice(len(survivors), size=2, replace=True)
-            cut = int(rng.integers(1, genome_length))
-            child = list(survivors[mother][:cut]) + list(survivors[father][cut:])
-            for position in range(genome_length):
-                if rng.random() < 0.15:
-                    child[position] = _random_gene(rng)
-            children.append(child)
-        pool = survivors + children
-    island.pool = pool
-    island.best = best
-    return island
+    if best is None or scored[0][0] > _fitness(best, objective):
+        island.best = (scored[0][1], scored[0][2], scored[0][3])
+    survivors = [genome for _f, _p, _a, genome in scored[: population // 2]]
+    children = []
+    while len(survivors) + len(children) < population:
+        mother, father = rng.choice(len(survivors), size=2, replace=True)
+        cut = int(rng.integers(1, genome_length))
+        child = list(survivors[mother][:cut]) + list(survivors[father][cut:])
+        for position in range(genome_length):
+            if rng.random() < 0.15:
+                child[position] = _random_gene(rng)
+        children.append(child)
+    island.pool = survivors + children
 
+
+def migrate_ring(states: list[Island]) -> None:
+    """Deterministic ring migration: best of *i* -> worst slot of *i+1*.
+
+    The receiving slot is the population's last member (the youngest
+    child of the previous generation), so migration needs no fitness
+    re-evaluation.  Islands without a best yet (possible only with
+    zero-fitness pools) simply skip their send.
+    """
+    bests = [island.best for island in states]
+    for index, island in enumerate(states):
+        incoming = bests[(index - 1) % len(states)]
+        if incoming is not None:
+            island.pool[-1] = list(incoming[2])
+
+
+#: the power figures a stressmark can be bred for
+OBJECTIVES = ("peak", "average")
 
 #: offset between island seeds; any constant works, a prime keeps the
 #: derived streams visibly distinct in logs
@@ -281,8 +296,8 @@ def resolve_island_knobs(
 ) -> tuple[int, int]:
     """Resolve the island-model knobs the way every other engine knob
     resolves: explicit argument, then ``REPRO_ISLANDS`` /
-    ``REPRO_MIGRATION_INTERVAL`` (exported by ``suite``/``bench``
-    ``--islands``/``--migration-interval``), then the classic
+    ``REPRO_MIGRATION_INTERVAL`` (exported by ``bench --islands`` /
+    ``--migration-interval``), then the classic
     single-population defaults ``(1, 2)``."""
     return (
         _int_knob(islands, "REPRO_ISLANDS", 1, 1),
@@ -300,67 +315,77 @@ def generate_stressmark(
     seed: int = 42,
     islands: int | None = None,
     migration_interval: int | None = None,
-    workers: int | None = None,
     cancel=None,
 ) -> Stressmark:
     """Breed a stressmark targeting ``"peak"`` or ``"average"`` power.
 
-    Each generation's individuals are simulated in lock-step, one lane
-    each; scores — and hence the whole evolution — are identical to
-    per-genome runs.
-
-    *islands* switches to the island model: that many independent
-    populations (seeded ``seed, seed + stride, ...``) evolve in epochs
-    of *migration_interval* generations, exchanging their best-ever
-    genome around a deterministic ring between epochs, and the fittest
-    individual across islands wins.  *workers* spreads the islands over
-    that many fork-start worker processes (``None`` honors
-    ``REPRO_WORKERS``); the evolution is a pure function of the island
-    seeds, so results are identical at **any** worker count.
+    *islands* independent populations (seeded ``seed, seed + stride,
+    ...``) evolve one generation at a time: each generation scores every
+    island's not yet scored genomes together in lock-step (one lane per
+    genome; scores, and hence the whole evolution, are identical to
+    per-genome runs), then each island breeds from its own scores.
+    After every *migration_interval* generations but the last, each
+    island's best-ever genome moves around a deterministic ring, and the
+    fittest individual across islands wins.  One island is the classic
+    GA.
 
     ``islands=None``/``migration_interval=None`` honor ``REPRO_ISLANDS``
     and ``REPRO_MIGRATION_INTERVAL`` (the CLI's ``--islands`` /
     ``--migration-interval``), defaulting to the classic single
     population.  *cancel* (a
-    :class:`repro.parallel.cancel.CancelToken`) is checked between GA
-    generations/epochs; cancellation aborts, it never alters scores.
+    :class:`repro.parallel.cancel.CancelToken`) is checked before every
+    generation; a set token aborts the evolution with
+    :class:`repro.parallel.cancel.JobCancelled` (a ``BaseException``, so
+    the batch-evaluation fallback's broad ``except Exception`` cannot
+    swallow it).  Cancellation aborts, it never alters scores.
     """
-    if objective not in ("peak", "average"):
+    if objective not in OBJECTIVES:
         raise ValueError("objective must be 'peak' or 'average'")
     islands, migration_interval = resolve_island_knobs(
         islands, migration_interval
     )
-
-    if islands == 1:
-        island = make_island(seed, population, genome_length)
-        evolve_island(
-            cpu, model, island, objective, generations,
-            population, genome_length, cancel=cancel,
-        )
-        best = island.best
-    else:
-        from repro.parallel.islands import evolve_archipelago
-
-        states = [
-            make_island(
-                seed + index * ISLAND_SEED_STRIDE, population, genome_length
+    states = [
+        make_island(seed + index * ISLAND_SEED_STRIDE, population, genome_length)
+        for index in range(islands)
+    ]
+    # a genome's score is a function of its source, so survivors,
+    # migrants and duplicate children are scored once
+    known: dict[str, tuple[float, float]] = {}
+    for generation in range(1, generations + 1):
+        if cancel is not None:
+            cancel.check()
+        genomes = [genome for island in states for genome in island.pool]
+        sources = [_genome_source(genome) for genome in genomes]
+        fresh = {}
+        for source, genome in zip(sources, genomes):
+            if source not in known:
+                fresh.setdefault(source, genome)
+        known.update(zip(
+            fresh, _evaluate_population(cpu, model, list(fresh.values()))
+        ))
+        start = 0
+        for island in states:
+            stop = start + len(island.pool)
+            breed_island(
+                island, [known[source] for source in sources[start:stop]],
+                objective, population, genome_length,
             )
-            for index in range(islands)
-        ]
-        states = evolve_archipelago(
-            cpu, model, states, objective, generations, population,
-            genome_length, migration_interval, workers,
-            cancel=cancel,
-        )
-        best = None
-        for island in states:  # first island wins ties: deterministic
-            if island.best is None:
-                continue
-            if best is None or _fitness(island.best, objective) > _fitness(
-                best, objective
-            ):
-                best = island.best
+            start = stop
+        if (
+            islands > 1
+            and generation % migration_interval == 0
+            and generation < generations
+        ):
+            migrate_ring(states)
 
+    best = None
+    for island in states:  # first island wins ties: deterministic
+        if island.best is None:
+            continue
+        if best is None or _fitness(island.best, objective) > _fitness(
+            best, objective
+        ):
+            best = island.best
     peak, avg, genome = best
     return Stressmark(
         source=_genome_source(genome),

@@ -11,9 +11,9 @@ into a long-lived query service with these layers:
   counters, and a size-capped gc policy (``repro cache stats|gc``).
 * :mod:`repro.service.scheduler` — an async job scheduler that accepts
   many concurrent analysis requests, dedupes identical in-flight jobs,
-  orders them by priority, and multiplexes them over the host's core
-  budget (job slots x GA island workers <= cores) with cancellation and
-  per-job progress events.
+  orders them by priority, and multiplexes them over the host's cores
+  (one job slot per core by default) with cancellation and per-job
+  progress events.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a
   stdlib-only HTTP/JSON API (``repro serve``) and client (``repro
   submit``) exposing submit/status/result/events/store endpoints, so

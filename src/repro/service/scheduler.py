@@ -10,12 +10,9 @@ whole workload, so the scheduler is built around three rules:
   new job that resolves instantly through the artifact store.
 * **Priority queue** — jobs wait in a max-priority heap (FIFO within a
   priority); a freed slot always goes to the highest-priority request.
-* **Core budget** — at most ``max_concurrent`` jobs run at once.  An
-  analysis runs in its job's process; a stressmark job may also use
-  ``inner`` GA island processes, so ``max_concurrent * inner`` never
-  exceeds the host's cores (via
-  :func:`repro.parallel.pool.service_slots` /
-  :func:`repro.parallel.pool.inner_workers`).
+* **Core budget** — at most ``max_concurrent`` jobs run at once, one
+  per core unless the caller says otherwise.  Every job, a stressmark
+  included, runs in one process.
 
 Jobs emit progress events (``queued``/``deduped``/``started``/
 ``finished``/...) that the HTTP layer streams incrementally, and jobs
@@ -34,14 +31,11 @@ Two execution backends share the same state machine:
 * ``backend="process"`` (the default for the HTTP service) runs each
   job in its own **worker process**, forked from a preloaded forkserver
   (:class:`repro.service.workers.ProcessBackend`): an engine crash
-  fails one job instead of the server, cancellation has a worker-kill
-  backstop, and the GA's fork-start island pools are created from the
-  single-threaded worker instead of this multithreaded process — which
-  retires the Python 3.12+ fork-in-threads hazard this docstring used
-  to have to admit.
+  fails one job instead of the server, and cancellation has a
+  worker-kill backstop.
 
-Progress events, the jobs × island-workers core budget, in-flight
-dedupe, and bit-identical results are backend-independent.
+Progress events, the core budget, in-flight dedupe, and bit-identical
+results are backend-independent.
 """
 
 from __future__ import annotations
@@ -49,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import os
 import threading
 import time
 import traceback
@@ -89,20 +84,39 @@ class UnknownJobError(KeyError):
     """
 
 
+#: most GA islands one stressmark job may breed
+MAX_ISLANDS = 64
+
+
 def normalize_params(kind: str, params: dict) -> dict:
     """Resolve defaulted knobs before signing, so requests that spell
     the same engine run differently (omitted vs explicit defaults)
-    dedupe onto one job instead of running twice."""
+    dedupe onto one job instead of running twice.  Malformed knobs
+    raise :class:`ValueError` here, at submit, not in the worker."""
     params = dict(params)
     if kind == "stressmark":
-        from repro.core.stressmark import resolve_island_knobs
+        from repro.core.stressmark import OBJECTIVES, resolve_island_knobs
 
-        params.setdefault("objective", "peak")
+        objective = params.setdefault("objective", "peak")
+        if objective not in OBJECTIVES:
+            raise ValueError(
+                f"unknown objective {objective!r}; expected one of {OBJECTIVES}"
+            )
+        for key in ("islands", "migration_interval"):
+            value = params.get(key)
+            if value is not None and type(value) is not int:
+                raise ValueError(
+                    f"{key} must be an integer, not {type(value).__name__}"
+                )
         params["islands"], params["migration_interval"] = (
             resolve_island_knobs(
                 params.get("islands"), params.get("migration_interval")
             )
         )
+        if params["islands"] > MAX_ISLANDS:
+            raise ValueError(
+                f"islands must be <= {MAX_ISLANDS}, got {params['islands']}"
+            )
     if kind in ("analyze", "profile"):
         from repro.sim.bitplane import ENGINES, default_engine
 
@@ -238,11 +252,10 @@ class Job:
 
 @dataclass
 class JobContext:
-    """What an executor sees of its job: progress + budget + cancel."""
+    """What an executor sees of its job: progress + cancel."""
 
     scheduler: "JobScheduler"
     job: Job
-    workers: int  # GA island processes a stressmark job may use
 
     def emit(self, stage: str, detail: str = "") -> None:
         self.scheduler._emit(self.job, stage, detail)
@@ -265,12 +278,10 @@ Executor = Callable[[dict, JobContext], dict]
 class JobScheduler:
     """Priority scheduler multiplexing jobs over the host's cores.
 
-    *max_concurrent* ``None`` derives the slot count from the core
-    budget (``cores // inner``); an explicit value is honored verbatim
-    (the caller owns the trade-off) with the inner worker count clamped
-    so ``slots * inner`` still fits the host.  *executors* maps job kinds to
-    callables ``(params, ctx) -> result dict``; the default set runs
-    the store-backed benchmark pipeline (see :func:`default_executors`).
+    *max_concurrent* is the job slot count, the host's core count when
+    ``None``.  *executors* maps job kinds to callables ``(params, ctx)
+    -> result dict``; the default set runs the store-backed benchmark
+    pipeline (see :func:`default_executors`).
 
     *backend* selects where executors run: ``"thread"`` (scheduler
     threads in this process, the default) or ``"process"`` (one
@@ -287,7 +298,6 @@ class JobScheduler:
     def __init__(
         self,
         max_concurrent: int | None = None,
-        workers_per_job: int | None = None,
         executors: dict[str, Executor] | None = None,
         max_finished_jobs: int = MAX_FINISHED_JOBS,
         backend: str = "thread",
@@ -300,18 +310,12 @@ class JobScheduler:
         max_job_seconds: float | None = None,
         journal=None,
     ) -> None:
-        from repro.parallel.pool import inner_workers, service_slots
-
         if max_concurrent is None:
-            self.max_concurrent, self.workers_per_job = service_slots(
-                workers_per_job=workers_per_job
-            )
-        else:
-            if max_concurrent < 1:
-                message = f"max_concurrent must be >= 1, got {max_concurrent}"
-                raise ValueError(message)
-            self.max_concurrent = max_concurrent
-            self.workers_per_job = inner_workers(max_concurrent, workers_per_job)
+            max_concurrent = os.cpu_count() or 1
+        if max_concurrent < 1:
+            message = f"max_concurrent must be >= 1, got {max_concurrent}"
+            raise ValueError(message)
+        self.max_concurrent = max_concurrent
         if backend not in ("thread", "process"):
             message = f"unknown backend {backend!r}; valid: thread, process"
             raise ValueError(message)
@@ -560,7 +564,6 @@ class JobScheduler:
         return {
             "backend": self.backend,
             "max_concurrent": self.max_concurrent,
-            "workers_per_job": self.workers_per_job,
             "max_retries": self.max_retries,
             "retry_backoff_s": self.retry_backoff_s,
             "heartbeat_timeout_s": self.heartbeat_timeout,
@@ -590,9 +593,7 @@ class JobScheduler:
                 job.state = RUNNING
                 self._running += 1
                 self._emit_locked(
-                    job, "started",
-                    f"slot {self._running}/{self.max_concurrent}, "
-                    f"{self.workers_per_job} inner workers",
+                    job, "started", f"slot {self._running}/{self.max_concurrent}"
                 )
                 if self.journal is not None:
                     self.journal.record_start(job.id, attempt=job.attempt)
@@ -606,7 +607,7 @@ class JobScheduler:
     def _run_job(self, job: Job) -> None:
         from repro.service.workers import WorkerCrashed, WorkerError
 
-        ctx = JobContext(self, job, self.workers_per_job)
+        ctx = JobContext(self, job)
         state, result, error = DONE, None, None
         try:
             while True:
@@ -862,7 +863,6 @@ def run_stressmark_job(params: dict, ctx: JobContext) -> dict:
         objective,
         islands=params.get("islands"),
         migration_interval=params.get("migration_interval"),
-        workers=ctx.workers,
         cancel=getattr(ctx, "cancel", None),
     )
     return {

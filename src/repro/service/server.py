@@ -103,7 +103,6 @@ class AnalysisService:
         scheduler: JobScheduler | None = None,
         store=None,
         max_jobs: int | None = None,
-        workers_per_job: int | None = None,
         backend: str = "process",
         recover: bool = True,
         heartbeat_timeout: float | None = None,
@@ -139,7 +138,6 @@ class AnalysisService:
             kwargs["max_retries"] = max_retries
         self.scheduler = JobScheduler(
             max_concurrent=max_jobs,
-            workers_per_job=workers_per_job,
             backend=backend,
             heartbeat_timeout=heartbeat_timeout,
             max_job_seconds=max_job_seconds,
@@ -397,7 +395,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 "queue_depth": counts[QUEUED],
                 "backend": scheduler.backend,
                 "max_concurrent": scheduler.max_concurrent,
-                "workers_per_job": scheduler.workers_per_job,
                 "uptime_s": round(time.time() - self.service.started, 3),
                 "recovered": self.service.recovered,
                 "tenancy": self.service.keyring is not None,
@@ -650,7 +647,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
     max_jobs: int | None = None,
-    workers_per_job: int | None = None,
     verbose: bool = True,
     backend: str = "process",
     recover: bool = True,
@@ -668,7 +664,6 @@ def serve(
     """
     service = AnalysisService(
         max_jobs=max_jobs,
-        workers_per_job=workers_per_job,
         backend=backend,
         recover=recover,
         heartbeat_timeout=heartbeat_timeout,
@@ -684,8 +679,7 @@ def serve(
     )
     print(
         f"repro service on http://{bound_host}:{bound_port} "
-        f"({service.scheduler.max_concurrent} job slots x "
-        f"{service.scheduler.workers_per_job} workers, "
+        f"({service.scheduler.max_concurrent} job slots, "
         f"{service.scheduler.backend} backend, {tenancy}, "
         f"store {service.store.root})",
         flush=True,

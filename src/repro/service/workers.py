@@ -18,16 +18,11 @@ fingerprint, so a job pays a fork instead of an interpreter boot:
   a RUNNING job reaches a terminal state and frees its slot.
 * **No fork-in-threads** — the forkserver is a single-threaded process
   started before any job, so forking workers from it is safe while the
-  server runs threads, and the only fork-start pool a job creates (the
-  stressmark GA's island processes) is created inside the worker, whose
-  one other thread only waits in ``poll()`` and holds no lock.  An
-  analysis job runs entirely in its worker process.
+  server runs threads.  Every job, a stressmark included, runs entirely
+  in its worker process.
 
-The worker is **non-daemonic** so it may fork that island pool
-(daemonic processes cannot have children — the jobs × island-workers
-core budget would silently collapse to serial).  The worker calls
-``os.setsid()`` on entry, so the backstop ``killpg`` also reaps any
-fork-start grandchildren the GA had in flight.
+The worker calls ``os.setsid()`` on entry, so the backstop ``killpg``
+takes down the worker's whole process group.
 
 Protocol over the one-way pipe, worker → monitor::
 
@@ -169,27 +164,20 @@ class _WorkerContext:
         self,
         conn,
         cancel_token,
-        workers: int,
         heartbeat_every: float = 1.0,
         attempt: int = 1,
     ) -> None:
         self._conn = conn
         # pipe sends are length-prefixed and NOT safe under concurrent
-        # writers: serialize within this process, and refuse to write
-        # from fork-pool children that inherited us (they inherit the
-        # token — and with it this heartbeat hook — via fork)
+        # writers: serialize them
         self._send_lock = threading.Lock()
-        self._pid = os.getpid()
         self._hb_every = max(0.05, heartbeat_every)
         self._hb_last = time.monotonic()
         self.cancel = cancel_token
         cancel_token.heartbeat = self._maybe_heartbeat
-        self.workers = workers
         self.attempt = attempt
 
     def _send(self, message) -> None:
-        if os.getpid() != self._pid:
-            return  # an engine fork child; the pipe belongs to the worker
         try:
             with self._send_lock:
                 self._conn.send(message)
@@ -236,7 +224,6 @@ def _worker_main(
     factory,
     kind: str,
     params: dict,
-    workers: int,
     cache_dir: str | None,
     environ: dict[str, str],
     attempt: int = 1,
@@ -253,7 +240,7 @@ def _worker_main(
     throttles the checkpoint heartbeat pings.
     """
     try:
-        os.setsid()  # own process group: the kill backstop reaps our forks
+        os.setsid()  # own process group: the kill backstop's killpg target
     except OSError:
         pass
     # threading.Thread.start would wait until the thread runs, about
@@ -272,7 +259,6 @@ def _worker_main(
     ctx = _WorkerContext(
         conn,
         CancelToken(cancel_event),
-        workers,
         heartbeat_every=heartbeat_every,
         attempt=attempt,
     )
@@ -365,7 +351,7 @@ class ProcessBackend:
             target=_worker_main,
             args=(
                 send, cancel_event, factory, job.kind, job.params,
-                ctx.workers, str(runner.CACHE_DIR), dict(os.environ),
+                str(runner.CACHE_DIR), dict(os.environ),
                 attempt, heartbeat_every,
             ),
             name=f"repro-worker-{job.id}-a{attempt}",

@@ -129,19 +129,25 @@ class TestBatchedProfiling:
 class TestBatchedStressmark:
     def test_identical_evolution(self, cpu, model, monkeypatch):
         """The lock-step GA breeds what a GA scoring each genome on its
-        own scalar ``Machine`` breeds."""
-        kwargs = dict(population=4, generations=1, genome_length=5, seed=7)
-        batched = generate_stressmark(cpu, model, **kwargs)
+        own scalar ``Machine`` breeds, for one island and for a batch
+        that spans three."""
+        runs = [
+            dict(population=4, generations=1, genome_length=5, seed=7),
+            dict(population=4, generations=2, genome_length=5, seed=7,
+                 islands=3, migration_interval=1),
+        ]
+        batched = [generate_stressmark(cpu, model, **kw) for kw in runs]
         monkeypatch.setattr(
             stressmark, "_evaluate_population",
             lambda cpu, model, pool: [
                 genome_oracle(cpu, model, genome) for genome in pool
             ],
         )
-        scalar = generate_stressmark(cpu, model, **kwargs)
-        assert scalar.source == batched.source
-        assert scalar.peak_power_mw == batched.peak_power_mw
-        assert scalar.avg_power_mw == batched.avg_power_mw
+        for kwargs, lock_step in zip(runs, batched):
+            scalar = generate_stressmark(cpu, model, **kwargs)
+            assert scalar.source == lock_step.source
+            assert scalar.peak_power_mw == lock_step.peak_power_mw
+            assert scalar.avg_power_mw == lock_step.avg_power_mw
 
     def test_scores_match_oracle(self, cpu, model):
         rng = np.random.default_rng(11)

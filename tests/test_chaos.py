@@ -14,8 +14,8 @@ Three layers, increasingly end-to-end:
   and the recomputed result is bit-identical to a direct, in-process
   analysis.  A SIGKILLed server takes its in-flight workers with it.
   SIGTERM takes the graceful path and exits 0.  These
-  servers run one job slot (``--max-jobs 1 --workers 1``); an analysis
-  job runs entirely in its worker process.
+  servers run one job slot (``--max-jobs 1``); a job runs entirely in
+  its worker process.
 
 Workers are forked from one preloaded forkserver and are handed the
 server's environment per job, so ``REPRO_FAULTS`` set or unset between
@@ -489,7 +489,7 @@ def _start_serve(store: Path, env=None, extra_args=()):
         [
             sys.executable, "-m", "repro", "serve",
             "--port", "0", "--store", str(store),
-            "--max-jobs", "1", "--workers", "1", *extra_args,
+            "--max-jobs", "1", *extra_args,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,

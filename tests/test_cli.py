@@ -163,6 +163,15 @@ class TestServiceCli:
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["bench", "serve"])
+    def test_workers_flag_is_gone(self, command, capsys):
+        """The GA scores every island in one process, so no command
+        takes an island worker count."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--workers", "1"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestCacheCli:
     @pytest.fixture

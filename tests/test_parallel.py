@@ -6,11 +6,16 @@ lean on:
 * the batched explorer's canonical replay merge is order-independent
   (whatever order the lock-step lanes finish segments in, the assembled
   tree is the same),
-* the island-model GA is deterministic across worker counts,
+* the island-model GA breeds exactly the stressmarks recorded in
+  ``tests/golden_stressmarks.json``, scores each genome once, and
+  scores at most 64 genomes in one lock-step batch,
 * concrete packed batches (``run_batch_to_halt``) skip per-cycle
-  unpacking yet stay record-for-record identical,
-* the worker-count knobs resolve and never oversubscribe the host.
+  unpacking yet stay record-for-record identical.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,16 +24,9 @@ from repro.bench.suite import get_benchmark
 from repro.cells import SG65
 from repro.core.activity import _ROOT_KEY, _assemble_tree, _Node, explore
 from repro.core.stressmark import generate_stressmark
-from repro.parallel.pool import (
-    fork_available,
-    inner_workers,
-    resolve_workers,
-)
 from repro.power.model import PowerModel
 
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="fork start method unavailable"
-)
+GOLDEN_STRESSMARKS = Path(__file__).with_name("golden_stressmarks.json")
 
 
 @pytest.fixture(scope="module")
@@ -87,22 +85,24 @@ class TestMergeOrderProperty:
         assert reassembled.digest() == tree.digest()
 
 
-@needs_fork
 class TestIslandGADeterminism:
-    GA_KWARGS = dict(
-        population=6,
-        generations=4,
-        genome_length=6,
-        islands=3,
-        migration_interval=2,
-    )
-
-    def test_identical_across_worker_counts(self, cpu, model):
-        one = generate_stressmark(cpu, model, workers=1, **self.GA_KWARGS)
-        many = generate_stressmark(cpu, model, workers=3, **self.GA_KWARGS)
-        assert one.source == many.source
-        assert one.peak_power_mw == many.peak_power_mw
-        assert one.avg_power_mw == many.avg_power_mw
+    def test_matches_recorded_stressmarks(self, cpu, model):
+        """Islands 1-4 x migration intervals 1-3 x both objectives breed
+        bit-identical winners to the recorded ones."""
+        golden = json.loads(GOLDEN_STRESSMARKS.read_text())
+        mismatches = []
+        for config, expected in golden["stressmarks"].items():
+            objective, islands, interval = config.split("/")
+            mark = generate_stressmark(
+                cpu, model, objective, islands=int(islands),
+                migration_interval=int(interval), **golden["kwargs"],
+            )
+            digest = hashlib.sha256(mark.source.encode()).hexdigest()
+            got = [digest, mark.peak_power_mw, mark.avg_power_mw]
+            if got != expected:
+                mismatches.append((config, got, expected))
+        assert len(golden["stressmarks"]) == 24
+        assert not mismatches
 
     def test_single_island_is_classic_ga(self, cpu, model):
         classic = generate_stressmark(
@@ -110,10 +110,50 @@ class TestIslandGADeterminism:
         )
         single = generate_stressmark(
             cpu, model, population=6, generations=2, genome_length=6,
-            islands=1, workers=2,
+            islands=1,
         )
         assert classic.source == single.source
         assert classic.peak_power_mw == single.peak_power_mw
+
+    def test_each_genome_is_scored_once(self, cpu, model, monkeypatch):
+        """Survivors, migrants and duplicate children keep their score:
+        no genome source reaches the simulator twice."""
+        from repro.core import stressmark
+
+        evaluate = stressmark._evaluate_population
+        scored = []
+
+        def spy(cpu, model, pool):
+            scored.extend(stressmark._genome_source(g) for g in pool)
+            return evaluate(cpu, model, pool)
+
+        monkeypatch.setattr(stressmark, "_evaluate_population", spy)
+        generate_stressmark(
+            cpu, model, population=4, generations=3, genome_length=5,
+            islands=2, migration_interval=1,
+        )
+        assert len(scored) == len(set(scored))
+        assert len(scored) < 2 * 4 * 3  # survivors were not rescored
+
+    def test_lock_step_batches_hold_at_most_64_genomes(
+        self, cpu, model, monkeypatch
+    ):
+        """16 islands x 10 genomes score as batches of 64, 64 and 32."""
+        from repro.sim import batch as batch_module
+
+        widths = []
+        run_batch_to_halt = batch_module.run_batch_to_halt
+
+        def spy(cpu, machines, **kwargs):
+            widths.append(len(machines))
+            return run_batch_to_halt(cpu, machines, **kwargs)
+
+        monkeypatch.setattr(batch_module, "run_batch_to_halt", spy)
+        generate_stressmark(
+            cpu, model, population=10, generations=1, genome_length=4,
+            islands=16,
+        )
+        assert widths == [64, 64, 32]
 
 
 class TestPackedConcreteRecords:
@@ -163,49 +203,6 @@ class TestPackedConcreteRecords:
         assert trace.annotation("pc") == scalar_trace.annotation("pc")
 
 
-class TestKnobResolution:
-    def test_resolve_workers_explicit(self):
-        assert resolve_workers(3) == 3
-        assert resolve_workers(1) == 1
-
-    def test_resolve_workers_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert resolve_workers(None) == 5
-        monkeypatch.setenv("REPRO_WORKERS", "")
-        assert resolve_workers(None) == 1
-        monkeypatch.delenv("REPRO_WORKERS")
-        assert resolve_workers(None) == 1
-
-    def test_resolve_workers_auto(self, monkeypatch):
-        import os
-
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        assert resolve_workers(None) == (os.cpu_count() or 1)
-        assert resolve_workers(0) == (os.cpu_count() or 1)
-
-    def test_resolve_workers_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
-        with pytest.raises(ValueError):
-            resolve_workers(None)
-        with pytest.raises(ValueError):
-            resolve_workers(-2)
-
-    def test_inner_workers_never_oversubscribes(self, monkeypatch):
-        import os
-
-        cores = os.cpu_count() or 1
-        for jobs in (1, 2, 8, 64):
-            inner = inner_workers(jobs, workers=16)
-            assert inner >= 1
-            assert jobs * inner <= max(jobs, cores)
-
-    def test_inner_workers_serial_under_wide_fanout(self):
-        import os
-
-        cores = os.cpu_count() or 1
-        assert inner_workers(cores * 2, workers=8) == 1
-
-
 class TestIslandKnobResolution:
     """`--islands`/`--migration-interval` resolve like every other knob:
     explicit arg > env var > classic defaults — and the env path evolves
@@ -249,7 +246,7 @@ class TestIslandKnobResolution:
     def test_runner_stressmark_keys_island_schedules(self, tmp_path,
                                                      monkeypatch):
         """Different island schedules cache under different keys (they
-        evolve different winners); workers stay out of the key."""
+        evolve different winners)."""
         from repro.bench import runner
 
         monkeypatch.setattr(runner, "CACHE_DIR", tmp_path / "cache")
@@ -263,11 +260,9 @@ class TestIslandKnobResolution:
         monkeypatch.setattr(runner, "_cached", fake_cached)
         runner.stressmark("peak")
         runner.stressmark("peak", islands=3, migration_interval=2)
-        runner.stressmark("peak", islands=3, migration_interval=2, workers=4)
         # one island never migrates: any interval is the classic artifact
         runner.stressmark("peak", islands=1, migration_interval=4)
         assert seen[0] == "stressmark_peak"
         assert seen[1] == "stressmark_peak_i3m2"
-        assert seen[2] == seen[1]
-        assert seen[3] == seen[0]
+        assert seen[2] == seen[0]
         runner._store = None

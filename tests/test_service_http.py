@@ -90,6 +90,26 @@ class TestEndpoints:
         assert err.value.status == 400
         assert "islands" in err.value.payload["error"]
 
+    def test_malformed_stressmark_knobs_400(self, client):
+        """Wrong types and out-of-range GA knobs fail the submit with a
+        400 naming the knob, and no job is created."""
+        bad = [
+            ({"islands": "4"}, "islands"),
+            ({"islands": 2.5}, "islands"),
+            ({"islands": True}, "islands"),
+            ({"islands": 65}, "islands"),
+            ({"islands": 10**9}, "islands"),
+            ({"migration_interval": 0}, "migration_interval"),
+            ({"migration_interval": "2"}, "migration_interval"),
+            ({"objective": "both"}, "objective"),
+        ]
+        for params, knob in bad:
+            with pytest.raises(ServiceError) as err:
+                client.submit("stressmark", **params)
+            assert err.value.status == 400, params
+            assert knob in err.value.payload["error"], params
+        assert client.jobs() == []
+
     def test_unknown_kind_400(self, client):
         with pytest.raises(ServiceError) as err:
             client.submit("frobnicate")

@@ -193,6 +193,24 @@ class TestPriorityAndEvents:
             gated.release.set()
             scheduler.shutdown()
 
+    def test_stressmark_knobs_validated_at_submit(self):
+        from repro.service.scheduler import MAX_ISLANDS, normalize_params
+
+        accepted = normalize_params(
+            "stressmark",
+            {"objective": "average", "islands": MAX_ISLANDS,
+             "migration_interval": 1},
+        )
+        assert accepted["islands"] == 64
+        for params in (
+            {"islands": "4"}, {"islands": 2.5}, {"islands": True},
+            {"islands": 0}, {"islands": MAX_ISLANDS + 1},
+            {"migration_interval": False}, {"migration_interval": 0},
+            {"objective": "both"}, {"objective": None},
+        ):
+            with pytest.raises(ValueError):
+                normalize_params("stressmark", params)
+
     def test_fifo_within_equal_priority(self, gated):
         scheduler = make_scheduler(gated, max_concurrent=1)
         try:
@@ -351,48 +369,38 @@ class TestCancellation:
 
 
 class TestCoreBudget:
-    def test_service_slots_split_the_host(self, monkeypatch):
-        from repro.parallel import pool
+    def test_default_slots_are_the_core_count(self, monkeypatch):
+        from repro.service import scheduler as scheduler_module
 
-        monkeypatch.setattr(pool.os, "cpu_count", lambda: 8)
-        assert pool.service_slots(workers_per_job=2) == (4, 2)
-        assert pool.service_slots(workers_per_job=3) == (2, 3)
-        # workers=0 ("one per core") -> a single whole-host job slot
-        assert pool.service_slots(workers_per_job=0) == (1, 8)
-        # an explicit cap lowers, never raises
-        assert pool.service_slots(max_jobs=2, workers_per_job=2) == (2, 2)
-        assert pool.service_slots(max_jobs=99, workers_per_job=2) == (4, 2)
-        with pytest.raises(ValueError):
-            pool.service_slots(max_jobs=0)
+        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 8)
+        scheduler = JobScheduler(executors={"fake": GatedExecutor()})
+        try:
+            assert scheduler.max_concurrent == 8
+            assert scheduler.config()["max_concurrent"] == 8
+        finally:
+            scheduler.shutdown()
 
     def test_derived_scheduler_budget_never_oversubscribes(self):
         import os
 
-        scheduler = JobScheduler(
-            workers_per_job=1, executors={"fake": GatedExecutor()}
-        )
+        scheduler = JobScheduler(executors={"fake": GatedExecutor()})
         try:
-            cores = os.cpu_count() or 1
-            product = scheduler.max_concurrent * scheduler.workers_per_job
-            assert product <= cores
+            assert scheduler.max_concurrent == (os.cpu_count() or 1)
         finally:
             scheduler.shutdown()
 
-    def test_explicit_slots_clamp_inner_workers(self, monkeypatch):
-        from repro.parallel import pool
+    def test_explicit_slots_are_honored(self, monkeypatch):
+        from repro.service import scheduler as scheduler_module
 
-        monkeypatch.setattr(pool.os, "cpu_count", lambda: 4)
-        scheduler = JobScheduler(
-            max_concurrent=4, workers_per_job=4,
-            executors={"fake": GatedExecutor()},
-        )
-        try:
-            # jobs x inner <= cores: the explicit fan-out wins, inner
-            # collapses (exactly run_suite's jobs/workers composition)
-            assert scheduler.max_concurrent == 4
-            assert scheduler.workers_per_job == 1
-        finally:
-            scheduler.shutdown()
+        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 4)
+        for max_jobs in (1, 2, 9):
+            scheduler = JobScheduler(
+                max_concurrent=max_jobs, executors={"fake": GatedExecutor()}
+            )
+            try:
+                assert scheduler.max_concurrent == max_jobs
+            finally:
+                scheduler.shutdown()
 
     def test_invalid_max_concurrent_rejected(self):
         with pytest.raises(ValueError):

@@ -319,7 +319,7 @@ class TestProcessBackend:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve", "--port", "0",
-                "--store", str(store), "--max-jobs", "1", "--workers", "1",
+                "--store", str(store), "--max-jobs", "1",
             ],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             start_new_session=True, env=env, cwd=str(cwd),
@@ -558,6 +558,31 @@ class TestEngineCheckpoints:
                 cpu, model, population=4, generations=2,
                 genome_length=4, cancel=_tripped(),
             )
+
+    def test_stressmark_checks_every_generation_across_islands(
+        self, cpu, model, monkeypatch
+    ):
+        """A token set during the first generation's scoring stops the
+        GA before the second, even inside a migration interval."""
+        from repro.core import stressmark
+
+        token = CancelToken()
+        calls = []
+
+        def score_then_cancel(cpu, model, pool):
+            calls.append(len(pool))
+            token.set()
+            return [(1.0, 1.0)] * len(pool)
+
+        monkeypatch.setattr(
+            stressmark, "_evaluate_population", score_then_cancel
+        )
+        with pytest.raises(JobCancelled):
+            generate_stressmark(
+                cpu, model, population=4, generations=2, genome_length=4,
+                islands=2, migration_interval=2, cancel=token,
+            )
+        assert calls == [8]
 
     def test_input_profiling_checkpoint(self, cpu, model):
         with pytest.raises(JobCancelled):
