@@ -77,9 +77,9 @@ def run_perf_suite(
     engine block records (``batch_size`` for the reference engine,
     ``native_batch_size``); the baselines run one lane per input set or
     genome.  *islands*/*migration_interval* select the GA island
-    schedule for the stressmark phase (``None`` honors
-    ``REPRO_ISLANDS``/``REPRO_MIGRATION_INTERVAL``), and the resolved
-    knobs land in the artifact's engine block.
+    schedule for the stressmark phase (``None``: the classic single
+    population), and the resolved knobs land in the artifact's engine
+    block.
     """
     from repro.core.stressmark import resolve_island_knobs
 

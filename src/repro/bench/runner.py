@@ -270,8 +270,8 @@ def stressmark(
     """Cached GA stressmark (shared by Figs 5.1/5.2).
 
     The island knobs resolve like the GA itself (explicit argument,
-    then ``REPRO_ISLANDS``/``REPRO_MIGRATION_INTERVAL``, then the
-    classic single-population defaults) and feed the cache key, since
+    else the classic single-population defaults) and feed the cache
+    key, since
     different island schedules evolve different winners.
     """
     from repro.core.stressmark import resolve_island_knobs

@@ -62,14 +62,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-from repro.asm import assemble
+from repro.asm import AssemblyError, assemble
 from repro.cells import SG65
-from repro.core import analyze
+from repro.core import PathExplosionError, analyze
 from repro.core.baselines import GUARDBAND, input_profiling
 from repro.core.coi import cycles_of_interest, dominant_modules
-from repro.cpu import build_ulp430
+from repro.core.peakenergy import UnboundedEnergyError
+from repro.cpu import UnresolvedPCError, build_ulp430
 from repro.power import PowerModel
 from repro.sim.bitplane import ENGINES
 
@@ -104,8 +106,33 @@ def _resolve_benchmarks(spec: str | None) -> list[str] | None:
 
 
 def _load_program(path: str):
-    source = Path(path).read_text()
-    return assemble(source, Path(path).stem)
+    """Read and assemble *path*; an unreadable file or a source that
+    does not assemble is a :class:`CliError`."""
+    try:
+        source = Path(path).read_text()
+    except OSError as err:
+        raise CliError(f"cannot read {path}: {err.strerror or err}") from None
+    try:
+        return assemble(source, Path(path).stem)
+    except AssemblyError as err:
+        raise CliError(f"{path}: {err}") from None
+
+
+#: analysis failures the program itself causes, and how to name them
+_PROGRAM_ERRORS = {
+    PathExplosionError: "exploration budget exceeded",
+    UnresolvedPCError: "unresolved PC",
+    UnboundedEnergyError: "unbounded peak energy",
+}
+
+
+@contextmanager
+def _program_errors():
+    """Turn a failure the analyzed program causes into a CliError."""
+    try:
+        yield
+    except tuple(_PROGRAM_ERRORS) as err:
+        raise CliError(f"{_PROGRAM_ERRORS[type(err)]}: {err}") from None
 
 
 def _make_context():
@@ -115,25 +142,32 @@ def _make_context():
 
 
 def _apply_engine(args: argparse.Namespace) -> None:
-    """Export --engine/--islands/--migration-interval so everything
-    downstream honors them."""
+    """Export --engine so everything downstream honors it."""
     if getattr(args, "engine", None):
         os.environ["REPRO_ENGINE"] = args.engine
-    if getattr(args, "islands", None) is not None:
-        os.environ["REPRO_ISLANDS"] = str(args.islands)
-    if getattr(args, "migration_interval", None) is not None:
-        os.environ["REPRO_MIGRATION_INTERVAL"] = str(args.migration_interval)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     _apply_engine(args)
-    cpu, model = _make_context()
     program = _load_program(args.program)
-    report = analyze(
-        cpu, program, model,
-        loop_bound=args.loop_bound, vcd_dir=args.vcd_dir,
-        engine=args.engine,
-    )
+    cpu, model = _make_context()
+    with _program_errors():
+        report = analyze(
+            cpu, program, model,
+            loop_bound=args.loop_bound, vcd_dir=args.vcd_dir,
+            engine=args.engine,
+        )
     if args.json:
         import json
 
@@ -173,7 +207,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     input_sets = _input_sets(args.inputs, program)
     cpu, model = _make_context()
-    profile = input_profiling(cpu, program, input_sets, model)
+    with _program_errors():
+        profile = input_profiling(cpu, program, input_sets, model)
     for run in profile.runs:
         print(f"inputs={run.inputs}: peak {run.peak_power_mw:.3f} mW, "
               f"{run.energy_pj:.1f} pJ over {run.cycles} cycles")
@@ -185,12 +220,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_coi(args: argparse.Namespace) -> int:
     _apply_engine(args)
-    cpu, model = _make_context()
     program = _load_program(args.program)
-    report = analyze(
-        cpu, program, model,
-        loop_bound=args.loop_bound, engine=args.engine,
-    )
+    cpu, model = _make_context()
+    with _program_errors():
+        report = analyze(
+            cpu, program, model,
+            loop_bound=args.loop_bound, engine=args.engine,
+        )
     reports = cycles_of_interest(
         report.tree, report.peak_power, program, count=args.count
     )
@@ -628,15 +664,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_island_knobs(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
-            "--islands", type=int, default=None, metavar="N",
+            "--islands", type=_positive_int, default=None, metavar="N",
             help="GA island populations for stressmark generation "
-                 "(default 1 = classic single population, also "
-                 "$REPRO_ISLANDS)",
+                 "(default 1 = classic single population)",
         )
         sub_parser.add_argument(
-            "--migration-interval", type=int, default=None, metavar="G",
-            help="generations between island ring migrations (default 2, "
-                 "also $REPRO_MIGRATION_INTERVAL)",
+            "--migration-interval", type=_positive_int, default=None,
+            metavar="G",
+            help="generations between island ring migrations (default 2)",
         )
 
     p_suite = sub.add_parser("suite", help="run Table 4.1 benchmarks")

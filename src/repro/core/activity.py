@@ -33,7 +33,10 @@ engine and every lane count yields the same tree, bit for bit;
 
 The output is an :class:`ExecutionTree`: a set of trace *segments* linked
 by fork edges (including memoized back/cross edges), plus the flattened
-concatenated trace that Algorithm 2 consumes.
+concatenated trace that Algorithm 2 consumes.  The loop records no
+annotations: the tree decodes each cycle's FSM state, PC and
+instruction word from the flat trace's values when the COI analysis or
+:meth:`ExecutionTree.digest` asks (:meth:`ExecutionTree.annotations`).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -111,6 +115,8 @@ class ExecutionTree:
     segments: list[Segment]
     flat_trace: Trace
     n_memo_hits: int = 0
+    #: decodes a trace's COI annotations (the CPU's ``annotate``)
+    annotate: Callable[[Trace], list[dict]] | None = None
 
     @property
     def n_cycles(self) -> int:
@@ -122,6 +128,11 @@ class ExecutionTree:
     def toggled_any(self) -> np.ndarray:
         """Gates that can toggle in *some* execution — Figure 3.4's set."""
         return self.flat_trace.toggled_any()
+
+    def annotations(self) -> list[dict]:
+        """Each flat-trace cycle's COI annotations (FSM state, PC,
+        instruction word), decoded from the stored values."""
+        return self.annotate(self.flat_trace)
 
     def edges(self) -> list[tuple[int, int]]:
         """(from_segment, to_segment) fork edges, memo edges included."""
@@ -163,10 +174,10 @@ class ExecutionTree:
         Covers the segment list (index, parent, flat start, length, end),
         every fork's sorted flag assignment and target, the memo-hit
         count, the value, activity and memory-access matrices, and each
-        record's cycle number and annotations.  Only exact data goes in,
-        so the digest does not depend on the engine, the batch width or
-        the numpy version; ``tests/golden_trees.json`` pins it for the
-        Table 4.1 benchmarks.
+        record's cycle number and decoded annotations.  Only exact data
+        goes in, so the digest does not depend on the engine, the batch
+        width or the numpy version; ``tests/golden_trees.json`` pins it
+        for the Table 4.1 benchmarks.
         """
         h = hashlib.blake2b(digest_size=16)
 
@@ -187,8 +198,8 @@ class ExecutionTree:
         h.update(flat.values_matrix().tobytes())
         h.update(flat.active_matrix().tobytes())
         h.update(flat.mem_accesses().tobytes())
-        for record in flat.records:
-            put([record.cycle, record.annotations])
+        for record, notes in zip(flat.records, self.annotations()):
+            put([record.cycle, notes])
         return h.hexdigest()
 
 
@@ -266,16 +277,11 @@ def explore(
     """
     machine = cpu.make_machine(program, symbolic_inputs=True, engine=engine)
     packed = getattr(machine.evaluator, "packed", False)
-    # a packed batch records packed words, unpacked at the trace boundary
-    # (lazy per record, bulk for values_matrix/active_matrix), so the
-    # explore loop never unpacks a row it only forks from.  The replay in
-    # _assemble_tree is representation-agnostic.
     batch = BatchMachine(
         machine.netlist,
         machine.ports,
         machine.evaluator,
         default_batch_size("native" if packed else "reference"),
-        annotator=machine.annotator,
     )
     evaluator = machine.evaluator
 
@@ -376,15 +382,12 @@ def explore(
         to_snap = [lane for lane in to_snap if lane.row >= 0]
         refill()
 
-    return _assemble_tree(
-        nodes,
-        machine.netlist.n_nets,
-        packing=getattr(evaluator, "program", None),
-    )
+    flat = Trace(machine.netlist.n_nets, batch.bit_order)
+    return _assemble_tree(nodes, flat, cpu.annotate)
 
 
 def _assemble_tree(
-    nodes: dict[bytes, _Node], n_nets: int, packing=None
+    nodes: dict[bytes, _Node], flat: Trace, annotate: Callable
 ) -> ExecutionTree:
     """Number the discovered segment graph: the canonical tree.
 
@@ -393,10 +396,10 @@ def _assemble_tree(
     memo-hit bookkeeping and the flat-trace layout: a depth-first stack
     from the root that pops the most recently pushed child first and
     pushes a fork's unseen children in branch-enumeration order.  The
-    tree digests in ``tests/golden_trees.json`` pin the result.
+    tree digests in ``tests/golden_trees.json`` pin the result.  The
+    segments' records go into the empty trace *flat*, which must have
+    their bit order; *annotate* decodes their annotations.
     """
-    flat = Trace(n_nets)
-    flat.packing = packing
     segments: list[Segment] = []
     index_of: dict[bytes, int] = {}
     patches: list[tuple[int, int, bytes]] = []
@@ -428,5 +431,6 @@ def _assemble_tree(
         segments[seg_index].forks[fork_no].target = index_of[child_key]
 
     return ExecutionTree(
-        segments=segments, flat_trace=flat, n_memo_hits=n_memo_hits
+        segments=segments, flat_trace=flat, n_memo_hits=n_memo_hits,
+        annotate=annotate,
     )

@@ -3,6 +3,9 @@
 Maps peaks in the input-independent peak power trace back to the
 instructions occupying the machine and the microarchitectural modules
 burning the power, so software optimizations (OPT1-3) can target them.
+The per-cycle FSM state and PC come from the tree's annotations, which
+the CPU decodes from the stored values once per analysis
+(:meth:`~repro.core.activity.ExecutionTree.annotations`).
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ class CycleOfInterest:
         )
 
 
-def _instruction_addresses(tree: ExecutionTree) -> list[int | None]:
+def _instruction_addresses(
+    tree: ExecutionTree, annotations: list[dict]
+) -> list[int | None]:
     """Current-instruction address per flat cycle (from dispatch points)."""
     addresses: list[int | None] = [None] * tree.n_cycles
     for segment in tree.segments:
@@ -53,9 +58,9 @@ def _instruction_addresses(tree: ExecutionTree) -> list[int | None]:
         else:
             current = None
         for index in range(sl.start, sl.stop):
-            record = tree.flat_trace.records[index]
-            if record.annotations.get("state") == "DISPATCH":
-                pc = record.annotations.get("pc")
+            notes = annotations[index]
+            if notes.get("state") == "DISPATCH":
+                pc = notes.get("pc")
                 if pc is not None:
                     current = (pc - 2) & 0xFFFF
             addresses[index] = current
@@ -79,17 +84,18 @@ def cycles_of_interest(
         if len(chosen) == count:
             break
 
-    addresses = _instruction_addresses(tree)
+    annotations = tree.annotations()
+    addresses = _instruction_addresses(tree, annotations)
     reports = []
     for cycle in sorted(chosen):
-        record = tree.flat_trace.records[cycle]
-        state = record.annotations.get("state", "?")
+        notes = annotations[cycle]
+        state = notes.get("state", "?")
         exec_addr = addresses[cycle]
         if exec_addr is not None:
             exec_text, _ = disassemble_at(program.words, exec_addr)
         else:
             exec_text = "(reset)"
-        pc = record.annotations.get("pc")
+        pc = notes.get("pc")
         if state == "FETCH" and pc is not None:
             fetch_text, _ = disassemble_at(program.words, pc)
             fetching: tuple[int | None, str] = (pc, fetch_text)

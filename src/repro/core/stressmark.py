@@ -10,7 +10,6 @@ average) power.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,35 +273,21 @@ OBJECTIVES = ("peak", "average")
 ISLAND_SEED_STRIDE = 9973
 
 
-def _int_knob(value: int | None, env_var: str, default: int, floor: int) -> int:
-    """Resolve an integer GA knob: explicit arg > *env_var* > *default*."""
-    if value is None:
-        raw = os.environ.get(env_var, "")
-        if not raw.strip():
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            message = f"{env_var} must be an integer, got {raw!r}"
-            raise ValueError(message) from None
-    if value < floor:
-        name = env_var.removeprefix("REPRO_").lower()
-        raise ValueError(f"{name} must be >= {floor}, got {value}")
-    return value
-
-
 def resolve_island_knobs(
     islands: int | None = None, migration_interval: int | None = None
 ) -> tuple[int, int]:
-    """Resolve the island-model knobs the way every other engine knob
-    resolves: explicit argument, then ``REPRO_ISLANDS`` /
-    ``REPRO_MIGRATION_INTERVAL`` (exported by ``bench --islands`` /
-    ``--migration-interval``), then the classic
-    single-population defaults ``(1, 2)``."""
-    return (
-        _int_knob(islands, "REPRO_ISLANDS", 1, 1),
-        _int_knob(migration_interval, "REPRO_MIGRATION_INTERVAL", 2, 1),
-    )
+    """The island-model knobs: each explicit argument, or the classic
+    single-population defaults ``(1, 2)``; both must be >= 1.  The
+    environment plays no part."""
+    islands = 1 if islands is None else islands
+    if migration_interval is None:
+        migration_interval = 2
+    for name, value in (
+        ("islands", islands), ("migration_interval", migration_interval)
+    ):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    return islands, migration_interval
 
 
 def generate_stressmark(
@@ -329,10 +314,8 @@ def generate_stressmark(
     fittest individual across islands wins.  One island is the classic
     GA.
 
-    ``islands=None``/``migration_interval=None`` honor ``REPRO_ISLANDS``
-    and ``REPRO_MIGRATION_INTERVAL`` (the CLI's ``--islands`` /
-    ``--migration-interval``), defaulting to the classic single
-    population.  *cancel* (a
+    ``islands=None``/``migration_interval=None`` give the classic single
+    population (:func:`resolve_island_knobs`).  *cancel* (a
     :class:`repro.parallel.cancel.CancelToken`) is checked before every
     generation; a set token aborts the evolution with
     :class:`repro.parallel.cancel.JobCancelled` (a ``BaseException``, so

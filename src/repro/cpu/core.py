@@ -733,7 +733,6 @@ class Ulp430(object):
                 machine.forced_inputs[net] = X
             else:
                 machine.forced_inputs[net] = (port_in >> position) & 1
-        machine.annotator = self.annotate
         machine.reset_sequence(reset_cycles, trace=trace)
         return machine
 
@@ -744,21 +743,25 @@ class Ulp430(object):
         value, xmask = machine.peek_bus(self.nets.state_q)
         return None if xmask else value
 
+    def annotate(self, trace) -> list[dict]:
+        """The COI annotations of every record of *trace*: FSM state
+        name, PC and instruction word (``None`` when unknown).
+
+        Decoded from the trace's packed value matrix, one bit gather per
+        bus, since the records store no annotations.
+        """
+        planes = trace.values_matrix(packed=True)
+        word, word_x = trace.bit_order.read_bus(planes, self._state_iw)
+        pc, _ = trace.bit_order.read_bus(planes, self.nets.pc_q)
+        return [
+            _annotation(*row)
+            for row in zip(word.tolist(), word_x.tolist(), pc.tolist())
+        ]
+
     # The probes below take a Machine or a BatchMachine.  A batch's
     # peek_bus returns uint64 columns of its live lanes, so the same
     # expressions give one answer per lane: boolean lane masks, or lists
     # with one entry per lane.
-    def annotate(self, machine: Machine) -> dict | list[dict]:
-        """The record annotations: FSM state name, PC and instruction
-        word (``None`` when unknown); on a batch, one dict per lane."""
-        word, word_x = machine.peek_bus(self._state_iw)
-        pc, _ = machine.peek_bus(self.nets.pc_q)
-        if isinstance(word, np.ndarray):
-            return [
-                _annotation(*lane)
-                for lane in zip(word.tolist(), word_x.tolist(), pc.tolist())
-            ]
-        return _annotation(word, word_x, pc)
 
     def in_dispatch(self, machine: Machine):
         """Is the FSM in DISPATCH?  A lane mask on a batch."""

@@ -151,6 +151,22 @@ class BitOrder:
         """A-plane (or any mask) word rows -> bool rows in net order."""
         return self._net_bits(words).view(bool)
 
+    def read_bus(
+        self, planes: np.ndarray, nets: list[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """LSB-first bus *nets* (at most 64) of every ``(rows, >=2,
+        n_words)`` plane row as ``(values, xmasks)`` uint64 columns: one
+        bit gather per rail, read as ``read_bus`` reads a trit row."""
+        pos = self.pos_of[nets]
+        words, shift = pos >> 6, (pos & 63).astype(np.uint64)
+        p = (planes[:, P_PLANE, words] >> shift) & np.uint64(1)
+        q = (planes[:, N_PLANE, words] >> shift) & np.uint64(1)
+        weights = np.uint64(1) << np.arange(len(nets), dtype=np.uint64)
+        return (
+            ((p & ~q) * weights).sum(axis=1, dtype=np.uint64),
+            ((p & q) * weights).sum(axis=1, dtype=np.uint64),
+        )
+
 
 class NetOrder(BitOrder):
     """The plain packing: net *i* at bit *i*, pads after the last net.

@@ -16,8 +16,9 @@ benchmarks.  This module opens it to uploaded source:
   result into the artifact store under a tenant-namespaced key with the
   tenant's result TTL;
 * failures that can only be discovered *during* analysis — the cycle
-  budget tripping on a non-halting program, an unbounded cyclic tree,
-  the worker's memory cap — surface as ``FAILED`` jobs whose error
+  budget tripping on a non-halting program, a PC that goes X outside a
+  forkable branch, an unbounded cyclic tree, the worker's memory cap —
+  surface as ``FAILED`` jobs whose error
   string carries a machine-readable ``<code>:`` prefix that the HTTP
   layer maps back to a structured 422.
 
@@ -57,6 +58,7 @@ DEFAULT_MEMORY_LIMIT_MB = 4096
 JOB_ERROR_CODES = (
     "assembly_error",
     "cycle_budget_exceeded",
+    "unresolved_pc",
     "unbounded_energy",
     "memory_limit_exceeded",
 )
@@ -271,6 +273,7 @@ def run_upload_job(params: dict, ctx) -> dict:
     from repro.bench import runner
     from repro.core import PathExplosionError, analyze
     from repro.core.peakenergy import UnboundedEnergyError
+    from repro.cpu import UnresolvedPCError
 
     pid = params["program_id"]
     key = store_key(params.get("tenant"), pid)
@@ -304,6 +307,8 @@ def run_upload_job(params: dict, ctx) -> dict:
         )
     except PathExplosionError as err:
         raise RuntimeError(f"cycle_budget_exceeded: {err}") from None
+    except UnresolvedPCError as err:
+        raise RuntimeError(f"unresolved_pc: {err}") from None
     except UnboundedEnergyError as err:
         raise RuntimeError(f"unbounded_energy: {err}") from None
     except MemoryError:

@@ -14,13 +14,14 @@ engine).  How a step settles them depends on the engine:
   (:class:`~repro.sim.native.BatchKernel`) on a lane-sliced copy of the
   batch — DFF loads, port forcing, settle, activity, the write-back of
   the live rows and every lane's memory request and probe buses, as
-  columns of one array.  Its records carry the packed words, unpacked
-  lazily at the trace boundary;
+  columns of one array;
 * **reference**: :class:`~repro.sim.evaluator.LevelizedEvaluator` on
-  ``(K, n_nets)`` uint8 matrices, the oracle.
+  ``(K, n_nets)`` uint8 matrices, the oracle, which packs the settled
+  rows once per step.
 
-The CPU's probes (halt, fork and dispatch tests, record annotations)
-read a whole batch at once: :meth:`BatchMachine.peek_bus` is the batch
+Either way the records are packed in the batch's ``bit_order`` (see
+:mod:`repro.sim.trace`).  The CPU's probes (halt, fork and dispatch
+tests) read a whole batch at once: :meth:`BatchMachine.peek_bus` is the batch
 form of :meth:`Machine.peek_bus` and returns a bus of every live lane as
 ``(values, xmasks)`` columns, from the last step's probe array on the
 native engine and from the values matrix on the reference engine.
@@ -38,12 +39,13 @@ freely and the differential tests can compare them record for record.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from repro.logic import X
 from repro.netlist.core import Netlist
+from repro.netlist.program import net_order
 from repro.sim.evaluator import LevelizedEvaluator
 from repro.sim.machine import (
     MemoryPorts,
@@ -97,7 +99,6 @@ class BatchMachine:
         ports: MemoryPorts,
         evaluator: LevelizedEvaluator,
         batch_size: int,
-        annotator: Callable | None = None,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -106,7 +107,6 @@ class BatchMachine:
         self.evaluator = evaluator
         self.packed = bool(getattr(evaluator, "packed", False))
         self.batch_size = batch_size
-        self.annotator = annotator
         #: the native batch kernel that steps a packed batch in one
         #: foreign call (None: the reference engine's step below)
         self.kernel = None
@@ -115,7 +115,10 @@ class BatchMachine:
             self.planes = evaluator.fresh_planes(batch=batch_size)
             self.kernel = evaluator.batch_kernel(self.planes, ports)
             self._valid_mask = evaluator.program.valid_mask
+            #: the bit order of the records' packed words
+            self.bit_order = evaluator.program
         else:
+            self.bit_order = net_order(netlist.n_nets)
             self.values = evaluator.fresh_values(batch=batch_size)
             self._prev_active = np.zeros(
                 (batch_size, netlist.n_nets), dtype=bool
@@ -188,14 +191,9 @@ class BatchMachine:
             columns = self._columns
             if columns is not None and column < columns.shape[1]:
                 return columns[:, column], columns[:, column + 1]
-            pos = self.evaluator.program.pos_of[nets]
-            words, shift = pos >> 6, (pos & 63).astype(np.uint64)
-            p = (self.planes[:n_live, 0, words] >> shift) & np.uint64(1)
-            q = (self.planes[:n_live, 1, words] >> shift) & np.uint64(1)
-            known, unknown = p & ~q, p & q
-        else:
-            rows = self.values[:n_live, nets]
-            known, unknown = rows == 1, rows == X
+            return self.bit_order.read_bus(self.planes[:n_live], nets)
+        rows = self.values[:n_live, nets]
+        known, unknown = rows == 1, rows == X
         weights = np.uint64(1) << np.arange(len(nets), dtype=np.uint64)
         return (
             (known * weights).sum(axis=1, dtype=np.uint64),
@@ -277,32 +275,20 @@ class BatchMachine:
             self._prev_active[0] = active
         else:
             self._prev_active[:n_live] = active
+        order = self.bit_order
+        value_words = order.pack_values(values).reshape(n_live, 2, -1)
+        active_words = order.pack_active(active).reshape(n_live, -1)
         records: list[CycleRecord] = []
-        for lane, (mem_reads, mem_writes), notes in zip(
-            self.lanes, mem_counts, self._annotations()
+        for lane, counts, value, activity in zip(
+            self.lanes, mem_counts, value_words, active_words
         ):
             row_values = values if squeeze else values[lane.row]
-            row_active = active if squeeze else active[lane.row]
             sample_memory_control(lane, row_values, self.ports)
             records.append(
-                CycleRecord(
-                    cycle=lane.cycle,
-                    values=row_values.copy(),
-                    active=row_active.copy(),
-                    mem_reads=mem_reads,
-                    mem_writes=mem_writes,
-                    annotations=notes,
-                )
+                CycleRecord(lane.cycle, value, activity, *counts, order)
             )
             lane.cycle += 1
         return records
-
-    def _annotations(self) -> list:
-        """The annotator's per-lane dicts for the settled lanes (``None``
-        each without an annotator: the records' empty default)."""
-        if self.annotator is None:
-            return [None] * len(self.lanes)
-        return self.annotator(self)
 
     def _step_native(self) -> list[CycleRecord]:
         """Advance every live lane one cycle in one native kernel call.
@@ -347,11 +333,11 @@ class BatchMachine:
         n_live = len(lanes)
         value_words = self.planes[:n_live, 0:2].copy()
         active_words = self.planes[:n_live, 2] & self._valid_mask
-        program = self.evaluator.program
+        order = self.bit_order
         records: list[CycleRecord] = []
-        for lane, bits, counts, active, value, notes in zip(
+        for lane, bits, counts, active, value in zip(
             lanes, probes[:, :8].tolist(), mem_counts, active_words,
-            value_words, self._annotations(),
+            value_words,
         ):
             addr, addr_x, din, din_x, en, en_x, we, we_x = bits
             request = lane._request = _MemRequest(
@@ -361,10 +347,7 @@ class BatchMachine:
             if request.we != 0:
                 commit_memory_write(lane, request)
             records.append(
-                CycleRecord(
-                    lane.cycle, None, None, *counts, notes, active, value,
-                    program,
-                )
+                CycleRecord(lane.cycle, value, active, *counts, order)
             )
             lane.cycle += 1
         return records
@@ -404,12 +387,10 @@ def run_batch_to_halt(
         template.ports,
         template.evaluator,
         len(machines),
-        annotator=template.annotator,
     )
-    traces = [Trace(template.netlist.n_nets) for _ in machines]
-    if batch.packed:
-        for trace in traces:
-            trace.packing = template.evaluator.program
+    traces = [
+        Trace(template.netlist.n_nets, batch.bit_order) for _ in machines
+    ]
     cycles: list[int] = [0] * len(machines)
     lane_index = {
         id(batch.load(machine.snapshot(), {})): index

@@ -10,6 +10,9 @@ machine runs both modes of the paper:
 
 The machine is snapshot/restorable so the execution-tree explorer can fork
 at input-dependent branches, and hashable so visited states are memoized.
+Each step returns a :class:`~repro.sim.trace.CycleRecord` in the one
+record layout: packed value and activity words in :attr:`Machine.bit_order`
+(the reference engine packs its uint8 row once per step).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from repro.logic import X
 from repro.netlist.core import Netlist
-from repro.netlist.program import N_PLANE, P_PLANE
+from repro.netlist.program import N_PLANE, P_PLANE, net_order
 from repro.sim.bitplane import make_evaluator
 from repro.sim.evaluator import LevelizedEvaluator
 from repro.sim.memory import TernaryMemory
@@ -317,6 +320,10 @@ class Machine:
         self.evaluator = evaluator or make_evaluator(netlist)
         #: True when state lives in packed dual-rail bit planes
         self.packed = bool(getattr(self.evaluator, "packed", False))
+        #: the bit order of the records this machine steps into a trace
+        self.bit_order = (
+            self.evaluator.program if self.packed else net_order(netlist.n_nets)
+        )
         self.memory = memory or TernaryMemory()
         if self.packed:
             #: (3, n_words) uint64 P/N/A planes — the machine state
@@ -344,11 +351,9 @@ class Machine:
             int(net): pos for pos, net in enumerate(self.evaluator.dff_out)
         }
         #: Copy-on-write marker: True while ``self.values`` may be shared
-        #: with a snapshot (or a trace record); :meth:`step` materializes a
-        #: private copy before mutating.
+        #: with a snapshot; :meth:`step` materializes a private copy
+        #: before mutating.
         self._values_shared = False
-        self.annotator = None
-        #: Extra annotations callback: machine -> dict, set by the CPU layer.
 
     # ------------------------------------------------------------------
     # Values view: the uint8 net-order vector every consumer reads.  The
@@ -358,11 +363,10 @@ class Machine:
     @property
     def values(self) -> np.ndarray:
         if not self.packed:
-            return self._values
+            return self._trits
         if self._values_cache is None:
             cache = self.evaluator.unpack_values(self.planes)
-            # read-only: the cache doubles as the trace record's values
-            # row, and element writes here would bypass the planes anyway
+            # read-only: element writes here would bypass the planes
             cache.setflags(write=False)
             self._values_cache = cache
         return self._values_cache
@@ -374,7 +378,7 @@ class Machine:
                 "packed machines derive .values from the packed planes; "
                 "mutate state through step()/restore()/forced_inputs"
             )
-        self._values = array
+        self._trits = array
 
     # ------------------------------------------------------------------
     # State management (forking + memoization)
@@ -502,8 +506,8 @@ class Machine:
         if self.packed:
             return self._step_packed(reset, trace)
         if self._values_shared:
-            # A snapshot or trace record holds self.values: hand it the old
-            # array and mutate a private copy (one copy per cycle total).
+            # A snapshot holds self.values: hand it the old array and
+            # mutate a private copy (one copy per cycle total).
             prev_values = self.values
             self.values = prev_values.copy()
             self._values_shared = False
@@ -522,15 +526,11 @@ class Machine:
             prev_values, self.values, self._prev_active
         )
         self._sample_memory_control()
+        order = self.bit_order
         record = CycleRecord(
-            cycle=self.cycle,
-            values=self.values,  # CoW: next step materializes before mutating
-            active=active,
-            mem_reads=mem_reads,
-            mem_writes=mem_writes,
-            annotations=self.annotator(self) if self.annotator else {},
+            self.cycle, order.pack_values(self.values),
+            order.pack_active(active), mem_reads, mem_writes, order,
         )
-        self._values_shared = True
         self._prev_active = active
         self.cycle += 1
         if trace is not None:
@@ -543,9 +543,8 @@ class Machine:
         Bit-identical to the reference :meth:`step`: the same update
         order, with the combinational settle and the activity marking
         fused into one sweep over the compiled level schedule.  The
-        record's ``values``/``active`` rows are unpacked fresh each cycle
-        (the trace boundary), so no copy-on-write discipline is needed
-        for them; the planes themselves are materialized only when a
+        record takes a copy of the value planes and the masked activity
+        words; the planes themselves are materialized only when a
         snapshot still shares them.
         """
         evaluator = self.evaluator
@@ -561,26 +560,17 @@ class Machine:
         evaluator.set_dff_planes(self.planes, next_dff)
         self._apply_inputs_packed()
         evaluator.settle_and_mark(self.planes)
-        values = evaluator.unpack_values(self.planes)
-        values.setflags(write=False)  # shared by the cache and the record
-        self._values_cache = values
-        active = evaluator.unpack_active(self.planes)
+        self._values_cache = None
         if self._port_specs is None:
             self._port_specs = PortSpecs.compile(evaluator.program, self.ports)
         sample_memory_control_packed(self, self.planes, self._port_specs)
         record = CycleRecord(
-            cycle=self.cycle,
-            values=values,
-            active=active,
-            mem_reads=mem_reads,
-            mem_writes=mem_writes,
-            annotations=self.annotator(self) if self.annotator else {},
-            active_words=evaluator.active_words(self.planes),
+            self.cycle, self.planes[0:2].copy(),
+            evaluator.active_words(self.planes), mem_reads, mem_writes,
+            self.bit_order,
         )
         self.cycle += 1
         if trace is not None:
-            if trace.packing is None:
-                trace.packing = evaluator.program
             trace.append(record)
         return record
 

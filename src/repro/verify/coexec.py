@@ -206,7 +206,6 @@ def coexecute(
         machine = cpu.make_machine(
             program, symbolic_inputs=False, port_in=port_in, engine=engine
         )
-    machine.annotator = None  # skip per-cycle annotation: speed
 
     iss = InstructionSetSimulator(program, port_in=port_in)
     iss.write_log = []

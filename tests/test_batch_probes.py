@@ -1,12 +1,17 @@
 """The CPU probes on a whole batch, and the explorer's snapshot rule.
 
 The probes (``halted``, ``pc_next_unknown``, ``in_dispatch``,
-``may_fork_next``, ``annotate``, ``branch_fork_assignments``) take a
-scalar :class:`~repro.sim.machine.Machine` or a whole
+``may_fork_next``, ``branch_fork_assignments``) take a scalar
+:class:`~repro.sim.machine.Machine` or a whole
 :class:`~repro.sim.batch.BatchMachine`.  The batch forms read one column
 per bus and must agree lane for lane with the scalar forms, on both
 engines, whether the batch answers from its rows (lanes just loaded) or
 from the probe columns of its last step.
+
+The COI annotations are decoded from a trace's packed values
+(``Ulp430.annotate``): at the same points, on both engines, they must
+equal what ``peek_bus`` reads from the state, instruction-word and PC
+buses after each recorded cycle.
 
 The explorer snapshots a lane only before a step that may fork: it must
 take no more snapshots than there are dispatch-bound lane-steps plus
@@ -20,9 +25,10 @@ from repro.asm import assemble
 from repro.bench.suite import get_benchmark
 from repro.core import explore
 from repro.cpu import UnresolvedPCError
-from repro.cpu.core import Ulp430
+from repro.cpu.core import STATE_NAMES, Ulp430
 from repro.sim.batch import BatchMachine
 from repro.sim.machine import Machine
+from repro.sim.trace import Trace
 
 PROBES = ("halted", "pc_next_unknown", "in_dispatch", "may_fork_next")
 
@@ -62,7 +68,6 @@ def _explore_spied(cpu, name: str, engine: str) -> dict:
 def _machine(cpu, snap: dict, engine: str) -> Machine:
     machine = Machine(cpu.netlist, cpu.ports, cpu.evaluator_for(engine))
     machine.restore(snap)
-    machine.annotator = cpu.annotate
     return machine
 
 
@@ -99,7 +104,6 @@ def _assert_lanes_agree(cpu, batch, machines, seen: set) -> None:
         assert all(isinstance(value, bool) for value in scalars)
         assert column.dtype == bool and column.tolist() == scalars, name
         seen.update(name for value in scalars if value)
-    assert cpu.annotate(batch) == [cpu.annotate(m) for m in machines]
     expected, unforkable = {}, False
     for row, machine in enumerate(machines):
         if cpu.pc_next_unknown(machine):
@@ -114,6 +118,31 @@ def _assert_lanes_agree(cpu, batch, machines, seen: set) -> None:
         assert cpu.branch_fork_assignments(batch) == expected
 
 
+def _peeked_annotations(cpu, machine) -> list[dict]:
+    """The annotations of the cycle *machine* (or each batch lane) just
+    settled, read bus by bus with ``peek_bus``."""
+    buses = [
+        np.atleast_1d(np.asarray(column, dtype=np.uint64)).tolist()
+        for nets in (cpu.nets.state_q, cpu.nets.iw, cpu.nets.pc_q)
+        for column in machine.peek_bus(nets)
+    ]
+    return [
+        {
+            "state": "X" if state_x else STATE_NAMES.get(state, "X"),
+            "pc": pc,
+            "iw": None if iw_x else iw,
+        }
+        for state, state_x, iw, iw_x, pc, _pc_x in zip(*buses)
+    ]
+
+
+def _assert_decoded_annotations(cpu, records, peeked) -> None:
+    trace = Trace(cpu.netlist.n_nets)
+    for record in records:
+        trace.append(record)
+    assert cpu.annotate(trace) == peeked
+
+
 class TestBatchProbeForms:
     @pytest.mark.parametrize("engine", ["native", "reference"])
     @pytest.mark.parametrize(
@@ -122,10 +151,7 @@ class TestBatchProbeForms:
     def test_batch_forms_match_scalar_forms(self, cpu, engine, name, seed):
         points = _points(cpu, name, engine, 20, seed)
         evaluator = cpu.evaluator_for(engine)
-        batch = BatchMachine(
-            cpu.netlist, cpu.ports, evaluator, len(points),
-            annotator=cpu.annotate,
-        )
+        batch = BatchMachine(cpu.netlist, cpu.ports, evaluator, len(points))
         assert (batch.kernel is not None) == (engine == "native")
         for snap in points:
             batch.load(snap, snap["next_dff_forces"])
@@ -133,10 +159,15 @@ class TestBatchProbeForms:
         seen: set = set()
         _assert_lanes_agree(cpu, batch, machines, seen)  # from the rows
         records = batch.step()
-        scalar_records = [machine.step() for machine in machines]
-        assert [r.annotations for r in records] == [
-            r.annotations for r in scalar_records
-        ]
+        _assert_decoded_annotations(
+            cpu, records, _peeked_annotations(cpu, batch)
+        )
+        scalar_records, peeked = [], []
+        for machine in machines:
+            scalar_records.append(machine.step())
+            peeked += _peeked_annotations(cpu, machine)
+        _assert_decoded_annotations(cpu, scalar_records, peeked)
+        assert len({notes["state"] for notes in peeked}) > 1
         _assert_lanes_agree(cpu, batch, machines, seen)  # from the columns
         # the sample reaches every answer, not just the common "no"
         assert seen == set(PROBES)
@@ -151,9 +182,12 @@ class TestSnapshotRule:
     def test_viterbi_snapshots_only_dispatch_bound_lane_steps(self, cpu):
         seen = _explore_spied(cpu, "Viterbi", "native")
         # a lane-step that may be a DISPATCH records the state it may be
+        trace = Trace(cpu.netlist.n_nets)
+        for record in seen["records"]:
+            trace.append(record)
         dispatch_bound = sum(
-            record.annotations["state"] in ("DISPATCH", "X")
-            for record in seen["records"]
+            notes["state"] in ("DISPATCH", "X")
+            for notes in cpu.annotate(trace)
         )
         snapshots = len(seen["snapshots"])
         assert snapshots <= dispatch_bound + seen["loads"]

@@ -327,26 +327,16 @@ class TestMachineEngineEquivalence:
 
 class TestPackedTraceReductions:
     def test_toggled_any_and_counts_match_bool_path(self):
-        """The packed fast path must equal the record-by-record fallback."""
+        """The packed reductions must equal the unpacked bool rows'."""
         machine, _count = counter_machine("native")
         trace = Trace(machine.netlist.n_nets)
         machine.reset_sequence(2, trace=trace)
         for _ in range(12):
             machine.step(trace=trace)
-        assert trace.packing is not None
-        packed_toggled = trace.toggled_any()
-        packed_counts = trace.activity_counts()
-        # strip the packed words: the rows are packed in plain net order
-        plain = Trace(machine.netlist.n_nets)
-        plain.records = [
-            CycleRecord(
-                r.cycle, r.values, r.active, r.mem_reads, r.mem_writes,
-                r.annotations,
-            )
-            for r in trace.records
-        ]
-        assert np.array_equal(packed_toggled, plain.toggled_any())
-        assert np.array_equal(packed_counts, plain.activity_counts())
+        assert trace.bit_order is machine.evaluator.program
+        active = trace.active_matrix()
+        assert np.array_equal(trace.toggled_any(), active.any(axis=0))
+        assert np.array_equal(trace.activity_counts(), active.sum(axis=1))
 
 
 class TestTraceMatrices:
@@ -359,53 +349,42 @@ class TestTraceMatrices:
         active = rng.integers(0, 2, size=(n_cycles, netlist.n_nets)).astype(bool)
         planes = program.pack_values(values)
         words = program.pack_active(active)
-        trace = Trace(netlist.n_nets)
-        trace.packing = program
+        trace = Trace(netlist.n_nets, program)
         for cycle in range(n_cycles):
             trace.append(CycleRecord(
-                cycle, value_words=planes[cycle], active_words=words[cycle],
-                packing=program,
+                cycle, planes[cycle], words[cycle], 0.0, 0.0, program,
             ))
         return trace, values, active
-
-    def test_bulk_unpack_survives_a_cached_row(self, monkeypatch):
-        """One record unpacked on its own (its row now cached) must not
-        push the whole trace onto the record-by-record path."""
-        trace, values, active = self.packed_trace()
-        program = trace.packing
-        assert np.array_equal(trace.records[2].values, values[2])
-        assert np.array_equal(trace.records[2].active, active[2])
-        calls = {"unpack_trits": 0, "unpack_bits": 0}
-        for name in calls:
-            def spy(*args, _name=name, _method=getattr(program, name)):
-                calls[_name] += 1
-                return _method(*args)
-
-            monkeypatch.setattr(program, name, spy)
-        assert np.array_equal(trace.values_matrix(), values)
-        assert np.array_equal(trace.active_matrix(), active)
-        assert calls == {"unpack_trits": 1, "unpack_bits": 1}
 
     def test_packed_matrices_are_the_records_words(self):
         trace, values, active = self.packed_trace()
         planes = trace.values_matrix(packed=True)
         words = trace.active_matrix(packed=True)
-        assert trace.bit_order is trace.packing
-        assert planes.shape == (len(values), 2, trace.packing.n_words)
-        assert np.array_equal(planes, trace.packing.pack_values(values))
-        assert np.array_equal(words, trace.packing.pack_active(active))
+        order = trace.bit_order
+        assert planes.shape == (len(values), 2, order.n_words)
+        assert np.array_equal(planes, order.pack_values(values))
+        assert np.array_equal(words, order.pack_active(active))
+        assert np.array_equal(trace.values_matrix(), values)
+        assert np.array_equal(trace.active_matrix(), active)
+        assert np.array_equal(trace.records[2].values, values[2])
+        assert np.array_equal(trace.records[2].active, active[2])
 
     def test_unpacked_trace_packs_in_net_order(self):
-        trace, values, active = self.packed_trace()
-        plain = Trace(trace.n_nets)
-        for cycle, (row, flags) in enumerate(zip(values, active)):
-            plain.append(CycleRecord(cycle, row, flags))
-        order = plain.bit_order
-        assert np.array_equal(order.pos_of, np.arange(trace.n_nets))
-        planes = plain.values_matrix(packed=True)
-        words = plain.active_matrix(packed=True)
-        assert np.array_equal(order.unpack_trits(planes[:, 0], planes[:, 1]), values)
-        assert np.array_equal(order.unpack_bits(words), active)
+        """The reference engine packs its rows in plain net order, and
+        they unpack to the rows a native machine records."""
+        traces = []
+        for engine in ("reference", "native"):
+            machine, _count = counter_machine(engine)
+            traces.append(Trace(machine.netlist.n_nets))
+            machine.reset_sequence(2, trace=traces[-1])
+            for _ in range(6):
+                machine.step(trace=traces[-1])
+        plain, packed = traces
+        n_nets = plain.n_nets
+        assert np.array_equal(plain.bit_order.pos_of, np.arange(n_nets))
+        assert plain.bit_order is not packed.bit_order
+        assert np.array_equal(plain.values_matrix(), packed.values_matrix())
+        assert np.array_equal(plain.active_matrix(), packed.active_matrix())
 
     def test_empty_trace_matrices(self):
         trace = Trace(9)

@@ -1,7 +1,10 @@
 """CLI smoke tests (analyze / profile / coi subcommands)."""
 
+import functools
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 SOURCE = """
@@ -16,6 +19,46 @@ end:    jmp end
         .org 0x0240
 inp:    .input 2
 """
+
+
+#: sources the analysis fails on, each with the one line it must print
+FAILING_PROGRAMS = {
+    "missing": (None, "cannot read {path}: No such file or directory"),
+    "bad": ("start: frobnicate r4, r5\n", "{path}: unknown mnemonic"),
+    "spin": (
+        """
+        .org 0xF000
+loop:   inc r4
+        jmp loop
+""",
+        "exploration budget exceeded: spin: exceeded 2000 total cycles",
+    ),
+    "jumpx": (
+        """
+        .org 0xF000
+start:  mov #inp, r4
+        mov @r4, r5
+        mov r5, pc
+        .org 0x0240
+inp:    .input 1
+""",
+        "unresolved PC: PC became unknown while dispatching non-jump word",
+    ),
+    "wait": (
+        """
+        .org 0xF000
+start:  mov #0x5A80, &0x0120
+        mov #inp, r4
+again:  mov @r4, r5
+        tst r5
+        jnz again
+end:    jmp end
+        .org 0x0240
+inp:    .input 1
+""",
+        "unbounded peak energy: execution tree has an input-dependent loop",
+    ),
+}
 
 
 @pytest.fixture()
@@ -87,6 +130,38 @@ class TestCli:
         assert main(["coi", program_file, "--count", "3"]) == 0
         out = capsys.readouterr().out
         assert "executing" in out
+
+
+class TestProgramErrors:
+    """A program the analysis cannot take exits 2 with one line."""
+
+    @pytest.mark.parametrize("verb", ["analyze", "coi"])
+    @pytest.mark.parametrize("name", sorted(FAILING_PROGRAMS))
+    def test_exit_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, verb, name
+    ):
+        # a small cycle budget keeps the non-halting case quick
+        monkeypatch.setattr(
+            cli, "analyze", functools.partial(cli.analyze, max_cycles=2000)
+        )
+        source, message = FAILING_PROGRAMS[name]
+        path = tmp_path / f"{name}.asm"
+        if source is not None:
+            path.write_text(source)
+        assert main([verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: " + message.format(path=path))
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["missing", "bad"])
+    def test_profile_load_errors(self, tmp_path, capsys, name):
+        source, message = FAILING_PROGRAMS[name]
+        path = tmp_path / f"{name}.asm"
+        if source is not None:
+            path.write_text(source)
+        assert main(["profile", str(path), "--inputs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: " + message.format(path=path))
 
 
 class TestUnknownBenchmarkErrors:
@@ -171,6 +246,15 @@ class TestServiceCli:
             main([command, "--workers", "1"])
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--islands", "--migration-interval"])
+    def test_bench_island_knobs_must_be_positive(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", flag, "0"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: must be >= 1, got 0" in err
+        assert "Traceback" not in err
 
 
 class TestCacheCli:

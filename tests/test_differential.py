@@ -6,7 +6,7 @@ output on the 14 Table 4.1 benchmarks is frozen in
 ``tests/golden_trees.json``: per benchmark, the
 :meth:`~repro.core.activity.ExecutionTree.digest` of the execution tree
 (segments, forks, memo hits, the value/activity/memory-access matrices,
-record cycles and annotations) and a digest of the even/odd witness
+record cycles and decoded annotations) and a digest of the even/odd witness
 profiles.  Only exact data is digested, so the pins hold under any numpy.
 
 The batched uint8 reference engine (the oracle, and the fallback of

@@ -38,6 +38,16 @@ loop:   inc r4
         jmp loop
 """
 
+#: a computed jump through input data: the PC goes X outside a branch
+JUMP_THROUGH_INPUT_SOURCE = """
+        .org 0xF000
+start:  mov #inp, r4
+        mov @r4, r5
+        mov r5, pc
+        .org 0x0240
+inp:    .input 1
+"""
+
 BAD_SOURCE = "start: frobnicate r4, r5\n"
 
 BYTE_MODE_SOURCE = """
@@ -332,6 +342,16 @@ class TestUploadPipeline:
         assert err.value.status == 422
         assert err.value.payload["code"] == "cycle_budget_exceeded"
         assert "500" in err.value.payload["error"]
+
+    def test_computed_jump_through_input_is_unresolved_pc(self, open_client):
+        client, service = open_client
+        job = client.upload(JUMP_THROUGH_INPUT_SOURCE, name="jumpx")
+        with pytest.raises(JobFailedError) as err:
+            client.result(job["job_id"], timeout=120)
+        assert err.value.status == 422
+        assert err.value.payload["code"] == "unresolved_pc"
+        assert "PC became unknown" in err.value.payload["error"]
+        assert "repro." not in err.value.payload["error"]
 
     def test_upload_kind_is_rejected_on_the_jobs_endpoint(
         self, open_client

@@ -750,17 +750,17 @@ def _fork_snapshots(cpu, name: str, count: int) -> list[dict]:
 
 
 def _churn(netlist, ports, engines, snapshots, variant, lanes, seed,
-           annotator=None, steps=24):
+           steps=24):
     """Drive a native batch and a reference-engine batch through the same
     random load / retire / refill churn and compare every step: records
     (values, activity and the packed words, pads included), memory
-    counts, annotations, the post-step rows, memo ``state_bytes`` and
-    each lane's latched memory request and memory."""
+    counts, the post-step rows, memo ``state_bytes`` and each lane's
+    latched memory request and memory."""
     packed, reference = engines
 
     def fresh():
         return [
-            BatchMachine(netlist, ports, ev, lanes, annotator=annotator)
+            BatchMachine(netlist, ports, ev, lanes)
             for ev in engines
         ]
 
@@ -789,7 +789,6 @@ def _churn(netlist, ports, engines, snapshots, variant, lanes, seed,
         for ra, rb in zip(*outcomes, strict=True):
             assert ra.cycle == rb.cycle
             assert (ra.mem_reads, ra.mem_writes) == (rb.mem_reads, rb.mem_writes)
-            assert ra.annotations == rb.annotations
             assert np.array_equal(ra.values, rb.values)
             assert np.array_equal(ra.active, rb.active)
             assert np.array_equal(ra.value_words, program.pack_values(rb.values))
@@ -888,7 +887,7 @@ class TestBatchStepKernel:
         engines = (cpu.evaluator_for("native"), cpu.evaluator)
         stepped = _churn(
             cpu.netlist, cpu.ports, engines, fork_snapshots, _cpu_variant(cpu),
-            lanes, seed, annotator=cpu.annotate,
+            lanes, seed,
         )
         assert stepped >= 16
 

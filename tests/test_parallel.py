@@ -25,6 +25,7 @@ from repro.cells import SG65
 from repro.core.activity import _ROOT_KEY, _assemble_tree, _Node, explore
 from repro.core.stressmark import generate_stressmark
 from repro.power.model import PowerModel
+from repro.sim.trace import Trace
 
 GOLDEN_STRESSMARKS = Path(__file__).with_name("golden_stressmarks.json")
 
@@ -77,11 +78,8 @@ class TestMergeOrderProperty:
         rng = np.random.default_rng(seed)
         items = list(nodes.items())
         rng.shuffle(items)
-        reassembled = _assemble_tree(
-            dict(items),
-            tree.flat_trace.n_nets,
-            packing=tree.flat_trace.packing,
-        )
+        flat = Trace(tree.flat_trace.n_nets, tree.flat_trace.bit_order)
+        reassembled = _assemble_tree(dict(items), flat, cpu.annotate)
         assert reassembled.digest() == tree.digest()
 
 
@@ -167,11 +165,10 @@ class TestPackedConcreteRecords:
         machine = cpu.make_machine(program, symbolic_inputs=False, port_in=0)
         [(trace, cycles)] = run_batch_to_halt(cpu, [machine])
         assert cycles > 0
-        assert trace.packing is not None
+        assert trace.bit_order is machine.bit_order
         record = trace.records[0]
-        assert record.value_words is not None
-        assert record._values is None, "values must unpack lazily"
-        # per-record lazy unpack agrees with the bulk matrix unpack
+        assert record.bit_order is trace.bit_order
+        # per-record unpack agrees with the bulk matrix unpack
         matrix = trace.values_matrix()
         assert np.array_equal(record.values, matrix[0])
         assert np.array_equal(
@@ -180,7 +177,6 @@ class TestPackedConcreteRecords:
 
     def test_packed_matches_scalar_run(self, cpu):
         from repro.sim.batch import run_batch_to_halt
-        from repro.sim.trace import Trace
 
         benchmark = get_benchmark("tea8")
         program = benchmark.program().with_inputs(benchmark.input_sets(1)[0])
@@ -200,48 +196,50 @@ class TestPackedConcreteRecords:
         assert np.array_equal(
             trace.mem_accesses(), scalar_trace.mem_accesses()
         )
-        assert trace.annotation("pc") == scalar_trace.annotation("pc")
+        assert cpu.annotate(trace) == cpu.annotate(scalar_trace)
 
 
 class TestIslandKnobResolution:
-    """`--islands`/`--migration-interval` resolve like every other knob:
-    explicit arg > env var > classic defaults — and the env path evolves
-    the exact same stressmark as the explicit path."""
+    """`--islands`/`--migration-interval` are arguments only: an explicit
+    value, else the classic defaults.  ``REPRO_ISLANDS`` and
+    ``REPRO_MIGRATION_INTERVAL`` no longer exist, so setting them
+    changes nothing — not the GA, not a service job's signed params."""
 
-    def test_defaults(self, monkeypatch):
-        from repro.core.stressmark import resolve_island_knobs
-
-        monkeypatch.delenv("REPRO_ISLANDS", raising=False)
-        monkeypatch.delenv("REPRO_MIGRATION_INTERVAL", raising=False)
-        assert resolve_island_knobs() == (1, 2)
-        assert resolve_island_knobs(4, 3) == (4, 3)
-
-    def test_env_resolution_and_validation(self, monkeypatch):
-        from repro.core.stressmark import resolve_island_knobs
-
+    @pytest.fixture()
+    def stale_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ISLANDS", "5")
         monkeypatch.setenv("REPRO_MIGRATION_INTERVAL", "7")
-        assert resolve_island_knobs() == (5, 7)
-        assert resolve_island_knobs(2) == (2, 7)  # explicit wins
-        monkeypatch.setenv("REPRO_ISLANDS", "many")
-        with pytest.raises(ValueError, match="REPRO_ISLANDS"):
-            resolve_island_knobs()
-        monkeypatch.setenv("REPRO_ISLANDS", "0")
-        with pytest.raises(ValueError, match="islands"):
-            resolve_island_knobs()
+
+    def test_defaults(self, stale_env):
+        from repro.core.stressmark import resolve_island_knobs
+
+        assert resolve_island_knobs() == (1, 2)
+        assert resolve_island_knobs(4, 3) == (4, 3)
+        assert resolve_island_knobs(2) == (2, 2)
+
+    def test_env_resolution_and_validation(self, stale_env):
+        """A service job's signed params ignore the environment too, and
+        a knob below 1 is refused."""
+        from repro.core.stressmark import resolve_island_knobs
+        from repro.service.scheduler import normalize_params
+
+        params = normalize_params("stressmark", {})
+        assert (params["islands"], params["migration_interval"]) == (1, 2)
+        with pytest.raises(ValueError, match="islands must be >= 1"):
+            resolve_island_knobs(0)
         with pytest.raises(ValueError, match="migration_interval"):
             resolve_island_knobs(1, 0)
 
-    def test_env_matches_explicit_evolution(self, cpu, model, monkeypatch):
+    def test_environment_leaves_the_evolution_alone(
+        self, cpu, model, monkeypatch
+    ):
         kwargs = dict(population=4, generations=2, genome_length=6)
-        explicit = generate_stressmark(
-            cpu, model, islands=2, migration_interval=1, **kwargs
-        )
+        classic = generate_stressmark(cpu, model, **kwargs)
         monkeypatch.setenv("REPRO_ISLANDS", "2")
         monkeypatch.setenv("REPRO_MIGRATION_INTERVAL", "1")
         via_env = generate_stressmark(cpu, model, **kwargs)
-        assert via_env.source == explicit.source
-        assert via_env.peak_power_mw == explicit.peak_power_mw
+        assert via_env.source == classic.source
+        assert via_env.peak_power_mw == classic.peak_power_mw
 
     def test_runner_stressmark_keys_island_schedules(self, tmp_path,
                                                      monkeypatch):

@@ -274,7 +274,7 @@ class TestExactPricing:
         machine = cpu.make_machine(program, symbolic_inputs=False, port_in=0)
         trace = Trace(machine.netlist.n_nets)
         cpu.run_to_halt(machine, max_cycles=5_000, trace=trace)
-        assert trace.packing is not None
+        assert trace.bit_order is machine.bit_order
         packed = ulp_model.trace_power(
             trace.values_matrix(packed=True), trace.mem_accesses(),
             per_module=True, bit_order=trace.bit_order,

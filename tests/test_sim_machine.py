@@ -1,6 +1,7 @@
 """Machine, evaluator activity rule, trace, and VCD unit tests."""
 
 import numpy as np
+import pytest
 
 from repro.logic import ONE, X, ZERO
 from repro.netlist import NetlistBuilder
@@ -157,22 +158,36 @@ class TestVcd:
 
 class TestTrace:
     def test_toggled_any_unions_activity(self):
-        trace = Trace(3)
+        from repro.netlist.program import net_order
         from repro.sim.trace import CycleRecord
 
-        trace.append(CycleRecord(0, np.zeros(3, np.uint8),
-                                 np.array([True, False, False]), 0, 0))
-        trace.append(CycleRecord(1, np.zeros(3, np.uint8),
-                                 np.array([False, True, False]), 1, 0))
+        order = net_order(3)
+        trace = Trace(3)
+        for cycle, flags in enumerate([[True, False, False],
+                                       [False, True, False]]):
+            trace.append(CycleRecord(
+                cycle, order.pack_values(np.zeros(3, np.uint8)),
+                order.pack_active(np.array(flags)), cycle, 0, order,
+            ))
         flags = trace.toggled_any()
         assert flags.tolist() == [True, True, False]
         assert trace.mem_accesses().tolist() == [[0, 0], [1, 0]]
 
-    def test_annotation_access(self):
-        trace = Trace(1)
+    def test_one_bit_order_per_trace(self):
+        """An empty trace takes its first record's bit order; a record
+        in another order is refused."""
+        from repro.netlist.program import NetOrder
         from repro.sim.trace import CycleRecord
 
-        trace.append(CycleRecord(0, np.zeros(1, np.uint8),
-                                 np.zeros(1, bool), 0, 0, {"pc": 7}))
-        assert trace.annotation("pc") == [7]
-        assert trace.annotation("missing", -1) == [-1]
+        def record(order):
+            return CycleRecord(
+                0, order.pack_values(np.zeros(3, np.uint8)),
+                order.pack_active(np.zeros(3, bool)), 0, 0, order,
+            )
+
+        first, other = NetOrder(3), NetOrder(3)
+        trace = Trace(3)
+        trace.append(record(first))
+        assert trace.bit_order is first
+        with pytest.raises(ValueError, match="one bit order"):
+            trace.append(record(other))
