@@ -21,7 +21,7 @@ def active_by_group(name: str) -> tuple[dict[str, int], int]:
     report = runner.full_report(name)
     cpu = runner.shared_cpu()
     peak_cycle = report.peak_power.peak_cycle
-    active = report.tree.flat_trace.records[peak_cycle].active
+    active = report.tree.flat_trace[peak_cycle].active
     counts = {label: 0 for label in GROUPS}
     total = 0
     for gate in cpu.netlist.gates:

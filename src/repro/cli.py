@@ -71,7 +71,7 @@ from repro.core import PathExplosionError, analyze
 from repro.core.baselines import GUARDBAND, input_profiling
 from repro.core.coi import cycles_of_interest, dominant_modules
 from repro.core.peakenergy import UnboundedEnergyError
-from repro.cpu import UnresolvedPCError, build_ulp430
+from repro.cpu import HaltBudgetError, UnresolvedPCError, build_ulp430
 from repro.power import PowerModel
 from repro.sim.bitplane import ENGINES
 
@@ -122,6 +122,7 @@ def _load_program(path: str):
 _PROGRAM_ERRORS = {
     PathExplosionError: "exploration budget exceeded",
     UnresolvedPCError: "unresolved PC",
+    HaltBudgetError: "concrete run over its cycle budget",
     UnboundedEnergyError: "unbounded peak energy",
 }
 

@@ -33,8 +33,10 @@ engine and every lane count yields the same tree, bit for bit;
 
 The output is an :class:`ExecutionTree`: a set of trace *segments* linked
 by fork edges (including memoized back/cross edges), plus the flattened
-concatenated trace that Algorithm 2 consumes.  The loop records no
-annotations: the tree decodes each cycle's FSM state, PC and
+concatenated trace that Algorithm 2 consumes.  Every step's rows land in
+the batch's arena; the loop only tags them with their lanes' segments,
+and the replay gathers each segment's rows once into the flat trace.
+It records no annotations: the tree decodes each cycle's FSM state, PC and
 instruction word from the flat trace's values when the COI analysis or
 :meth:`ExecutionTree.digest` asks (:meth:`ExecutionTree.annotations`).
 """
@@ -52,7 +54,7 @@ from repro.asm.program import Program
 from repro.service import faults
 from repro.sim.batch import BatchMachine
 from repro.sim.machine import Machine
-from repro.sim.trace import CycleRecord, Trace
+from repro.sim.trace import Trace, group_rows
 
 #: lock-step lanes of an exploration on the reference engine
 DEFAULT_BATCH_SIZE = 8
@@ -198,8 +200,8 @@ class ExecutionTree:
         h.update(flat.values_matrix().tobytes())
         h.update(flat.active_matrix().tobytes())
         h.update(flat.mem_accesses().tobytes())
-        for record, notes in zip(flat.records, self.annotations()):
-            put([record.cycle, notes])
+        for cycle, notes in zip(flat.cycles().tolist(), self.annotations()):
+            put([cycle, notes])
         return h.hexdigest()
 
 
@@ -239,7 +241,8 @@ class _Node:
     """One simulated path segment, keyed by its memoization key."""
 
     key: bytes
-    records: list[CycleRecord] = field(default_factory=list)
+    #: its rows in the trace it is assembled from (the batch's arena)
+    rows: np.ndarray | None = None
     end: str = ""
     #: (flag assignment, child memo key) in branch-enumeration order
     forks: list[tuple[dict[int, int], bytes]] = field(default_factory=list)
@@ -292,6 +295,7 @@ def explore(
     total_cycles = 0
     steps = 0
 
+    order: list[_Node] = []  # a node's tag is its position here
     lane_node: dict[int, _Node] = {}  # id(lane) -> segment being simulated
     lane_start: dict[int, int] = {}  # id(lane) -> steps when it was loaded
     # lanes to snapshot before the next step: a fork restarts its
@@ -301,6 +305,10 @@ def explore(
     # may fork (cpu.may_fork_next); a fork without one is an internal
     # error.
     to_snap: list = []
+    # each step's rows are tagged with their lanes' node; a popped
+    # dispatch row is tagged -1 and belongs to no segment
+    tags: list[np.ndarray] = []
+    popped: list[int] = []
 
     def start(pending: _Pending) -> None:
         if len(nodes) >= max_segments:
@@ -310,25 +318,27 @@ def explore(
         node = _Node(key=pending.memo_key)
         nodes[pending.memo_key] = node
         lane = batch.load(pending.snapshot, pending.forces)
+        lane.tag = len(order)
+        order.append(node)
         lane_node[id(lane)] = node
         lane_start[id(lane)] = steps
         to_snap.append(lane)
 
-    def refill() -> None:
+    def refill() -> np.ndarray:
         while stack and batch.n_free:
             start(stack.pop())
+        return np.array([lane.tag for lane in batch.lanes])
 
-    refill()
+    lane_tags = refill()
     while batch.lanes:
         if cancel is not None:
             cancel.check()
         faults.hit("explore.batch")
         snap_before = {id(lane): batch.snapshot(lane) for lane in to_snap}
-        records = batch.step()
+        rows = batch.step()
+        tags.append(lane_tags)
         steps += 1
         lanes = list(batch.lanes)
-        for lane, record in zip(lanes, records):
-            lane_node[id(lane)].records.append(record)
         # the probes read every lane at once; only the lanes that halt or
         # fork are visited one by one
         halted = cpu.halted(batch)
@@ -362,7 +372,7 @@ def explore(
                     f"cycle {lane.cycle - 1} without a pre-step snapshot"
                 )
             node = lane_node[id(lane)]
-            node.records.pop()  # the children re-run the dispatch cycle
+            popped.append(rows[row])  # the children re-run the dispatch cycle
             node.end = "fork"
             state = Machine.snapshot_state_key(snapshot, evaluator)
             for assignment in forks[row]:
@@ -380,14 +390,17 @@ def explore(
             del lane_node[id(lane)], lane_start[id(lane)]
             batch.retire(lane)
         to_snap = [lane for lane in to_snap if lane.row >= 0]
-        refill()
+        lane_tags = refill()
 
-    flat = Trace(machine.netlist.n_nets, batch.bit_order)
-    return _assemble_tree(nodes, flat, cpu.annotate)
+    tag = np.concatenate(tags)
+    tag[popped] = -1
+    for node, rows in zip(order, group_rows(tag, len(order))):
+        node.rows = rows
+    return _assemble_tree(nodes, batch.arena, cpu.annotate)
 
 
 def _assemble_tree(
-    nodes: dict[bytes, _Node], flat: Trace, annotate: Callable
+    nodes: dict[bytes, _Node], arena: Trace, annotate: Callable
 ) -> ExecutionTree:
     """Number the discovered segment graph: the canonical tree.
 
@@ -397,13 +410,15 @@ def _assemble_tree(
     from the root that pops the most recently pushed child first and
     pushes a fork's unseen children in branch-enumeration order.  The
     tree digests in ``tests/golden_trees.json`` pin the result.  The
-    segments' records go into the empty trace *flat*, which must have
-    their bit order; *annotate* decodes their annotations.
+    segments' rows of *arena* are gathered once, in that order, into the
+    flat trace's own block; *annotate* decodes their annotations.
     """
     segments: list[Segment] = []
     index_of: dict[bytes, int] = {}
     patches: list[tuple[int, int, bytes]] = []
+    flat_rows: list[np.ndarray] = []
     n_memo_hits = 0
+    n_cycles = 0
 
     stack: list[tuple[bytes, tuple[int, int] | None]] = [(_ROOT_KEY, None)]
     seen: set[bytes] = {_ROOT_KEY}
@@ -411,12 +426,13 @@ def _assemble_tree(
         key, parent = stack.pop()
         node = nodes[key]
         segment = Segment(index=len(segments), parent=parent)
-        segment.flat_start = len(flat)
-        segment.n_cycles = len(node.records)
+        segment.flat_start = n_cycles
+        segment.n_cycles = len(node.rows)
         segment.end = node.end
         segments.append(segment)
         index_of[key] = segment.index
-        flat.records.extend(node.records)
+        flat_rows.append(node.rows)
+        n_cycles += len(node.rows)
         for assignment, child_key in node.forks:
             fork_no = len(segment.forks)
             segment.forks.append(Fork(assignment, -1))
@@ -431,6 +447,6 @@ def _assemble_tree(
         segments[seg_index].forks[fork_no].target = index_of[child_key]
 
     return ExecutionTree(
-        segments=segments, flat_trace=flat, n_memo_hits=n_memo_hits,
-        annotate=annotate,
+        segments=segments, flat_trace=arena.take(np.concatenate(flat_rows)),
+        n_memo_hits=n_memo_hits, annotate=annotate,
     )

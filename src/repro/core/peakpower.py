@@ -14,31 +14,32 @@ precede it in the flattened trace, so maximization and power evaluation
 need an explicit predecessor row per segment.
 
 The algorithm runs on the dual-rail uint64 P/N planes the explorer
-records (:meth:`Trace.values_matrix` with ``packed=True``), in the bit
-order they were recorded in (unpacked traces are packed once in plain
-net order), so the power model prices one order per kind of trace.
-Every segment is laid out as a context row holding its predecessor
-followed by its cycles; the stack is an index over the flat packed
-trace (each cycle's predecessor row), never a copy.  One parity's
-targets are independent, so all of them — across all segments — are
-X-assigned with word-wise bit ops (:func:`assign_planes`, 64 nets per
-op), one
-:attr:`~repro.power.model.PowerModel.TRACE_CHUNK_ROWS` block at a time,
-and each block is priced straight from its assigned words in exact
-integer attojoules by the power model's one pricing kernel.  Nothing is
-unpacked on the way to the peak trace; the witness profiles are assigned
-on the same planes and unpacked once per parity.
+records (:meth:`Trace.values_matrix` with ``packed=True``, a view of the
+flat trace's one block), in the bit order they were recorded in, so the
+power model prices one order per kind of trace.  Each cycle's
+predecessor is a row index into the flat trace (the parent's last cycle
+for a segment's first cycle), never a copy.  One parity's targets are
+independent, so all of them — across all segments — go to the power
+model in one call per parity (:func:`~repro.power.model.price_rows`):
+the native ``repro_price`` reads each (predecessor, target) pair in
+place, X-assigns it with word-wise bit ops (:func:`assign_planes`'
+rules, 64 nets per op) and prices it in exact integer attojoules.
+Without a C compiler, :func:`assign_planes` and the numpy pricer do the
+same a block at a time.  Nothing is unpacked on the way to the peak
+trace; the witness profiles are assigned on the same planes and
+unpacked once per parity.
 
 :func:`maximize_parity` keeps the trit-level rules as the reference the
 plane ops are tested against: applied to each (predecessor, cycle) pair
 and priced with :meth:`PowerModel.transition_power`, it reproduces the
 peak trace and every per-module series bit for bit — the integer sums
-are the same whatever the row layout, order or chunking.
+are the same whatever the row layout, order or block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -47,7 +48,7 @@ import numpy as np
 from repro.core.activity import ExecutionTree
 from repro.logic import X
 from repro.service import faults
-from repro.power.model import PowerModel, PowerTrace
+from repro.power.model import PowerModel, assign_planes, price_rows
 from repro.sim.vcd import write_vcd
 
 
@@ -97,13 +98,6 @@ class PeakPowerResult:
     def odd_values(self) -> np.ndarray:
         return self.witnesses()[1]
 
-    def power_trace(self) -> PowerTrace:
-        return PowerTrace(
-            total_mw=self.trace_mw,
-            module_mw=self.module_mw,
-            clock_ns=self.clock_ns,
-        )
-
 
 def maximize_parity(
     values: np.ndarray,
@@ -144,43 +138,6 @@ def maximize_parity(
     return assigned
 
 
-def assign_planes(
-    prev: np.ndarray,
-    cur: np.ndarray,
-    active: np.ndarray,
-    max_prev: np.ndarray,
-    max_cur: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """X-assign (predecessor, target) row pairs on dual-rail planes.
-
-    :func:`maximize_parity`'s rules as word-wise bit ops over rail-major
-    ``(2, rows, n_words)`` P/N planes, with the targets' ``(rows,
-    n_words)`` activity words and the packed P words of the model's
-    ``max_prev``/``max_cur`` (1 where the max-power transition starts or
-    ends at 1).  X is ``P & N``.  In an active bit, X on both sides takes
-    the max-power transition; X on one side becomes the rail swap of the
-    known other side, completing a toggle.  Assigning only resolves an X
-    (1, 1) to 0 (0, 1) or 1 (1, 0), so every rule just clears a rail.
-    Returns the assigned ``(prev, cur)`` copies.
-    """
-    prev_p, prev_n = prev
-    cur_p, cur_n = cur
-    prev_x = prev_p & prev_n
-    cur_x = cur_p & cur_n
-    both = active & prev_x & cur_x
-    only_cur = active & cur_x & ~prev_x
-    only_prev = active & prev_x & ~cur_x
-    new_prev = np.stack([
-        prev_p & ~((only_prev & ~cur_n) | (both & ~max_prev)),
-        prev_n & ~((only_prev & ~cur_p) | (both & max_prev)),
-    ])
-    new_cur = np.stack([
-        cur_p & ~((only_cur & ~prev_n) | (both & ~max_cur)),
-        cur_n & ~((only_cur & ~prev_p) | (both & max_cur)),
-    ])
-    return new_prev, new_cur
-
-
 def compute_peak_power(
     tree: ExecutionTree,
     model: PowerModel,
@@ -211,17 +168,12 @@ def compute_peak_power(
     max_prev, max_cur = _max_planes(model, order)
     mem_accesses = flat.mem_accesses()
 
-    # One maximization + one power evaluation per parity, walked in
-    # cache-sized blocks.  Parity 1 targets local rows 1,3,5..., parity 0
-    # rows 2,4,...  The peak trace takes cycle c from the profile that
-    # targeted c's parity, so each profile is priced only at its own
-    # target rows and scattered back by parity.
-    # :meth:`PowerModel.pair_power` pulls one TRACE_CHUNK_ROWS block of
-    # target pairs at a time, gathered and X-assigned on the planes;
-    # every target touches only itself and its own predecessor and the
-    # assignment writes only into the gathered copies, so blocks are
-    # independent, and their exact integer sums do not depend on the
-    # block size.
+    # One assign-and-price call per parity.  Parity 1 targets local rows
+    # 1,3,5..., parity 0 rows 2,4,...  The peak trace takes cycle c from
+    # the profile that targeted c's parity, so each profile is priced
+    # only at its own target rows and scattered back by parity.  Every
+    # target touches only itself and its own predecessor, and the
+    # assignment is never written back, so the rows are independent.
     # The full witness profiles are *not* assembled here; the witness
     # builder recomputes them if anyone asks.
     odd_local = local % 2 == 1
@@ -232,20 +184,13 @@ def compute_peak_power(
             cancel.check()
         faults.hit("peakpower.segment")
         targets = np.flatnonzero(parity_mask)
-
-        def pairs(start: int, stop: int):
-            rows = targets[start:stop]
-            return assign_planes(
-                values.take(pred[rows], axis=1), values.take(rows, axis=1),
-                active[rows], max_prev, max_cur,
-            )
-
+        price = partial(
+            price_rows, values=values, pairs=(pred[targets], targets),
+            assign=(active, max_prev, max_cur),
+        )
         power = model.pair_power(
-            pairs,
-            len(targets),
-            mem_accesses[targets],
-            per_module=per_module,
-            bit_order=order,
+            price, len(targets), mem_accesses[targets],
+            per_module=per_module, bit_order=order,
         )
         peak_trace[parity_mask] = power.total_mw
         for name in module_names:
@@ -300,12 +245,12 @@ def _finish(
 
 
 def _plane_stack(tree: ExecutionTree):
-    """The context-interleaved segment stack over the packed flat trace.
+    """The segment structure over the packed flat trace.
 
     Returns ``(order, values, active, pred, local)``: the trace's
-    :attr:`~repro.sim.trace.Trace.bit_order` as recorded, its rail-major
-    ``(2, n_cycles, n_words)`` P/N planes and ``(n_cycles, n_words)``
-    activity words in that order, the flat row holding each
+    :attr:`~repro.sim.trace.Trace.bit_order` as recorded, its ``(n_cycles,
+    2, n_words)`` P/N planes and ``(n_cycles, n_words)`` activity words
+    in that order (views of the flat trace), the flat row holding each
     cycle's predecessor (the context row: the parent's last cycle for a
     segment's first cycle, the cycle itself for the root's), and each
     cycle's 1-based row within its segment.
@@ -326,10 +271,10 @@ def _plane_stack(tree: ExecutionTree):
         local[start : start + segment.n_cycles] = np.arange(
             1, segment.n_cycles + 1
         )
-    values = np.ascontiguousarray(
-        flat.values_matrix(packed=True).transpose(1, 0, 2)
+    return (
+        flat.bit_order, flat.values_matrix(packed=True),
+        flat.active_matrix(packed=True), pred, local,
     )
-    return flat.bit_order, values, flat.active_matrix(packed=True), pred, local
 
 
 def _max_planes(model: PowerModel, order) -> tuple[np.ndarray, np.ndarray]:
@@ -351,15 +296,16 @@ def _witnesses(
     for parity_mask in (local % 2 == 1, local % 2 == 0):
         targets = np.flatnonzero(parity_mask)
         new_prev, new_cur = assign_planes(
-            values.take(pred[targets], axis=1), values.take(targets, axis=1),
+            values[pred[targets]].transpose(1, 0, 2),
+            values[targets].transpose(1, 0, 2),
             active[targets], max_prev, max_cur,
         )
-        assigned = values.copy()
-        assigned[:, targets] = new_cur
+        assigned = np.array(values)
+        assigned[targets] = new_cur.transpose(1, 0, 2)
         # a segment's first target takes its predecessor from the context
         # row, which belongs to no profile row
         inner = local[targets] > 1
-        assigned[:, targets[inner] - 1] = new_prev[:, inner]
-        profiles.append(order.unpack_trits(assigned[0], assigned[1]))
+        assigned[targets[inner] - 1] = new_prev[:, inner].transpose(1, 0, 2)
+        profiles.append(order.unpack_trits(assigned[:, 0], assigned[:, 1]))
     odd_full, even_full = profiles
     return even_full, odd_full

@@ -96,7 +96,7 @@ def follow_path(cpu, tree: ExecutionTree, concrete: Trace) -> list[int]:
         position += take
         if segment.end != "fork" or position >= len(concrete):
             return indices
-        record = concrete.records[position]  # the re-executed dispatch
+        record = concrete[position]  # the re-executed dispatch
         chosen = None
         for fork in segment.forks:
             if all(

@@ -8,6 +8,8 @@ which knows how to load programs, run concretely, and expose the hooks the
 symbolic explorer needs (fork points, halt detection, COI annotations).
 """
 
-from repro.cpu.core import Ulp430, build_ulp430, UnresolvedPCError
+from repro.cpu.core import (
+    HaltBudgetError, Ulp430, UnresolvedPCError, build_ulp430,
+)
 
-__all__ = ["Ulp430", "build_ulp430", "UnresolvedPCError"]
+__all__ = ["HaltBudgetError", "Ulp430", "build_ulp430", "UnresolvedPCError"]

@@ -77,6 +77,10 @@ class UnresolvedPCError(Exception):
     """
 
 
+class HaltBudgetError(RuntimeError):
+    """A concrete run did not reach the halt idiom within its cycles."""
+
+
 @dataclass
 class CpuNets:
     """Net handles the wrapper and the analyses need after elaboration."""
@@ -820,7 +824,8 @@ class Ulp430(object):
         """Step a concrete machine until the halt idiom; returns cycles run.
 
         For symbolic machines use :class:`repro.core.activity` instead —
-        this helper raises on an unknown program counter.
+        this helper raises :class:`UnresolvedPCError` on an unknown
+        program counter and :class:`HaltBudgetError` after *max_cycles*.
         """
         for _ in range(max_cycles):
             machine.step(trace=trace)
@@ -831,7 +836,7 @@ class Ulp430(object):
                     "concrete run reached an unknown PC; did you forget "
                     "Program.with_inputs()?"
                 )
-        raise RuntimeError(f"no halt within {max_cycles} cycles")
+        raise HaltBudgetError(f"no halt within {max_cycles} cycles")
 
     def branch_fork_assignments(self, machine: Machine):
         """Flag concretizations that resolve an X conditional jump.

@@ -15,12 +15,15 @@ module scale) is a whole number of attojoules — the model refuses one
 that is not — so rows are priced in int64 aJ straight from packed
 dual-rail P/N words: the rising and falling edge words of each
 ``(previous, current)`` row pair (:func:`edge_planes`) select the bits
-whose energies are summed, in total and per module.  One kernel does this
-for Algorithm 2, concrete traces and explicit row pairs: the native
-``repro_price`` (:class:`repro.sim.native.Pricer`, a set-bit walk) or,
-without a C compiler, :func:`price_numpy` — its oracle.  Integer sums do
-not depend on their order, so both give the same integers at any chunk
-size and under any numpy.  Floats are made once, in
+whose energies are summed, in total and per module.  The native
+:class:`repro.sim.native.Pricer` does this with a set-bit walk:
+``repro_price`` for concrete traces and explicit row pairs, and
+``repro_assign_price``, which also X-assigns each pair on the way, for
+Algorithm 2; both read their rows in place.  Without a C compiler,
+:func:`price_numpy` (after :func:`repro.core.peakpower.assign_planes`
+for Algorithm 2) is the path and the oracle.  Integer sums do not
+depend on their order, so all give the same integers at any block size
+and under any numpy.  Floats are made once, in
 :meth:`PowerModel._assemble_power`, where the fJ total (aJ / 1000) meets
 the memory, clock-pin, idle and leakage terms.
 """
@@ -28,6 +31,7 @@ the memory, clock-pin, idle and leakage terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -223,10 +227,10 @@ class PowerModel:
             + mem_accesses[:, 1] * self.library.mem_write_energy_fj
         )
 
-    #: rows per pricing chunk.  Only a memory bound: :meth:`pair_power`
-    #: pulls each chunk's pairs from its producer, so a derived (gathered,
-    #: X-assigned) stack never exists whole.  Integer sums make every
-    #: chunk size give the same result.
+    #: rows per block of the numpy pricer, the no-compiler path: only a
+    #: memory bound on its unpacked edge bits.  The C entries read their
+    #: rows in place and price any row count in one call; integer sums
+    #: make every block size give the same result.
     TRACE_CHUNK_ROWS = 64
 
     def _assemble_power(
@@ -262,14 +266,14 @@ class PowerModel:
             clock_ns=self.clock_ns,
         )
 
-    def _rail_major(self, rows: np.ndarray, bit_order: BitOrder | None):
-        """``(order, (2, n, n_words) planes)`` of uint8 trit rows in net
+    def _packed(self, rows: np.ndarray, bit_order: BitOrder | None):
+        """``(order, (n, 2, n_words) planes)`` of uint8 trit rows in net
         order (*bit_order* ``None``: packed once in plain net order) or of
-        ``(n, 2, n_words)`` P/N plane rows in *bit_order* (a view)."""
+        P/N plane rows already in *bit_order*."""
         if bit_order is None:
             bit_order = net_order(self.netlist.n_nets)
             rows = bit_order.pack_values(rows)
-        return bit_order, rows.transpose(1, 0, 2)
+        return bit_order, rows
 
     def trace_power(
         self,
@@ -286,17 +290,15 @@ class PowerModel:
         ``trace.bit_order``.  Transitions into or out of X count as
         transitions (rising when the new value can be 1) — conservative
         for the few never-initialized nets of a concrete run; the symbolic
-        flows resolve Xs before calling this.  Accepts arbitrarily long
-        traces: rows are priced in bounded chunks of row-pair views.
+        flows resolve Xs before calling this.  Row 0 has no previous row
+        and prices 0.
         """
-        order, planes = self._rail_major(values_matrix, bit_order)
-
-        def pairs(start: int, stop: int):
-            # Row start-1 supplies each chunk row's previous values.
-            return planes[:, start - 1 : stop - 1], planes[:, start:stop]
-
-        return self._price(
-            pairs, 1, planes.shape[1], mem_accesses, per_module, order
+        order, rows = self._packed(values_matrix, bit_order)
+        cur = np.arange(len(rows))
+        pairs = (np.maximum(cur - 1, 0), cur)
+        return self._power(
+            partial(price_rows, values=rows, pairs=pairs), len(rows),
+            mem_accesses, per_module, order,
         )
 
     def transition_power(
@@ -314,57 +316,42 @@ class PowerModel:
         (and the same row layouts), but over an arbitrary subset of a
         trace's rows.
         """
-        order, prev = self._rail_major(prev_rows, bit_order)
-        _, cur = self._rail_major(cur_rows, bit_order)
-
-        def pairs(start: int, stop: int):
-            return prev[:, start:stop], cur[:, start:stop]
-
+        order, prev = self._packed(prev_rows, bit_order)
+        _, cur = self._packed(cur_rows, bit_order)
+        n = len(cur)
+        pairs = (np.arange(n), n + np.arange(n))
         return self.pair_power(
-            pairs, cur.shape[1], mem_accesses, per_module, order
+            partial(price_rows, values=np.concatenate([prev, cur]), pairs=pairs),
+            n, mem_accesses, per_module, order,
         )
 
     def pair_power(
         self,
-        pairs,
+        price,
         n_rows: int,
         mem_accesses: np.ndarray | None = None,
         per_module: bool = False,
         bit_order: BitOrder | None = None,
     ) -> PowerTrace:
-        """Like :meth:`transition_power`, but *pulls* each chunk's
-        ``(prev, cur)`` row pairs from ``pairs(start, stop)`` instead of
-        receiving the full matrices up front.
+        """Power of *n_rows* row pairs that ``price(tables, out)`` prices.
 
-        The pairs are rail-major ``(2, rows, n_words)`` dual-rail P/N
-        planes in *bit_order* (a :class:`~repro.netlist.program.BitOrder`;
-        ``None`` is plain net order).  Pulling lets a producer whose pairs
-        are *derived* (gathered, X-assigned) do that work per chunk too:
-        the whole gather → assign → price pipeline then runs inside one
-        :attr:`TRACE_CHUNK_ROWS` working set — the Algorithm 2 walk in
-        :mod:`repro.core.peakpower` is the customer.  ``pairs`` must be
-        pure per span (a gather/assign of disjoint target rows is).
+        *price* writes the exact aJ sums of every pair into the zeroed
+        ``(n_rows, 1 + n_modules)`` int64 block *out* with this model's
+        :class:`BitTables` in *bit_order* (a
+        :class:`~repro.netlist.program.BitOrder`; ``None`` is plain net
+        order) — :func:`price_rows` over a trace's rows, X-assigning
+        them first for Algorithm 2 (:mod:`repro.core.peakpower`).
         """
         if bit_order is None:
             bit_order = net_order(self.netlist.n_nets)
-        return self._price(pairs, 0, n_rows, mem_accesses, per_module, bit_order)
+        return self._power(price, n_rows, mem_accesses, per_module, bit_order)
 
-    def _price(
-        self, pairs, first_row, n_rows, mem_accesses, per_module, bit_order,
-    ) -> PowerTrace:
-        """Price rows ``first_row..n_rows`` in TRACE_CHUNK_ROWS-sized
-        spans into one int64 aJ block (rows before *first_row* stay 0),
-        then fold in memory, clock and leakage."""
+    def _power(self, price, n_rows, mem_accesses, per_module, bit_order):
+        """Price *n_rows* rows into one int64 aJ block, then fold in
+        memory, clock and leakage."""
         tables = self.bit_tables(bit_order)
         aj = np.zeros((n_rows, tables.n_cols), dtype=np.int64)
-        chunk = self.TRACE_CHUNK_ROWS
-        for start in range(first_row, n_rows, chunk):
-            stop = min(start + chunk, n_rows)
-            prev, cur = pairs(start, stop)
-            if tables.native is not None:
-                tables.native(prev, cur, aj[start:stop])
-            else:
-                price_numpy(tables, prev, cur, aj[start:stop])
+        price(tables, aj)
         return self._assemble_power(aj, mem_accesses, per_module)
 
 
@@ -392,6 +379,68 @@ class BitTables:
         )
 
 
+def price_rows(
+    tables: BitTables, out: np.ndarray, *, values, pairs, assign=None
+) -> None:
+    """Price the row pairs ``(values[pred[r]], values[target[r]])`` of the
+    ``(n, 2, n_words)`` P/N rows *values*, for the ``(pred, target)`` row
+    indices *pairs*, into the ``(rows, n_cols)`` int64 block *out*.
+
+    *assign* ``(active, max_prev, max_cur)`` X-assigns each pair first by
+    :func:`assign_planes`' rules (Algorithm 2).  The C pricer does it all
+    in one call, reading the rows in place; without it,
+    :func:`assign_planes` and :func:`price_numpy` take one
+    :attr:`PowerModel.TRACE_CHUNK_ROWS` block at a time.
+    """
+    if tables.native is not None:
+        tables.native(values, pairs, out, assign)
+        return
+    for start in range(0, len(out), PowerModel.TRACE_CHUNK_ROWS):
+        span = slice(start, start + PowerModel.TRACE_CHUNK_ROWS)
+        prev, cur = (values[side[span]].transpose(1, 0, 2) for side in pairs)
+        if assign is not None:
+            active, *maxes = assign
+            prev, cur = assign_planes(prev, cur, active[pairs[1][span]], *maxes)
+        price_numpy(tables, prev, cur, out[span])
+
+
+def assign_planes(
+    prev: np.ndarray,
+    cur: np.ndarray,
+    active: np.ndarray,
+    max_prev: np.ndarray,
+    max_cur: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """X-assign (predecessor, target) row pairs on dual-rail planes.
+
+    :func:`maximize_parity`'s rules as word-wise bit ops over rail-major
+    ``(2, rows, n_words)`` P/N planes, with the targets' ``(rows,
+    n_words)`` activity words and the packed P words of the model's
+    ``max_prev``/``max_cur`` (1 where the max-power transition starts or
+    ends at 1).  X is ``P & N``.  In an active bit, X on both sides takes
+    the max-power transition; X on one side becomes the rail swap of the
+    known other side, completing a toggle.  Assigning only resolves an X
+    (1, 1) to 0 (0, 1) or 1 (1, 0), so every rule just clears a rail.
+    Returns the assigned ``(prev, cur)`` copies.
+    """
+    prev_p, prev_n = prev
+    cur_p, cur_n = cur
+    prev_x = prev_p & prev_n
+    cur_x = cur_p & cur_n
+    both = active & prev_x & cur_x
+    only_cur = active & cur_x & ~prev_x
+    only_prev = active & prev_x & ~cur_x
+    new_prev = np.stack([
+        prev_p & ~((only_prev & ~cur_n) | (both & ~max_prev)),
+        prev_n & ~((only_prev & ~cur_p) | (both & max_prev)),
+    ])
+    new_cur = np.stack([
+        cur_p & ~((only_cur & ~prev_n) | (both & ~max_cur)),
+        cur_n & ~((only_cur & ~prev_p) | (both & max_cur)),
+    ])
+    return new_prev, new_cur
+
+
 def price_numpy(
     tables: BitTables, prev: np.ndarray, cur: np.ndarray, out: np.ndarray
 ) -> None:
@@ -401,7 +450,7 @@ def price_numpy(
     into the ``(rows, n_cols)`` int64 block *out*: each edge plane is
     unpacked, and the aJ energy of every set bit is scatter-added into
     its row's column.  Column 0 is the total: the bits of no module plus
-    every module's sum.  The no-compiler path, and the C kernel's oracle.
+    every module's sum.  The no-compiler path, and the C kernels' oracle.
     """
     n_rows, n_cols = out.shape
     sums = np.zeros(n_rows * n_cols, dtype=np.int64)

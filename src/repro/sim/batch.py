@@ -19,8 +19,10 @@ engine).  How a step settles them depends on the engine:
   ``(K, n_nets)`` uint8 matrices, the oracle, which packs the settled
   rows once per step.
 
-Either way the records are packed in the batch's ``bit_order`` (see
-:mod:`repro.sim.trace`).  The CPU's probes (halt, fork and dispatch
+Either way every step appends its live rows to the batch's
+:attr:`~BatchMachine.arena`, one :class:`~repro.sim.trace.Trace` in the
+batch's ``bit_order``, in one copy, and returns their arena rows; no
+record is built per lane.  The CPU's probes (halt, fork and dispatch
 tests) read a whole batch at once: :meth:`BatchMachine.peek_bus` is the batch
 form of :meth:`Machine.peek_bus` and returns a bus of every live lane as
 ``(values, xmasks)`` columns, from the last step's probe array on the
@@ -55,7 +57,7 @@ from repro.sim.machine import (
     sample_memory_control,
     serve_memory_read,
 )
-from repro.sim.trace import CycleRecord, Trace
+from repro.sim.trace import MAX_BLOCK_ROWS, Trace, group_rows, pack_rows
 
 
 class Lane:
@@ -75,6 +77,7 @@ class Lane:
         "forced_inputs",
         "next_dff_forces",
         "_port_masks",
+        "tag",
     )
 
     def __init__(self, row: int, snapshot: dict[str, Any], forces: dict[int, int]):
@@ -88,6 +91,8 @@ class Lane:
         self.next_dff_forces = dict(forces)
         #: native-kernel cache: (forced inputs, their input-bit masks)
         self._port_masks: tuple | None = None
+        #: the caller's label for the rows this lane appends
+        self.tag = -1
 
 
 class BatchMachine:
@@ -114,7 +119,6 @@ class BatchMachine:
             #: (B, 3, n_words) uint64 P/N/A planes, one row per lane slot
             self.planes = evaluator.fresh_planes(batch=batch_size)
             self.kernel = evaluator.batch_kernel(self.planes, ports)
-            self._valid_mask = evaluator.program.valid_mask
             #: the bit order of the records' packed words
             self.bit_order = evaluator.program
         else:
@@ -123,6 +127,10 @@ class BatchMachine:
             self._prev_active = np.zeros(
                 (batch_size, netlist.n_nets), dtype=bool
             )
+        #: every lane-step's row, appended by :meth:`step`; its blocks
+        #: start large (pages are touched only as rows land in them), so
+        #: most explorations gather their tree from one block
+        self.arena = Trace(netlist.n_nets, self.bit_order, MAX_BLOCK_ROWS)
         #: rows (bit r = row r) rewritten since the kernel last read them
         self._dirty = 0
         #: the last step's probe array, while its rows are the live lanes
@@ -229,12 +237,13 @@ class BatchMachine:
     # ------------------------------------------------------------------
     # Clocking
     # ------------------------------------------------------------------
-    def step(self) -> list[CycleRecord]:
+    def step(self) -> range:
         """Advance every live lane one clock cycle.
 
-        Returns one record per lane, parallel to :attr:`lanes`; records
-        match what a scalar :class:`Machine` stepping the same lane state
-        would produce, field for field.
+        Appends one row per lane to :attr:`arena`, in :attr:`lanes`
+        order, and returns their arena rows; the rows match what a
+        scalar :class:`Machine` stepping the same lane state would
+        record, field for field.
 
         With a single live lane the evaluator is driven with 1-D row
         *views* instead of a ``(1, n_nets)`` matrix: the dimension-agnostic
@@ -275,22 +284,24 @@ class BatchMachine:
             self._prev_active[0] = active
         else:
             self._prev_active[:n_live] = active
-        order = self.bit_order
-        value_words = order.pack_values(values).reshape(n_live, 2, -1)
-        active_words = order.pack_active(active).reshape(n_live, -1)
-        records: list[CycleRecord] = []
-        for lane, counts, value, activity in zip(
-            self.lanes, mem_counts, value_words, active_words
-        ):
+        meta = []
+        for lane, counts in zip(self.lanes, mem_counts):
             row_values = values if squeeze else values[lane.row]
             sample_memory_control(lane, row_values, self.ports)
-            records.append(
-                CycleRecord(lane.cycle, value, activity, *counts, order)
-            )
+            meta.append((lane.cycle, *counts))
             lane.cycle += 1
-        return records
+        return self._record(pack_rows(
+            self.bit_order, values.reshape(n_live, -1),
+            active.reshape(n_live, -1),
+        ), meta)
 
-    def _step_native(self) -> list[CycleRecord]:
+    def _record(self, planes: np.ndarray, meta: list) -> range:
+        """Append the live rows to the arena; their arena rows."""
+        first = len(self.arena)
+        self.arena.append_rows(planes, meta, self.bit_order)
+        return range(first, len(self.arena))
+
+    def _step_native(self) -> range:
         """Advance every live lane one cycle in one native kernel call.
 
         The kernel loads the DFFs (one-shot forces included), forces
@@ -298,15 +309,15 @@ class BatchMachine:
         all lanes at once on its lane-sliced state, writes the live rows
         back and returns every lane's memory request and probe buses as
         the columns the batch's :meth:`peek_bus` answers from.  Python
-        serves and commits memory and builds the records, which
-        match the reference engine's step field for field.  A lane
-        forcing a net that is not an INPUT raises ``ValueError`` before
-        any lane is touched.
+        serves and commits memory and appends the live rows to the
+        arena in one copy; they match the reference engine's step field
+        for field.  A lane forcing a net that is not an INPUT raises
+        ``ValueError`` before any lane is touched.
         """
         kernel = self.kernel
         lanes = self.lanes
         if not lanes:
-            return []
+            return range(len(self.arena), len(self.arena))
         for lane in lanes:
             cached = lane._port_masks
             if cached is None or cached[0] != lane.forced_inputs:
@@ -330,15 +341,8 @@ class BatchMachine:
             kernel.mark(self._dirty)
             self._dirty = 0
         probes = self._columns = kernel.step(ports, forces)
-        n_live = len(lanes)
-        value_words = self.planes[:n_live, 0:2].copy()
-        active_words = self.planes[:n_live, 2] & self._valid_mask
-        order = self.bit_order
-        records: list[CycleRecord] = []
-        for lane, bits, counts, active, value in zip(
-            lanes, probes[:, :8].tolist(), mem_counts, active_words,
-            value_words,
-        ):
+        meta = []
+        for lane, bits, counts in zip(lanes, probes[:, :8].tolist(), mem_counts):
             addr, addr_x, din, din_x, en, en_x, we, we_x = bits
             request = lane._request = _MemRequest(
                 None if addr_x else addr, not addr_x, X if en_x else en,
@@ -346,11 +350,9 @@ class BatchMachine:
             )
             if request.we != 0:
                 commit_memory_write(lane, request)
-            records.append(
-                CycleRecord(lane.cycle, value, active, *counts, order)
-            )
+            meta.append((lane.cycle, *counts))
             lane.cycle += 1
-        return records
+        return self._record(self.planes[: len(lanes)], meta)
 
 
 # ----------------------------------------------------------------------
@@ -369,15 +371,19 @@ def run_batch_to_halt(
     as they halt.  The native kernel steps the lanes in groups of 64.
 
     Returns one ``(trace, cycles)`` pair per machine, in input order, with
-    exactly the records and cycle count that ``cpu.run_to_halt(machine,
+    exactly the rows and cycle count that ``cpu.run_to_halt(machine,
     max_cycles, trace)`` produces for the same machine — the lock-step
-    engine is record-for-record identical to the scalar one.
+    engine is record-for-record identical to the scalar one.  Each trace
+    is an index view of the batch's arena, so the lanes' rows are held
+    once.
 
     Raises :class:`repro.cpu.UnresolvedPCError` when any machine's PC goes
-    X (missing ``Program.with_inputs``) and :class:`RuntimeError` when a
-    machine fails to halt within *max_cycles* of its own cycles.
+    X (missing ``Program.with_inputs``) and
+    :class:`repro.cpu.HaltBudgetError` when a machine fails to halt
+    within *max_cycles* of its own cycles.
     """
-    from repro.cpu import UnresolvedPCError  # sim must not import cpu at top level
+    # sim must not import cpu at top level
+    from repro.cpu import HaltBudgetError, UnresolvedPCError
 
     if not machines:
         return []
@@ -388,33 +394,33 @@ def run_batch_to_halt(
         template.evaluator,
         len(machines),
     )
-    traces = [
-        Trace(template.netlist.n_nets, batch.bit_order) for _ in machines
-    ]
     cycles: list[int] = [0] * len(machines)
-    lane_index = {
-        id(batch.load(machine.snapshot(), {})): index
-        for index, machine in enumerate(machines)
-    }
+    for index, machine in enumerate(machines):
+        batch.load(machine.snapshot(), {}).tag = index
+    tags: list[np.ndarray] = []  # per step, the machine of each row
+    lane_tags = np.arange(len(machines))
     steps = 0  # every live lane has run exactly this many cycles
     while batch.lanes:
-        records = batch.step()
+        batch.step()
+        tags.append(lane_tags)
         steps += 1
         lanes = list(batch.lanes)
-        for lane, record in zip(lanes, records):
-            traces[lane_index[id(lane)]].append(record)
         running = ~cpu.halted(batch)
         stuck = cpu.pc_next_unknown(batch) & running
         # the first running lane decides, as a lane-by-lane check would
         if steps >= max_cycles and running.any() and not stuck[running.argmax()]:
-            raise RuntimeError(f"no halt within {max_cycles} cycles")
+            raise HaltBudgetError(f"no halt within {max_cycles} cycles")
         if stuck.any():
             raise UnresolvedPCError(
                 "concrete run reached an unknown PC; did you forget "
                 "Program.with_inputs()?"
             )
-        for row in np.flatnonzero(~running).tolist():
+        halted = np.flatnonzero(~running).tolist()
+        for row in halted:
             lane = lanes[row]
-            cycles[lane_index[id(lane)]] = lane.cycle
+            cycles[lane.tag] = lane.cycle
             batch.retire(lane)
-    return [(trace, n) for trace, n in zip(traces, cycles)]
+        if halted:
+            lane_tags = np.array([lane.tag for lane in batch.lanes])
+    rows = group_rows(np.concatenate(tags), len(machines))
+    return [(batch.arena.view(lane_rows), n) for lane_rows, n in zip(rows, cycles)]

@@ -159,10 +159,6 @@ class BitplaneEvaluator:
     def unpack_active(self, planes: np.ndarray) -> np.ndarray:
         return self.program.unpack_bits(planes[..., A_PLANE, :])
 
-    def active_words(self, planes: np.ndarray) -> np.ndarray:
-        """The packed activity row(s), masked to real nets."""
-        return planes[..., A_PLANE, :] & self.program.valid_mask
-
     def state_bytes(self, planes: np.ndarray) -> bytes:
         """Architectural-state fingerprint bytes (the DFF value words)."""
         prog = self.program

@@ -10,9 +10,9 @@ machine runs both modes of the paper:
 
 The machine is snapshot/restorable so the execution-tree explorer can fork
 at input-dependent branches, and hashable so visited states are memoized.
-Each step returns a :class:`~repro.sim.trace.CycleRecord` in the one
-record layout: packed value and activity words in :attr:`Machine.bit_order`
-(the reference engine packs its uint8 row once per step).
+A step records into a :class:`~repro.sim.trace.Trace` in the one row
+layout: packed value and activity words in :attr:`Machine.bit_order`
+(the reference engine packs its uint8 row when it records one).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.netlist.program import N_PLANE, P_PLANE, net_order
 from repro.sim.bitplane import make_evaluator
 from repro.sim.evaluator import LevelizedEvaluator
 from repro.sim.memory import TernaryMemory
-from repro.sim.trace import CycleRecord, Trace
+from repro.sim.trace import Trace, pack_rows
 
 MASK16 = 0xFFFF
 
@@ -501,7 +501,7 @@ class Machine:
         """Update the dout register; return (reads, writes) this cycle."""
         return serve_memory_read(self)
 
-    def step(self, reset: bool = False, trace: Trace | None = None) -> CycleRecord:
+    def step(self, reset: bool = False, trace: Trace | None = None) -> None:
         """Advance one clock cycle and optionally record it into *trace*."""
         if self.packed:
             return self._step_packed(reset, trace)
@@ -518,7 +518,7 @@ class Machine:
             for net, value in self.next_dff_forces.items():
                 next_dff[self._dff_pos[net]] = value
             self.next_dff_forces = {}
-        mem_reads, mem_writes = self._serve_read()
+        mem_counts = self._serve_read()
         self.values[self.evaluator.dff_out] = next_dff
         self._apply_inputs()
         self.evaluator.eval_comb(self.values)
@@ -526,26 +526,22 @@ class Machine:
             prev_values, self.values, self._prev_active
         )
         self._sample_memory_control()
-        order = self.bit_order
-        record = CycleRecord(
-            self.cycle, order.pack_values(self.values),
-            order.pack_active(active), mem_reads, mem_writes, order,
-        )
         self._prev_active = active
-        self.cycle += 1
         if trace is not None:
-            trace.append(record)
-        return record
+            trace.append_rows(
+                pack_rows(self.bit_order, self.values[None], active[None]),
+                [(self.cycle, *mem_counts)], self.bit_order,
+            )
+        self.cycle += 1
 
-    def _step_packed(self, reset: bool, trace: Trace | None) -> CycleRecord:
+    def _step_packed(self, reset: bool, trace: Trace | None) -> None:
         """One clock cycle in the packed bit-plane representation.
 
         Bit-identical to the reference :meth:`step`: the same update
         order, with the combinational settle and the activity marking
-        fused into one sweep over the compiled level schedule.  The
-        record takes a copy of the value planes and the masked activity
-        words; the planes themselves are materialized only when a
-        snapshot still shares them.
+        fused into one sweep over the compiled level schedule.  *trace*
+        copies the planes' row; the planes themselves are materialized
+        only when a snapshot still shares them.
         """
         evaluator = self.evaluator
         if self._values_shared:
@@ -556,7 +552,7 @@ class Machine:
         if self.next_dff_forces:
             evaluator.force_dff_bits(next_dff, self.next_dff_forces)
             self.next_dff_forces = {}
-        mem_reads, mem_writes = self._serve_read()
+        mem_counts = self._serve_read()
         evaluator.set_dff_planes(self.planes, next_dff)
         self._apply_inputs_packed()
         evaluator.settle_and_mark(self.planes)
@@ -564,15 +560,11 @@ class Machine:
         if self._port_specs is None:
             self._port_specs = PortSpecs.compile(evaluator.program, self.ports)
         sample_memory_control_packed(self, self.planes, self._port_specs)
-        record = CycleRecord(
-            self.cycle, self.planes[0:2].copy(),
-            evaluator.active_words(self.planes), mem_reads, mem_writes,
-            self.bit_order,
-        )
-        self.cycle += 1
         if trace is not None:
-            trace.append(record)
-        return record
+            trace.append_rows(
+                self.planes[None], [(self.cycle, *mem_counts)], self.bit_order
+            )
+        self.cycle += 1
 
     def reset_sequence(self, cycles: int = 2, trace: Trace | None = None) -> None:
         """Hold reset for *cycles* clock edges (Algorithm 1 line 4)."""

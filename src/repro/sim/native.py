@@ -9,8 +9,10 @@ releases the GIL for the call):
                       const uint64_t *prev, long rows, uint64_t *scratch);
     void repro_step(const struct lanes *p, struct batch *b, long live,
                     long n_force);
-    void repro_price(const struct pricing *t, const uint64_t *prev,
-                     const uint64_t *cur, const long *strides, long rows,
+    void repro_price(const struct pricing *t, const uint64_t *values,
+                     const uint64_t *active, const uint64_t *max_prev,
+                     const uint64_t *max_cur, const long *strides,
+                     const long *pred, const long *target, long rows,
                      int64_t *out);
 
 Both simulation entries run one gate schedule (:class:`LaneTables`) on
@@ -32,16 +34,20 @@ one cycle in one call, keeping the batch lane-sliced between steps.  Per
 lane it loads the DFFs (one-shot forces included), forces ``dout`` and
 the forced inputs, runs the two passes, writes the changed bytes of the
 live rows back and returns the memory request and every registered probe
-bus (:class:`BatchKernel`).  It is the only packed batch step: a batch
-whose ports it cannot drive is refused with a :class:`NativeKernelError`
-or a :class:`ValueError` naming the reason.
+bus (:class:`BatchKernel`); a rewritten row is re-read into the last
+cycle's state only.  It is the only packed batch step: a batch whose
+ports it cannot drive is refused with a :class:`NativeKernelError` or a
+:class:`ValueError` naming the reason.
 
 ``repro_price`` is the power model's transition-energy kernel
-(:class:`Pricer`): per row of ``(prev, cur)`` P/N planes it walks the set
-bits of the rising and falling edge words and sums their integer
-attojoule energies, in total and per module.  Integer sums do not depend
-on their order, so it agrees with the numpy pricer in
-:mod:`repro.power.model` integer for integer.
+(:class:`Pricer`): per ``(pred, target)`` pair of row indices into
+``(rows, 2, n_words)`` P/N planes it X-assigns the pair where the
+target's activity words say so (Algorithm 2; none for a plain trace),
+walks the set bits of the rising and falling edge words and sums their
+integer attojoule energies, in total and per module, reading the rows
+in place.  Integer sums do not depend on their order, so it agrees with
+``assign_planes`` and the numpy pricer in :mod:`repro.power.model`
+integer for integer.
 
 Because the source never depends on the netlist, it compiles once per
 (source, flags, compiler) digest into ``<cache>/native/<digest>.so``
@@ -259,6 +265,15 @@ struct batch {
     i32 n_dout, n_bus, cur;
 };
 
+/* spread[v]: bit k of byte v at bit 8k, one row's column of an 8x8 transpose */
+#define S1(v) (((v) & 1ULL) | ((v) >> 1 & 1ULL) << 8 | ((v) >> 2 & 1ULL) << 16 \
+    | ((v) >> 3 & 1ULL) << 24 | ((v) >> 4 & 1ULL) << 32 | ((v) >> 5 & 1ULL) << 40 \
+    | ((v) >> 6 & 1ULL) << 48 | ((v) >> 7 & 1ULL) << 56)
+#define S4(v) S1(v), S1(v + 1), S1(v + 2), S1(v + 3)
+#define S16(v) S4(v), S4(v + 4), S4(v + 8), S4(v + 12)
+#define S64(v) S16(v), S16(v + 16), S16(v + 32), S16(v + 48)
+static const u64 spread[256] = { S64(0), S64(64), S64(128), S64(192) };
+
 /* advance the first `live` rows of the batch one cycle */
 void repro_step(const struct lanes *p, struct batch *b, long live, long n_force)
 {
@@ -268,23 +283,24 @@ void repro_step(const struct lanes *p, struct batch *b, long live, long n_force)
         u64 *S = b->state + (2 * g + b->cur) * 3 * ns;      /* last cycle */
         u64 *T = b->state + (2 * g + !b->cur) * 3 * ns;     /* this cycle */
         unsigned char *rows = (unsigned char *)b->planes + 64 * g * row;
-        /* re-read the rows Python rewrote, a chunk (row byte) at a time.
-           Both buffers take them, so the pads, which no step computes,
-           read back unchanged whichever buffer holds T */
+        /* re-read the rows Python rewrote into S, the last cycle, a chunk
+           (row byte) at a time.  T takes none: a step computes every real
+           slot of T, and the pads hold a known 0 in every row and in both
+           buffers */
         for (i32 g8 = 0; g8 < 8; ++g8) {
             const u64 d8 = (b->dirty[g] >> (8 * g8)) & 0xFF, keep = ~(d8 << (8 * g8));
-            for (i32 rail = 0; d8 && rail < 3; ++rail)
-                for (i32 c = 0; c < 8 * p->nw; ++c) {
-                    const unsigned char *src = rows + 8 * g8 * row + 8 * rail * p->nw + c;
-                    u64 x = 0, *s = S + rail * ns + 8 * c, *t = T + rail * ns + 8 * c;
-                    for (i32 i = 0; i < 8; ++i)
-                        x |= (d8 >> i & 1) ? (u64)src[i * row] << (8 * i) : 0;
-                    x = t8(x);
-                    for (i32 k = 0; k < 8; ++k) {
-                        s[k] = (s[k] & keep) | (((x >> (8 * k)) & 0xFF) << (8 * g8));
-                        t[k] = (t[k] & keep) | (((x >> (8 * k)) & 0xFF) << (8 * g8));
-                    }
+            if (!d8)
+                continue;
+            const unsigned char *src = rows + 8 * g8 * row;
+            for (long c = 0; c < 24L * p->nw; ++c) {
+                u64 x = 0, *s = S + 8 * c;
+                for (u64 m = d8; m; m &= m - 1) {
+                    const i32 i = __builtin_ctzll(m);
+                    x |= spread[src[i * row + c]] << i;
                 }
+                for (i32 k = 0; k < 8; ++k)
+                    s[k] = (s[k] & keep) | (((x >> (8 * k)) & 0xFF) << (8 * g8));
+            }
         }
         b->dirty[g] = 0;
         /* sources: inputs and constants hold, DFFs load their D nets */
@@ -366,34 +382,44 @@ struct pricing {
     const i32 *col;                     /* per bit: 1 + module, 0 for none */
 };
 
-/* rows of (prev, cur) P/N planes -> (rows, n_cols) sums: the total, then
-   one per module.  s holds the rail and row strides (in words) of prev,
-   then of cur */
-void repro_price(const struct pricing *t, const u64 *prev, const u64 *cur,
-                 const long *s, long rows, int64_t *out)
+/* add the edges of word w (toggled bits tog, current P word cp) to row o:
+   the bits' energies go to their column (0 for no module) */
+INLINE void price_word(const struct pricing *t, int64_t *o, i32 w, u64 tog, u64 cp)
 {
-    int64_t acc[t->n_cols];
+    const i32 *col = t->col + 64L * w;
+    const int64_t *rise = t->e_rise + 64L * w, *fall = t->e_fall + 64L * w;
+    for (u64 m = tog & cp; m; m &= m - 1)
+        o[col[__builtin_ctzll(m)]] += rise[__builtin_ctzll(m)];
+    for (u64 m = tog & ~cp; m; m &= m - 1)
+        o[col[__builtin_ctzll(m)]] += fall[__builtin_ctzll(m)];
+}
+
+/* per row r, the pair (rows pred[r], target[r]) of the P/N planes v ->
+   row r of the (rows, n_cols) sums: the total, then one per module.  The
+   pair is first X-assigned by assign_planes' rules where the target's
+   activity words a are set, with the max-power transition's start and
+   end P words mp, mc.  s holds v's rail and row strides and a's row
+   stride (0: one row for all), in words */
+void repro_price(const struct pricing *t, const u64 *v, const u64 *a,
+                 const u64 *mp, const u64 *mc, const long *s,
+                 const long *pred, const long *target, long rows, int64_t *out)
+{
     for (long r = 0; r < rows; ++r, out += t->n_cols) {
-        const u64 *pp = prev + r * s[1], *pn = pp + s[0];
-        const u64 *cp = cur + r * s[3], *cn = cp + s[2];
+        const u64 *pp = v + pred[r] * s[1], *pn = pp + s[0];
+        const u64 *cp = v + target[r] * s[1], *cn = cp + s[0], *act = a + target[r] * s[2];
         for (i32 c = 0; c < t->n_cols; ++c)
-            acc[c] = 0;
+            out[c] = 0;
         for (i32 w = 0; w < t->nw; ++w) {
-            const u64 tog = (pp[w] ^ cp[w]) | (pn[w] ^ cn[w]);
-            for (u64 m = tog & cp[w]; m; m &= m - 1) {
-                const long b = 64L * w + __builtin_ctzll(m);
-                acc[t->col[b]] += t->e_rise[b];
-            }
-            for (u64 m = tog & ~cp[w]; m; m &= m - 1) {
-                const long b = 64L * w + __builtin_ctzll(m);
-                acc[t->col[b]] += t->e_fall[b];
-            }
+            const u64 px = pp[w] & pn[w], cx = cp[w] & cn[w], both = act[w] & px & cx;
+            const u64 prev_x = act[w] & px & ~cx, cur_x = act[w] & cx & ~px;
+            const u64 nc = cp[w] & ~((cur_x & ~pn[w]) | (both & ~mc[w]));
+            const u64 np = pp[w] & ~((prev_x & ~cn[w]) | (both & ~mp[w]));
+            const u64 nn = pn[w] & ~((prev_x & ~cp[w]) | (both & mp[w]));
+            const u64 ncn = cn[w] & ~((cur_x & ~pp[w]) | (both & mc[w]));
+            price_word(t, out, w, (np ^ nc) | (nn ^ ncn), nc);
         }
-        out[0] = acc[0];
-        for (i32 c = 1; c < t->n_cols; ++c) {
-            out[c] = acc[c];
-            out[0] += acc[c];
-        }
+        for (i32 c = 1; c < t->n_cols; ++c)
+            out[0] += out[c];
     }
 }
 """
@@ -521,7 +547,7 @@ class NativeKernel:
         )
         self.step.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_long] * 2
         self.price.argtypes = (
-            [ctypes.c_void_p] * 4 + [ctypes.c_long, ctypes.c_void_p]
+            [ctypes.c_void_p] * 8 + [ctypes.c_long, ctypes.c_void_p]
         )
         for fn in (self.settle, self.step, self.price):
             fn.restype = None
@@ -709,6 +735,10 @@ class BatchKernel:
         self.state = np.zeros(
             (groups, 2, 3, tables.n_slots), dtype=np.uint64
         )
+        # every lane's pads hold a known 0 (P=0, N=1) in both buffers,
+        # as in every row, so a re-read row needs only the last cycle's
+        real = np.unpackbits(tables.arrays[0], bitorder="little")
+        self.state[:, :, 1, real == 0] = ~np.uint64(0)
         self.dirty = np.zeros(groups, dtype=np.uint64)
         self.port = np.zeros((rows, 5), dtype=np.uint64)
         self.dff_force = np.zeros((8, 3), dtype=np.int32)
@@ -820,8 +850,8 @@ class Pricer:
 
     *e_rise*/*e_fall* hold each bit's rising and falling transition
     energy in integer attojoules and *col* its output column (1 + module,
-    0 for none); pads are 0 in all three.  A call prices rail-major
-    ``(2, rows, n_words)`` ``(prev, cur)`` P/N planes into an ``(rows,
+    0 for none); pads are 0 in all three.  A call prices row pairs of
+    ``(n, 2, n_words)`` P/N rows, read in place, into an ``(rows,
     n_cols)`` int64 block: column 0 the total, then one sum per module.
     """
 
@@ -838,32 +868,47 @@ class Pricer:
             self.n_words, n_cols, *(a.ctypes.data for a in self.arrays)
         )
         self.ptr = ctypes.addressof(self.table)
+        #: ``assign`` of a plain pricing: no activity (one row for all)
+        self.no_assign = (np.zeros((1, self.n_words), dtype=np.uint64),) + (
+            np.zeros(self.n_words, dtype=np.uint64),
+        ) * 2
 
-    def __call__(self, prev: np.ndarray, cur: np.ndarray, out: np.ndarray) -> None:
-        rows = out.shape[0]
-        shape = (2, rows, self.n_words)
+    def __call__(self, values, pairs, out: np.ndarray, assign=None) -> None:
+        """Price ``(values[pred[r]], values[target[r]])`` for the
+        ``(pred, target)`` row indices *pairs* into *out*.  *assign* is
+        ``(active, max_prev, max_cur)``: the rows' ``(n, n_words)``
+        activity words and the P words of the max-power transition's
+        start and end, by which each pair is X-assigned first
+        (:func:`repro.power.model.assign_planes`' rules)."""
+        n, rows, nw = len(values), len(out), self.n_words
+        active, *maxes = assign or self.no_assign
+        pred, target = (np.ascontiguousarray(a, np.int64) for a in pairs)
+        arrays = [
+            a if a.dtype == np.uint64 and a.strides[-1] == 8
+            else np.ascontiguousarray(a, dtype=np.uint64)
+            for a in (values, active, *maxes)
+        ]
+        shapes = [(n, 2, nw), (len(active), nw), (nw,), (nw,)]
         if (
-            prev.shape != shape or cur.shape != shape
+            [a.shape for a in arrays] != shapes or len(active) not in (1, n)
             or out.shape != (rows, self.n_cols) or out.dtype != np.int64
             or not out.flags["C_CONTIGUOUS"]
+            or {pred.shape, target.shape} != {(rows,)}
+            or rows and not 0 <= min(pred.min(), target.min())
+            or rows and max(pred.max(), target.max()) >= n
         ):
             raise ValueError(
-                f"expected {shape} planes and a C-contiguous ({rows}, "
-                f"{self.n_cols}) int64 block, got {prev.shape}, {cur.shape} "
-                f"and {out.shape} {out.dtype}"
+                f"expected {rows} row pairs within {shapes[0]} planes and a "
+                f"C-contiguous ({rows}, {self.n_cols}) int64 block"
             )
-        # any rail and row strides, but each row's words contiguous
-        prev, cur = (
-            a if a.dtype == np.uint64 and a.strides[2] == 8
-            else np.ascontiguousarray(a, dtype=np.uint64)
-            for a in (prev, cur)
-        )
-        strides = (ctypes.c_long * 4)(
-            *(stride // 8 for a in (prev, cur) for stride in a.strides[:2])
+        values, active = arrays[:2]
+        strides = (ctypes.c_long * 3)(
+            values.strides[1] // 8, values.strides[0] // 8,
+            active.strides[0] // 8 if len(active) > 1 else 0,
         )
         self.fn(
-            self.ptr, prev.ctypes.data, cur.ctypes.data, strides, rows,
-            out.ctypes.data,
+            self.ptr, *(a.ctypes.data for a in arrays), strides,
+            pred.ctypes.data, target.ctypes.data, rows, out.ctypes.data,
         )
 
 

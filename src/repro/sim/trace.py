@@ -5,17 +5,21 @@ every simulated cycle it stores the settled net values (with Xs), the
 activity flags from the paper's marking rule, and the behavioral memory
 access energy.
 
-Every record has one layout, whichever engine recorded it: dual-rail
-``value_words`` (``(2, n_words)`` uint64 P/N planes) plus ``active_words``
-(the A-plane words), in the bit order of the trace that holds it
-(:attr:`Trace.bit_order`): the native evaluator's
+A trace is columnar, whichever engine recorded it: ``(rows, 3, n_words)``
+uint64 planes (dual-rail P/N values, then the A-plane words; pads are
+never active) and a ``[cycle, reads, writes]`` column, packed in the
+trace's :attr:`~Trace.bit_order`: the native evaluator's
 :class:`~repro.netlist.program.NetlistProgram`, or plain net order
-(:func:`~repro.netlist.program.net_order`) for the reference engine,
-which packs its uint8 rows once per step.  ``values``/``active`` unpack
-one record on access; ``values_matrix``/``active_matrix`` stack the
-words of a whole trace and unpack them in one vectorized call, or hand
-the words out as they are (``packed=True``), which is how Algorithm 2
-(:mod:`repro.core.peakpower`) and the activity reductions read them.
+(:func:`~repro.netlist.program.net_order`) for the reference engine.
+Rows are appended into blocks that are filled in place, never copied to
+grow; the first matrix read merges them into one block, of which
+``values_matrix(packed=True)``, ``active_matrix(packed=True)`` and
+``mem_accesses()`` are views.  A batch step appends all its live rows to
+its batch's trace, the *arena*, at once; its users keep arena row
+indices and cut per-path traces out of it with :meth:`Trace.take` (a
+gather into a block of its own) or :meth:`Trace.view` (an index,
+gathered on each read).  ``trace[i]`` unpacks one row into a
+:class:`CycleRecord`.
 
 The COI annotations of §3.5 (FSM state, PC, instruction word) are buses
 of these settled values, so a trace stores none: the CPU decodes them
@@ -25,90 +29,147 @@ from the packed value matrix when something asks
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.netlist.program import BitOrder, net_order
 
+#: rows of a trace's first block (by default); each later block holds as
+#: many rows as the trace already has, up to :data:`MAX_BLOCK_ROWS`
+MIN_BLOCK_ROWS = 64
+MAX_BLOCK_ROWS = 4096
 
-class CycleRecord:
-    """Everything captured about one simulated clock cycle.
 
-    ``value_words``/``active_words`` are packed in ``bit_order``;
-    ``values``/``active`` unpack them on each access.
-    """
+def pack_rows(order: BitOrder, values: np.ndarray, active: np.ndarray):
+    """uint8 trit rows and their bool activity -> ``(k, 3, n_words)``
+    planes in *order*, as :meth:`Trace.append_rows` takes them."""
+    packed = [order.pack_values(values), order.pack_active(active)[:, None]]
+    return np.concatenate(packed, axis=1)
 
-    __slots__ = (
-        "cycle", "value_words", "active_words", "mem_reads", "mem_writes",
-        "bit_order",
-    )
 
-    def __init__(
-        self,
-        cycle: int,
-        value_words: np.ndarray,
-        active_words: np.ndarray,
-        mem_reads: float,
-        mem_writes: float,
-        bit_order: BitOrder,
-    ):
-        self.cycle = cycle
-        #: packed (2, n_words) uint64 P/N value planes
-        self.value_words = value_words
-        #: packed uint64 activity words, masked to real nets
-        self.active_words = active_words
-        #: behavioral memory accesses this cycle (1.0 also for may-access
-        #: under an X enable — conservative, as peak analysis requires)
-        self.mem_reads = mem_reads
-        self.mem_writes = mem_writes
-        self.bit_order = bit_order
+class CycleRecord(NamedTuple):
+    """One row of a trace, unpacked: trits and activity in net order."""
 
-    @property
-    def values(self) -> np.ndarray:
-        """uint8 trit row in net order."""
-        return self.bit_order.unpack_trits(
-            self.value_words[0], self.value_words[1]
-        )
-
-    @property
-    def active(self) -> np.ndarray:
-        """bool activity row in net order."""
-        return self.bit_order.unpack_bits(self.active_words)
+    cycle: int
+    values: np.ndarray
+    active: np.ndarray
+    mem_reads: float
+    mem_writes: float
 
 
 class Trace:
-    """An ordered list of cycle records with matrix views for analysis.
+    """An ordered list of cycle rows with matrix views for analysis.
 
-    Every record is packed in :attr:`bit_order`.  A trace built without
-    one takes the order of its first record (until then, plain net
-    order); a record in another order is refused.
+    Every row is packed in :attr:`bit_order`.  A trace built without one
+    takes the order of its first rows (until then, plain net order);
+    rows in another order are refused.
     """
 
-    def __init__(self, n_nets: int, bit_order: BitOrder | None = None):
+    def __init__(
+        self,
+        n_nets: int,
+        bit_order: BitOrder | None = None,
+        block_rows: int = MIN_BLOCK_ROWS,
+    ):
         self.n_nets = n_nets
-        self.records: list[CycleRecord] = []
         self.bit_order = bit_order or net_order(n_nets)
+        #: (planes, meta) blocks and their first rows; the last block has
+        #: room for ``_room`` more rows
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        self._starts: list[int] = []
+        self._n = self._room = 0
+        self._block_rows = block_rows
+        #: an index view reads rows ``_rows`` of ``_base``
+        self._base: Trace | None = None
+        self._rows: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._n
 
     def __getitem__(self, index: int) -> CycleRecord:
-        return self.records[index]
+        if self._base is not None:
+            return self._base[int(self._rows[index])]
+        planes, (cycle, reads, writes) = (c[index] for c in self._columns())
+        order = self.bit_order
+        return CycleRecord(
+            int(cycle), order.unpack_trits(planes[0], planes[1]),
+            order.unpack_bits(planes[2]), float(reads), float(writes),
+        )
 
-    def append(self, record: CycleRecord) -> None:
-        if record.bit_order is not self.bit_order:
-            if self.records:
+    def append_rows(self, planes: np.ndarray, meta, bit_order: BitOrder) -> None:
+        """Copy ``(k, 3, n_words)`` rows and their ``(cycle, reads,
+        writes)`` triples onto the end."""
+        if bit_order is not self.bit_order:
+            if self._n:
                 raise ValueError("a trace holds records of one bit order")
-            self.bit_order = record.bit_order
-        self.records.append(record)
+            self.bit_order = bit_order
+        done = 0
+        while done < len(planes):
+            if not self._room:
+                self._room = max(self._block_rows, min(self._n, MAX_BLOCK_ROWS))
+                self._blocks.append((
+                    np.empty((self._room, 3, bit_order.n_words), np.uint64),
+                    np.empty((self._room, 3)),
+                ))
+                self._starts.append(self._n)
+            take = min(len(planes) - done, self._room)
+            at = self._n - self._starts[-1]
+            for dst, src in zip(self._blocks[-1], (planes, meta)):
+                dst[at : at + take] = src[done : done + take]
+            done, self._n, self._room = done + take, self._n + take, self._room - take
+
+    def take(self, rows) -> "Trace":
+        """A trace of its own holding *rows* of this one, in that order,
+        gathered into one block."""
+        trace = Trace(self.n_nets, self.bit_order)
+        trace._blocks, trace._starts, trace._n = [self._gather(rows)], [0], len(rows)
+        return trace
+
+    def view(self, rows) -> "Trace":
+        """A read-only index over *rows* of this trace, gathered on each
+        read (so the lanes of a lock-step run share its arena)."""
+        trace = Trace(self.n_nets, self.bit_order)
+        trace._base, trace._rows = self, np.asarray(rows, dtype=np.int64)
+        trace._n = len(rows)
+        return trace
+
+    def _gather(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the planes and meta of *rows*."""
+        if self._base is not None:
+            return self._base._gather(self._rows[rows])
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(self._blocks) == 1:
+            return tuple(column.take(rows, axis=0) for column in self._blocks[0])
+        out = (
+            np.empty((len(rows), 3, self.bit_order.n_words), np.uint64),
+            np.empty((len(rows), 3)),
+        )
+        which = np.searchsorted(self._starts, rows, side="right") - 1
+        for number, start in enumerate(self._starts):
+            picked = np.flatnonzero(which == number)
+            for dst, src in zip(out, self._blocks[number]):
+                dst[picked] = src[rows[picked] - start]
+        return out
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Planes and meta of every row: views of the one block (blocks
+        are merged on the first read), or a gather for an index view."""
+        if self._base is not None or len(self._blocks) != 1:
+            columns = self._gather(np.arange(self._n))
+            if self._base is not None:
+                return columns
+            self._blocks, self._starts, self._room = [columns], [0], 0
+        return tuple(column[: self._n] for column in self._blocks[0])
 
     def values_matrix(self, packed: bool = False) -> np.ndarray:
         """Settled values (0/1/X) of every cycle.
 
         ``(n_cycles, n_nets)`` uint8 trits in net order, unpacked in one
-        vectorized call, or with *packed* the records' ``(n_cycles, 2,
-        n_words)`` uint64 P/N planes in :attr:`bit_order`, as they are.
+        vectorized call, or with *packed* the ``(n_cycles, 2, n_words)``
+        uint64 P/N planes in :attr:`bit_order`, a view of the rows.
         """
-        words = self._stacked("value_words", (2, self.bit_order.n_words))
+        words = self._columns()[0][:, 0:2]
         if packed:
             return words
         return self.bit_order.unpack_trits(words[:, 0], words[:, 1])
@@ -119,20 +180,16 @@ class Trace:
         ``(n_cycles, n_nets)`` bool in net order, or with *packed* the
         ``(n_cycles, n_words)`` uint64 A-plane words in :attr:`bit_order`.
         """
-        words = self._stacked("active_words", (self.bit_order.n_words,))
+        words = self._columns()[0][:, 2]
         return words if packed else self.bit_order.unpack_bits(words)
 
-    def _stacked(self, attr: str, shape: tuple) -> np.ndarray:
-        if not self.records:
-            return np.zeros((0, *shape), dtype=np.uint64)
-        # as np.stack, without a view per record
-        return np.array([getattr(record, attr) for record in self.records])
+    def cycles(self) -> np.ndarray:
+        """Each row's cycle number."""
+        return self._columns()[1][:, 0].astype(np.int64)
 
     def mem_accesses(self) -> np.ndarray:
         """(n_cycles, 2) array of [reads, writes] per cycle."""
-        return np.array(
-            [[r.mem_reads, r.mem_writes] for r in self.records]
-        ).reshape(-1, 2)
+        return self._columns()[1][:, 1:]
 
     def toggled_any(self) -> np.ndarray:
         """Per-net flag: was the net active in *any* cycle of the trace?
@@ -153,3 +210,11 @@ class Trace:
         from repro.sim.bitplane import popcount
 
         return popcount(self.active_matrix(packed=True)).astype(np.int64)
+
+
+def group_rows(tags: np.ndarray, n_groups: int) -> list[np.ndarray]:
+    """The rows of each group ``0..n_groups-1`` in row order, from each
+    row's group *tag* (-1: none) — how a batch's users split its arena."""
+    order = np.argsort(tags, kind="stable")
+    bounds = np.searchsorted(tags[order], np.arange(n_groups + 1))
+    return [order[bounds[g] : bounds[g + 1]] for g in range(n_groups)]

@@ -35,7 +35,7 @@ PROBES = ("halted", "pc_next_unknown", "in_dispatch", "may_fork_next")
 
 def _explore_spied(cpu, name: str, engine: str) -> dict:
     """Explore *name*; every batch snapshot, load and step record."""
-    seen = {"snapshots": [], "loads": 0, "records": []}
+    seen = {"snapshots": [], "loads": 0, "rows": []}
     snapshot, load, step = (
         BatchMachine.snapshot, BatchMachine.load, BatchMachine.step
     )
@@ -49,9 +49,10 @@ def _explore_spied(cpu, name: str, engine: str) -> dict:
         return load(self, *args)
 
     def spy_step(self):
-        records = step(self)
-        seen["records"] += records
-        return records
+        rows = step(self)
+        seen["rows"] += rows
+        seen["arena"] = self.arena
+        return rows
 
     benchmark = get_benchmark(name)
     with pytest.MonkeyPatch.context() as patch:
@@ -136,10 +137,7 @@ def _peeked_annotations(cpu, machine) -> list[dict]:
     ]
 
 
-def _assert_decoded_annotations(cpu, records, peeked) -> None:
-    trace = Trace(cpu.netlist.n_nets)
-    for record in records:
-        trace.append(record)
+def _assert_decoded_annotations(cpu, trace, peeked) -> None:
     assert cpu.annotate(trace) == peeked
 
 
@@ -158,15 +156,15 @@ class TestBatchProbeForms:
         machines = [_machine(cpu, snap, engine) for snap in points]
         seen: set = set()
         _assert_lanes_agree(cpu, batch, machines, seen)  # from the rows
-        records = batch.step()
+        rows = batch.step()
         _assert_decoded_annotations(
-            cpu, records, _peeked_annotations(cpu, batch)
+            cpu, batch.arena.view(rows), _peeked_annotations(cpu, batch)
         )
-        scalar_records, peeked = [], []
+        scalar_trace, peeked = Trace(cpu.netlist.n_nets), []
         for machine in machines:
-            scalar_records.append(machine.step())
+            machine.step(trace=scalar_trace)
             peeked += _peeked_annotations(cpu, machine)
-        _assert_decoded_annotations(cpu, scalar_records, peeked)
+        _assert_decoded_annotations(cpu, scalar_trace, peeked)
         assert len({notes["state"] for notes in peeked}) > 1
         _assert_lanes_agree(cpu, batch, machines, seen)  # from the columns
         # the sample reaches every answer, not just the common "no"
@@ -182,16 +180,14 @@ class TestSnapshotRule:
     def test_viterbi_snapshots_only_dispatch_bound_lane_steps(self, cpu):
         seen = _explore_spied(cpu, "Viterbi", "native")
         # a lane-step that may be a DISPATCH records the state it may be
-        trace = Trace(cpu.netlist.n_nets)
-        for record in seen["records"]:
-            trace.append(record)
+        trace = seen["arena"].view(seen["rows"])
         dispatch_bound = sum(
             notes["state"] in ("DISPATCH", "X")
             for notes in cpu.annotate(trace)
         )
         snapshots = len(seen["snapshots"])
         assert snapshots <= dispatch_bound + seen["loads"]
-        assert snapshots < len(seen["records"]) / 2
+        assert snapshots < len(trace) / 2
 
     def test_fork_without_snapshot_is_an_internal_error(
         self, cpu, monkeypatch

@@ -190,3 +190,35 @@ class TestBatchedStressmark:
         assert scores[1] == (0.0, 0.0)
         assert scores[0] == expected[0]
         assert scores[2] == expected[2]
+
+
+SPIN_WITH_INPUT = """
+        .org 0xF000
+loop:   inc r4
+        jmp loop
+        .org 0x0240
+inp:    .input 1
+"""
+
+
+class TestHaltBudget:
+    """A concrete run over its cycle budget is a HaltBudgetError (still
+    a RuntimeError) from the scalar and the lock-step helper alike."""
+
+    @pytest.mark.parametrize("engine", ["native", "reference"])
+    def test_both_helpers_raise_the_named_error(self, cpu, engine):
+        from repro.cpu import HaltBudgetError
+
+        program = assemble(SPIN_WITH_INPUT, "spin").with_inputs([1])
+
+        def machine():
+            return cpu.make_machine(
+                program, symbolic_inputs=False, port_in=0, engine=engine
+            )
+
+        with pytest.raises(HaltBudgetError, match="no halt within 40 cycles"):
+            cpu.run_to_halt(machine(), max_cycles=40)
+        with pytest.raises(RuntimeError) as caught:
+            run_batch_to_halt(cpu, [machine(), machine()], max_cycles=40)
+        assert type(caught.value) is HaltBudgetError
+        assert str(caught.value) == "no halt within 40 cycles"

@@ -41,7 +41,7 @@ from repro.sim.bitplane import (
 from repro.sim.evaluator import LevelizedEvaluator
 from repro.sim.machine import Machine, MemoryPorts
 from repro.sim.native import NativeEvaluator
-from repro.sim.trace import CycleRecord, Trace
+from repro.sim.trace import Trace
 
 TWO_INPUT_FUNCS = {
     "AND": ternary.t_and,
@@ -172,7 +172,7 @@ class TestPackUnpackRoundTrip:
         active = rng.integers(0, 2, size=lead + (netlist.n_nets,)).astype(bool)
         planes = evaluator.pack_state(values, active)
         assert np.array_equal(evaluator.unpack_active(planes), active)
-        counts = popcount(evaluator.active_words(planes))
+        counts = popcount(planes[..., 2, :])  # pads are never active
         assert np.array_equal(counts, active.sum(axis=-1))
 
     def test_fresh_matches_reference(self):
@@ -296,9 +296,11 @@ class TestMachineEngineEquivalence:
         for _ in range(2):
             ref_machine.step(reset=True)
             packed_machine.step(reset=True)
+        traces = [Trace(ref_machine.netlist.n_nets) for _ in range(2)]
         for _ in range(24):
-            ref_record = ref_machine.step()
-            packed_record = packed_machine.step()
+            ref_machine.step(trace=traces[0])
+            packed_machine.step(trace=traces[1])
+            ref_record, packed_record = traces[0][-1], traces[1][-1]
             assert np.array_equal(ref_record.values, packed_record.values)
             assert np.array_equal(ref_record.active, packed_record.active)
             assert ref_record.cycle == packed_record.cycle
@@ -351,9 +353,10 @@ class TestTraceMatrices:
         words = program.pack_active(active)
         trace = Trace(netlist.n_nets, program)
         for cycle in range(n_cycles):
-            trace.append(CycleRecord(
-                cycle, planes[cycle], words[cycle], 0.0, 0.0, program,
-            ))
+            rows = np.concatenate(
+                [planes[cycle : cycle + 1], words[cycle : cycle + 1, None]], axis=1
+            )
+            trace.append_rows(rows, [(cycle, 0.0, 0.0)], program)
         return trace, values, active
 
     def test_packed_matrices_are_the_records_words(self):
@@ -366,8 +369,8 @@ class TestTraceMatrices:
         assert np.array_equal(words, order.pack_active(active))
         assert np.array_equal(trace.values_matrix(), values)
         assert np.array_equal(trace.active_matrix(), active)
-        assert np.array_equal(trace.records[2].values, values[2])
-        assert np.array_equal(trace.records[2].active, active[2])
+        assert np.array_equal(trace[2].values, values[2])
+        assert np.array_equal(trace[2].active, active[2])
 
     def test_unpacked_trace_packs_in_net_order(self):
         """The reference engine packs its rows in plain net order, and

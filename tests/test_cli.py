@@ -153,6 +153,23 @@ class TestProgramErrors:
         assert err.startswith("repro: " + message.format(path=path))
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_profile_over_its_cycle_budget(self, tmp_path, capsys, monkeypatch):
+        # the default budget takes seconds to run out; the error is the same
+        monkeypatch.setattr(
+            cli, "input_profiling",
+            functools.partial(cli.input_profiling, max_cycles=200),
+        )
+        path = tmp_path / "spin.asm"
+        path.write_text(
+            FAILING_PROGRAMS["spin"][0] + "        .org 0x0240\ninp:    .input 1\n"
+        )
+        assert main(["profile", str(path), "--inputs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "repro: concrete run over its cycle budget: "
+            "no halt within 200 cycles\n"
+        )
+
     @pytest.mark.parametrize("name", ["missing", "bad"])
     def test_profile_load_errors(self, tmp_path, capsys, name):
         source, message = FAILING_PROGRAMS[name]

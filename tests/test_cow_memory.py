@@ -12,6 +12,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.sim.memory import MASK16, MemoryXAddressError, TernaryMemory
+from repro.sim.trace import Trace
 
 
 def eager_state(memory: TernaryMemory) -> tuple[np.ndarray, np.ndarray]:
@@ -146,10 +147,13 @@ class TestMachineSnapshotImmutability:
         for _ in range(3):
             machine.step()
         snap = machine.snapshot()
-        records_a = [machine.step() for _ in range(15)]
+        traces = [Trace(machine.netlist.n_nets) for _ in range(2)]
+        for _ in range(15):
+            machine.step(trace=traces[0])
         machine.restore(snap)
-        records_b = [machine.step() for _ in range(15)]
-        for a, b in zip(records_a, records_b):
+        for _ in range(15):
+            machine.step(trace=traces[1])
+        for a, b in zip(*traces, strict=True):
             assert a.cycle == b.cycle
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.active, b.active)
@@ -158,16 +162,14 @@ class TestMachineSnapshotImmutability:
     def test_trace_records_do_not_alias_future_cycles(self, cpu):
         """A record's values must stay the cycle's settled values even
         though the machine hands the same array onward copy-on-write."""
-        from repro.sim.trace import Trace
-
         program = assemble(PROGRAM, "cow")
         machine = cpu.make_machine(program, symbolic_inputs=True)
         trace = Trace(machine.netlist.n_nets)
         frozen = []
         for _ in range(10):
-            record = machine.step(trace=trace)
-            frozen.append(record.values.copy())
-        for record, values in zip(trace.records, frozen):
+            machine.step(trace=trace)
+            frozen.append(trace[-1].values.copy())
+        for record, values in zip(trace, frozen, strict=True):
             assert np.array_equal(record.values, values)
 
 

@@ -87,7 +87,8 @@ def _as_reference(evaluator, snap: dict) -> dict:
 
 def _step_gate_lanes(netlist, assignments):
     """One batch step on both engines, one lane per ``{input: trit}``
-    assignment; returns (native records, reference records).  Adds a
+    assignment; returns (native rows, reference rows), each a list of
+    records read from its batch's arena.  Adds a
     ``dout`` INPUT and a tied-off memory port to *netlist*."""
     zero = netlist.add_gate("CONST0")
     dout = netlist.add_gate("INPUT")
@@ -102,7 +103,7 @@ def _step_gate_lanes(netlist, assignments):
         batch = BatchMachine(netlist, ports, evaluator, len(assignments))
         for forced in assignments:
             batch.load(dict(base, forced_inputs=forced), {})
-        records.append(batch.step())
+        records.append([batch.arena[row] for row in batch.step()])
     return records
 
 
@@ -754,8 +755,9 @@ def _churn(netlist, ports, engines, snapshots, variant, lanes, seed,
     """Drive a native batch and a reference-engine batch through the same
     random load / retire / refill churn and compare every step: records
     (values, activity and the packed words, pads included), memory
-    counts, the post-step rows, memo ``state_bytes`` and each lane's
-    latched memory request and memory."""
+    counts, the post-step rows, memo ``state_bytes``, each lane's latched
+    memory request and memory, and the pads of both lane-sliced
+    buffers."""
     packed, reference = engines
 
     def fresh():
@@ -767,6 +769,7 @@ def _churn(netlist, ports, engines, snapshots, variant, lanes, seed,
     batches = fresh()
     assert batches[0].kernel is not None and batches[1].kernel is None
     program = packed.program
+    pads = np.unpackbits(program.valid_mask.view(np.uint8), bitorder="little") == 0
     rng = np.random.default_rng(seed)
     stepped = 0
     for _ in range(steps):
@@ -781,23 +784,33 @@ def _churn(netlist, ports, engines, snapshots, variant, lanes, seed,
                 outcomes.append(batch.step())
             except Exception as exc:  # e.g. a store to an X address
                 outcomes.append(type(exc))
-        if not all(isinstance(out, list) for out in outcomes):
+        if not all(isinstance(out, range) for out in outcomes):
             assert outcomes[0] == outcomes[1]
             batches = fresh()  # a failed step leaves lanes half-latched
             continue
         stepped += len(fast.lanes)
-        for ra, rb in zip(*outcomes, strict=True):
-            assert ra.cycle == rb.cycle
-            assert (ra.mem_reads, ra.mem_writes) == (rb.mem_reads, rb.mem_writes)
-            assert np.array_equal(ra.values, rb.values)
-            assert np.array_equal(ra.active, rb.active)
-            assert np.array_equal(ra.value_words, program.pack_values(rb.values))
-            assert np.array_equal(ra.active_words, program.pack_active(rb.active))
+        ta, tb = (batch.arena.view(out) for batch, out in zip(batches, outcomes))
+        assert len(ta) == len(tb) == len(fast.lanes)
+        assert np.array_equal(ta.cycles(), tb.cycles())
+        assert np.array_equal(ta.mem_accesses(), tb.mem_accesses())
+        assert np.array_equal(ta.values_matrix(), tb.values_matrix())
+        assert np.array_equal(ta.active_matrix(), tb.active_matrix())
+        assert np.array_equal(
+            ta.values_matrix(packed=True), program.pack_values(tb.values_matrix())
+        )
+        assert np.array_equal(
+            ta.active_matrix(packed=True), program.pack_active(tb.active_matrix())
+        )
         n = len(fast.lanes)
         assert np.array_equal(
             fast.planes[:n],
             packed.pack_state(slow.values[:n], slow._prev_active[:n]),
         )
+        # a rewritten row is re-read into the last cycle's buffer only:
+        # the pads of every lane are a known 0 in both buffers
+        state = fast.kernel.state[..., pads]
+        assert (state[:, :, 1] == ~np.uint64(0)).all()
+        assert not state[:, :, 0::2].any()
         for la, lb in zip(fast.lanes, slow.lanes):
             assert vars(la._request) == vars(lb._request)
             assert (la.dout_value, la.dout_xmask) == (lb.dout_value, lb.dout_xmask)

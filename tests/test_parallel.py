@@ -25,6 +25,7 @@ from repro.cells import SG65
 from repro.core.activity import _ROOT_KEY, _assemble_tree, _Node, explore
 from repro.core.stressmark import generate_stressmark
 from repro.power.model import PowerModel
+from repro.sim.batch import BatchMachine
 from repro.sim.trace import Trace
 
 GOLDEN_STRESSMARKS = Path(__file__).with_name("golden_stressmarks.json")
@@ -62,7 +63,7 @@ class TestMergeOrderProperty:
             sl = tree.segment_slice(segment)
             nodes[keys[segment.index]] = _Node(
                 key=keys[segment.index],
-                records=tree.flat_trace.records[sl],
+                rows=np.arange(sl.start, sl.stop),
                 end=segment.end,
                 forks=[
                     (fork.assignment, keys[fork.target])
@@ -78,9 +79,51 @@ class TestMergeOrderProperty:
         rng = np.random.default_rng(seed)
         items = list(nodes.items())
         rng.shuffle(items)
-        flat = Trace(tree.flat_trace.n_nets, tree.flat_trace.bit_order)
-        reassembled = _assemble_tree(dict(items), flat, cpu.annotate)
+        reassembled = _assemble_tree(
+            dict(items), tree.flat_trace, cpu.annotate
+        )
         assert reassembled.digest() == tree.digest()
+
+
+class TestFlatTraceFromArena:
+    """The explorer's batch appends every lane-step to one arena; the
+    tree gathers its segments' rows once into the flat trace."""
+
+    def test_popped_dispatch_rows_never_reach_the_flat_trace(
+        self, cpu, monkeypatch
+    ):
+        batches = []
+        init = BatchMachine.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            batches.append(self)
+
+        monkeypatch.setattr(BatchMachine, "__init__", spy)
+        tree = _explore(cpu, "binSearch")
+        [batch] = batches
+        # one dispatch row per forking lane is popped: its children re-run it
+        n_forks = sum(segment.end == "fork" for segment in tree.segments)
+        assert n_forks > 1
+        assert len(batch.arena) == tree.n_cycles + n_forks
+        cycles = tree.flat_trace.cycles()
+        for segment in tree.segments:
+            own = cycles[tree.segment_slice(segment)]
+            assert np.array_equal(own, own[0] + np.arange(len(own)))
+            parent = segment.parent and tree.segments[segment.parent[0]]
+            if parent and parent.n_cycles and len(own):
+                last = parent.flat_start + parent.n_cycles - 1
+                assert own[0] == cycles[last] + 1
+
+    def test_packed_matrices_are_views_of_the_flat_block(self, cpu):
+        flat = _explore(cpu, "binSearch").flat_trace
+        values = flat.values_matrix(packed=True)
+        active = flat.active_matrix(packed=True)
+        # no read restacks: each is a view of the one block
+        assert values.base is not None and values.base is active.base
+        assert np.shares_memory(values, flat.values_matrix(packed=True))
+        assert np.shares_memory(active, flat.active_matrix(packed=True))
+        assert np.shares_memory(flat.mem_accesses(), flat.mem_accesses())
 
 
 class TestIslandGADeterminism:
@@ -166,14 +209,50 @@ class TestPackedConcreteRecords:
         [(trace, cycles)] = run_batch_to_halt(cpu, [machine])
         assert cycles > 0
         assert trace.bit_order is machine.bit_order
-        record = trace.records[0]
-        assert record.bit_order is trace.bit_order
-        # per-record unpack agrees with the bulk matrix unpack
+        # a lane's trace indexes the batch's arena; a row read in place
+        # agrees with the bulk matrix unpack
         matrix = trace.values_matrix()
-        assert np.array_equal(record.values, matrix[0])
-        assert np.array_equal(
-            trace.records[-1].values, matrix[-1]
-        )
+        assert np.array_equal(trace[0].values, matrix[0])
+        assert np.array_equal(trace[-1].values, matrix[-1])
+        assert trace[-1].cycle == trace.cycles()[-1] == cycles - 1
+
+    @pytest.mark.parametrize("engine", ["native", "reference"])
+    def test_arena_traces_match_scalar_machines(self, cpu, engine):
+        """Lanes of different lengths share one arena; each lane's trace
+        equals a scalar Machine's stepped trace row for row."""
+        from repro.sim.batch import run_batch_to_halt
+
+        benchmark = get_benchmark("binSearch")
+        programs = [
+            benchmark.program().with_inputs(inputs)
+            for inputs in benchmark.input_sets(3)
+        ]
+
+        def machine(program):
+            return cpu.make_machine(
+                program, symbolic_inputs=False, port_in=0, engine=engine
+            )
+
+        results = run_batch_to_halt(cpu, [machine(p) for p in programs])
+        assert len({cycles for _trace, cycles in results}) > 1
+        for program, (trace, cycles) in zip(programs, results):
+            scalar = Trace(cpu.netlist.n_nets)
+            assert cpu.run_to_halt(machine(program), trace=scalar) == cycles
+            assert trace.bit_order is scalar.bit_order
+            assert len(trace) == len(scalar) > 0
+            assert np.array_equal(trace.cycles(), scalar.cycles())
+            assert np.array_equal(trace.mem_accesses(), scalar.mem_accesses())
+            assert np.array_equal(
+                trace.values_matrix(packed=True),
+                scalar.values_matrix(packed=True),
+            )
+            assert np.array_equal(
+                trace.active_matrix(packed=True),
+                scalar.active_matrix(packed=True),
+            )
+            # pads are never active: rows are recorded without a mask
+            pads = ~scalar.bit_order.valid_mask
+            assert not (scalar.active_matrix(packed=True) & pads).any()
 
     def test_packed_matches_scalar_run(self, cpu):
         from repro.sim.batch import run_batch_to_halt

@@ -8,10 +8,12 @@ import pytest
 from repro.bench.suite import get_benchmark
 from repro.cells import SG65, SG130
 from repro.core.activity import explore
-from repro.core.peakpower import _max_planes, _plane_stack, assign_planes
+from repro.core.peakpower import _max_planes, _plane_stack
 from repro.netlist import NetlistBuilder
 from repro.power import PowerModel, design_tool_rating
-from repro.power.model import DEFAULT_MODULE_ENERGY_SCALE, _scale_for, price_numpy
+from repro.power.model import (
+    DEFAULT_MODULE_ENERGY_SCALE, _scale_for, assign_planes, price_numpy,
+)
 
 
 def tiny_netlist():
@@ -137,11 +139,12 @@ def ulp_model(cpu):
 def price_both(tables, prev, cur):
     """The C and the numpy pricer's aJ blocks for the same plane pairs
     (each starts from garbage, so both must overwrite every cell)."""
+    rows = prev.shape[1]
     blocks = [
-        np.full((prev.shape[1], tables.n_cols), -7, dtype=np.int64)
-        for _ in range(2)
+        np.full((rows, tables.n_cols), -7, dtype=np.int64) for _ in range(2)
     ]
-    tables.native(prev, cur, blocks[0])
+    values = np.concatenate([prev, cur], axis=1).transpose(1, 0, 2)
+    tables.native(values, (np.arange(rows), rows + np.arange(rows)), blocks[0])
     price_numpy(tables, prev, cur, blocks[1])
     return blocks
 
@@ -163,10 +166,94 @@ def parity_stacks(tree, model):
     for parity in (1, 0):
         targets = np.flatnonzero(local % 2 == parity)
         stacks.append(assign_planes(
-            values.take(pred[targets], axis=1), values.take(targets, axis=1),
+            values[pred[targets]].transpose(1, 0, 2),
+            values[targets].transpose(1, 0, 2),
             active[targets], max_prev, max_cur,
         ))
     return order, stacks
+
+
+#: the seven forking Table 4.1 kernels
+MULTIPATH = ("Viterbi", "inSort", "tHold", "binSearch", "div", "rle", "PI")
+
+
+def assign_price_both(model, order, values, active, pred, target):
+    """The C entry's aJ block for Algorithm 2's (pred, target) row pairs,
+    and assign_planes + price_numpy's (both start from garbage)."""
+    tables = model.bit_tables(order)
+    assert tables.native is not None, "the C pricer did not load"
+    max_prev, max_cur = _max_planes(model, order)
+    blocks = [
+        np.full((len(target), tables.n_cols), -7, dtype=np.int64)
+        for _ in range(2)
+    ]
+    tables.native(values, (pred, target), blocks[0], (active, max_prev, max_cur))
+    prev, cur = assign_planes(
+        values[pred].transpose(1, 0, 2), values[target].transpose(1, 0, 2),
+        active[target], max_prev, max_cur,
+    )
+    price_numpy(tables, prev, cur, blocks[1])
+    return blocks
+
+
+class TestAssignPriceKernel:
+    """repro_assign_price ≡ assign_planes + price_numpy, integer for
+    integer."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_x_heavy_rows(self, cpu, ulp_model, seed):
+        program = cpu.evaluator_for(None).program
+        rng = np.random.default_rng(seed)
+        n, n_words = 40, program.n_words
+
+        def bits(k=1):  # each bit set with probability 1 - 2**-k
+            word = np.zeros((n, n_words), dtype=np.uint64)
+            for _ in range(k):
+                word |= rng.integers(0, 2**64, size=(n, n_words), dtype=np.uint64)
+            return word
+
+        # rows laid out as a flat trace holds them: (n, 3, n_words), P/N
+        # then A; X (P & N) on over half the bits
+        block = np.empty((n, 3, n_words), dtype=np.uint64)
+        block[:, 0] = bits(2)
+        block[:, 1] = bits(2) | ~block[:, 0]
+        block[:, 2] = bits()
+        # the root's self-predecessor, repeated predecessors, repeats
+        target = np.concatenate([[0], rng.integers(0, n, 150), [5, 5]])
+        pred = np.concatenate([[0], rng.choice([3, 7, 11], 150), [5, 4]])
+        c, ref = assign_price_both(
+            ulp_model, program, block[:, 0:2], block[:, 2], pred, target
+        )
+        assert np.array_equal(c, ref)
+        assert np.array_equal(c[:, 1:].sum(axis=1), c[:, 0])
+        assert c[:, 0].all()
+
+    @pytest.mark.parametrize("name", MULTIPATH)
+    def test_every_multipath_tree(self, cpu, ulp_model, name):
+        benchmark = get_benchmark(name)
+        tree = explore(
+            cpu, benchmark.program(), max_cycles=benchmark.max_cycles,
+            max_segments=benchmark.max_segments,
+        )
+        assert len(tree.segments) > 1
+        order, values, active, pred, local = _plane_stack(tree)
+        for parity in (1, 0):
+            targets = np.flatnonzero(local % 2 == parity)
+            c, ref = assign_price_both(
+                ulp_model, order, values, active, pred[targets], targets
+            )
+            assert np.array_equal(c, ref), (name, parity)
+
+    def test_indices_outside_the_rows_are_refused(self, cpu, ulp_model):
+        program = cpu.evaluator_for(None).program
+        tables = ulp_model.bit_tables(program)
+        planes = np.zeros((4, 3, program.n_words), dtype=np.uint64)
+        max_prev, max_cur = _max_planes(ulp_model, program)
+        out = np.zeros((1, tables.n_cols), dtype=np.int64)
+        with pytest.raises(ValueError, match="row pairs within"):
+            tables.native(
+                planes[:, 0:2], ([0], [4]), out, (planes[:, 2], max_prev, max_cur)
+            )
 
 
 class TestExactPricing:
@@ -187,19 +274,21 @@ class TestExactPricing:
         assert np.array_equal(c[:, 1:].sum(axis=1), c[:, 0])
 
     def test_strided_rows_price_like_contiguous(self, cpu, ulp_model):
-        """Row-major (rows, 2, n_words) planes viewed rail-major — what
-        the trace path hands the kernel — price like a compact copy."""
+        """The P/N rows of a trace's (rows, 3, n_words) block — what the
+        trace path hands the kernel — price like a compact copy."""
         program = cpu.evaluator_for(None).program
         tables = ulp_model.bit_tables(program)
         rng = np.random.default_rng(5)
-        rows = random_planes(rng, 9, program.n_words).transpose(1, 0, 2).copy()
-        prev, cur = rows[:-1].transpose(1, 0, 2), rows[1:].transpose(1, 0, 2)
-        strided = price_both(tables, prev, cur)
-        compact = price_both(
-            tables, np.ascontiguousarray(prev), np.ascontiguousarray(cur)
-        )
-        for block in strided + compact[1:]:
-            assert np.array_equal(block, compact[0])
+        block = np.zeros((9, 3, program.n_words), dtype=np.uint64)
+        block[:, 0:2] = random_planes(rng, 9, program.n_words).transpose(1, 0, 2)
+        pairs = (np.arange(8), np.arange(1, 9))
+        blocks = [np.zeros((8, tables.n_cols), dtype=np.int64) for _ in range(2)]
+        for values, out in zip((block[:, 0:2], block[:, 0:2].copy()), blocks):
+            tables.native(values, pairs, out)
+        compact = block[:, 0:2].transpose(1, 0, 2)
+        assert np.array_equal(blocks[0], blocks[1])
+        for priced in price_both(tables, compact[:, :-1], compact[:, 1:]):
+            assert np.array_equal(priced, blocks[0])
 
     @pytest.mark.parametrize("name", ["mult", "inSort"])
     def test_totals_equal_fraction_sums(self, cpu, ulp_model, name):
@@ -254,8 +343,8 @@ class TestExactPricing:
         numpy_model = PowerModel(cpu.netlist, SG65, clock_ns=10.0)
         numpy_model.bit_tables(order).native = None
         traces = [
-            model.pair_power(
-                lambda a, b: (prev[:, a:b], cur[:, a:b]), prev.shape[1],
+            model.transition_power(
+                prev.transpose(1, 0, 2), cur.transpose(1, 0, 2),
                 per_module=True, bit_order=order,
             )
             for model in (ulp_model, numpy_model)

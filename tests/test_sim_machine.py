@@ -159,16 +159,16 @@ class TestVcd:
 class TestTrace:
     def test_toggled_any_unions_activity(self):
         from repro.netlist.program import net_order
-        from repro.sim.trace import CycleRecord
+        from repro.sim.trace import pack_rows
 
         order = net_order(3)
         trace = Trace(3)
         for cycle, flags in enumerate([[True, False, False],
                                        [False, True, False]]):
-            trace.append(CycleRecord(
-                cycle, order.pack_values(np.zeros(3, np.uint8)),
-                order.pack_active(np.array(flags)), cycle, 0, order,
-            ))
+            trace.append_rows(
+                pack_rows(order, np.zeros((1, 3), np.uint8), np.array([flags])),
+                [(cycle, cycle, 0)], order,
+            )
         flags = trace.toggled_any()
         assert flags.tolist() == [True, True, False]
         assert trace.mem_accesses().tolist() == [[0, 0], [1, 0]]
@@ -177,17 +177,17 @@ class TestTrace:
         """An empty trace takes its first record's bit order; a record
         in another order is refused."""
         from repro.netlist.program import NetOrder
-        from repro.sim.trace import CycleRecord
+        from repro.sim.trace import pack_rows
 
-        def record(order):
-            return CycleRecord(
-                0, order.pack_values(np.zeros(3, np.uint8)),
-                order.pack_active(np.zeros(3, bool)), 0, 0, order,
+        def record(trace, order):
+            planes = pack_rows(
+                order, np.zeros((1, 3), np.uint8), np.zeros((1, 3), bool)
             )
+            trace.append_rows(planes, [(0, 0, 0)], order)
 
         first, other = NetOrder(3), NetOrder(3)
         trace = Trace(3)
-        trace.append(record(first))
+        record(trace, first)
         assert trace.bit_order is first
         with pytest.raises(ValueError, match="one bit order"):
-            trace.append(record(other))
+            record(trace, other)
