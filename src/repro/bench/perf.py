@@ -188,14 +188,12 @@ def run_perf_suite(
         lambda: generate_stressmark(cpu, model, **ga_kwargs),
         repeats,
     )
-    from repro.sim.bitplane import default_engine
-
     engine_block = {
         # the explore widths of the reference and the native engine
         "batch_size": default_batch_size("reference"),
         # the engine the non-explore phases actually ran under (the
         # explore phase always times every engine)
-        "sim_engine": default_engine(),
+        "sim_engine": "native" if native_available else "reference",
         "native_batch_size": default_batch_size("native"),
         "repeats": repeats,
         "islands": islands,

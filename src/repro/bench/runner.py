@@ -184,19 +184,17 @@ class BenchmarkResults:
     avg_peak_trace_mw: float
 
 
-def x_based(
-    name: str, cancel=None, engine: str | None = None,
-) -> BenchmarkResults:
+def x_based(name: str, cancel=None) -> BenchmarkResults:
     """Cached X-based (our-technique) results for one benchmark.
 
-    All engines are bit-identical, so *engine* is not part of the cache
-    key and never fragments the store.  *cancel* aborts a cold compute
-    at the next engine checkpoint (cache hits return immediately either
-    way); cancellation never publishes an artifact.
+    All engines are bit-identical, so the engine is not part of the
+    cache key and never fragments the store.  *cancel* aborts a cold
+    compute at the next engine checkpoint (cache hits return immediately
+    either way); cancellation never publishes an artifact.
     """
 
     def compute() -> BenchmarkResults:
-        report = full_report(name, cancel=cancel, engine=engine)
+        report = full_report(name, cancel=cancel)
         return BenchmarkResults(
             name=name,
             peak_power_mw=report.peak_power_mw,
@@ -212,14 +210,10 @@ def x_based(
     return _cached(f"xbased_{name}_{_bench_token(benchmark)}", compute)
 
 
-def full_report(
-    name: str, cancel=None, engine: str | None = None,
-) -> AnalysisReport:
+def full_report(name: str, cancel=None) -> AnalysisReport:
     """Uncached full analysis (tree included) — for COI/validation flows.
 
-    *engine* picks the simulation representation (bit-identical either
-    way, see :func:`repro.core.api.analyze`); *cancel* threads into the
-    analysis checkpoints.
+    *cancel* threads into the analysis checkpoints.
     """
     key = f"report_{name}"
     if key in _memory_cache:
@@ -230,16 +224,13 @@ def full_report(
         benchmark.program(),
         shared_model(),
         cancel=cancel,
-        engine=engine,
         **benchmark.analysis_kwargs(),
     )
     _memory_cache[key] = report
     return report
 
 
-def profiling(
-    name: str, cancel=None, engine: str | None = None
-) -> ProfilingBaseline:
+def profiling(name: str, cancel=None) -> ProfilingBaseline:
     """Cached guardbanded input-profiling baseline for one benchmark."""
 
     def compute() -> ProfilingBaseline:
@@ -250,7 +241,6 @@ def profiling(
             benchmark.input_sets(N_PROFILING_INPUTS),
             shared_model(),
             cancel=cancel,
-            engine=engine,
         )
 
     benchmark = get_benchmark(name)
@@ -305,26 +295,14 @@ def all_names() -> list[str]:
 # ----------------------------------------------------------------------
 # Process-parallel suite runner
 # ----------------------------------------------------------------------
-_KNOB_VARS = ("REPRO_NO_CACHE", "REPRO_ENGINE")
-
-
-def _apply_knobs(no_cache: bool, engine: str | None = None) -> None:
-    """Export explicitly requested knobs; leave inherited ones alone."""
-    if no_cache:
-        os.environ["REPRO_NO_CACHE"] = "1"
-    if engine is not None:
-        os.environ["REPRO_ENGINE"] = engine
-
-
-def _suite_worker(
-    name: str, no_cache: bool, engine: str | None = None
-) -> BenchmarkResults:
+def _suite_worker(name: str, no_cache: bool) -> BenchmarkResults:
     """Compute one benchmark's X-based results in a worker process.
 
-    Explicit knobs override the (fork- or spawn-) inherited environment;
-    unset knobs fall through to whatever the caller exported.
+    ``no_cache`` overrides the (fork- or spawn-) inherited environment;
+    ``False`` falls through to whatever the caller exported.
     """
-    _apply_knobs(no_cache, engine)
+    if no_cache:
+        os.environ["REPRO_NO_CACHE"] = "1"
     return x_based(name)
 
 
@@ -332,7 +310,6 @@ def run_suite(
     names: list[str] | None = None,
     jobs: int | None = None,
     no_cache: bool = False,
-    engine: str | None = None,
 ) -> list[BenchmarkResults]:
     """X-based analysis of *names* (default: all 14), fanned out over
     ``jobs`` worker processes.
@@ -351,22 +328,18 @@ def run_suite(
     if jobs is None:
         jobs = max(1, min(len(unique), os.cpu_count() or 1))
     if jobs <= 1 or len(unique) <= 1:
-        saved = {var: os.environ.get(var) for var in _KNOB_VARS}
+        saved = os.environ.get("REPRO_NO_CACHE")
         try:
-            _apply_knobs(no_cache, engine)
-            by_name = {
-                name: x_based(name) for name in unique
-            }
+            by_name = {name: _suite_worker(name, no_cache) for name in unique}
         finally:
-            for var, value in saved.items():
-                if value is None:
-                    os.environ.pop(var, None)
-                else:
-                    os.environ[var] = value
+            if saved is None:
+                os.environ.pop("REPRO_NO_CACHE", None)
+            else:
+                os.environ["REPRO_NO_CACHE"] = saved
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                name: pool.submit(_suite_worker, name, no_cache, engine)
+                name: pool.submit(_suite_worker, name, no_cache)
                 for name in unique
             }
             by_name = {name: future.result() for name, future in futures.items()}

@@ -43,9 +43,9 @@ class Benchmark:
 
         Bundles this kernel's exploration budgets so the runner, the CLI,
         and the perf harness all analyze a benchmark identically.  The
-        simulation engine is selected by ``REPRO_ENGINE`` (see
-        :func:`repro.sim.bitplane.default_engine`), which the CLI and the
-        suite runner export; the engine fixes the lock-step width.
+        simulation engine follows from the host (native, or the
+        reference engine when the kernel cannot be built) and fixes the
+        lock-step width.
         """
         return {
             "loop_bound": self.loop_bound,

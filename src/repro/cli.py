@@ -39,16 +39,16 @@ administers the API-key keyring file ``serve --keyring`` reads
 stored); ``cache`` inspects (``stats``) or trims (``gc --max-mb N``)
 the artifact store, including seed-era legacy pickles.
 
-Engine knobs shared by the analysis commands: ``--engine native``
-(default) simulates on packed dual-rail bit planes with fixed C kernels
-compiled once per host and cached (one foreign call per batch step;
-falls back to the reference engine with a warning when no C compiler is
-available), ``--engine reference`` on the original uint8 evaluator, the
-oracle — bit-identical results either way (also settable via
-``REPRO_ENGINE``).  Execution paths and concrete runs advance in
-lock-step at a width the engine and the input fix (32 explored paths on
-the native engine, 8 on the reference engine; one lane per concrete
-run; every GA island's genomes together, in batches of at most 64).
+The engine is not an option: the analysis commands simulate on packed
+dual-rail bit planes with fixed C kernels compiled once per host and
+cached (one foreign call per batch step), and fall back to the uint8
+reference evaluator, the oracle, with one warning when the kernel cannot
+be built — bit-identical results either way.  Only ``conformance
+--engine`` picks an engine, to compare them.  Execution paths and
+concrete runs advance in lock-step at a width the engine and the input
+fix (32 explored paths on the native engine, 8 on the reference engine;
+one lane per concrete run; every GA island's genomes together, in
+batches of at most 64).
 One analysis or stressmark runs in one process.  Cores are used across
 analyses: ``suite --jobs N`` fans the benchmarks out over N processes,
 and ``serve`` runs several jobs at once in its job slots (one per core,
@@ -60,7 +60,6 @@ disk cache.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -142,12 +141,6 @@ def _make_context():
     return cpu, model
 
 
-def _apply_engine(args: argparse.Namespace) -> None:
-    """Export --engine so everything downstream honors it."""
-    if getattr(args, "engine", None):
-        os.environ["REPRO_ENGINE"] = args.engine
-
-
 def _positive_int(text: str) -> int:
     """argparse type: an integer >= 1."""
     try:
@@ -160,14 +153,12 @@ def _positive_int(text: str) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _apply_engine(args)
     program = _load_program(args.program)
     cpu, model = _make_context()
     with _program_errors():
         report = analyze(
             cpu, program, model,
             loop_bound=args.loop_bound, vcd_dir=args.vcd_dir,
-            engine=args.engine,
         )
     if args.json:
         import json
@@ -204,7 +195,6 @@ def _input_sets(specs: list[str], program) -> list[list[int]]:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    _apply_engine(args)
     program = _load_program(args.program)
     input_sets = _input_sets(args.inputs, program)
     cpu, model = _make_context()
@@ -220,14 +210,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_coi(args: argparse.Namespace) -> int:
-    _apply_engine(args)
     program = _load_program(args.program)
     cpu, model = _make_context()
     with _program_errors():
-        report = analyze(
-            cpu, program, model,
-            loop_bound=args.loop_bound, engine=args.engine,
-        )
+        report = analyze(cpu, program, model, loop_bound=args.loop_bound)
     reports = cycles_of_interest(
         report.tree, report.peak_power, program, count=args.count
     )
@@ -240,14 +226,10 @@ def cmd_coi(args: argparse.Namespace) -> int:
 def cmd_suite(args: argparse.Namespace) -> int:
     from repro.bench import runner
 
-    _apply_engine(args)
-    if args.no_cache:
-        os.environ["REPRO_NO_CACHE"] = "1"
     results = runner.run_suite(
         _resolve_benchmarks(args.benchmarks),  # None = all benchmarks
         jobs=args.jobs,
         no_cache=args.no_cache,
-        engine=args.engine,
     )
     for result in results:
         print(f"{result.name:>10}: peak {result.peak_power_mw:.3f} mW, "
@@ -258,8 +240,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench.perf import run_perf_suite, write_report
-
-    _apply_engine(args)
 
     names = _resolve_benchmarks(args.benchmarks)
     report = run_perf_suite(
@@ -345,7 +325,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.bench import runner
     from repro.service.server import serve
 
-    _apply_engine(args)
     if args.store is not None:
         runner.CACHE_DIR = Path(args.store)
     return serve(
@@ -353,7 +332,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         max_jobs=args.max_jobs,
         verbose=args.verbose,
-        backend=args.backend,
         recover=not args.no_recover,
         heartbeat_timeout=args.heartbeat_timeout or None,
         max_job_seconds=args.max_job_seconds or None,
@@ -374,8 +352,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
     params = {}
     if args.kind in ("analyze", "profile"):
         params["benchmark"] = args.benchmark
-        if args.engine is not None:
-            params["engine"] = args.engine
     elif args.kind == "conformance":
         # positional: "all" = the whole registry, "none" = fuzz only,
         # otherwise a comma-separated subset (validated before the wire)
@@ -387,8 +363,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
             params["benchmarks"] = _resolve_benchmarks(args.benchmark)
         params["fuzz"] = args.fuzz
         params["seed"] = args.seed
-        if args.engine is not None:
-            params["engine"] = args.engine
     else:
         params["objective"] = args.benchmark
         if args.islands is not None:
@@ -628,16 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_engine(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--engine", choices=ENGINES, default=None,
-            help="simulation representation: the compiled C kernels on "
-                 "packed dual-rail bit planes (default; the reference "
-                 "engine when no C compiler), or the uint8 reference "
-                 "evaluator; results are bit-identical (also "
-                 "$REPRO_ENGINE)",
-        )
-
     p_analyze = sub.add_parser("analyze", help="X-based analysis of a program")
     p_analyze.add_argument("program", help="assembly source file")
     p_analyze.add_argument("--loop-bound", type=int, default=None)
@@ -646,21 +610,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--json", action="store_true",
                            help="print the bound as one JSON object "
                                 "(bit-exact floats, for scripting/CI)")
-    add_engine(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_profile = sub.add_parser("profile", help="guardbanded input profiling")
     p_profile.add_argument("program")
     p_profile.add_argument("--inputs", action="append", required=True,
                            help="comma-separated input words; repeatable")
-    add_engine(p_profile)
     p_profile.set_defaults(func=cmd_profile)
 
     p_coi = sub.add_parser("coi", help="cycles-of-interest report")
     p_coi.add_argument("program")
     p_coi.add_argument("--count", type=int, default=5)
     p_coi.add_argument("--loop-bound", type=int, default=None)
-    add_engine(p_coi)
     p_coi.set_defaults(func=cmd_coi)
 
     def add_island_knobs(sub_parser: argparse.ArgumentParser) -> None:
@@ -684,7 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--no-cache", action="store_true",
                          help="bypass the versioned artifact store "
                               "(same as REPRO_NO_CACHE=1)")
-    add_engine(p_suite)
     p_suite.set_defaults(func=cmd_suite)
 
     p_bench = sub.add_parser(
@@ -695,7 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated subset (default: all 14)")
     p_bench.add_argument("--output", default="BENCH_suite.json")
     p_bench.add_argument("--repeats", type=int, default=1)
-    add_engine(p_bench)
     add_island_knobs(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -748,12 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-jobs", type=int, default=None, metavar="N",
                          help="concurrent job slots (default: the "
                               "core count)")
-    p_serve.add_argument("--backend", choices=("process", "thread"),
-                         default="process",
-                         help="job execution backend: 'process' (default) "
-                              "runs each job in its own worker process — "
-                              "crash isolation and real cancellation; "
-                              "'thread' runs executors in-process")
     p_serve.add_argument("--verbose", action="store_true",
                          help="log every HTTP request")
     p_serve.add_argument("--no-recover", action="store_true",
@@ -778,8 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "when set, every request except /healthz "
                               "needs a valid API key and per-tenant "
                               "rate/job quotas apply")
-    p_serve.set_defaults(func=cmd_serve, engine=None, islands=None,
-                         migration_interval=None)
+    p_serve.set_defaults(func=cmd_serve)
 
     p_submit = sub.add_parser(
         "submit", help="submit one job to a running analysis service"
@@ -808,9 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--deadline", type=float, default=0.0, metavar="S",
                           help="server-side wall-clock budget: the job is "
                                "killed and failed past S seconds (0 = none)")
-    p_submit.add_argument("--engine", choices=ENGINES, default=None,
-                          help="simulation engine the server should use "
-                               "for this job (kinds analyze/profile)")
     add_island_knobs(p_submit)
     p_submit.set_defaults(func=cmd_submit)
 

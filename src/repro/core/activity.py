@@ -260,10 +260,10 @@ def explore(
     """Run Algorithm 1 for *program* on the gate-level *cpu*.
 
     *engine* selects the simulation representation: ``"native"`` (the
-    compiled C kernels on packed dual rail, the default; the reference
-    engine when no C compiler is available) or ``"reference"`` (the uint8
-    oracle); ``None`` honors ``REPRO_ENGINE``.  The number of pending
-    paths settled in lock-step follows the engine actually built
+    compiled C kernels on packed dual rail) or ``"reference"`` (the
+    uint8 oracle); ``None``, as every analysis passes it, is native, or
+    the reference engine when the kernel cannot be built.  The number of
+    pending paths settled in lock-step follows the engine actually built
     (:func:`default_batch_size`).  The exploration runs in the calling
     process; cores are spent across analyses (``suite --jobs``, service
     job slots), not inside one.  Both engines return the identical

@@ -77,16 +77,14 @@ def analyze(
     max_cycles: int = 200_000,
     max_segments: int = 4_096,
     vcd_dir=None,
-    engine: str | None = None,
     cancel=None,
 ) -> AnalysisReport:
     """Full input-independent peak power and energy analysis.
 
-    *engine* selects the simulation representation — ``"native"``
-    (the compiled C kernels on packed dual rail, the default; the
-    reference engine when no compiler), or ``"reference"`` (the uint8
-    oracle); ``None`` honors ``REPRO_ENGINE``.  Both are bit-identical,
-    and Algorithm 1 explores at the engine's lock-step width (see
+    It simulates on the native engine (the compiled C kernels on packed
+    dual rail), or on the reference engine, the uint8 oracle, when the
+    kernel cannot be built — bit-identical either way; Algorithm 1
+    explores at the engine's lock-step width (see
     :func:`repro.core.activity.explore`).  One analysis runs in one
     process; to use several cores, run several analyses at once
     (``suite --jobs``, service job slots).
@@ -100,7 +98,6 @@ def analyze(
         program,
         max_cycles=max_cycles,
         max_segments=max_segments,
-        engine=engine,
         cancel=cancel,
     )
     peak_power = compute_peak_power(tree, model, vcd_dir=vcd_dir, cancel=cancel)

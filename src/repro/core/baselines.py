@@ -88,12 +88,9 @@ def _measure(
 def profile_one(
     cpu, program: Program, inputs: list[int], model: PowerModel,
     port_in: int = 0, max_cycles: int = 200_000,
-    engine: str | None = None,
 ) -> ProfiledInput:
     concrete = program.with_inputs(inputs)
-    machine = cpu.make_machine(
-        concrete, symbolic_inputs=False, port_in=port_in, engine=engine
-    )
+    machine = cpu.make_machine(concrete, symbolic_inputs=False, port_in=port_in)
     trace = Trace(machine.netlist.n_nets)
     cpu.run_to_halt(machine, max_cycles=max_cycles, trace=trace)
     return _measure(inputs, trace, model)
@@ -106,7 +103,6 @@ def input_profiling(
     model: PowerModel,
     max_cycles: int = 200_000,
     cancel=None,
-    engine: str | None = None,
 ) -> ProfilingBaseline:
     """The paper's profiling baseline over several input sets.
 
@@ -125,8 +121,7 @@ def input_profiling(
         cancel.check()
     machines = [
         cpu.make_machine(
-            program.with_inputs(inputs), symbolic_inputs=False, port_in=0,
-            engine=engine,
+            program.with_inputs(inputs), symbolic_inputs=False, port_in=0
         )
         for inputs in input_sets
     ]

@@ -35,7 +35,7 @@ from repro.netlist.program import NetlistProgram
 from repro.sim.evaluator import LevelizedEvaluator
 from repro.sim.machine import Machine, MemoryPorts
 from repro.sim.memory import TernaryMemory
-from repro.sim.native import LaneTables, evaluator_or_fallback, prefetch
+from repro.sim.native import LaneTables, evaluator_or_fallback, start_build
 from repro.cpu.datapath import (
     and_or_select,
     build_alu,
@@ -117,7 +117,7 @@ def build_ulp430(prefetch_kernel: bool = True) -> "Ulp430":
     fork.
     """
     if prefetch_kernel:
-        prefetch()
+        start_build()
     nb = NetlistBuilder("ulp430")
 
     # ------------------------------------------------------------------
@@ -691,7 +691,8 @@ class Ulp430(object):
         return self._gate_schedule
 
     def evaluator_for(self, engine: str | None = None):
-        """The shared evaluator for *engine* (``None``: ``REPRO_ENGINE``)."""
+        """The shared evaluator for *engine* (``None``: native, or this
+        CPU's reference evaluator when the kernel cannot be built)."""
         from repro.sim.bitplane import ENGINES, default_engine
 
         engine = engine or default_engine()
@@ -725,7 +726,8 @@ class Ulp430(object):
         otherwise the regions must have been filled via
         ``program.with_inputs(...)`` and *port_in* gives the pin values.
         *engine* picks the simulation engine (native or reference);
-        ``None`` honors ``REPRO_ENGINE``.
+        ``None`` is native, or the reference engine when the kernel
+        cannot be built.
         """
         memory = TernaryMemory(n_words=1 << 15)
         memory.load_program(program.words)

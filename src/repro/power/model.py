@@ -16,12 +16,12 @@ that is not — so rows are priced in int64 aJ straight from packed
 dual-rail P/N words: the rising and falling edge words of each
 ``(previous, current)`` row pair (:func:`edge_planes`) select the bits
 whose energies are summed, in total and per module.  The native
-:class:`repro.sim.native.Pricer` does this with a set-bit walk:
-``repro_price`` for concrete traces and explicit row pairs, and
-``repro_assign_price``, which also X-assigns each pair on the way, for
-Algorithm 2; both read their rows in place.  Without a C compiler,
-:func:`price_numpy` (after :func:`repro.core.peakpower.assign_planes`
-for Algorithm 2) is the path and the oracle.  Integer sums do not
+:class:`repro.sim.native.Pricer` does this with a set-bit walk in one
+entry, ``repro_price``: it reads ``(pred, target)`` row pairs in place
+and, given the target's activity words (Algorithm 2; none for a plain
+trace), X-assigns each pair on the way.  Without a C compiler,
+:func:`price_numpy` (after :func:`assign_planes` for Algorithm 2) is
+the path and the oracle.  Integer sums do not
 depend on their order, so all give the same integers at any block size
 and under any numpy.  Floats are made once, in
 :meth:`PowerModel._assemble_power`, where the fJ total (aJ / 1000) meets

@@ -20,8 +20,9 @@ It holds no native-kernel state.  The CPU is elaborated without the
 kernel prefetch: a compile thread started here would write under the
 forkserver's working directory instead of the job's store, and every
 forked worker would inherit it dead.  Each job loads the kernel under
-its own store directory, as a single analysis does, and picks its
-engine from its own environment.
+its own store directory, as a single analysis does, with its own
+environment's compiler (``CC``); when that cannot build it, the job
+falls back to the reference engine.
 """
 
 from repro.bench import runner

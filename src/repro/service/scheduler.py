@@ -117,18 +117,11 @@ def normalize_params(kind: str, params: dict) -> dict:
             raise ValueError(
                 f"islands must be <= {MAX_ISLANDS}, got {params['islands']}"
             )
-    if kind in ("analyze", "profile"):
-        from repro.sim.bitplane import ENGINES, default_engine
-
-        engine = params.get("engine")
-        if engine is None:
-            # resolve the server-side default so "omitted" and "explicit
-            # default" sign identically and dedupe onto one job
-            params["engine"] = default_engine()
-        elif engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
+    if kind in ("analyze", "profile") and "engine" in params:
+        raise ValueError(
+            f"{kind} jobs take no engine: it follows from the host "
+            f"(only conformance jobs name one, to compare engines)"
+        )
     if kind == "conformance":
         from repro.sim.bitplane import ENGINES
 
@@ -824,11 +817,8 @@ def run_analyze_job(params: dict, ctx: JobContext) -> dict:
     from repro.bench import runner
 
     name = _require_benchmark(params)
-    engine = params.get("engine")
-    ctx.emit("resolve", f"x_based({name!r}), engine={engine}")
-    result = runner.x_based(
-        name, cancel=getattr(ctx, "cancel", None), engine=engine
-    )
+    ctx.emit("resolve", f"x_based({name!r})")
+    result = runner.x_based(name, cancel=getattr(ctx, "cancel", None))
     return _analysis_payload(result)
 
 
@@ -838,11 +828,8 @@ def run_profile_job(params: dict, ctx: JobContext) -> dict:
     from repro.core.baselines import GUARDBAND
 
     name = _require_benchmark(params)
-    engine = params.get("engine")
-    ctx.emit("resolve", f"profiling({name!r}), engine={engine}")
-    profile = runner.profiling(
-        name, cancel=getattr(ctx, "cancel", None), engine=engine
-    )
+    ctx.emit("resolve", f"profiling({name!r})")
+    profile = runner.profiling(name, cancel=getattr(ctx, "cancel", None))
     return {
         "kind": "profiling",
         "benchmark": name,

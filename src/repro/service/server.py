@@ -86,11 +86,10 @@ class AnalysisService:
     """The server-side bundle: one scheduler + the artifact store.
 
     When no *scheduler* is supplied, one is built on the **process**
-    execution backend by default: each job runs in its own worker
-    process, so an engine crash fails that one job (the server keeps
-    serving) and DELETE on a running job actually stops it.
-    *backend* ``"thread"`` restores the in-process executors (tests,
-    single-shot scripting).
+    execution backend: each job runs in its own worker process, so an
+    engine crash fails that one job (the server keeps serving) and
+    DELETE on a running job actually stops it.  Tests that need
+    in-process executors pass their own ``JobScheduler(backend="thread")``.
 
     *keyring* (a :class:`repro.tenancy.Keyring` or a path to one)
     switches on multi-tenancy: authn, per-tenant rate limits and job
@@ -103,7 +102,6 @@ class AnalysisService:
         scheduler: JobScheduler | None = None,
         store=None,
         max_jobs: int | None = None,
-        backend: str = "process",
         recover: bool = True,
         heartbeat_timeout: float | None = None,
         max_job_seconds: float | None = None,
@@ -138,7 +136,7 @@ class AnalysisService:
             kwargs["max_retries"] = max_retries
         self.scheduler = JobScheduler(
             max_concurrent=max_jobs,
-            backend=backend,
+            backend="process",
             heartbeat_timeout=heartbeat_timeout,
             max_job_seconds=max_job_seconds,
             journal=journal,
@@ -648,7 +646,6 @@ def serve(
     port: int = DEFAULT_PORT,
     max_jobs: int | None = None,
     verbose: bool = True,
-    backend: str = "process",
     recover: bool = True,
     heartbeat_timeout: float | None = None,
     max_job_seconds: float | None = None,
@@ -664,7 +661,6 @@ def serve(
     """
     service = AnalysisService(
         max_jobs=max_jobs,
-        backend=backend,
         recover=recover,
         heartbeat_timeout=heartbeat_timeout,
         max_job_seconds=max_job_seconds,

@@ -54,7 +54,7 @@ Results are bit-identical to the in-thread backend: the worker runs the
 same executors against the same artifact store, and cancellation only
 ever aborts work, it never alters a result.  The forkserver's state is
 frozen when it starts, so each job ships what may have changed since:
-the server's environment (``REPRO_FAULTS``, ``REPRO_ENGINE``, ``CC``
+the server's environment (``REPRO_FAULTS``, ``REPRO_NO_CACHE``, ``CC``
 ...), installed before anything reads it, and ``CACHE_DIR``, which is a
 module global of the server; multiprocessing itself ships the working
 directory and ``sys.path``.  The preload holds no native-kernel state,

@@ -28,8 +28,6 @@ domain) and per benchmark (whole execution trees).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.netlist.core import Netlist
@@ -42,24 +40,21 @@ _ONE = np.uint64(1)
 #: the oracle, which ``native`` falls back to without a C compiler
 ENGINES = ("native", "reference")
 
-#: engine used when nothing is specified; override with ``REPRO_ENGINE``
-DEFAULT_ENGINE = "native"
-
 
 def default_engine() -> str:
-    """The engine selected by the ``REPRO_ENGINE`` environment variable."""
-    raw = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    if not raw:
-        return DEFAULT_ENGINE
-    if raw not in ENGINES:
-        raise ValueError(
-            f"REPRO_ENGINE must be one of {ENGINES}, got {raw!r}"
-        )
-    return raw
+    """The engine used when none is named: always ``"native"``.
+
+    The engine follows from the host, never from an option: ``native``
+    falls back to the reference engine when its kernel cannot be built
+    or loaded.  Only the oracle seam (tests, ``repro conformance``,
+    ``repro bench``'s explore timing) names ``"reference"``.
+    """
+    return "native"
 
 
 def make_evaluator(netlist: Netlist, engine: str | None = None):
-    """Build the evaluator for *engine* (``None``: honor ``REPRO_ENGINE``)."""
+    """Build the evaluator for *engine* (``None``: native, or the
+    reference engine when the kernel cannot be built)."""
     from repro.sim.evaluator import LevelizedEvaluator
 
     engine = engine or default_engine()

@@ -315,8 +315,9 @@ class Machine:
     ):
         self.netlist = netlist
         self.ports = ports
-        #: ``evaluator=None`` honors ``REPRO_ENGINE`` (default: native);
-        #: pass a LevelizedEvaluator for the uint8 reference engine.
+        #: ``evaluator=None`` builds the native evaluator (the reference
+        #: engine when the kernel cannot be built); pass a
+        #: LevelizedEvaluator for the uint8 reference engine.
         self.evaluator = evaluator or make_evaluator(netlist)
         #: True when state lives in packed dual-rail bit planes
         self.packed = bool(getattr(self.evaluator, "packed", False))

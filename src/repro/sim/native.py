@@ -54,8 +54,8 @@ Because the source never depends on the netlist, it compiles once per
 (about 0.1 s) and one loaded library serves every netlist in the
 process; the tables are handed over when an evaluator or a batch is
 built.  :func:`start_build` compiles in the background; ``build_ulp430``
-calls it (through :func:`prefetch`) before elaborating the CPU, so a cold
-build overlaps elaboration and the schedule compile.
+calls it before elaborating the CPU, so a cold build overlaps
+elaboration and the schedule compile.
 
 Bit identity with ``reference`` (the uint8 oracle) is a hard contract:
 the differential suite pins values, A plane and memo ``state_bytes`` per
@@ -83,7 +83,7 @@ import numpy as np
 
 from repro.netlist.core import Netlist
 from repro.netlist.program import RUN_ORDER, NetlistProgram
-from repro.sim.bitplane import BitplaneEvaluator, default_engine
+from repro.sim.bitplane import BitplaneEvaluator
 from repro.sim.evaluator import LevelizedEvaluator
 
 #: the kernels
@@ -574,20 +574,6 @@ def start_build() -> None:
                 _BUILD = _Build()
             except NativeKernelError:
                 pass
-
-
-def prefetch() -> None:
-    """:func:`start_build` if ``REPRO_ENGINE`` selects native (the default).
-
-    The kernel does not depend on the netlist, so callers start it before
-    elaborating one; a bad ``REPRO_ENGINE`` is left for whoever selects
-    the engine to report.
-    """
-    try:
-        if default_engine() == "native":
-            start_build()
-    except ValueError:
-        pass
 
 
 def load_kernel() -> NativeKernel:

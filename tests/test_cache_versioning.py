@@ -141,12 +141,10 @@ class TestParallelRunner:
     def test_sequential_run_does_not_leak_knobs(self, isolated_cache,
                                                 monkeypatch):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        runner.run_suite(["mult"], jobs=1, no_cache=True, engine="native")
+        runner.run_suite(["mult"], jobs=1, no_cache=True)
         import os
 
         assert "REPRO_NO_CACHE" not in os.environ
-        assert "REPRO_ENGINE" not in os.environ
         assert runner.cache_enabled()
 
     def test_duplicate_names_computed_once(self, isolated_cache, monkeypatch):

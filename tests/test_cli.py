@@ -78,21 +78,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "peak power" in out and "mW" in out
 
-    def test_analyze_engines_agree(self, program_file, capsys, monkeypatch):
-        """--engine reference and --engine native print the same numbers
-        (and the flag exports REPRO_ENGINE for downstream machines)."""
-        import os
-
-        # setenv (not delenv) so monkeypatch records the original absence
-        # and removes the variable again at teardown even though the CLI
-        # handler overwrites it via os.environ directly.
-        monkeypatch.setenv("REPRO_ENGINE", "native")
-        outputs = []
-        for engine in ("native", "reference"):
-            assert main(["analyze", program_file, "--engine", engine]) == 0
-            outputs.append(capsys.readouterr().out)
-            assert os.environ["REPRO_ENGINE"] == engine
-        assert outputs[0] == outputs[1]
+    def test_analyze_ignores_repro_engine(
+        self, program_file, capsys, monkeypatch
+    ):
+        """The engine follows from the host: the variable that once
+        picked it changes nothing ``analyze`` prints, valid or not."""
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert main(["analyze", program_file]) == 0
+        plain = capsys.readouterr()
+        for value in ("reference", "simulink"):
+            monkeypatch.setenv("REPRO_ENGINE", value)
+            assert main(["analyze", program_file]) == 0
+            assert capsys.readouterr() == plain
 
     def test_analyze_writes_vcds(self, program_file, tmp_path, capsys):
         vcd_dir = tmp_path / "vcds"
@@ -254,6 +251,55 @@ class TestServiceCli:
             main(["suite", "--benchmarks", "mult", flag, "3"])
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "prog.asm"],
+            ["profile", "prog.asm", "--inputs", "1"],
+            ["coi", "prog.asm"],
+            ["suite"],
+            ["bench"],
+            ["submit", "mult"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_engine_flag_is_gone(self, argv, capsys):
+        """Only ``conformance`` names an engine, to compare them; every
+        other command runs on the one the host can build."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--engine", "native"])
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
+    def test_serve_backend_flag_is_gone(self, capsys):
+        """The HTTP service always runs jobs on the process backend."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--backend", "thread"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    def test_suite_no_cache_leaves_the_environment_alone(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``suite --no-cache`` bypasses the store for its own run only:
+        an in-process run leaves the disk cache on for what follows."""
+        import os
+
+        from repro.bench import runner
+
+        monkeypatch.setattr(runner, "CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(runner, "_store", None)
+        # setenv first, so teardown removes the variable even if the
+        # command leaks it
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        monkeypatch.delenv("REPRO_NO_CACHE")
+        argv = ["suite", "--benchmarks", "mult", "--no-cache", "--jobs", "1"]
+        assert main(argv) == 0
+        assert "mult: peak" in capsys.readouterr().out
+        assert "REPRO_NO_CACHE" not in os.environ
+        assert runner.cache_enabled()
+        runner._store = None
 
     @pytest.mark.parametrize("command", ["bench", "serve"])
     def test_workers_flag_is_gone(self, command, capsys):

@@ -192,6 +192,7 @@ def test_cli_conformance_clean_exits_zero(capsys):
     ])
     assert rc == 0
     out = capsys.readouterr().out
+    assert "benchmarks: 1/1 program-engine runs" in out  # one engine
     assert "conformance OK" in out
 
 

@@ -449,7 +449,6 @@ class TestFallback:
         from repro.cpu.core import Ulp430
 
         monkeypatch.setattr(native, "find_compiler", lambda: None)
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
         native._reset_fallback_warning()
         fresh = Ulp430(cpu.netlist, cpu.ports, cpu.nets)  # nothing cached
         widths = []
@@ -488,7 +487,6 @@ class TestFallback:
         from repro.cpu.core import Ulp430
 
         monkeypatch.setattr(native, "find_compiler", lambda: None)
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
         native._reset_fallback_warning()
         fresh = Ulp430(cpu.netlist, cpu.ports, cpu.nets)  # nothing cached
         schedule = fresh.gate_schedule()
@@ -580,21 +578,21 @@ class TestEnginePlumbing:
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(
-                ["analyze", "prog.asm", "--engine", "bitplane"]
-            )
+            build_parser().parse_args(["conformance", "--engine", "bitplane"])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "'native'" in err and "'reference'" in err
 
-    def test_repro_engine_env(self, monkeypatch):
+    def test_repro_engine_env(self, cpu, monkeypatch):
+        """The variable that once picked the engine is ignored, valid or
+        not: ``None`` is the CPU's native evaluator."""
         from repro.sim.bitplane import default_engine
 
-        monkeypatch.setenv("REPRO_ENGINE", "native")
-        assert default_engine() == "native"
-        monkeypatch.setenv("REPRO_ENGINE", "simulink")
-        with pytest.raises(ValueError, match="native"):
-            default_engine()
+        for raw in ("reference", "simulink"):
+            monkeypatch.setenv("REPRO_ENGINE", raw)
+            assert default_engine() == "native"
+            assert cpu.evaluator_for(None) is cpu.evaluator_for("native")
+            assert isinstance(cpu.evaluator_for(None), NativeEvaluator)
 
     def test_native_batches_like_bitplane(self):
         """The native width is the packed batch width; the reference
@@ -609,33 +607,32 @@ class TestEnginePlumbing:
         assert default_batch_size("reference") == DEFAULT_BATCH_SIZE
 
     def test_cli_accepts_native(self):
+        """Only ``conformance`` names an engine (``test_cli`` pins that
+        every other command refuses ``--engine``)."""
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["analyze", "prog.asm", "--engine", "native"]
-        )
-        assert args.engine == "native"
-        args = build_parser().parse_args(
-            ["submit", "mult", "--engine", "native"]
-        )
+        args = build_parser().parse_args(["conformance", "--engine", "native"])
         assert args.engine == "native"
 
     def test_service_normalize_params(self):
+        """Analysis jobs take no engine, valid or not; a conformance job
+        still names one of ``ENGINES`` (or all of them)."""
         from repro.service.scheduler import normalize_params
 
-        params = normalize_params("analyze", {"benchmark": "mult"})
-        assert params["engine"] in ENGINES  # resolved server-side default
-        params = normalize_params(
-            "profile", {"benchmark": "mult", "engine": "native"}
-        )
+        for kind in ("analyze", "profile"):
+            params = normalize_params(kind, {"benchmark": "mult"})
+            assert params == {"benchmark": "mult"}
+            for engine in ("native", "reference", "bitplane", None):
+                with pytest.raises(ValueError, match="engine"):
+                    normalize_params(
+                        kind, {"benchmark": "mult", "engine": engine}
+                    )
+        params = normalize_params("conformance", {"engine": "native"})
         assert params["engine"] == "native"
-        for engine in ("hdl", "bitplane"):
-            with pytest.raises(ValueError) as err:
-                normalize_params(
-                    "analyze", {"benchmark": "mult", "engine": engine}
-                )
-            for name in ENGINES:
-                assert name in str(err.value)
+        with pytest.raises(ValueError) as err:
+            normalize_params("conformance", {"engine": "bitplane"})
+        for name in ENGINES:
+            assert name in str(err.value)
 
 
 # ----------------------------------------------------------------------
@@ -653,8 +650,7 @@ class TestKernelCache:
         )
         assert toy.lanes.table.nw != real.lanes.table.nw
 
-    def test_default_engine_is_native(self, cpu, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    def test_default_engine_is_native(self, cpu):
         assert isinstance(cpu.evaluator_for(None), NativeEvaluator)
 
     def test_cold_build_then_cached_load(self, unloaded):
@@ -683,7 +679,7 @@ class TestKernelCache:
 
 
 # ----------------------------------------------------------------------
-# Threads sharing one CPU (repro serve --backend thread, suite jobs)
+# Threads sharing one CPU (a JobScheduler(backend="thread")'s job slots)
 # ----------------------------------------------------------------------
 THREADED = ("mult", "FFT", "intAVG", "tea8")
 

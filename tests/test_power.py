@@ -197,8 +197,8 @@ def assign_price_both(model, order, values, active, pred, target):
 
 
 class TestAssignPriceKernel:
-    """repro_assign_price ≡ assign_planes + price_numpy, integer for
-    integer."""
+    """repro_price with activity words (X-assigning each pair) ≡
+    assign_planes + price_numpy, integer for integer."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_x_heavy_rows(self, cpu, ulp_model, seed):

@@ -110,6 +110,18 @@ class TestEndpoints:
             assert knob in err.value.payload["error"], params
         assert client.jobs() == []
 
+    def test_analysis_jobs_take_no_engine_400(self, client):
+        """The engine follows from the host: an analyze or profile job
+        that names one, valid or not, fails the submit with a 400 and no
+        job is created."""
+        for kind in ("analyze", "profile"):
+            for engine in ("native", "reference", "bogus"):
+                with pytest.raises(ServiceError) as err:
+                    client.submit(kind, benchmark="mult", engine=engine)
+                assert err.value.status == 400, (kind, engine)
+                assert "engine" in err.value.payload["error"]
+        assert client.jobs() == []
+
     def test_unknown_kind_400(self, client):
         with pytest.raises(ServiceError) as err:
             client.submit("frobnicate")

@@ -220,6 +220,34 @@ class TestRecoverJobs:
         finally:
             scheduler.shutdown()
 
+    def test_engine_carrying_analysis_records_are_skipped(
+        self, tmp_path, monkeypatch
+    ):
+        """Analyze and profile jobs journaled with an ``engine`` (which
+        they no longer take) are skipped on recovery, and the server
+        still starts."""
+        from repro.bench import runner
+        from repro.service.journal import JOURNAL_NAME
+        from repro.service.server import AnalysisService
+
+        monkeypatch.setattr(runner, "CACHE_DIR", tmp_path)
+        old = JobJournal(tmp_path / JOURNAL_NAME)
+        old.record_submit(
+            "job-00001", "analyze", {"benchmark": "mult", "engine": "native"}
+        )
+        old.record_submit(
+            "job-00002", "profile",
+            {"benchmark": "mult", "engine": "reference"},
+        )
+        service = AnalysisService(max_jobs=1)
+        try:
+            assert service.recovered == {
+                "requeued": 0, "merged": 0, "skipped": 2, "torn_lines": 0,
+            }
+            assert service.scheduler.jobs() == []
+        finally:
+            service.close()
+
     def test_duplicate_signatures_merge(self, journal):
         report = ReplayReport(
             pending=[

@@ -95,7 +95,7 @@ def _preload_executor(params, ctx):
         "no_build": native._BUILD is None,
         "no_kernel": native._KERNEL is None,
     }
-    # the engine the job's own environment picks (REPRO_ENGINE)
+    # native, or the fallback when the job's own CC cannot build it
     evaluator = runner.shared_cpu().evaluator_for()
     inherited = schedule is not None and (
         getattr(evaluator, "program", None) is schedule[0]
@@ -108,10 +108,6 @@ def _preload_executor(params, ctx):
     }
 
 
-def _environ_executor(params, ctx):
-    return {"engine": os.environ.get("REPRO_ENGINE")}
-
-
 def _test_executors():
     return {
         "echo": _echo_executor,
@@ -119,7 +115,6 @@ def _test_executors():
         "stubborn": _stubborn_executor,
         "cooperative": _cooperative_executor,
         "preload": _preload_executor,
-        "environ": _environ_executor,
     }
 
 
@@ -253,30 +248,42 @@ class TestProcessBackend:
         assert scheduler.wait(first.id, 10)
         assert first.state == CANCELLED
 
+    def _preload_jobs(self, scheduler, monkeypatch, compilers):
+        """Run one ``preload`` job per entry of *compilers*, each with
+        ``CC`` set to it in the server's environment (``None``: the
+        host's own)."""
+        host_cc = os.environ.get("CC")
+        results = []
+        for step, cc in enumerate(compilers):
+            if cc is not None:
+                monkeypatch.setenv("CC", cc)
+            elif host_cc is None:
+                monkeypatch.delenv("CC", raising=False)
+            else:
+                monkeypatch.setenv("CC", host_cc)
+            job, _ = scheduler.submit("preload", {"step": step})
+            assert scheduler.wait(job.id, 60)
+            assert job.state == DONE, job.error
+            results.append(job.result)
+        return results
+
     def test_worker_starts_elaborated_without_kernel_state(
         self, scheduler, monkeypatch
     ):
         """A worker starts with the CPU and its gate schedule built but no
         kernel state; its native evaluator adopts the inherited schedule
-        (builds no ``NetlistProgram`` or ``LaneTables``), and the schedule
-        does not change the engine the job's environment picks."""
+        (builds no ``NetlistProgram`` or ``LaneTables``).  With a ``CC``
+        that cannot build the kernel the job falls back to the reference
+        evaluator, and adopts no schedule."""
         from repro.sim.native import find_compiler
 
         entry = {
             "cpu_built": True, "schedule_built": True,
             "no_build": True, "no_kernel": True,
         }
-        results = []
-        for engine in (None, "reference"):
-            if engine is None:
-                monkeypatch.delenv("REPRO_ENGINE", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_ENGINE", engine)
-            job, _ = scheduler.submit("preload", {"engine": engine})
-            assert scheduler.wait(job.id, 60)
-            assert job.state == DONE, job.error
-            results.append(job.result)
-        native, reference = results
+        native, failing = self._preload_jobs(
+            scheduler, monkeypatch, (None, "false")
+        )
         # without a compiler the native engine is the reference fallback
         compiled = find_compiler() is not None
         assert native == {
@@ -286,7 +293,7 @@ class TestProcessBackend:
             ),
             "schedule_inherited": compiled,
         }
-        assert reference == {
+        assert failing == {
             **entry,
             "evaluator": "LevelizedEvaluator",
             "schedule_inherited": False,
@@ -295,17 +302,20 @@ class TestProcessBackend:
     def test_worker_sees_the_environment_at_job_start(
         self, scheduler, monkeypatch
     ):
-        seen = []
-        for engine in (None, "reference", None):
-            if engine is None:
-                monkeypatch.delenv("REPRO_ENGINE", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_ENGINE", engine)
-            job, _ = scheduler.submit("environ", {"step": len(seen)})
-            assert scheduler.wait(job.id, 60)
-            assert job.state == DONE, job.error
-            seen.append(job.result["engine"])
-        assert seen == [None, "reference", None]
+        """Each job reads the server's environment as it is when the job
+        starts, not as the forkserver found it."""
+        from repro.sim.native import find_compiler
+
+        host = (
+            "NativeEvaluator" if find_compiler() is not None
+            else "LevelizedEvaluator"
+        )
+        results = self._preload_jobs(
+            scheduler, monkeypatch, (None, "false", None)
+        )
+        assert [r["evaluator"] for r in results] == [
+            host, "LevelizedEvaluator", host,
+        ]
 
     @pytest.mark.slow
     def test_serve_writes_nothing_under_its_cwd(self, tmp_path):
