@@ -11,16 +11,16 @@ input-dependent loops terminate).
 One drain loop implements the exploration: it pops pending paths onto
 the lanes of a :class:`~repro.sim.batch.BatchMachine` (as many as
 :func:`default_batch_size` gives the engine built), settles all of them
-per cycle in lock-step, and refills retired lanes from the queue
-mid-flight so the batch stays full.  After each step the CPU probes read
-the whole batch at once (the native step returns every lane's probe
-buses as columns) and give lane masks: halted, next PC unknown, next
-cycle may fork.  Only the lanes that halt or fork are visited one by
-one.  A fork restarts its children from the lane's state *before* the
-dispatch cycle, so that state is snapshotted ahead of the step, but only
-for lanes that were just loaded or whose next cycle may fork (a
-DISPATCH with an X condition flag); a fork without a snapshot is an
-internal error, never a silent guess.
+in lock-step, and refills retired lanes from the queue mid-flight so the
+batch stays full.  One batch call runs the lanes until some lane halts,
+its next PC goes X, it stores, or a budget ends the call (the native
+engine runs those cycles in one foreign call).  The CPU probes run once
+after each call, read the whole batch at once and give lane masks:
+halted, next PC unknown.  Only the lanes that halt or fork are visited
+one by one.  A fork restarts its children from the lane's state
+*before* the dispatch cycle: the batch rebuilds it from the lane's
+previous arena row, or, when the dispatch was the lane's first step,
+the explorer's snapshot taken when it loaded the lane.
 
 The lanes finish segments in whatever order the schedule happens to
 visit them, but a pending path's entire future is determined by its
@@ -268,10 +268,14 @@ def explore(
     process; cores are spent across analyses (``suite --jobs``, service
     job slots), not inside one.  Both engines return the identical
     tree, bit for bit.  *cancel* is an optional
-    :class:`repro.parallel.cancel.CancelToken` checked between path-queue
-    batches; a set token aborts the exploration with
+    :class:`repro.parallel.cancel.CancelToken` checked (and its heartbeat
+    fired, and the ``explore.batch`` fault site hit) once per batch
+    call, so at least every :data:`~repro.sim.batch.MAX_STEPS` cycles; a
+    set token aborts the exploration with
     :class:`repro.parallel.cancel.JobCancelled` (results are never
-    altered by cancellation, only abandoned).
+    altered by cancellation, only abandoned).  Each call is sized to end
+    at the cycle that overruns *max_cycles* or *max_cycles_per_path*,
+    so a budget error comes at the same cycle as with one-cycle calls.
 
     Returns the annotated execution tree.  Raises
     :class:`PathExplosionError` when the exploration budget is exceeded and
@@ -285,6 +289,7 @@ def explore(
         machine.ports,
         machine.evaluator,
         default_batch_size("native" if packed else "reference"),
+        stops=cpu.batch_stops(),
     )
     evaluator = machine.evaluator
 
@@ -298,14 +303,13 @@ def explore(
     order: list[_Node] = []  # a node's tag is its position here
     lane_node: dict[int, _Node] = {}  # id(lane) -> segment being simulated
     lane_start: dict[int, int] = {}  # id(lane) -> steps when it was loaded
-    # lanes to snapshot before the next step: a fork restarts its
-    # children from the state *before* the X-condition dispatch cycle
-    # (they re-execute it with concrete flags).  A lane is snapshotted
-    # when it was just loaded or when its last step says the next cycle
-    # may fork (cpu.may_fork_next); a fork without one is an internal
-    # error.
-    to_snap: list = []
-    # each step's rows are tagged with their lanes' node; a popped
+    # a fork restarts its children from the state *before* the
+    # X-condition dispatch cycle (they re-execute it with concrete
+    # flags).  The batch keeps that state for the last step of a call,
+    # except for a lane whose last step was its first: each loaded lane
+    # is snapshotted before its first call
+    fresh: dict[int, dict] = {}
+    # each call's rows are tagged with their lanes' node; a popped
     # dispatch row is tagged -1 and belongs to no segment
     tags: list[np.ndarray] = []
     popped: list[int] = []
@@ -322,7 +326,7 @@ def explore(
         order.append(node)
         lane_node[id(lane)] = node
         lane_start[id(lane)] = steps
-        to_snap.append(lane)
+        fresh[id(lane)] = batch.snapshot(lane)
 
     def refill() -> np.ndarray:
         while stack and batch.n_free:
@@ -334,10 +338,15 @@ def explore(
         if cancel is not None:
             cancel.check()
         faults.hit("explore.batch")
-        snap_before = {id(lane): batch.snapshot(lane) for lane in to_snap}
-        rows = batch.step()
-        tags.append(lane_tags)
-        steps += 1
+        live = len(batch.lanes)
+        # a call ends at the step that overruns a budget, if none before
+        rows = batch.step(min(
+            (max_cycles - total_cycles) // live + 1,
+            max_cycles_per_path - (steps - min(lane_start.values())) + 1,
+        ))
+        taken = len(rows) // live
+        tags.append(np.tile(lane_tags, taken))
+        steps += taken
         lanes = list(batch.lanes)
         # the probes read every lane at once; only the lanes that halt or
         # fork are visited one by one
@@ -345,7 +354,7 @@ def explore(
         forking = cpu.pc_next_unknown(batch) & ~halted
         halt_rows = halted.nonzero()[0].tolist()
         fork_rows = forking.nonzero()[0].tolist()
-        total_cycles += len(lanes) - len(fork_rows)
+        total_cycles += taken * live - len(fork_rows)
         if total_cycles > max_cycles:
             raise PathExplosionError(
                 f"{program.name}: exceeded {max_cycles} total cycles"
@@ -354,25 +363,20 @@ def explore(
             raise PathExplosionError(
                 f"{program.name}: path exceeded {max_cycles_per_path} cycles"
             )
-        to_snap = [
-            lanes[row]
-            for row in cpu.may_fork_next(batch).nonzero()[0].tolist()
-        ]
+        loaded, fresh = fresh, {}
         if not (halt_rows or fork_rows):
             continue
         forks = cpu.branch_fork_assignments(batch) if fork_rows else {}
         for row in halt_rows:
             lane_node[id(lanes[row])].end = "halt"
+        last = rows[len(rows) - live :]  # the rows of the call's last step
         for row in fork_rows:
             lane = lanes[row]
-            snapshot = snap_before.get(id(lane))
+            snapshot = loaded.get(id(lane)) if taken == 1 else None
             if snapshot is None:
-                raise RuntimeError(
-                    f"{program.name}: internal error: a lane forked at "
-                    f"cycle {lane.cycle - 1} without a pre-step snapshot"
-                )
+                snapshot = batch.snapshot(lane, before_step=True)
             node = lane_node[id(lane)]
-            popped.append(rows[row])  # the children re-run the dispatch cycle
+            popped.append(last[row])  # the children re-run the dispatch cycle
             node.end = "fork"
             state = Machine.snapshot_state_key(snapshot, evaluator)
             for assignment in forks[row]:
@@ -389,7 +393,6 @@ def explore(
             lane = lanes[row]
             del lane_node[id(lane)], lane_start[id(lane)]
             batch.retire(lane)
-        to_snap = [lane for lane in to_snap if lane.row >= 0]
         lane_tags = refill()
 
     tag = np.concatenate(tags)

@@ -62,9 +62,6 @@ STATE_NAMES = {
 
 HALT_WORD = 0x3FFF  # `jmp $` — unconditional jump with offset -1
 
-#: the status flags a conditional jump can read
-CONDITION_FLAGS = (SR_C, SR_Z, SR_N, SR_V)
-
 #: the state-and-instruction-word bus while dispatching the halt idiom
 _HALT_DISPATCH = S_DISPATCH | HALT_WORD << STATE_BITS
 
@@ -89,7 +86,6 @@ class CpuNets:
     pc_d: list[int]
     sp_q: Bus
     sr_q: Bus
-    sr_d: list[int]
     state_q: Bus
     state_d: list[int]
     ir_q: Bus
@@ -629,7 +625,6 @@ def build_ulp430(prefetch_kernel: bool = True) -> "Ulp430":
         pc_d=[netlist.gates[q].inputs[0] for q in pc],
         sp_q=sp,
         sr_q=sr,
-        sr_d=[netlist.gates[q].inputs[0] for q in sr],
         state_q=state,
         state_d=[netlist.gates[q].inputs[0] for q in state],
         ir_q=ir,
@@ -649,13 +644,9 @@ class Ulp430(object):
         self.netlist = netlist
         self.ports = ports
         self.nets = nets
-        #: the buses the probes read every cycle: the FSM state with the
-        #: instruction word above it, and the next state with the next
-        #: condition flags above it
+        #: the bus the halt and fork probes read: the FSM state with the
+        #: instruction word above it
         self._state_iw = [*nets.state_q, *nets.iw]
-        self._next_state_flags = [
-            *nets.state_d, *(nets.sr_d[bit] for bit in CONDITION_FLAGS)
-        ]
         #: the uint8 reference evaluator (the oracle), built on first use
         self._reference_evaluator = None
         #: the gate schedule ``(NetlistProgram, LaneTables)``, built on
@@ -780,6 +771,13 @@ class Ulp430(object):
         word, word_x = machine.peek_bus(self._state_iw)
         return (word_x == 0) & (word == _HALT_DISPATCH)
 
+    def batch_stops(self) -> list[tuple[list[int], int | None]]:
+        """The bus predicates a multi-cycle batch step ends on, as
+        :class:`~repro.sim.batch.BatchMachine` takes them: a lane
+        dispatches the halt idiom (:meth:`halted`), or its next PC has an
+        X (:meth:`pc_next_unknown`)."""
+        return [(self._state_iw, _HALT_DISPATCH), (self.nets.pc_d, None)]
+
     def pc_next_unknown(self, machine: Machine):
         """Will the PC load an X at the next clock edge?  A lane mask on
         a batch.
@@ -789,22 +787,6 @@ class Ulp430(object):
         """
         _value, xmask = machine.peek_bus(self.nets.pc_d)
         return xmask != 0
-
-    def may_fork_next(self, machine: Machine):
-        """Can the next cycle fork?  A lane mask on a batch.
-
-        Only the DISPATCH of a conditional jump whose condition reads an
-        X flag forks (:meth:`branch_fork_assignments`), and the state and
-        status registers load their D nets at the clock edge.  So the
-        next cycle may fork only when the state D nets may be
-        ``S_DISPATCH`` (an X bit may be either value) and some condition
-        flag's D net is X.  One-shot flag loads are not seen here: the
-        explorer snapshots every freshly loaded lane anyway.
-        """
-        word, word_x = machine.peek_bus(self._next_state_flags)
-        state_mask = (1 << STATE_BITS) - 1
-        may_dispatch = ((word ^ S_DISPATCH) & ~word_x & state_mask) == 0
-        return may_dispatch & (word_x > state_mask)
 
     def flag_dff_for(self, bit: int) -> int:
         return self.nets.sr_q[bit]

@@ -6,7 +6,8 @@ failure paths are *exercised*, not just written.  This module plants
 named fault sites at the seams where real faults strike::
 
     worker.start        the worker process, before the executor runs
-    explore.batch       each pending-path drain iteration (Algorithm 1)
+    explore.batch       each batch kernel call of Algorithm 1 (at most
+                        batch.MAX_STEPS cycles)
     peakpower.segment   each segment/parity pass (Algorithm 2)
     store.read          every artifact-store read
     store.write         every artifact-store publish

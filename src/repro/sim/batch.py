@@ -3,35 +3,44 @@
 A :class:`BatchMachine` holds up to B *lanes*, each a complete machine
 state (net values, behavioral memory, memory-port registers) loaded from a
 :meth:`repro.sim.machine.Machine.snapshot` dict.  One :meth:`step` clocks
-every live lane simultaneously; the per-lane parts that stay Python are
-the behavioral memory (serve and commit) and the records.
+every live lane simultaneously for up to ``max_steps`` cycles and ends
+early after the first cycle in which some lane latches a store or meets
+one of the batch's stop rules: bus predicates the caller hands in (the
+CPU's halt and next-PC-unknown tests), so this module does not know the
+CPU.  The per-lane parts that stay Python are the memory stores, which
+are committed after the call so copy-on-write stays in one place.
 
 Lane state lives in one row per lane: ``(B, 3, n_words)`` packed P/N/A
 planes on the native engine (``values`` uint8 rows on the reference
 engine).  How a step settles them depends on the engine:
 
-* **native**: one foreign call per step
+* **native**: one foreign call per :meth:`step`
   (:class:`~repro.sim.native.BatchKernel`) on a lane-sliced copy of the
-  batch — DFF loads, port forcing, settle, activity, the write-back of
-  the live rows and every lane's memory request and probe buses, as
-  columns of one array;
+  batch — memory reads, DFF loads, port forcing, settle, activity, the
+  write-back of the live rows, the arena rows and every lane's memory
+  request and probe buses, as columns of one array;
 * **reference**: :class:`~repro.sim.evaluator.LevelizedEvaluator` on
-  ``(K, n_nets)`` uint8 matrices, the oracle, which packs the settled
-  rows once per step.
+  ``(K, n_nets)`` uint8 matrices, the oracle, one cycle at a time, which
+  checks the stop rules with :meth:`BatchMachine.peek_bus` after each
+  cycle and packs the settled rows once per cycle.
 
-Either way every step appends its live rows to the batch's
+Either way every cycle's live rows land in the batch's
 :attr:`~BatchMachine.arena`, one :class:`~repro.sim.trace.Trace` in the
-batch's ``bit_order``, in one copy, and returns their arena rows; no
-record is built per lane.  The CPU's probes (halt, fork and dispatch
-tests) read a whole batch at once: :meth:`BatchMachine.peek_bus` is the batch
-form of :meth:`Machine.peek_bus` and returns a bus of every live lane as
+batch's ``bit_order``, cycle by cycle in lane order, and :meth:`step`
+returns their arena rows; no record is built per lane.  The CPU's probes
+(halt, fork and dispatch tests) read a whole batch at once, after a
+call: :meth:`BatchMachine.peek_bus` is the batch form of
+:meth:`Machine.peek_bus` and returns a bus of every live lane as
 ``(values, xmasks)`` columns, from the last step's probe array on the
 native engine and from the values matrix on the reference engine.
 
 The rows stay the source of truth between steps: snapshots, memo keys
-and the records all read them.  Live lanes are kept compacted in the
-leading rows (retiring a lane moves the last live row into the hole), so
-the work scales with the number of *live* paths.
+and the records all read them.  A lane's state *before* its last step
+is kept too (its previous arena row, its dout register and request, and
+the memory word its last store overwrote), so :meth:`snapshot` can
+restore a lane that forked at any step of a call.  Live lanes are kept
+compacted in the leading rows (retiring a lane moves the last live row
+into the hole), so the work scales with the number of *live* paths.
 
 This is the engine behind the batched execution-tree exploration in
 :mod:`repro.core.activity`.  Lanes are snapshot-compatible with
@@ -54,10 +63,35 @@ from repro.sim.machine import (
     _MemRequest,
     commit_memory_write,
     force_bus,
-    sample_memory_control,
+    latch_memory_request,
     serve_memory_read,
 )
+from repro.sim.native import BEFORE, REQUEST
 from repro.sim.trace import MAX_BLOCK_ROWS, Trace, group_rows, pack_rows
+
+#: most cycles one :meth:`BatchMachine.step` runs.  Its callers check
+#: for cancellation and heartbeat once per call, so even a long straight
+#: path reaches a check about every 15 ms (one native ULP430 lane)
+MAX_STEPS = 256
+
+
+def _request(words: list[int]) -> _MemRequest:
+    """The request of its ``addr, din, en, we`` (value, xmask) words."""
+    addr, addr_x, din, din_x, en, en_x, we, we_x = words
+    return _MemRequest(
+        None if addr_x else addr, not addr_x, X if en_x else en,
+        X if we_x else we, din, din_x,
+    )
+
+
+def _request_words(request: _MemRequest) -> tuple[int, ...]:
+    """The inverse of :func:`_request`."""
+    return (
+        request.addr or 0, not request.addr_known,
+        request.din_value, request.din_xmask,
+        *((0, 1) if request.en == X else (request.en, 0)),
+        *((0, 1) if request.we == X else (request.we, 0)),
+    )
 
 
 class Lane:
@@ -77,6 +111,10 @@ class Lane:
         "forced_inputs",
         "next_dff_forces",
         "_port_masks",
+        "_memory",
+        "_last_row",
+        "_before",
+        "_overwritten",
         "tag",
     )
 
@@ -91,12 +129,28 @@ class Lane:
         self.next_dff_forces = dict(forces)
         #: native-kernel cache: (forced inputs, their input-bit masks)
         self._port_masks: tuple | None = None
+        #: native-kernel cache: (memory words, xmask, their pointers),
+        #: renewed when a copy-on-write store replaces the arrays
+        self._memory: tuple | None = None
+        #: the arena row of the lane's last step (-1: none yet)
+        self._last_row = -1
+        #: before its last step: (arena row, dout value, dout xmask,
+        #: request); the row is -1 when that step was its first
+        self._before: tuple | None = None
+        #: (addr, value, xmask) of the word its last step's store
+        #: overwrote, or None
+        self._overwritten: tuple | None = None
         #: the caller's label for the rows this lane appends
         self.tag = -1
 
 
 class BatchMachine:
-    """Up to ``batch_size`` machine states clocked in lock-step."""
+    """Up to ``batch_size`` machine states clocked in lock-step.
+
+    *stops* are the bus predicates a multi-cycle :meth:`step` ends on,
+    ``(nets, value)`` pairs: some lane's bus *nets* holds an X (*value*
+    ``None``), or is known and equal to *value*.
+    """
 
     def __init__(
         self,
@@ -104,6 +158,7 @@ class BatchMachine:
         ports: MemoryPorts,
         evaluator: LevelizedEvaluator,
         batch_size: int,
+        stops=(),
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -112,6 +167,7 @@ class BatchMachine:
         self.evaluator = evaluator
         self.packed = bool(getattr(evaluator, "packed", False))
         self.batch_size = batch_size
+        self.stops = [(list(nets), value) for nets, value in stops]
         #: the native batch kernel that steps a packed batch in one
         #: foreign call (None: the reference engine's step below)
         self.kernel = None
@@ -119,6 +175,7 @@ class BatchMachine:
             #: (B, 3, n_words) uint64 P/N/A planes, one row per lane slot
             self.planes = evaluator.fresh_planes(batch=batch_size)
             self.kernel = evaluator.batch_kernel(self.planes, ports)
+            self.kernel.set_stops(self.stops)
             #: the bit order of the records' packed words
             self.bit_order = evaluator.program
         else:
@@ -208,14 +265,46 @@ class BatchMachine:
             (unknown * weights).sum(axis=1, dtype=np.uint64),
         )
 
-    def snapshot(self, lane: Lane) -> dict[str, Any]:
+    def snapshot(self, lane: Lane, before_step: bool = False) -> dict[str, Any]:
         """A :class:`Machine`-compatible snapshot of one lane.
 
         ``values``/``prev_active`` live in matrix rows that the next step
         mutates in place, so they are copied; ``memory`` is a
         copy-on-write :meth:`~repro.sim.memory.TernaryMemory.fork`; the
         memory request is never mutated, so it is shared.
+
+        With *before_step* it is the lane's state before its last step,
+        the one a fork re-runs: its previous arena row, dout register and
+        request, and its memory without that step's store.  A
+        ``ValueError`` when that step was the lane's first (the caller
+        snapshots a lane it loads).
         """
+        if before_step:
+            row, dout_value, dout_xmask, request = lane._before or (-1,) * 4
+            if row < 0:
+                raise ValueError(
+                    "no row holds the lane's state before its last step: "
+                    "that step was its first"
+                )
+            memory = lane.memory.fork()
+            if lane._overwritten is not None:
+                memory.load_word(*lane._overwritten)
+            if self.packed:
+                state, prev_active = self.arena.row_planes(row), None
+            else:
+                record = self.arena[row]
+                state, prev_active = record.values, record.active
+            return {
+                "values": state,
+                "memory": memory,
+                "cycle": lane.cycle - 1,
+                "dout_value": dout_value,
+                "dout_xmask": dout_xmask,
+                "request": request,
+                "prev_active": prev_active,
+                "forced_inputs": dict(lane.forced_inputs),
+                "next_dff_forces": {},
+            }
         if self.packed:
             state = self.planes[lane.row].copy()
             prev_active = None
@@ -237,22 +326,77 @@ class BatchMachine:
     # ------------------------------------------------------------------
     # Clocking
     # ------------------------------------------------------------------
-    def step(self) -> range:
-        """Advance every live lane one clock cycle.
+    def step(self, max_steps: int = 1) -> range:
+        """Advance every live lane up to *max_steps* clock cycles (at
+        most :data:`MAX_STEPS`), ending after the first cycle in which
+        some lane latches a store (``we`` 1 or X) or meets a stop rule.
 
-        Appends one row per lane to :attr:`arena`, in :attr:`lanes`
-        order, and returns their arena rows; the rows match what a
-        scalar :class:`Machine` stepping the same lane state would
-        record, field for field.
+        Appends one row per lane and cycle to :attr:`arena`, cycle by
+        cycle in :attr:`lanes` order, and returns their arena rows; the
+        rows match what a scalar :class:`Machine` stepping the same lane
+        state would record, field for field, and a call of k cycles
+        records what k one-cycle calls do.  The last cycle's stores are
+        committed before it returns, keeping the words they overwrite
+        for :meth:`snapshot`.
+        """
+        lanes = self.lanes
+        first = len(self.arena)
+        if not lanes:
+            return range(first, first)
+        max_steps = min(max(max_steps, 1), MAX_STEPS)
+        if self.kernel is not None:
+            steps, before = self._run_native(max_steps)
+        else:
+            steps, before = self._run_reference(max_steps)
+        live = len(lanes)
+        for row, (lane, kept) in enumerate(zip(lanes, before)):
+            prev = first + (steps - 2) * live + row if steps > 1 else lane._last_row
+            lane._before = (prev, *kept)
+            lane._last_row = first + (steps - 1) * live + row
+            request = lane._request
+            lane._overwritten = None
+            if request.we != 0:
+                if request.addr_known:
+                    lane._overwritten = (
+                        request.addr, *lane.memory.read(request.addr)
+                    )
+                commit_memory_write(lane, request)
+        return range(first, len(self.arena))
+
+    def _stopped(self) -> bool:
+        """Does some lane meet a stop rule or latch a store?"""
+        if any(lane._request.we != 0 for lane in self.lanes):
+            return True
+        for nets, value in self.stops:
+            values, xmasks = self.peek_bus(nets)
+            if value is None and xmasks.any():
+                return True
+            if value is not None and ((xmasks == 0) & (values == value)).any():
+                return True
+        return False
+
+    def _run_reference(self, max_steps: int) -> tuple[int, list]:
+        """The oracle: one-cycle steps until :meth:`_stopped`; the steps
+        taken and each lane's (dout value, dout xmask, request) before
+        the last one."""
+        for steps in range(1, max_steps + 1):
+            before = [
+                (lane.dout_value, lane.dout_xmask, lane._request)
+                for lane in self.lanes
+            ]
+            self._cycle_reference()
+            if steps == max_steps or self._stopped():
+                return steps, before
+
+    def _cycle_reference(self) -> None:
+        """One cycle of every live lane on the reference engine; latches
+        the requests without committing them.
 
         With a single live lane the evaluator is driven with 1-D row
         *views* instead of a ``(1, n_nets)`` matrix: the dimension-agnostic
         evaluator produces identical values either way, but 1-D fancy
-        indexing skips the 2-D dispatch overhead, so a single-path stretch
-        costs the same as the scalar engine.
+        indexing skips the 2-D dispatch overhead.
         """
-        if self.kernel is not None:
-            return self._step_native()
         n_live = len(self.lanes)
         evaluator = self.evaluator
         squeeze = n_live == 1
@@ -287,37 +431,29 @@ class BatchMachine:
         meta = []
         for lane, counts in zip(self.lanes, mem_counts):
             row_values = values if squeeze else values[lane.row]
-            sample_memory_control(lane, row_values, self.ports)
+            lane._request = latch_memory_request(row_values, self.ports)
             meta.append((lane.cycle, *counts))
             lane.cycle += 1
-        return self._record(pack_rows(
-            self.bit_order, values.reshape(n_live, -1),
-            active.reshape(n_live, -1),
-        ), meta)
+        self.arena.append_rows(
+            pack_rows(
+                self.bit_order, values.reshape(n_live, -1),
+                active.reshape(n_live, -1),
+            ),
+            meta, self.bit_order,
+        )
 
-    def _record(self, planes: np.ndarray, meta: list) -> range:
-        """Append the live rows to the arena; their arena rows."""
-        first = len(self.arena)
-        self.arena.append_rows(planes, meta, self.bit_order)
-        return range(first, len(self.arena))
-
-    def _step_native(self) -> range:
-        """Advance every live lane one cycle in one native kernel call.
-
-        The kernel loads the DFFs (one-shot forces included), forces
-        ``dout`` and the forced inputs, settles and marks activity for
-        all lanes at once on its lane-sliced state, writes the live rows
-        back and returns every lane's memory request and probe buses as
-        the columns the batch's :meth:`peek_bus` answers from.  Python
-        serves and commits memory and appends the live rows to the
-        arena in one copy; they match the reference engine's step field
-        for field.  A lane forcing a net that is not an INPUT raises
-        ``ValueError`` before any lane is touched.
+    def _run_native(self, max_steps: int) -> tuple[int, list]:
+        """Up to *max_steps* cycles of every live lane in one native
+        kernel call (:meth:`~repro.sim.native.BatchKernel.run`), which
+        serves memory, settles, writes the arena rows and latches the
+        requests, and leaves every lane's probe buses as the columns
+        :meth:`peek_bus` answers from.  Returns the steps taken and each
+        lane's (dout value, dout xmask, request) before the last one.  A
+        lane forcing a net that is not an INPUT raises ``ValueError``
+        before any lane is touched.
         """
         kernel = self.kernel
         lanes = self.lanes
-        if not lanes:
-            return range(len(self.arena), len(self.arena))
         for lane in lanes:
             cached = lane._port_masks
             if cached is None or cached[0] != lane.forced_inputs:
@@ -325,12 +461,22 @@ class BatchMachine:
                     dict(lane.forced_inputs),
                     kernel.force_masks(lane.forced_inputs),
                 )
-        ports, forces, mem_counts = [], [], []
+        ports, memories, forces = [], [], []
         for lane in lanes:
-            mem_counts.append(serve_memory_read(lane))
-            ports.append(
-                (lane.dout_value, lane.dout_xmask, *lane._port_masks[1])
-            )
+            ports.append((
+                lane.dout_value, lane.dout_xmask, *lane._port_masks[1],
+                lane.cycle, *_request_words(lane._request),
+            ))
+            memory, cached = lane.memory, lane._memory
+            if (
+                cached is None or cached[0] is not memory.words
+                or cached[1] is not memory.xmask
+            ):
+                cached = lane._memory = (
+                    memory.words, memory.xmask,
+                    kernel.memory_pointers(memory.words, memory.xmask),
+                )
+            memories.append(cached[2])
             if lane.next_dff_forces:
                 forces += [
                     (lane.row, self._dff_pos[net], value)
@@ -340,19 +486,24 @@ class BatchMachine:
         if self._dirty:
             kernel.mark(self._dirty)
             self._dirty = 0
-        probes = self._columns = kernel.step(ports, forces)
-        meta = []
-        for lane, bits, counts in zip(lanes, probes[:, :8].tolist(), mem_counts):
-            addr, addr_x, din, din_x, en, en_x, we, we_x = bits
-            request = lane._request = _MemRequest(
-                None if addr_x else addr, not addr_x, X if en_x else en,
-                X if we_x else we, din, din_x,
-            )
-            if request.we != 0:
-                commit_memory_write(lane, request)
-            meta.append((lane.cycle, *counts))
-            lane.cycle += 1
-        return self._record(self.planes[: len(lanes)], meta)
+        live = len(lanes)
+        rows, meta = self.arena.free_rows(live)
+        steps = kernel.run(
+            ports, memories, forces, min(max_steps, len(rows) // live),
+            rows, meta,
+        )
+        self.arena.keep(steps * live)
+        self._columns = kernel.probe[:live]
+        before = []
+        for lane, words in zip(lanes, kernel.port[:live].tolist()):
+            before.append((
+                words[BEFORE], words[BEFORE + 1],
+                lane._request if steps == 1 else _request(words[BEFORE + 2 :]),
+            ))
+            lane.dout_value, lane.dout_xmask = words[0], words[1]
+            lane._request = _request(words[REQUEST:BEFORE])
+            lane.cycle += steps
+        return steps, before
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +519,8 @@ def run_batch_to_halt(
     The workhorse behind the batched input-profiling and GA-stressmark
     baselines: each machine (already reset, e.g. fresh from
     ``cpu.make_machine``) becomes a lane of one batch, and lanes retire
-    as they halt.  The native kernel steps the lanes in groups of 64.
+    as they halt.  The native kernel steps the lanes in groups of 64,
+    one call per halt, unknown PC, store or :data:`MAX_STEPS` cycles.
 
     Returns one ``(trace, cycles)`` pair per machine, in input order, with
     exactly the rows and cycle count that ``cpu.run_to_halt(machine,
@@ -380,7 +532,8 @@ def run_batch_to_halt(
     Raises :class:`repro.cpu.UnresolvedPCError` when any machine's PC goes
     X (missing ``Program.with_inputs``) and
     :class:`repro.cpu.HaltBudgetError` when a machine fails to halt
-    within *max_cycles* of its own cycles.
+    within *max_cycles* of its own cycles, at the same cycle as the
+    scalar run.
     """
     # sim must not import cpu at top level
     from repro.cpu import HaltBudgetError, UnresolvedPCError
@@ -393,17 +546,20 @@ def run_batch_to_halt(
         template.ports,
         template.evaluator,
         len(machines),
+        stops=cpu.batch_stops(),
     )
     cycles: list[int] = [0] * len(machines)
     for index, machine in enumerate(machines):
         batch.load(machine.snapshot(), {}).tag = index
-    tags: list[np.ndarray] = []  # per step, the machine of each row
+    tags: list[np.ndarray] = []  # per call, the machine of each row
     lane_tags = np.arange(len(machines))
     steps = 0  # every live lane has run exactly this many cycles
     while batch.lanes:
-        batch.step()
-        tags.append(lane_tags)
-        steps += 1
+        # the cycle that reaches the budget is the last of its call
+        rows = batch.step(max_cycles - steps)
+        taken = len(rows) // len(lane_tags)
+        tags.append(np.tile(lane_tags, taken))
+        steps += taken
         lanes = list(batch.lanes)
         running = ~cpu.halted(batch)
         stuck = cpu.pc_next_unknown(batch) & running

@@ -55,8 +55,8 @@ class _MemRequest:
 
     Never mutated once assigned: every writer builds a fresh request and
     assigns it as a whole, so machines, lanes and snapshots share one
-    request object instead of copying it.  Not ``frozen``: the batch
-    step builds one per lane-step, and a frozen ``__init__`` is slower.
+    request object instead of copying it.  Not ``frozen``: a batch step
+    builds one per lane and call, and a frozen ``__init__`` is slower.
     """
 
     addr: int | None = None
@@ -231,8 +231,8 @@ def force_bus_planes(
 # and ``_request`` attributes; keeping one implementation guarantees the
 # scalar and batched engines can never drift apart.
 # ----------------------------------------------------------------------
-def sample_memory_control(state, values: np.ndarray, ports: "MemoryPorts") -> None:
-    """Latch the memory request from settled *values* and commit writes."""
+def latch_memory_request(values: np.ndarray, ports: "MemoryPorts") -> _MemRequest:
+    """The memory request of settled *values*."""
     addr_value, addr_xmask = read_bus(values, ports.addr)
     request = _MemRequest()
     request.addr_known = addr_xmask == 0
@@ -240,8 +240,13 @@ def sample_memory_control(state, values: np.ndarray, ports: "MemoryPorts") -> No
     request.en = int(values[ports.en])
     request.we = int(values[ports.we])
     request.din_value, request.din_xmask = read_bus(values, ports.din)
-    state._request = request
-    commit_memory_write(state, request)
+    return request
+
+
+def sample_memory_control(state, values: np.ndarray, ports: "MemoryPorts") -> None:
+    """Latch the memory request from settled *values* and commit writes."""
+    state._request = latch_memory_request(values, ports)
+    commit_memory_write(state, state._request)
 
 
 def sample_memory_control_packed(

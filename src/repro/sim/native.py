@@ -7,8 +7,8 @@ releases the GIL for the call):
 
     void repro_settle(const struct lanes *p, uint64_t *state,
                       const uint64_t *prev, long rows, uint64_t *scratch);
-    void repro_step(const struct lanes *p, struct batch *b, long live,
-                    long n_force);
+    long repro_run(const struct lanes *p, struct batch *b, long live,
+                   long n_force, long max_steps);
     void repro_price(const struct pricing *t, const uint64_t *values,
                      const uint64_t *active, const uint64_t *max_prev,
                      const uint64_t *max_cur, const long *strides,
@@ -29,13 +29,21 @@ passes and writes every real net of the rows back; pads are never
 written.  A single :class:`~repro.sim.machine.Machine` (reset, concrete
 runs) uses it.
 
-``repro_step`` advances a whole :class:`~repro.sim.batch.BatchMachine`
-one cycle in one call, keeping the batch lane-sliced between steps.  Per
-lane it loads the DFFs (one-shot forces included), forces ``dout`` and
-the forced inputs, runs the two passes, writes the changed bytes of the
-live rows back and returns the memory request and every registered probe
-bus (:class:`BatchKernel`); a rewritten row is re-read into the last
-cycle's state only.  It is the only packed batch step: a batch whose
+``repro_run`` advances a whole :class:`~repro.sim.batch.BatchMachine`
+up to ``max_steps`` cycles in one call, keeping the batch lane-sliced
+between steps and calls.  Each step serves every lane's fetch or load
+from its :class:`~repro.sim.memory.TernaryMemory` arrays, read in place
+(``serve_memory_read``'s rules), loads the DFFs (one-shot forces on the
+first step only), forces ``dout`` and the forced inputs, runs the two
+passes, writes the changed bytes of the live rows back, copies them and
+their ``[cycle, reads, writes]`` meta into arena rows reserved by the
+caller and latches each lane's memory request; a rewritten row is
+re-read into the last cycle's state only.  The run returns after the
+step in which some lane latches a store (the caller commits it, so
+copy-on-write stays in Python) or meets one of the batch's stop rules
+(:meth:`BatchKernel.set_stops`: a probed bus with an X, or known and
+equal to a value), keeping each lane's dout register and request from
+before that step.  It is the only packed batch step: a batch whose
 ports it cannot drive is refused with a :class:`NativeKernelError` or a
 :class:`ValueError` naming the reason.
 
@@ -59,7 +67,7 @@ elaboration and the schedule compile.
 
 Bit identity with ``reference`` (the uint8 oracle) is a hard contract:
 the differential suite pins values, A plane and memo ``state_bytes`` per
-gate and per random netlist, the batch step against a reference-engine
+gate and per random netlist, the batch run against a reference-engine
 batch record for record, and the trees of every benchmark.  When no C
 compiler is present (or the build fails) :func:`evaluator_or_fallback`
 degrades to the reference engine and :func:`pricer` to the numpy pricer,
@@ -252,17 +260,28 @@ void repro_settle(const struct lanes *p, u64 *state, const u64 *prev, long rows,
     }
 }
 
-/* ---- the batch step: the batch stays lane-sliced between steps ---- */
+/* ---- the batch run: the batch stays lane-sliced between steps ---- */
+
+/* a lane's port words: its dout register, forced inputs (mask, P, N),
+   cycle and memory request (addr, din, en, we: value and xmask each),
+   then its dout register and request before its last step */
+enum { DOUT, DOUT_X, FORCED, FORCED_P, FORCED_N, CYCLE, REQ, BEFORE = REQ + 8,
+       PORT_WORDS = BEFORE + 10 };
+
 struct batch {
     u64 *state;             /* per 64-lane group: 2 buffers of 3 rails x slots */
     u64 *dirty;             /* per group: lanes whose rows Python rewrote */
     u64 *planes;            /* the (rows, 3, nw) row-packed planes */
-    const u64 *port;        /* per lane: dout value, dout xmask, forced mask, P, N */
+    u64 *port;              /* per lane: PORT_WORDS words */
+    const u64 *mem;         /* per lane: its memory's words and xmask (u16) and size */
     const i32 *dff_force;   /* (row, DFF, value) triples */
     const i32 *dout;        /* input of dout bit b */
     const i32 *bus;         /* n_bus + 1 offsets into the slots that follow */
     u64 *probe;             /* per lane and bus: value, xmask */
-    i32 n_dout, n_bus, cur;
+    const u64 *stop;        /* per stop rule: bus, kind (0: an X, 1: known and equal), value */
+    u64 *rows;              /* the arena rows a run fills, step-major */
+    double *meta;           /* and their [cycle, reads, writes] */
+    i32 n_dout, n_bus, n_stop, cur, fault;
 };
 
 /* spread[v]: bit k of byte v at bit 8k, one row's column of an 8x8 transpose */
@@ -274,8 +293,35 @@ struct batch {
 #define S64(v) S16(v), S16(v + 16), S16(v + 32), S16(v + 48)
 static const u64 spread[256] = { S64(0), S64(64), S64(128), S64(192) };
 
+/* serve_memory_read's rules: lane r's dout register from its request,
+   the cycle and access counts into m; 0, or 1 for an address past the
+   lane's memory */
+INLINE int serve(struct batch *b, long r, double *m)
+{
+    u64 *io = b->port + PORT_WORDS * r;
+    const u64 *q = io + REQ, *mem = b->mem + 3 * r;
+    for (i32 k = 0; k < 10; ++k)
+        io[BEFORE + k] = io[k < 2 ? DOUT + k : REQ + k - 2];
+    m[0] = (double)io[CYCLE]++, m[1] = 0.0, m[2] = (q[6] | q[7]) ? 1.0 : 0.0;
+    if (!q[4] && !q[5])     /* enable 0 */
+        return 0;
+    u64 v = 0, x = 0xFFFF;  /* an X address reads all-X */
+    if (!q[1]) {
+        if (q[0] >= mem[2])
+            return 1;
+        v = ((const uint16_t *)mem[0])[q[0]], x = ((const uint16_t *)mem[1])[q[0]];
+    }
+    if (q[5]) {             /* enable X: the bits that may differ go X */
+        const u64 d = (io[DOUT] ^ v) | io[DOUT_X] | x;
+        io[DOUT] &= ~d & 0xFFFF, io[DOUT_X] = d & 0xFFFF;
+    } else
+        io[DOUT] = v, io[DOUT_X] = x;
+    m[1] = 1.0;
+    return 0;
+}
+
 /* advance the first `live` rows of the batch one cycle */
-void repro_step(const struct lanes *p, struct batch *b, long live, long n_force)
+static void step(const struct lanes *p, struct batch *b, long live, long n_force)
 {
     const long ns = 64L * p->nw, row = 24L * p->nw, nb = 2L * b->n_bus;
     for (long g = 0; 64 * g < live; ++g) {
@@ -320,17 +366,18 @@ void repro_step(const struct lanes *p, struct batch *b, long live, long n_force)
             }
         /* ports, per lane: the dout bus, then the forced inputs */
         for (long r = 0; r < n; ++r) {
-            const u64 *io = b->port + 5 * (64 * g + r);
+            const u64 *io = b->port + PORT_WORDS * (64 * g + r);
             u64 m = 0, pv = 0, nv = 0;
             for (i32 k = 0; k < b->n_dout; ++k) {
-                const u64 bit = 1ULL << b->dout[k], x = (io[1] >> k) & 1, v = (io[0] >> k) & 1;
+                const u64 bit = 1ULL << b->dout[k], x = (io[DOUT_X] >> k) & 1;
+                const u64 v = (io[DOUT] >> k) & 1;
                 m |= bit;
                 pv |= (x | v) ? bit : 0;
                 nv |= (x | !v) ? bit : 0;
             }
-            pv = (pv & ~io[2]) | io[3];
-            nv = (nv & ~io[2]) | io[4];
-            m |= io[2];
+            pv = (pv & ~io[FORCED]) | io[FORCED_P];
+            nv = (nv & ~io[FORCED]) | io[FORCED_N];
+            m |= io[FORCED];
             for (i32 i = 0; i < p->n_in; ++i)
                 if ((m >> i) & 1) {
                     u64 *t = T + p->in0 + i;
@@ -373,6 +420,44 @@ void repro_step(const struct lanes *p, struct batch *b, long live, long n_force)
             }
     }
     b->cur = !b->cur;
+}
+
+/* step the first `live` rows until some lane latches a store or meets a
+   stop rule, or for max_steps cycles; the number of steps taken.  Each
+   step serves every lane's memory read first and ends with the live rows
+   and their meta in the arena and each lane's request latched */
+long repro_run(const struct lanes *p, struct batch *b, long live, long n_force,
+               long max_steps)
+{
+    const long words = 3L * p->nw, nb = 2L * b->n_bus;
+    long s = 0;
+    b->fault = 0;
+    while (s < max_steps) {
+        for (long r = 0; r < live; ++r)
+            if (serve(b, r, b->meta + 3 * (s * live + r))) {
+                b->fault = 1;
+                return s;
+            }
+        step(p, b, live, s ? 0 : n_force);
+        u64 *out = b->rows + s * live * words;
+        for (long k = 0; k < live * words; ++k)
+            out[k] = b->planes[k];
+        int stop = 0;
+        for (long r = 0; r < live; ++r) {
+            u64 *q = b->port + PORT_WORDS * r + REQ;
+            const u64 *pr = b->probe + r * nb;
+            for (i32 k = 0; k < 8; ++k)
+                q[k] = pr[k];
+            stop |= (q[6] | q[7]) != 0;
+            for (const u64 *t = b->stop; t < b->stop + 3 * b->n_stop; t += 3)
+                stop |= t[1] ? !pr[2 * t[0] + 1] && pr[2 * t[0]] == t[2]
+                             : pr[2 * t[0] + 1] != 0;
+        }
+        ++s;
+        if (stop)
+            break;
+    }
+    return s;
 }
 
 /* ---- pricing: per-row transition energies in integer attojoules ---- */
@@ -508,9 +593,13 @@ class _Build:
                 text=True,
             )
             if proc.returncode != 0:
-                self.error = (
-                    f"C compile failed ({argv[0]}): "
-                    f"{(proc.stderr or proc.stdout).strip()[:500]}"
+                status = (
+                    f"exit status {proc.returncode}" if proc.returncode > 0
+                    else f"signal {-proc.returncode}"
+                )
+                output = (proc.stderr or proc.stdout).strip()[:500]
+                self.error = f"C compile failed ({argv[0]}, {status})" + (
+                    f": {output}" if output else ""
                 )
             else:
                 os.replace(scratch, self.path)
@@ -531,26 +620,27 @@ class _Build:
 
 class NativeKernel:
     """The loaded kernels (one library per process, shared by all
-    netlists): ``settle`` is ``repro_settle``, ``step`` ``repro_step``
+    netlists): ``settle`` is ``repro_settle``, ``run`` ``repro_run``
     and ``price`` ``repro_price``."""
 
     def __init__(self, path: Path, build_s: float):
         try:
             library = ctypes.CDLL(str(path))
-            self.settle, self.step, self.price = (
-                library.repro_settle, library.repro_step, library.repro_price
+            self.settle, self.run, self.price = (
+                library.repro_settle, library.repro_run, library.repro_price
             )
         except (OSError, AttributeError) as exc:
             raise NativeKernelError(f"cannot load {path}: {exc}") from None
         self.settle.argtypes = (
             [ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_void_p]
         )
-        self.step.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_long] * 2
+        self.run.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_long] * 3
         self.price.argtypes = (
             [ctypes.c_void_p] * 8 + [ctypes.c_long, ctypes.c_void_p]
         )
-        for fn in (self.settle, self.step, self.price):
+        for fn in (self.settle, self.price):
             fn.restype = None
+        self.run.restype = ctypes.c_long
         self.path = path
         self.digest = path.stem
         #: compile seconds actually spent in this process (0.0 when the
@@ -670,32 +760,41 @@ class _Batch(ctypes.Structure):
     _fields_ = [
         (name, ctypes.c_void_p)
         for name in (
-            "state", "dirty", "planes", "port", "dff_force", "dout", "bus",
-            "probe",
+            "state", "dirty", "planes", "port", "mem", "dff_force", "dout",
+            "bus", "probe", "stop", "rows", "meta",
         )
-    ] + [(name, ctypes.c_int32) for name in ("n_dout", "n_bus", "cur")]
+    ] + [
+        (name, ctypes.c_int32)
+        for name in ("n_dout", "n_bus", "n_stop", "cur", "fault")
+    ]
 
 
 #: widest bus a probe result holds (value and xmask are one u64 each)
 _MAX_BUS = 64
 
+#: a lane's port words in ``repro_run`` (its ``enum``): dout value and
+#: xmask, forced mask, P and N, cycle, the request from ``REQUEST`` on,
+#: then from ``BEFORE`` on the dout register and request before the last
+#: step
+REQUEST, BEFORE, PORT_WORDS = 6, 14, 24
+
 
 class BatchKernel:
-    """One batch's lane-sliced state and port buffers for ``repro_step``.
+    """One batch's lane-sliced state and port buffers for ``repro_run``.
 
     Each :class:`~repro.sim.batch.BatchMachine` owns one, so threads
     stepping different batches never share scratch.  The batch's row
-    planes stay the source of truth between steps: rows the caller
-    rewrote are flagged with :meth:`mark` and re-read at the next step,
+    planes stay the source of truth between runs: rows the caller
+    rewrote are flagged with :meth:`mark` and re-read at the next run,
     and every step writes the changed bytes of the live rows back.
-    Buses are registered once (:meth:`bus_index`); every later step
-    returns them as columns of one probe array, each lane's ``value``
-    and ``xmask`` of each bus.  The first four are the memory request:
-    ``addr``, ``din``, ``en``, ``we``.
+    Buses are registered once (:meth:`bus_index`); every later run
+    leaves them as columns of one probe array, each lane's ``value``
+    and ``xmask`` of each bus after the last step.  The first four are
+    the memory request: ``addr``, ``din``, ``en``, ``we``.
     """
 
     def __init__(self, kernel: NativeKernel, tables: LaneTables, planes, ports):
-        self.fn = kernel.step
+        self.fn = kernel.run
         self.tables = tables
         self.planes = planes
         rows = planes.shape[0]
@@ -726,15 +825,20 @@ class BatchKernel:
         real = np.unpackbits(tables.arrays[0], bitorder="little")
         self.state[:, :, 1, real == 0] = ~np.uint64(0)
         self.dirty = np.zeros(groups, dtype=np.uint64)
-        self.port = np.zeros((rows, 5), dtype=np.uint64)
+        #: per lane: its port words (:data:`PORT_WORDS`), and its
+        #: memory's ``words`` and ``xmask`` addresses and size
+        self.port = np.zeros((rows, PORT_WORDS), dtype=np.uint64)
+        self.mem = np.zeros((rows, 3), dtype=np.uint64)
         self.dff_force = np.zeros((8, 3), dtype=np.int32)
         self.dout = inputs.astype(np.int32)
+        self.stop = np.zeros((1, 3), dtype=np.uint64)
         self.struct = _Batch(
             *(a.ctypes.data for a in (
-                self.state, self.dirty, planes, self.port, self.dff_force,
-                self.dout,
+                self.state, self.dirty, planes, self.port, self.mem,
+                self.dff_force, self.dout,
             )),
-            None, None, len(inputs), 0, 0,
+            None, None, self.stop.ctypes.data, None, None,
+            len(inputs), 0, 0, 0, 0,
         )
         self.ptr = ctypes.addressof(self.struct)
         self._bus: dict[tuple[int, ...], int] = {}
@@ -747,6 +851,18 @@ class BatchKernel:
                     f"a memory-port bus is wider than {_MAX_BUS} bits"
                 )
             self._add_bus(tuple(nets))
+
+    def set_stops(self, stops) -> None:
+        """End a run after the step in which some lane meets one of
+        *stops*, ``(nets, value)`` pairs: the bus *nets* holds an X
+        (*value* ``None``), or is known and equal to *value*."""
+        table = [
+            (self.bus_index(nets), value is not None, value or 0)
+            for nets, value in stops
+        ]
+        self.stop = np.array(table or [(0, 0, 0)], dtype=np.uint64)
+        self.struct.stop = self.stop.ctypes.data
+        self.struct.n_stop = len(table)
 
     def bus_index(self, nets) -> int:
         """Position of *nets* among the probed buses, registered on first
@@ -804,23 +920,61 @@ class BatchKernel:
             if word:
                 self.dirty[group] |= np.uint64(word)
 
-    def step(self, ports: list, forces: list) -> np.ndarray:
-        """Advance the first ``len(ports)`` rows one cycle.
+    @staticmethod
+    def memory_pointers(words: np.ndarray, xmask: np.ndarray) -> tuple:
+        """The ``(words, xmask, size)`` a run reads a lane's memory from,
+        for two contiguous uint16 arrays of one length; the caller keeps
+        them alive while runs read them."""
+        if not (
+            words.dtype == xmask.dtype == np.uint16
+            and words.shape == xmask.shape == (len(words),)
+            and words.flags["C_CONTIGUOUS"] and xmask.flags["C_CONTIGUOUS"]
+        ):
+            raise ValueError(
+                "a lane's memory must be two contiguous uint16 arrays of "
+                "one length"
+            )
+        return words.ctypes.data, xmask.ctypes.data, len(words)
 
-        *ports* holds per row ``(dout value, dout xmask, forced mask, P,
-        N)``; *forces* the one-shot ``(row, DFF index, value)`` loads.
-        Returns the ``(rows, 2 * n_bus)`` uint64 probe array, per row the
-        ``value, xmask`` of every bus: a view the next step overwrites.
+    def run(self, ports: list, memories: list, forces: list,
+            max_steps: int, rows: np.ndarray, meta: np.ndarray) -> int:
+        """Advance the first ``len(ports)`` rows up to *max_steps* cycles,
+        stopping after a store or a stop rule; the steps taken.
+
+        *ports* holds per row its first :data:`BEFORE` port words, and
+        *memories* its memory's :meth:`memory_pointers`, whose arrays the
+        run reads in place and never writes; *forces* the one-shot
+        ``(row, DFF index, value)`` loads of the first step.  Step *s*
+        writes row *r*'s planes and meta to ``rows[s * live + r]`` and
+        ``meta[s * live + r]``.  The port words and the probe array then
+        hold each row's state after the last step.  An address past a
+        lane's memory is an ``IndexError``.
         """
         live = len(ports)
-        self.port[:live] = ports
+        words = self.tables.table.nw
+        if (
+            max_steps < 1 or len(rows) < max_steps * live
+            or len(meta) < max_steps * live
+            or rows.shape[1:] != (3, words) or rows.dtype != np.uint64
+            or meta.shape[1:] != (3,) or meta.dtype != np.float64
+            or not (rows.flags["C_CONTIGUOUS"] and meta.flags["C_CONTIGUOUS"])
+        ):
+            raise ValueError(
+                f"a run of {max_steps} steps of {live} rows needs that many "
+                f"C-contiguous (3, {words}) uint64 rows and float64 meta"
+            )
+        self.port[:live, :BEFORE] = ports
+        self.mem[:live] = memories
         if forces:
             if len(forces) > len(self.dff_force):
                 self.dff_force = np.zeros((2 * len(forces), 3), dtype=np.int32)
                 self.struct.dff_force = self.dff_force.ctypes.data
             self.dff_force[: len(forces)] = forces
-        self.fn(self.tables.ptr, self.ptr, live, len(forces))
-        return self.probe[:live]
+        self.struct.rows, self.struct.meta = rows.ctypes.data, meta.ctypes.data
+        steps = self.fn(self.tables.ptr, self.ptr, live, len(forces), max_steps)
+        if self.struct.fault:
+            raise IndexError("a memory read past the end of a lane's memory")
+        return steps
 
 
 class _Pricing(ctypes.Structure):

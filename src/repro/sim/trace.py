@@ -14,8 +14,9 @@ trace's :attr:`~Trace.bit_order`: the native evaluator's
 Rows are appended into blocks that are filled in place, never copied to
 grow; the first matrix read merges them into one block, of which
 ``values_matrix(packed=True)``, ``active_matrix(packed=True)`` and
-``mem_accesses()`` are views.  A batch step appends all its live rows to
-its batch's trace, the *arena*, at once; its users keep arena row
+``mem_accesses()`` are views.  A batch step puts all its live rows in
+its batch's trace, the *arena*, at once (the native run writes them into
+the arena's :meth:`Trace.free_rows` in place); its users keep arena row
 indices and cut per-path traces out of it with :meth:`Trace.take` (a
 gather into a block of its own) or :meth:`Trace.view` (an index,
 gathered on each read).  ``trace[i]`` unpacks one row into a
@@ -106,18 +107,36 @@ class Trace:
             self.bit_order = bit_order
         done = 0
         while done < len(planes):
-            if not self._room:
-                self._room = max(self._block_rows, min(self._n, MAX_BLOCK_ROWS))
-                self._blocks.append((
-                    np.empty((self._room, 3, bit_order.n_words), np.uint64),
-                    np.empty((self._room, 3)),
-                ))
-                self._starts.append(self._n)
+            free = self.free_rows(1)
             take = min(len(planes) - done, self._room)
-            at = self._n - self._starts[-1]
-            for dst, src in zip(self._blocks[-1], (planes, meta)):
-                dst[at : at + take] = src[done : done + take]
-            done, self._n, self._room = done + take, self._n + take, self._room - take
+            for dst, src in zip(free, (planes, meta)):
+                dst[:take] = src[done : done + take]
+            self.keep(take)
+            done += take
+
+    def free_rows(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """The planes and meta of the free rows after the last one, at
+        least *rows* of them (a new block opens when fewer are left):
+        views to fill in place and then add with :meth:`keep`."""
+        if self._room < rows:
+            self._room = max(
+                self._block_rows, min(self._n, MAX_BLOCK_ROWS), rows
+            )
+            self._blocks.append((
+                np.empty((self._room, 3, self.bit_order.n_words), np.uint64),
+                np.empty((self._room, 3)),
+            ))
+            self._starts.append(self._n)
+        at = self._n - self._starts[-1]
+        return tuple(column[at : at + self._room] for column in self._blocks[-1])
+
+    def keep(self, rows: int) -> None:
+        """Add the first *rows* rows of :meth:`free_rows` to the trace."""
+        self._n, self._room = self._n + rows, self._room - rows
+
+    def row_planes(self, index: int) -> np.ndarray:
+        """A copy of row *index*'s ``(3, n_words)`` planes."""
+        return self._gather([index])[0][0]
 
     def take(self, rows) -> "Trace":
         """A trace of its own holding *rows* of this one, in that order,

@@ -1,7 +1,7 @@
 """The CPU probes on a whole batch, and the explorer's snapshot rule.
 
 The probes (``halted``, ``pc_next_unknown``, ``in_dispatch``,
-``may_fork_next``, ``branch_fork_assignments``) take a scalar
+``branch_fork_assignments``) take a scalar
 :class:`~repro.sim.machine.Machine` or a whole
 :class:`~repro.sim.batch.BatchMachine`.  The batch forms read one column
 per bus and must agree lane for lane with the scalar forms, on both
@@ -13,24 +13,23 @@ The COI annotations are decoded from a trace's packed values
 equal what ``peek_bus`` reads from the state, instruction-word and PC
 buses after each recorded cycle.
 
-The explorer snapshots a lane only before a step that may fork: it must
-take no more snapshots than there are dispatch-bound lane-steps plus
-loads, and a fork without a pre-step snapshot is an internal error.
+The explorer snapshots a lane when it loads it and when it forks, never
+while it runs: a fork's pre-step state is rebuilt from the lane's
+previous arena row, which needs a step before the last one.
 """
 
 import numpy as np
 import pytest
 
-from repro.asm import assemble
 from repro.bench.suite import get_benchmark
 from repro.core import explore
 from repro.cpu import UnresolvedPCError
-from repro.cpu.core import STATE_NAMES, Ulp430
+from repro.cpu.core import STATE_NAMES
 from repro.sim.batch import BatchMachine
 from repro.sim.machine import Machine
 from repro.sim.trace import Trace
 
-PROBES = ("halted", "pc_next_unknown", "in_dispatch", "may_fork_next")
+PROBES = ("halted", "pc_next_unknown", "in_dispatch")
 
 
 def _explore_spied(cpu, name: str, engine: str) -> dict:
@@ -40,16 +39,16 @@ def _explore_spied(cpu, name: str, engine: str) -> dict:
         BatchMachine.snapshot, BatchMachine.load, BatchMachine.step
     )
 
-    def spy_snapshot(self, lane):
-        seen["snapshots"].append(snapshot(self, lane))
+    def spy_snapshot(self, lane, **kwargs):
+        seen["snapshots"].append(snapshot(self, lane, **kwargs))
         return seen["snapshots"][-1]
 
     def spy_load(self, *args):
         seen["loads"] += 1
         return load(self, *args)
 
-    def spy_step(self):
-        rows = step(self)
+    def spy_step(self, *args):
+        rows = step(self, *args)
         seen["rows"] += rows
         seen["arena"] = self.arena
         return rows
@@ -59,7 +58,7 @@ def _explore_spied(cpu, name: str, engine: str) -> dict:
         patch.setattr(BatchMachine, "snapshot", spy_snapshot)
         patch.setattr(BatchMachine, "load", spy_load)
         patch.setattr(BatchMachine, "step", spy_step)
-        explore(
+        seen["tree"] = explore(
             cpu, benchmark.program(), max_cycles=benchmark.max_cycles,
             max_segments=benchmark.max_segments, engine=engine,
         )
@@ -187,20 +186,36 @@ class TestSnapshotRule:
         )
         snapshots = len(seen["snapshots"])
         assert snapshots <= dispatch_bound + seen["loads"]
-        assert snapshots < len(trace) / 2
+        # one per load and one per fork, none while a lane runs
+        forks = sum(segment.end == "fork" for segment in seen["tree"].segments)
+        assert snapshots == seen["loads"] + forks
 
-    def test_fork_without_snapshot_is_an_internal_error(
-        self, cpu, monkeypatch
-    ):
-        monkeypatch.setattr(
-            Ulp430, "may_fork_next",
-            lambda self, machine: np.zeros(len(machine.lanes), dtype=bool),
+    @pytest.mark.parametrize("engine", ["native", "reference"])
+    def test_before_step_snapshot_needs_an_earlier_row(self, cpu, engine):
+        """A lane's state before its first step is in no arena row, so
+        only the caller's load snapshot holds it; from the second step
+        on, the batch rebuilds the pre-step state, which equals a
+        snapshot taken before that step."""
+        program = get_benchmark("mult").program()
+        machine = cpu.make_machine(program, engine=engine)
+        batch = BatchMachine(
+            cpu.netlist, cpu.ports, cpu.evaluator_for(engine), 1
         )
-        one_branch = assemble(
-            ".org 0xF000\nstart: mov #inp, r4\n mov @r4, r5\n tst r5\n"
-            " jz done\n mov #1, r6\ndone: jmp done\n"
-            ".org 0x0240\ninp: .input 1\n",
-            "one_branch",
-        )
-        with pytest.raises(RuntimeError, match="internal error"):
-            explore(cpu, one_branch)
+        lane = batch.load(machine.snapshot(), {})
+        batch.step()
+        with pytest.raises(ValueError, match="its first"):
+            batch.snapshot(lane, before_step=True)
+        for _ in range(6):
+            expected = batch.snapshot(lane)
+            batch.step()
+            got = batch.snapshot(lane, before_step=True)
+            assert got.keys() == expected.keys()
+            for key in ("values", "prev_active"):
+                assert np.array_equal(
+                    np.asarray(got[key]), np.asarray(expected[key])
+                ), key
+            assert got["memory"].digest() == expected["memory"].digest()
+            for key in ("cycle", "dout_value", "dout_xmask",
+                        "forced_inputs", "next_dff_forces"):
+                assert got[key] == expected[key], key
+            assert vars(got["request"]) == vars(expected["request"])

@@ -6,7 +6,7 @@ golden file the reference reproduces).  Four tiers, mirroring the
 engine's soundness argument:
 
 1. **Gate kernels, exhaustively**: every kind over every 3-valued input
-   combination through the *lane-sliced batch step* (``repro_step``),
+   combination through the *lane-sliced batch run* (``repro_run``),
    one combination per lane, must match the scalar truth functions and a
    reference-engine batch; ``test_bitplane`` does the same for the
    single-machine settle (``repro_settle``), which runs the same gate
@@ -29,6 +29,7 @@ built once per process (about 0.1 s), serves the toy netlists and the
 CPU alike.
 """
 
+import collections
 import itertools
 import sys
 import threading
@@ -50,7 +51,7 @@ from repro.netlist.program import NetlistProgram
 from repro.sim.batch import BatchMachine
 from repro.sim.bitplane import ENGINES, make_evaluator
 from repro.sim.evaluator import LevelizedEvaluator
-from repro.sim.machine import Machine, MemoryPorts
+from repro.sim.machine import Machine, MemoryPorts, _MemRequest
 from repro.sim.memory import TernaryMemory
 from repro.sim.native import NativeEvaluator, NativeKernelError
 from test_bitplane import TWO_INPUT_FUNCS, random_netlist, settle_sources
@@ -542,6 +543,22 @@ class TestFallback:
         for module, series in power.module_mw.items():
             assert np.array_equal(fallback.module_mw[module], series), module
 
+    def test_failing_compiler_warning_names_the_exit_status(
+        self, unloaded, monkeypatch
+    ):
+        """A compiler that fails silently (``CC=false``) still gives the
+        fallback warning a reason: its exit status."""
+        monkeypatch.setenv("CC", "false")
+        native._reset_fallback_warning()
+        with pytest.warns(RuntimeWarning, match="falling back") as caught:
+            evaluator = native.evaluator_or_fallback(random_netlist(120, seed=61))
+        native._reset_fallback_warning()
+        assert type(evaluator) is LevelizedEvaluator
+        [warning] = [w for w in caught if "falling back" in str(w.message)]
+        message = str(warning.message)
+        reason = message[message.index("(") + 1 : message.index("); falling")]
+        assert reason == "C compile failed (false, exit status 1)"
+
     def test_build_failure_raises_kernel_error(self, unloaded, monkeypatch):
         monkeypatch.setattr(native, "SOURCE", "#error simulated breakage\n")
         netlist = random_netlist(160, seed=62)
@@ -732,8 +749,8 @@ def _fork_snapshots(cpu, name: str, count: int) -> list[dict]:
     snapshots = []
     record = BatchMachine.snapshot
 
-    def snapshot(self, lane):
-        snapshots.append(record(self, lane))
+    def snapshot(self, lane, **kwargs):
+        snapshots.append(record(self, lane, **kwargs))
         return snapshots[-1]
 
     benchmark = get_benchmark(name)
@@ -828,15 +845,19 @@ def fork_snapshots(cpu):
     )
 
 
-def _cpu_variant(cpu):
+def _cpu_variant(cpu, unusual=False):
     """Random lane set-ups around a CPU snapshot: one-shot flag loads (as
-    a fork applies them), forced inputs with Xs, partly-X dout words."""
+    a fork applies them), forced inputs with Xs, partly-X dout words;
+    *unusual* adds a pending read with an X enable or from an X address,
+    and an X in the FSM state."""
     port_in = [int(net) for net in cpu.nets.port_in]
     flags = [int(cpu.flag_dff_for(bit)) for bit in range(2)]
+    program = cpu.evaluator_for("native").program
 
     def variant(rng, snap):
         snap, forces = dict(snap), {}
-        kind = rng.integers(8)  # 3: rarely, as most X fetches stall the CPU
+        # 3: rarely, as most X fetches stall the CPU
+        kind = rng.integers(11 if unusual else 8)
         if kind == 1:
             forces = {net: int(rng.integers(2)) for net in flags}
         elif kind == 2:
@@ -846,9 +867,40 @@ def _cpu_variant(cpu):
         elif kind == 3:
             snap["dout_value"] = int(rng.integers(1 << 16))
             snap["dout_xmask"] = int(rng.integers(1 << 16)) & 0x0300
+        elif kind == 10:  # an X in the FSM state
+            pos = int(program.pos_of[cpu.nets.state_q[rng.integers(3)]])
+            snap["values"] = values = snap["values"].copy()
+            values[:2, pos >> 6] |= np.uint64(1 << (pos & 63))
+        elif kind >= 8:
+            request = snap["request"]
+            snap["request"] = _MemRequest(
+                request.addr, request.addr_known, X, 0,
+                request.din_value, request.din_xmask,
+            ) if kind == 8 else _MemRequest(None, False, 1, 0)
         return snap, forces
 
     return variant
+
+
+@pytest.fixture(scope="module")
+def cpu_points(cpu):
+    """CPU states inside path segments: short scalar walks from the
+    loads of binSearch's and tHold's explorations, stopping before a
+    halt or an X PC."""
+    rng = np.random.default_rng(7)
+    points = []
+    for snap in _fork_snapshots(cpu, "binSearch", 40) + _fork_snapshots(
+        cpu, "tHold", 40
+    ):
+        machine = Machine(cpu.netlist, cpu.ports, cpu.evaluator_for("native"))
+        machine.restore(snap)
+        for _ in range(int(rng.integers(0, 40))):
+            machine.step()
+            if cpu.halted(machine) or cpu.pc_next_unknown(machine):
+                break
+        else:
+            points.append(machine.snapshot())
+    return points
 
 
 def _toy_system(seed: int):
@@ -918,6 +970,242 @@ class TestBatchStepKernel:
         assert lane._request.we == X and lane._request.addr_known
 
 
+def _counter_system():
+    """A 4-bit counter wired to a 4-word memory, so lanes change what
+    they do from cycle to cycle: the count addresses a word every cycle
+    (XORed with the ``ax`` input: X there reads from an X address), the
+    enable is 1 on even counts and the ``en`` input (0, 1 or X) on odd
+    ones, and counts 6 and 14 store, certainly or not, by the ``we``
+    input.  A data register XORs the word read into the count.  The
+    stop rules: the count is 13 (a "halt"), the data holds an X (a
+    "fork").  Returns the system, its stop rules, its engines, its
+    snapshots, their variant and the fork rule's nets."""
+    netlist = Netlist()
+    dout = [netlist.add_gate("INPUT") for _ in range(3)]
+    en_in, we_in, ax_in = (netlist.add_gate("INPUT") for _ in range(3))
+    zero, one = netlist.add_gate("CONST0"), netlist.add_gate("CONST1")
+    count = [netlist.add_gate("DFF", (zero,)) for _ in range(4)]
+    data = [netlist.add_gate("DFF", (zero,)) for _ in range(2)]
+    carry = one
+    for bit in count:
+        netlist.gates[bit].inputs = (netlist.add_gate("XOR", (bit, carry)),)
+        carry = netlist.add_gate("AND", (bit, carry))
+    for bit, word, mix in zip(data, dout, count):
+        netlist.gates[bit].inputs = (netlist.add_gate("XOR", (word, mix)),)
+    even = netlist.add_gate("NOT", (count[0],))
+    store = netlist.add_gate("AND", (count[1], count[2]))
+    ports = MemoryPorts(
+        addr=[
+            netlist.add_gate("XOR", (count[0], ax_in)),
+            netlist.add_gate("BUF", (count[1],)),
+        ],
+        din=[*data, netlist.add_gate("XOR", (count[3], dout[2])), count[2]],
+        dout=dout,
+        we=netlist.add_gate(
+            "AND", (store, netlist.add_gate("AND", (even, we_in)))
+        ),
+        en=netlist.add_gate("MUX", (count[0], one, en_in)),
+    )
+    stops = [(count, 13), (data, None)]
+    engines = (NativeEvaluator(netlist), LevelizedEvaluator(netlist))
+    snapshots = []
+    for cycles in range(16):
+        memory = TernaryMemory(n_words=4)
+        for addr, (value, xmask) in enumerate(
+            [(5, 0), (0, 0xFFFF), (3, 0), (6, 0x0002)]
+        ):
+            memory.load_word(addr, value, xmask)
+        machine = Machine(netlist, ports, engines[0], memory)
+        machine.forced_inputs = {en_in: 1, we_in: 0, ax_in: 0}
+        machine.reset_sequence()
+        for _ in range(cycles):
+            machine.step()
+        snapshots.append(machine.snapshot())
+
+    def variant(rng, snap):
+        snap = dict(snap)
+        ax = int(rng.choice([0, 0, 0, X]))
+        snap["forced_inputs"] = {
+            en_in: int(rng.choice([0, 1, X])),
+            # a store to an X address is refused: keep those lanes apart
+            we_in: 0 if ax == X else int(rng.choice([0, 1, X])),
+            ax_in: ax,
+        }
+        forces = {count[3]: int(rng.integers(2))} if rng.random() < 0.3 else {}
+        return snap, forces
+
+    return netlist, ports, stops, engines, snapshots, variant, data
+
+
+def _assert_same_rows(program, traces) -> None:
+    """Arena rows of native batches and of a reference batch (last):
+    cycles, memory counts, values and activity, pads included."""
+    *packed, reference = traces
+    values = program.pack_values(reference.values_matrix())
+    active = program.pack_active(reference.active_matrix())
+    for trace in packed:
+        assert len(trace) == len(reference)
+        assert np.array_equal(trace.cycles(), reference.cycles())
+        assert np.array_equal(trace.mem_accesses(), reference.mem_accesses())
+        assert np.array_equal(trace.values_matrix(packed=True), values)
+        assert np.array_equal(trace.active_matrix(packed=True), active)
+
+
+def _assert_same_snapshot(packed, snaps) -> None:
+    """Snapshots of one state from native batches and a reference batch."""
+    *natives, reference = snaps
+    planes = packed.pack_state(reference["values"], reference["prev_active"])
+    for snap in natives:
+        assert np.array_equal(snap["values"], planes)
+        assert snap["memory"].digest() == reference["memory"].digest()
+        assert vars(snap["request"]) == vars(reference["request"])
+        for key in ("cycle", "dout_value", "dout_xmask", "forced_inputs",
+                    "next_dff_forces"):
+            assert snap[key] == reference[key], key
+
+
+def _run_churn(netlist, ports, stops, engines, snapshots, variant, lanes,
+               seed, fork_nets, rounds=24, longest=8):
+    """Drive three batches through the same load / run / retire churn: a
+    native batch making one multi-cycle call of up to *longest* steps per
+    round,
+    a native batch making one-cycle calls for as many steps, and a
+    reference batch making the same multi-cycle call.  Every round they
+    must record the same arena rows, meta included, leave every lane in
+    the same state and rebuild the same state from before each lane's
+    last step (the one a fork re-runs), which the one-cycle batch
+    snapshots directly.  Returns the events the rounds reached."""
+    packed, reference = engines
+
+    def fresh():
+        return [
+            BatchMachine(netlist, ports, ev, lanes, stops=stops)
+            for ev in (packed, packed, reference)
+        ]
+
+    batches = fresh()
+    rng = np.random.default_rng(seed)
+    events = collections.Counter()
+    for _ in range(rounds):
+        fast, single, slow = batches
+        if fast.lanes and fast.n_free:
+            events["refill"] += 1
+        for _ in range(min(fast.n_free, int(rng.integers(1, lanes // 2 + 3)))):
+            snap, forces = variant(rng, snapshots[rng.integers(len(snapshots))])
+            for batch in (fast, single):
+                batch.load(snap, forces)
+            slow.load(_as_reference(packed, snap), forces)
+        live = len(fast.lanes)
+        for lane in fast.lanes:
+            request = lane._request
+            if request.en == X:
+                events["enable-X read"] += 1
+            if request.en != 0 and not request.addr_known:
+                events["X-address read"] += 1
+        k = int(rng.integers(1, longest + 1))
+        try:
+            rows = fast.step(k)
+        except Exception as exc:  # e.g. a store to an X address
+            for batch in (single, slow):
+                with pytest.raises(type(exc)):
+                    batch.step(k)
+            events["error"] += 1
+            batches = fresh()  # a failed step leaves lanes half-latched
+            continue
+        taken = len(rows) // live
+        single_rows = []
+        for _ in range(taken):
+            before = [single.snapshot(lane) for lane in single.lanes]
+            single_rows += single.step()
+        slow_rows = slow.step(k)
+        _assert_same_rows(packed.program, [
+            fast.arena.view(rows), single.arena.view(single_rows),
+            slow.arena.view(slow_rows),
+        ])
+        forking = fast.peek_bus(fork_nets)[1] != 0
+        stored = [lane._request.we for lane in fast.lanes]
+        if taken < k:
+            events["stopped early"] += 1
+        if 1 in stored:
+            events["store"] += 1
+        if X in stored:
+            events["uncertain store"] += 1
+        if taken >= 2 and forking.any():
+            events["fork at step >= 2"] += 1
+        for row, lanes_ in enumerate(zip(fast.lanes, single.lanes, slow.lanes)):
+            la, lb, lc = lanes_
+            assert la.cycle == lb.cycle == lc.cycle
+            for other in (lb, lc):
+                assert vars(la._request) == vars(other._request)
+                assert (la.dout_value, la.dout_xmask) == (
+                    other.dout_value, other.dout_xmask
+                )
+                assert la.memory.digest() == other.memory.digest()
+            assert np.array_equal(
+                fast.planes[row],
+                packed.pack_state(slow.values[row], slow._prev_active[row]),
+            )
+            if la._before[0] >= 0:
+                _assert_same_snapshot(packed, [
+                    fast.snapshot(la, before_step=True), before[row],
+                    slow.snapshot(lc, before_step=True),
+                ])
+                events["snapshot from an arena row"] += 1
+        # forking and halted lanes leave, as in the explorer, and a few more
+        halted = np.zeros(live, dtype=bool)
+        for nets, value in stops:
+            values, xmasks = fast.peek_bus(nets)
+            halted |= xmasks != 0 if value is None else (
+                (xmasks == 0) & (values == value)
+            )
+        for row in reversed(range(live)):
+            if halted[row] or rng.random() < 0.2:
+                for batch in batches:
+                    batch.retire(batch.lanes[row])
+    return events
+
+
+class TestBatchRunKernel:
+    """A multi-cycle native call against one-cycle calls and the
+    reference engine, row for row."""
+
+    EVENTS = {
+        "refill", "enable-X read", "X-address read", "stopped early",
+        "store", "uncertain store", "fork at step >= 2",
+        "snapshot from an arena row",
+    }
+
+    @pytest.mark.parametrize("lanes, seed", [(4, 6), (6, 6), (70, 5)])
+    def test_toy_counter_runs_match(self, toy_cache, lanes, seed):
+        """Enable-X merges, X-address reads, certain and uncertain
+        stores, one-shot DFF loads, across groups of 64 lanes; with few
+        lanes, calls run long enough for a lane to fork at step 2 or
+        later."""
+        netlist, ports, stops, engines, snapshots, variant, data = (
+            _counter_system()
+        )
+        events = _run_churn(
+            netlist, ports, stops, engines, snapshots, variant, lanes, seed,
+            data, rounds=30,
+        )
+        expected = self.EVENTS - ({"fork at step >= 2"} if lanes > 8 else set())
+        assert expected <= set(events), events
+
+    @pytest.mark.parametrize("lanes", [4, 8, 65])
+    def test_cpu_runs_match(self, cpu, cpu_points, lanes):
+        """The same on the ULP430, from states inside path segments.  Its
+        benchmarks never latch an uncertain store, and from an X state
+        it stores to an X address, which both engines refuse alike."""
+        events = _run_churn(
+            cpu.netlist, cpu.ports, cpu.batch_stops(),
+            (cpu.evaluator_for("native"), cpu.evaluator), cpu_points,
+            _cpu_variant(cpu, unusual=True), lanes, lanes, cpu.nets.pc_d,
+            longest=24,
+        )
+        expected = self.EVENTS - {"uncertain store"} | {"error"}
+        assert expected <= set(events), events
+
+
 class TestBatchStepRefusals:
     """A packed batch the kernel cannot drive is an error naming why,
     never a silent second step."""
@@ -947,6 +1235,23 @@ class TestBatchStepRefusals:
         )
         with pytest.raises(NativeKernelError, match="wider than 64 bits"):
             BatchMachine(netlist, ports, NativeEvaluator(netlist), 2)
+
+    def test_read_past_a_lane_memory_is_an_index_error(self, toy_cache):
+        """The run reads a lane's memory in place, so an address past its
+        end is refused before the read, as numpy refuses the reference
+        engine's."""
+        netlist, ports, stops, engines, snapshots, _variant, _data = (
+            _counter_system()
+        )
+        snap = dict(snapshots[1], memory=TernaryMemory(n_words=2))
+        for evaluator in engines:
+            batch = BatchMachine(netlist, ports, evaluator, 1, stops=stops)
+            base = snap if evaluator is engines[0] else _as_reference(
+                engines[0], snap
+            )
+            batch.load(base, {})
+            with pytest.raises(IndexError):
+                batch.step(8)
 
     def test_forcing_a_non_input_names_the_net(self, toy_cache):
         netlist, ports, engines, snapshots, _variant = _toy_system(3)
